@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
+from itertools import count
 
 from . import weyl
 from .errors import NotSemisimple, ParseError
@@ -177,8 +179,6 @@ def so_C(n: int) -> SimpleRealForm:
         )
     if n % 2 == 0:
         rtype, rrank = "D", n // 2
-        if rrank == 2:  # unreachable (n == 4 rejected); keep the guard explicit
-            raise NotSemisimple("so(4,C) is not simple")
     else:
         rtype, rrank = "B", (n - 1) // 2
     return _form(f"so({n},C)", "so(n,C)", (n,), rtype, rrank,
@@ -225,6 +225,23 @@ def sp_pq(p: int, q: int) -> SimpleRealForm:
     n = p + q
     return _form(f"sp({p},{q})", "sp(p,q)", (p, q), rtype, p,
                  n * (2 * n + 1), p * (2 * p + 1) + q * (2 * q + 1), n)
+
+
+# The classical families in canonical order: (family label, descriptor term
+# pattern with one group per parameter, builder).  Parsing and both catalog
+# scans read this table; the builders alone decide which parameters are valid.
+_FAMILIES = (
+    ("sl(n,R)", re.compile(r"^sl\((\d+),R\)$"), sl_R),
+    ("sl(n,C)", re.compile(r"^sl\((\d+),C\)$"), sl_C),
+    ("su*(2n)", re.compile(r"^su\*\((\d+)\)$"), su_star),
+    ("su(p,q)", re.compile(r"^su\((\d+),(\d+)\)$"), su_pq),
+    ("so(p,q)", re.compile(r"^so\((\d+),(\d+)\)$"), so_pq),
+    ("so(n,C)", re.compile(r"^so\((\d+),C\)$"), so_C),
+    ("so*(2n)", re.compile(r"^so\*\((\d+)\)$"), so_star),
+    ("sp(n,R)", re.compile(r"^sp\((\d+),R\)$"), sp_R),
+    ("sp(n,C)", re.compile(r"^sp\((\d+),C\)$"), sp_C),
+    ("sp(p,q)", re.compile(r"^sp\((\d+),(\d+)\)$"), sp_pq),
+)
 
 
 # name: (restricted type, restricted rank, dim_g, dim_k, rank_k, complex)
@@ -288,14 +305,6 @@ _ALIASES = {"e6(I)": "e6(6)", "e6(IV)": "e6(-26)"}
 
 _RE_SPLIT_CENTER = re.compile(r"^R\^(\d+)$")
 _RE_COMPACT_CENTER = re.compile(r"^u\(1\)\^(\d+)$")
-_RE_SL = re.compile(r"^sl\((\d+),([RC])\)$")
-_RE_SU_STAR = re.compile(r"^su\*\((\d+)\)$")
-_RE_SU_PQ = re.compile(r"^su\((\d+),(\d+)\)$")
-_RE_SO_C = re.compile(r"^so\((\d+),C\)$")
-_RE_SO_PQ = re.compile(r"^so\((\d+),(\d+)\)$")
-_RE_SO_STAR = re.compile(r"^so\*\((\d+)\)$")
-_RE_SP_RC = re.compile(r"^sp\((\d+),([RC])\)$")
-_RE_SP_PQ = re.compile(r"^sp\((\d+),(\d+)\)$")
 _RE_COMPACT = re.compile(r"^(su|so|sp)\((\d+)\)$")
 _COMPACT_FIXED = ("g2", "f4", "e6", "e7", "e8")
 
@@ -308,32 +317,10 @@ def _parse_term(term, noncompact, compact, center):
     if (m := _RE_COMPACT_CENTER.match(term)):
         center[1] += int(m.group(1))
         return
-    if (m := _RE_SL.match(term)):
-        n = int(m.group(1))
-        noncompact.append(sl_R(n) if m.group(2) == "R" else sl_C(n))
-        return
-    if (m := _RE_SU_STAR.match(term)):
-        noncompact.append(su_star(int(m.group(1))))
-        return
-    if (m := _RE_SU_PQ.match(term)):
-        noncompact.append(su_pq(int(m.group(1)), int(m.group(2))))
-        return
-    if (m := _RE_SO_C.match(term)):
-        noncompact.append(so_C(int(m.group(1))))
-        return
-    if (m := _RE_SO_PQ.match(term)):
-        noncompact.append(so_pq(int(m.group(1)), int(m.group(2))))
-        return
-    if (m := _RE_SO_STAR.match(term)):
-        noncompact.append(so_star(int(m.group(1))))
-        return
-    if (m := _RE_SP_RC.match(term)):
-        n = int(m.group(1))
-        noncompact.append(sp_R(n) if m.group(2) == "R" else sp_C(n))
-        return
-    if (m := _RE_SP_PQ.match(term)):
-        noncompact.append(sp_pq(int(m.group(1)), int(m.group(2))))
-        return
+    for _, pattern, build in _FAMILIES:
+        if (m := pattern.match(term)):
+            noncompact.append(build(*map(int, m.groups())))
+            return
     if term in _EXCEPTIONAL:
         noncompact.append(exceptional(term))
         return
@@ -435,13 +422,7 @@ def derived_invariants(desc: ReductiveDescriptor) -> DerivedInvariants:
 # ---------------------------------------------------------------------------
 # enumeration
 
-FAMILY_ORDER = (
-    "sl(n,R)", "sl(n,C)", "su*(2n)", "su(p,q)", "so(p,q)", "so(n,C)",
-    "so*(2n)", "sp(n,R)", "sp(n,C)", "sp(p,q)",
-    "g2(2)", "f4(4)", "f4(-20)", "e6(6)", "e6(2)", "e6(-14)", "e6(-26)",
-    "e7(7)", "e7(-5)", "e7(-25)", "e8(8)", "e8(-24)",
-    "g2(C)", "f4(C)", "e6(C)", "e7(C)", "e8(C)",
-)
+FAMILY_ORDER = tuple(label for label, _, _ in _FAMILIES) + tuple(_EXCEPTIONAL)
 
 _FAMILY_INDEX = {name: i for i, name in enumerate(FAMILY_ORDER)}
 
@@ -450,88 +431,65 @@ def form_sort_key(form: SimpleRealForm) -> tuple:
     return (_FAMILY_INDEX[form.family], form.params)
 
 
-def _one_param(builder, start, dim_of, max_dim):
-    n = start
-    while dim_of(n) <= max_dim:
-        yield builder(n)
-        n += 1
+def _walk(build, fits, start=1):
+    """build(n) for n = start, start + 1, ... up to the first form that
+    builds but does not fit; parameters the builder rejects are skipped."""
+    for n in count(start):
+        try:
+            form = build(n)
+        except (ParseError, NotSemisimple):
+            continue
+        if not fits(form):
+            return
+        yield form
 
 
-def _two_param(builder, dim_of, max_dim, skip=()):
-    p = 1
-    while dim_of(p, p) <= max_dim:
-        q = p
-        while dim_of(p, q) <= max_dim:
-            if (p, q) not in skip:
-                yield builder(p, q)
-            q += 1
-        p += 1
+def _scan(fits) -> list[SimpleRealForm]:
+    """Every catalog form satisfying `fits`, in canonical order.
+
+    Each classical family is walked upward in its parameters, two-parameter
+    families with q >= p.  The walk relies on this contract: along each
+    parameter, `fits` turns false eventually and, once false for a form,
+    stays false for every larger parameter.  So a one-parameter walk stops at the first form that
+    builds but does not fit, the q walk likewise, and the p walk at the
+    first p with no fitting q.  A parameter the builder rejects
+    (ParseError or NotSemisimple: so(2,2), su*(odd), so(4,C), ...) is a gap
+    and is skipped, so the builders stay the only source of validity rules.
+    """
+    out: list[SimpleRealForm] = []
+    for _, pattern, build in _FAMILIES:
+        if pattern.groups == 1:
+            out.extend(_walk(build, fits))
+            continue
+        for p in count(1):
+            row = list(_walk(partial(build, p), fits, start=p))
+            if not row:
+                break
+            out.extend(row)
+    out.extend(f for f in map(exceptional, _EXCEPTIONAL) if fits(f))
+    return out
 
 
 def enumerate_simple_forms(max_dim_g: int) -> list[SimpleRealForm]:
     """All noncompact simple forms with dim_g <= max_dim_g, in canonical
     order (family, then parameters ascending).  Every family dimension
     grows without bound in each parameter, so the scan terminates."""
-    out: list[SimpleRealForm] = []
-    out.extend(_one_param(sl_R, 2, lambda n: n * n - 1, max_dim_g))
-    out.extend(_one_param(sl_C, 2, lambda n: 2 * (n * n - 1), max_dim_g))
-    out.extend(_one_param(lambda n: su_star(2 * n), 2, lambda n: 4 * n * n - 1, max_dim_g))
-    out.extend(_two_param(su_pq, lambda p, q: (p + q) ** 2 - 1, max_dim_g))
-    out.extend(_two_param(so_pq, lambda p, q: (p + q) * (p + q - 1) // 2, max_dim_g,
-                          skip=((1, 1), (2, 2))))
-    for n in range(3, max_dim_g + 2):
-        if n == 4:
-            continue
-        if n * (n - 1) > max_dim_g:
-            break
-        out.append(so_C(n))
-    out.extend(_one_param(lambda n: so_star(2 * n), 3, lambda n: n * (2 * n - 1), max_dim_g))
-    out.extend(_one_param(sp_R, 1, lambda n: n * (2 * n + 1), max_dim_g))
-    out.extend(_one_param(sp_C, 1, lambda n: 2 * n * (2 * n + 1), max_dim_g))
-    out.extend(_two_param(sp_pq, lambda p, q: (p + q) * (2 * (p + q) + 1), max_dim_g))
-    for name in _EXCEPTIONAL:
-        form = exceptional(name)
-        if form.dim_g <= max_dim_g:
-            out.append(form)
-    out.sort(key=form_sort_key)
-    return out
+    return _scan(lambda f: f.dim_g <= max_dim_g)
 
 
-def scan_real_forms(max_restricted_rank: int, param_bound: int | None = None):
-    """Catalog entries with restricted rank at most the bound.
+def scan_real_forms(max_restricted_rank: int) -> list[SimpleRealForm]:
+    """Catalog entries with restricted rank at most the bound, in canonical
+    order.
 
-    Two-parameter families are scanned with the larger parameter capped at
-    `param_bound` (default: 2 * max_restricted_rank + 2): the restricted
-    system, hence the a-hyperbolic rank, depends only on the smaller
-    parameter and on whether the parameters are equal, so a larger sweep
-    cannot reveal new (ahyp, rank) behavior.
+    Two-parameter families (restricted rank p) are scanned only up to
+    q = 2 * max_restricted_rank + 2: the restricted system, hence the
+    a-hyperbolic rank, depends only on the smaller parameter and on whether
+    the parameters are equal, so a larger sweep cannot reveal new
+    (ahyp, rank) behavior.
     """
-    if param_bound is None:
-        param_bound = 2 * max_restricted_rank + 2
-    out = []
-    for n in range(2, max_restricted_rank + 2):
-        out.append(sl_R(n))
-        out.append(sl_C(n))
-        if n >= 2:
-            out.append(su_star(2 * n))
-    for p in range(1, max_restricted_rank + 1):
-        for q in range(p, param_bound + 1):
-            out.append(su_pq(p, q))
-            if (p, q) not in ((1, 1), (2, 2)):
-                out.append(so_pq(p, q))
-            out.append(sp_pq(p, q))
-    for n in range(3, 2 * max_restricted_rank + 2):
-        if n != 4:
-            out.append(so_C(n))
-    for n in range(3, 2 * max_restricted_rank + 2):
-        out.append(so_star(2 * n))
-    for n in range(1, max_restricted_rank + 1):
-        out.append(sp_R(n))
-        out.append(sp_C(n))
-    out.extend(exceptional(name) for name in _EXCEPTIONAL)
-    out = [f for f in out if f.restricted_rank <= max_restricted_rank]
-    out.sort(key=form_sort_key)
-    return out
+    r = max_restricted_rank
+    return _scan(lambda f: f.restricted_rank <= r
+                 and (len(f.params) < 2 or f.params[1] <= 2 * r + 2))
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,10 @@ def candidate_simple_parts(g: SimpleRealForm, h: ReductiveDescriptor) -> list[Si
     out = []
     for s in enumerate_simple_forms(lim["dim_g"]):
         if (
-            ahyp_of(s) <= lim["ahyp"]
-            and s.restricted_rank <= lim["rank"]
+            s.restricted_rank <= lim["rank"]
             and s.rank_maxcompact <= lim["maxcompact"]
             and s.dim_p <= lim["dim"]
+            and ahyp_of(s) <= lim["ahyp"]
         ):
             out.append(s)
     return out

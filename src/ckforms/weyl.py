@@ -31,13 +31,12 @@ from .linalg import (
     mat_scale,
     mat_vec,
     rank_of,
-    solve,
     vadd,
     vector,
     vneg,
     vscale,
 )
-from .rootspace import RootSystem, check_dimension, reflect
+from .rootspace import RootSystem, _strictly_dominant_seed, check_dimension, reflect
 
 DEFAULT_CAP = 10**6
 
@@ -196,7 +195,7 @@ class WeylElement:
         return self.matrix == other.matrix
 
     def __hash__(self):
-        return hash(self.system.label)
+        return hash((self.system.label, self.root_permutation()))
 
     def __repr__(self):
         return f"WeylElement(word={self.word})"
@@ -262,13 +261,7 @@ def dominant_representative(system: RootSystem, v: Vector) -> Vector:
 def _rho_check(system: RootSystem) -> Vector:
     c = system._cache
     if "rho" not in c:
-        simples = system.simple_roots
-        gram = [[dot(a, b) for b in simples] for a in simples]
-        coeffs = solve(gram, vector([1] * len(simples)))
-        rho = vector([0] * system.ambient_dim)
-        for cf, a in zip(coeffs, simples):
-            rho = vadd(rho, vscale(cf, a))
-        c["rho"] = rho
+        c["rho"] = _strictly_dominant_seed(system.simple_roots)
     return c["rho"]
 
 

@@ -165,6 +165,45 @@ def test_enumerate_simple_forms():
     assert by_name["su(1,2)"].dim_p == 4  # su(2,1) canonicalizes to su(1,2)
 
 
+ONE_PARAM = (catalog.sl_R, catalog.sl_C, catalog.su_star, catalog.so_C,
+             catalog.so_star, catalog.sp_R, catalog.sp_C)
+TWO_PARAM = (catalog.su_pq, catalog.so_pq, catalog.sp_pq)
+BOX = 80  # parameter bound of the brute-force pool; asserted generous below
+
+
+def _brute_pool():
+    """Every buildable form with parameters up to BOX, in canonical order."""
+    calls = [(b, (n,)) for b in ONE_PARAM for n in range(1, BOX + 1)]
+    calls += [(b, (p, q)) for b in TWO_PARAM
+              for p in range(1, BOX + 1) for q in range(p, BOX + 1)]
+    pool = [catalog.exceptional(name) for name in catalog._EXCEPTIONAL]
+    for build, params in calls:
+        try:
+            pool.append(build(*params))
+        except (NotSemisimple, ParseError):
+            pass
+    return sorted(pool, key=catalog.form_sort_key)
+
+
+def test_scanners_match_brute_force():
+    pool = _brute_pool()
+    for max_dim in range(301):
+        expected = [f for f in pool if f.dim_g <= max_dim]
+        assert enumerate_simple_forms(max_dim) == expected, max_dim
+    for r in range(1, 9):
+        expected = [f for f in pool if f.restricted_rank <= r
+                    and (len(f.params) < 2 or f.params[1] <= 2 * r + 2)]
+        assert scan_real_forms(r) == expected, r
+    # the box is generous: nothing that fits either bound touches its edge
+    assert max(max(f.params, default=0) for f in enumerate_simple_forms(300)) < BOX // 2
+    assert max(max(f.params, default=0) for f in scan_real_forms(8)) < BOX // 2
+
+
+def test_names_round_trip():
+    for form in enumerate_simple_forms(300):
+        assert parse_simple(form.name) == form
+
+
 def test_rank_maxcompact_spot_values():
     cases = {"sl(11,R)": 5, "so(4,7)": 5, "f4(-20)": 4, "e6(-26)": 4,
              "su*(6)": 3, "sl(3,C)": 2, "sp(2,R)": 2, "so(5,5)": 4}

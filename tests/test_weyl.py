@@ -115,6 +115,14 @@ def test_longest_element_examples():
     assert longest_element(a2).apply(vector([1, 0, -1])) == vector([-1, 0, 1])
 
 
+def test_elements_hash_by_group_element():
+    a3 = build_root_system("A", 3)
+    elements = enumerate_weyl(a3)
+    assert len({hash(w) for w in elements}) == 24
+    # w0 is built from its matrix alone; it must still hash like its equal
+    assert longest_element(a3) in set(elements)
+
+
 def test_longest_element_is_involution():
     for letter, rank in (("A", 4), ("B", 4), ("D", 4), ("D", 5), ("BC", 3),
                          ("G", 2), ("F", 4), ("E", 6), ("E", 7)):
