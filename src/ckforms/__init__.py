@@ -2,7 +2,7 @@
 a-hyperbolic ranks, proper-action rank tests, and the obstruction to
 standard compact quotients of reductive homogeneous spaces."""
 
-from . import catalog, criteria, errors, linalg, obstruction, rootspace, weyl
+from . import cartan, catalog, criteria, errors, linalg, obstruction, rootspace, weyl
 from .catalog import attributes, derived_invariants, parse_descriptor, parse_simple
 from .criteria import (
     Subspace,
@@ -34,6 +34,7 @@ __all__ = [
     "build_root_system",
     "candidate_combinations",
     "candidate_simple_parts",
+    "cartan",
     "catalog",
     "check_proper_embedded",
     "cocompact_dimension_check",

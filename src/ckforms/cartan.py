@@ -1,0 +1,156 @@
+"""Integer Cartan-matrix core: the longest element w0 of a Weyl group, the
+involution -w0 on the simple roots and the a-hyperbolic rank, computed in
+Dynkin-label and simple-root coordinates (Humphreys, *Reflection Groups
+and Coxeter Groups*, sections 1-2) without any explicit root realization.
+
+The Cartan matrix is a[i][j] = <alpha_i, alpha_j^vee>
+= 2 (alpha_i, alpha_j) / (alpha_j, alpha_j).  The simple reflection s_i acts
+on Dynkin labels by lambda_k -= lambda_i a[i][k] and on simple-root
+coordinates by b_i -= sum_k b_k a[k][i].
+
+Every result is cross-checked when it is computed; a failed check raises
+InternalInconsistency, so the checks also run under `python -O`.  The
+explicit realizations in `rootspace` serve as the test oracle.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+from .errors import InternalInconsistency
+from .linalg import integer_rank
+from .rootspace import _COUNTS, _validate
+
+CartanMatrix = tuple[tuple[int, ...], ...]
+
+
+def cartan_matrix(type_letter: str, rank: int) -> CartanMatrix:
+    """Closed-form Cartan matrix of a supported (type, rank), with the
+    simple roots in the order `rootspace` realizes them.  BC_n has the Weyl
+    group of B_n and shares its simple roots, hence its matrix."""
+    _validate(type_letter, rank)
+    n = rank
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    if type_letter == "E":
+        bonds = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    elif type_letter == "D":
+        bonds = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    else:
+        bonds = [(i, i + 1) for i in range(n - 1)]
+    for i, j in bonds:
+        a[i][j] = a[j][i] = -1
+    # a multiple bond: a[i][j] = -2 or -3 where alpha_j is the short root
+    if type_letter in ("B", "BC") and n >= 2:
+        a[n - 2][n - 1] = -2
+    elif type_letter == "C":
+        a[n - 1][n - 2] = -2
+    elif type_letter == "F":
+        a[1][2] = -2
+    elif type_letter == "G":
+        a[1][0] = -3
+    return tuple(map(tuple, a))
+
+
+def w0_length(type_letter: str, rank: int) -> int:
+    """Length of w0: the number of positive roots of the reduced system
+    with the same Weyl group (B_n for BC_n)."""
+    _validate(type_letter, rank)
+    return _COUNTS["B" if type_letter == "BC" else type_letter](rank) // 2
+
+
+@dataclass(frozen=True)
+class W0:
+    """w0 of the Weyl group of a Cartan matrix.
+
+    `chain` is the reduced word of w0 (w0 = s_chain[0] ... s_chain[-1]),
+    `images[j]` is w0(alpha_j) in simple-root coordinates, and `minus_w0`
+    is the permutation with -w0(alpha_j) = alpha_minus_w0[j].  `ahyp` is the
+    dimension of the fixed space of -w0.
+    """
+
+    chain: tuple[int, ...]
+    images: tuple[tuple[int, ...], ...]
+    minus_w0: tuple[int, ...]
+    ahyp: int
+
+
+def orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cycles of a permutation, each starting at its smallest entry."""
+    seen = set()
+    out = []
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        orbit = []
+        i = start
+        while i not in seen:
+            seen.add(i)
+            orbit.append(i)
+            i = perm[i]
+        out.append(tuple(orbit))
+    return out
+
+
+@lru_cache(maxsize=None)
+def w0_of(cartan: CartanMatrix, length: int) -> W0:
+    """w0 of a Cartan matrix whose Weyl group has a longest element of the
+    given length (`w0_length`, summed over the irreducible blocks).
+
+    The chain starts at -rho = (-1, ..., -1) in Dynkin labels and reflects
+    in the first simple root whose label is negative until none is; the
+    reflections taken, in order, spell w0.  Raises InternalInconsistency
+    when the chain does not stop within `length` reflections, does not end
+    at rho or has the wrong length, when -w0 does not permute the simple
+    roots, or when the kernel rank of w0 + 1 differs from the number of
+    orbits of that permutation.
+    """
+    n = len(cartan)
+    rows = [tuple((k, x) for k, x in enumerate(row) if x) for row in cartan]
+    cols = [tuple((k, cartan[k][j]) for k in range(n) if cartan[k][j]) for j in range(n)]
+
+    labels = [-1] * n
+    chain: list[int] = []
+    while (i := next((i for i, x in enumerate(labels) if x < 0), None)) is not None:
+        if len(chain) == length:
+            raise InternalInconsistency(
+                f"dominant chain on Cartan matrix {cartan} did not stop within "
+                f"{length} reflections"
+            )
+        c = labels[i]
+        for k, x in rows[i]:
+            labels[k] -= c * x
+        chain.append(i)
+    if labels != [1] * n:
+        raise InternalInconsistency(f"dominant chain ends at {labels}, not at rho")
+    if len(chain) != length:
+        raise InternalInconsistency(
+            f"longest element has length {len(chain)}, expected {length}"
+        )
+
+    images = []
+    for j in range(n):
+        b = [0] * n
+        b[j] = 1
+        for i in reversed(chain):
+            b[i] -= sum(b[k] * x for k, x in cols[i])
+        images.append(tuple(b))
+
+    perm = []
+    for j, b in enumerate(images):
+        support = [k for k, x in enumerate(b) if x]
+        if len(support) != 1 or b[support[0]] != -1:
+            raise InternalInconsistency(
+                f"-w0 maps simple root {j} to {tuple(-x for x in b)}, not a simple root"
+            )
+        perm.append(support[0])
+
+    w0_plus_1 = [[images[j][i] + (i == j) for j in range(n)] for i in range(n)]
+    by_kernel = n - integer_rank(w0_plus_1)
+    by_orbits = len(orbits(tuple(perm)))
+    if by_kernel != by_orbits:
+        raise InternalInconsistency(
+            f"fixed-space dimension disagreement on Cartan matrix {cartan}: "
+            f"kernel {by_kernel} vs simple-root orbits {by_orbits}"
+        )
+    return W0(tuple(chain), tuple(images), tuple(perm), by_kernel)

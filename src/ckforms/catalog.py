@@ -1,6 +1,8 @@
 """Classification data for real simple Lie algebras and reductive
-descriptors, with every invariant either computed from the restricted
-root system or cross-checked against it.
+descriptors.  The a-hyperbolic rank is computed, never transcribed: the
+integer Cartan core (`cartan`) derives it from the closed-form Cartan
+matrix of the restricted root system and cross-checks it at run time; the
+explicit realization in `rootspace` is kept as the test oracle.
 
 Restricted types per family:
 
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import count
 
-from . import weyl
-from .errors import NotSemisimple, ParseError
+from .cartan import cartan_matrix, w0_length, w0_of
+from .errors import InternalInconsistency, NotSemisimple, ParseError
 from .rootspace import build_root_system
 
 
@@ -99,7 +101,7 @@ def _form(name, family, params, rtype, rrank, dim_g, dim_k, rank_k, complex_=Fal
     rtype, rrank = _normalize_rank1(rtype, rrank)
     dim_p = dim_g - dim_k
     if dim_p <= 0:
-        raise AssertionError(f"{name}: noncompact form must have dim p > 0")
+        raise InternalInconsistency(f"{name}: noncompact form must have dim p > 0")
     return SimpleRealForm(
         name=name,
         family=family,
@@ -135,8 +137,10 @@ def su_star(two_n: int) -> SimpleRealForm:
     if two_n % 2 != 0:
         raise ParseError(f"su*({two_n}): the argument must be even")
     n = two_n // 2
-    if n < 2:
-        raise NotSemisimple(f"su*({two_n}) is the compact su(2); enter su(2)")
+    if n == 0:
+        raise NotSemisimple("su*(0) is zero-dimensional")
+    if n == 1:
+        raise NotSemisimple("su*(2) is the compact su(2); enter su(2)")
     return _form(f"su*({two_n})", "su*(2n)", (two_n,), "A", n - 1,
                  4 * n * n - 1, n * (2 * n + 1), n)
 
@@ -144,6 +148,8 @@ def su_star(two_n: int) -> SimpleRealForm:
 def su_pq(p: int, q: int) -> SimpleRealForm:
     p, q = min(p, q), max(p, q)
     if p < 1:
+        if q < 2:
+            raise NotSemisimple(f"su({p},{q}) is zero-dimensional")
         raise NotSemisimple(f"su({p},{q}) is the compact su({q}); enter su({q})")
     rtype = "C" if p == q else "BC"
     n = p + q
@@ -189,6 +195,8 @@ def so_star(two_n: int) -> SimpleRealForm:
     if two_n % 2 != 0:
         raise ParseError(f"so*({two_n}): the argument must be even")
     n = two_n // 2
+    if n == 0:
+        raise NotSemisimple("so*(0) is zero-dimensional")
     if n == 1:
         raise NotSemisimple("so*(2) is abelian, isomorphic to u(1); enter u(1)^1")
     if n == 2:
@@ -220,6 +228,8 @@ def sp_C(n: int) -> SimpleRealForm:
 def sp_pq(p: int, q: int) -> SimpleRealForm:
     p, q = min(p, q), max(p, q)
     if p < 1:
+        if q < 1:
+            raise NotSemisimple(f"sp({p},{q}) is zero-dimensional")
         raise NotSemisimple(f"sp({p},{q}) is the compact sp({q}); enter sp({q})")
     rtype = "C" if p == q else "BC"
     n = p + q
@@ -386,12 +396,15 @@ def restricted_system(form: SimpleRealForm):
 
 
 def ahyp_of(form: SimpleRealForm) -> int:
-    return weyl.ahyp_dimension(restricted_system(form))
+    """Dimension of the fixed space of -w0 on the restricted root system,
+    from the integer Cartan core; no explicit realization is built."""
+    t, r = form.restricted_type, form.restricted_rank
+    return w0_of(cartan_matrix(t, r), w0_length(t, r)).ahyp
 
 
 def attributes(form: SimpleRealForm) -> AttributeRecord:
     """All invariants of a simple form; the a-hyperbolic rank is computed
-    from the restricted root system, never transcribed."""
+    from the restricted root system's Cartan matrix, never transcribed."""
     return AttributeRecord(
         restricted_type=form.restricted_type,
         restricted_rank=form.restricted_rank,
@@ -519,7 +532,7 @@ class Table1Row:
 
 def table1_rows(k_max: int) -> list[Table1Row]:
     """Rows of the rank-vs-ahyp table with parameters up to k_max, each
-    (ahyp, rank) computed from the restricted root system."""
+    (ahyp, rank) computed from the restricted root system's Cartan matrix."""
     rows = []
     for family, k_min, build, expect in TABLE1_FAMILIES:
         for k in range(k_min, k_max + 1):

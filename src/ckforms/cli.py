@@ -2,8 +2,10 @@
 
 Exit codes: 0 when the computation completed (the verdict itself never
 changes the exit code), 2 on usage/parse/input errors, 3 when a Weyl
-enumeration cap is exceeded.  `--json` emits a report conforming to
-docs/report-schema.json; rationals are serialized as 'p/q' strings.
+enumeration cap is exceeded, 4 when a runtime cross-check of a computed
+result fails (a fault in the package, not in the input).  `--json` emits a
+report conforming to docs/report-schema.json; rationals are serialized as
+'p/q' strings.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from . import catalog, criteria, obstruction
 from .errors import (
     CapExceeded,
     DimensionMismatch,
+    InternalInconsistency,
     NotInSpan,
     NotSemisimple,
     ParseError,
@@ -370,6 +373,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import ReductiveDescriptor, derived_invariants
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalInconsistency
 from .linalg import (
     Vector,
     frac,
@@ -163,7 +163,8 @@ def check_proper_embedded(
             witness = zero_vector(system_g.ambient_dim)
             for c, b in zip(coeffs[: a_h.dim], a_h.basis):
                 witness = vadd(witness, vscale(c, b))
-            assert not is_zero(witness)
+            if is_zero(witness):
+                raise InternalInconsistency(f"zero witness at element {idx}")
             return ProperCheck(proper=False, w_index=idx, element=w,
                                witness=primitive(witness))
     return ProperCheck(proper=True)

@@ -43,3 +43,10 @@ class NotSemisimple(CkformsError):
 class SpaceObstruction(CkformsError):
     """The homogeneous space itself violates the rank inequalities, so no
     subgroup of positive rank can act properly; candidate search is moot."""
+
+
+class InternalInconsistency(CkformsError):
+    """A runtime cross-check of a computed result failed.
+
+    Raised instead of `assert` so the checks survive `python -O`; it always
+    signals a fault in the package, never in the input."""

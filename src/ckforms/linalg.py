@@ -119,6 +119,30 @@ def rank_of(rows) -> int:
     return len(rref(rows)[1])
 
 
+def integer_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free elimination (Bareiss,
+    Math. Comp. 22, 1968): each division by the previous pivot is exact,
+    so every entry stays an integer."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    rank, prev = 0, 1
+    for c in range(ncols):
+        pr = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        top = m[rank]
+        p = top[c]
+        for row in m[rank + 1:]:
+            f = row[c]
+            for k in range(c + 1, ncols):
+                row[k] = (p * row[k] - f * top[k]) // prev
+            row[c] = 0
+        prev = p
+        rank += 1
+    return rank
+
+
 def kernel_basis(rows) -> tuple[Vector, ...]:
     """Basis of {x : M x = 0}, one vector per free column, in ascending
     free-column order (free variable set to 1)."""

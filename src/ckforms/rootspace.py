@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DimensionMismatch, NotInSpan, UnsupportedSystem, ZeroRoot
+from .errors import (
+    DimensionMismatch,
+    InternalInconsistency,
+    NotInSpan,
+    UnsupportedSystem,
+    ZeroRoot,
+)
 from .linalg import (
     Vector,
     dot,
@@ -227,10 +233,17 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     else:
         roots, simples, dim = _type_e(rank)
     roots = sorted(set(roots))
-    assert len(roots) == _COUNTS[type_letter](rank)
+    if len(roots) != _COUNTS[type_letter](rank):
+        raise InternalInconsistency(
+            f"{type_letter}{rank} realized with {len(roots)} roots, "
+            f"expected {_COUNTS[type_letter](rank)}"
+        )
     rho = _strictly_dominant_seed(simples)
     positives = [r for r in roots if dot(rho, r) > 0]
-    assert 2 * len(positives) == len(roots)
+    if 2 * len(positives) != len(roots):
+        raise InternalInconsistency(
+            f"{type_letter}{rank}: {len(positives)} positive roots of {len(roots)}"
+        )
     return RootSystem(
         label=f"{type_letter}{rank}",
         blocks=((type_letter, rank, 0, dim),),
@@ -246,7 +259,8 @@ def _strictly_dominant_seed(simples) -> Vector:
     """Vector in the span of the simple roots pairing to 1 with each."""
     gram = [[dot(a, b) for b in simples] for a in simples]
     coeffs = solve(gram, vector([1] * len(simples)))
-    assert coeffs is not None
+    if coeffs is None:
+        raise InternalInconsistency("simple roots with a singular Gram matrix")
     out = vscale(coeffs[0], simples[0])
     for c, a in zip(coeffs[1:], simples[1:]):
         out = tuple(x + c * y for x, y in zip(out, a))

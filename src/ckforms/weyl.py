@@ -6,9 +6,10 @@ Enumerated elements are stored as permutations of the root list (the
 group acts faithfully on the roots); exact matrices are reconstructed on
 demand.  Enumeration is breadth-first by word length with ties broken
 lexicographically by word, so indices are reproducible across runs.
-The longest element is computed by a reflection chain on a strictly
-dominant seed vector, never by enumeration, which keeps rank-level
-invariants cheap for every supported system including E_8.
+The longest element, -w0 on the simple roots and the a-hyperbolic
+dimension come from the integer Cartan core (`cartan`), never from
+enumeration, which keeps rank-level invariants cheap for every supported
+system including E_8.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import CapExceeded
+from . import cartan
+from .errors import CapExceeded, InternalInconsistency
 from .linalg import (
     Matrix,
     Vector,
@@ -26,15 +28,14 @@ from .linalg import (
     identity_matrix,
     invert,
     kernel_basis,
-    mat_add,
     mat_mul,
     mat_scale,
     mat_vec,
-    rank_of,
     vadd,
     vector,
     vneg,
     vscale,
+    zero_vector,
 )
 from .rootspace import RootSystem, _strictly_dominant_seed, check_dimension, reflect
 
@@ -228,7 +229,10 @@ def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylEleme
                     nxt.append((q, word + (i,)))
         out.extend(nxt)
         frontier = nxt
-    assert len(out) == order
+    if len(out) != order:
+        raise InternalInconsistency(
+            f"enumerated {len(out)} elements of {system.label}, expected {order}"
+        )
     return [WeylElement(system, w, perm=p) for p, w in out]
 
 
@@ -248,7 +252,7 @@ def _dominant_chain(system: RootSystem, v: Vector) -> tuple[Vector, list[int]]:
                 break
         else:
             return v, chain
-    raise AssertionError("dominant chain failed to terminate")
+    raise InternalInconsistency(f"dominant chain on {system.label} failed to terminate")
 
 
 def dominant_representative(system: RootSystem, v: Vector) -> Vector:
@@ -265,31 +269,54 @@ def _rho_check(system: RootSystem) -> Vector:
     return c["rho"]
 
 
+def _cartan_matrix(system: RootSystem) -> cartan.CartanMatrix:
+    """Integer Cartan matrix 2(a_i, a_j)/(a_j, a_j) of the explicit simple
+    roots, in their order."""
+    simples = system.simple_roots
+    rows = []
+    for a in simples:
+        row = []
+        for b in simples:
+            x = 2 * dot(a, b) / dot(b, b)
+            if x.denominator != 1:
+                raise InternalInconsistency(
+                    f"Cartan entry {x} of {system.label} is not an integer"
+                )
+            row.append(int(x))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _w0(system: RootSystem) -> cartan.W0:
+    """The integer core's w0 for an explicit system (a direct sum included)."""
+    c = system._cache
+    if "w0_core" not in c:
+        length = sum(cartan.w0_length(letter, rank) for letter, rank, _, _ in system.blocks)
+        c["w0_core"] = cartan.w0_of(_cartan_matrix(system), length)
+    return c["w0_core"]
+
+
 def longest_element(system: RootSystem) -> WeylElement:
     """The element mapping the dominant chamber onto its negative.
 
-    Computed without enumeration: run the dominant-representative chain
-    on the negative of a strictly dominant seed vector and compose the
-    recorded reflections in reverse.
+    Computed without enumeration by the integer Cartan core: the word is
+    its reflection chain, and the matrix is built from its images of the
+    simple roots.
     """
     c = system._cache
     if "w0" not in c:
+        core = _w0(system)
+        images = []
+        for coeffs in core.images:
+            v = zero_vector(system.ambient_dim)
+            for b, a in zip(coeffs, system.simple_roots):
+                if b:
+                    v = vadd(v, vscale(b, a))
+            images.append(v)
+        w0 = WeylElement(system, core.chain, matrix=_matrix_from_simple_images(system, images))
         rho = _rho_check(system)
-        final, chain = _dominant_chain(system, vneg(rho))
-        assert final == rho
-        sparse = _sparse_simples(system)
-
-        def w0_image(v):
-            for i in reversed(chain):
-                entries, norm = sparse[i]
-                v = _reflect_sparse(v, entries, norm, _pairing(entries, v))
-            return v
-
-        matrix = _matrix_from_simple_images(
-            system, [w0_image(a) for a in system.simple_roots]
-        )
-        w0 = WeylElement(system, tuple(chain), matrix=matrix)
-        assert w0.apply(rho) == vneg(rho)
+        if w0.apply(rho) != vneg(rho):
+            raise InternalInconsistency(f"w0 of {system.label} does not negate rho")
         c["w0"] = w0
     return c["w0"]
 
@@ -300,54 +327,14 @@ def minus_w0(system: RootSystem) -> Matrix:
     return mat_scale(Fraction(-1), longest_element(system).matrix)
 
 
-def _simple_root_permutation_of_minus_w0(system: RootSystem) -> tuple[int, ...]:
-    m = minus_w0(system)
-    index = {a: i for i, a in enumerate(system.simple_roots)}
-    images = []
-    for a in system.simple_roots:
-        img = mat_vec(m, a)
-        if img not in index:
-            raise AssertionError("-w0 does not permute the simple roots")
-        images.append(index[img])
-    return tuple(images)
-
-
-def _orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen = set()
-    orbits = []
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        orbit = []
-        i = start
-        while i not in seen:
-            seen.add(i)
-            orbit.append(i)
-            i = perm[i]
-        orbits.append(tuple(orbit))
-    return orbits
-
-
 def ahyp_dimension(system: RootSystem) -> int:
     """Dimension of the fixed space of -w0 on the root span.
 
-    Computed both as the kernel rank of (w0 + identity) and as the number
-    of orbits of the permutation -w0 induces on the simple roots; the two
-    must agree.
+    Read from the integer Cartan core, which computes it both as the kernel
+    rank of (w0 + identity) and as the number of orbits of the permutation
+    -w0 induces on the simple roots, and checks that the two agree.
     """
-    c = system._cache
-    if "ahyp" not in c:
-        w0 = longest_element(system)
-        m = mat_add(w0.matrix, identity_matrix(system.ambient_dim))
-        by_kernel = system.ambient_dim - rank_of(m)
-        by_orbits = len(_orbits(_simple_root_permutation_of_minus_w0(system)))
-        if by_kernel != by_orbits:
-            raise AssertionError(
-                f"fixed-space dimension disagreement on {system.label}: "
-                f"kernel {by_kernel} vs simple-root orbits {by_orbits}"
-            )
-        c["ahyp"] = by_kernel
-    return c["ahyp"]
+    return _w0(system).ahyp
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +370,13 @@ def fixed_cone(system: RootSystem) -> FixedCone:
     fundamental coweights per orbit of -w0 on the simple roots."""
     coweights = fundamental_coweights(system)
     basis = []
-    for orbit in _orbits(_simple_root_permutation_of_minus_w0(system)):
+    for orbit in cartan.orbits(_w0(system).minus_w0):
         v = coweights[orbit[0]]
         for i in orbit[1:]:
             v = vadd(v, coweights[i])
         basis.append(v)
-    assert len(basis) == ahyp_dimension(system)
+    if len(basis) != ahyp_dimension(system):
+        raise InternalInconsistency(f"fixed cone of {system.label} has the wrong dimension")
     return FixedCone(b_basis=tuple(basis), system=system)
 
 

@@ -72,6 +72,28 @@ def test_not_semisimple_suggests_decomposition(text, hint):
     assert hint in str(exc.value)
 
 
+@pytest.mark.parametrize("text,hint", [
+    ("su*(0)", None),
+    ("su(0,0)", None),
+    ("su(0,1)", None),
+    ("sp(0,0)", None),
+    ("so*(0)", None),
+    ("su*(2)", "enter su(2)"),
+    ("sp(0,1)", "enter sp(1)"),
+    ("su(0,2)", "enter su(2)"),
+    ("su(5,0)", "enter su(5)"),
+])
+def test_hints_name_only_valid_inputs(text, hint):
+    with pytest.raises(NotSemisimple) as exc:
+        parse_descriptor(text)
+    message = str(exc.value)
+    if hint is None:
+        assert message.endswith("is zero-dimensional") and "enter" not in message
+    else:
+        assert message.endswith(hint)
+        parse_descriptor(hint.split()[-1])  # the suggested input parses
+
+
 @pytest.mark.parametrize("text", [
     "sl(5)", "so(3,3,3)", "su*(7)", "so*(7)", "sp(3,H)", "e6(5)", "x2(2)",
     "sl(5,R)+", "+sl(5,R)", "u(1)", "R^x",

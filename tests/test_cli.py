@@ -3,7 +3,9 @@ from pathlib import Path
 
 import jsonschema
 
+from ckforms import catalog
 from ckforms.cli import main
+from ckforms.errors import InternalInconsistency
 
 from helpers import FIXTURES
 
@@ -40,6 +42,21 @@ def test_info_examples(capsys):
 def test_info_parse_error_exit_2(capsys):
     assert main(["info", "so(1,1)"]) == 2
     assert main(["info", "not-an-algebra"]) == 2
+
+
+def test_zero_dimensional_so_star_exit_2(capsys):
+    assert main(["info", "so*(0)"]) == 2
+    assert "so*(0) is zero-dimensional" in capsys.readouterr().err
+
+
+def test_internal_inconsistency_exit_4(capsys, monkeypatch):
+    def broken(form):
+        raise InternalInconsistency("cross-check failed")
+
+    monkeypatch.setattr(catalog, "ahyp_of", broken)
+    assert main(["info", "sl(3,R)"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cross-check failed" in captured.err
 
 
 def test_table1_rows(capsys):
