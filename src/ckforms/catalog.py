@@ -319,23 +319,30 @@ _RE_COMPACT = re.compile(r"^(su|so|sp)\((\d+)\)$")
 _COMPACT_FIXED = ("g2", "f4", "e6", "e7", "e8")
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"number with {len(digits)} digits is too large") from None
+
+
 def _parse_term(term, noncompact, compact, center):
     term = _ALIASES.get(term, term)
     if (m := _RE_SPLIT_CENTER.match(term)):
-        center[0] += int(m.group(1))
+        center[0] += _int(m.group(1))
         return
     if (m := _RE_COMPACT_CENTER.match(term)):
-        center[1] += int(m.group(1))
+        center[1] += _int(m.group(1))
         return
     for _, pattern, build in _FAMILIES:
         if (m := pattern.match(term)):
-            noncompact.append(build(*map(int, m.groups())))
+            noncompact.append(build(*map(_int, m.groups())))
             return
     if term in _EXCEPTIONAL:
         noncompact.append(exceptional(term))
         return
     if (m := _RE_COMPACT.match(term)):
-        compact.append(compact_part(m.group(1), int(m.group(2))))
+        compact.append(compact_part(m.group(1), _int(m.group(2))))
         return
     if term in _COMPACT_FIXED:
         compact.append(compact_part(term))

@@ -31,7 +31,7 @@ from .weyl import DEFAULT_CAP
 
 _USAGE_ERRORS = (
     ParseError, NotSemisimple, UnsupportedSystem, DimensionMismatch,
-    NotInSpan, SpaceObstruction, OSError, ValueError,
+    NotInSpan, SpaceObstruction, OSError,
 )
 
 
@@ -180,14 +180,25 @@ def _parse_system(text: str):
         raise ParseError(f"bad --system designation {text!r}; expected TYPE,RANK") from exc
 
 
+def _read_subspace(path: str, system) -> criteria.Subspace:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not a UTF-8 text file") from None
+    try:
+        return criteria.subspace_from_text(text, system)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def cmd_check_proper(args) -> dict:
     if args.system:
         if not (args.ah and args.al) or len(args.descriptors) != 0:
             raise ParseError("embedded mode needs --system with --ah and --al and "
                              "no positional descriptors")
         system = _parse_system(args.system)
-        a_h = criteria.subspace_from_text(Path(args.ah).read_text(), system)
-        a_l = criteria.subspace_from_text(Path(args.al).read_text(), system)
+        a_h = _read_subspace(args.ah, system)
+        a_l = _read_subspace(args.al, system)
         result = criteria.check_proper_embedded(system, a_h, a_l, cap=args.cap)
         witnesses = []
         if not result.proper:
@@ -367,6 +378,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if getattr(args, "kmax", None) is not None and args.kmax < 1:
         print("error: kmax must be >= 1", file=sys.stderr)
+        return 2
+    if getattr(args, "cap", None) is not None and args.cap < 1:
+        print("error: cap must be a positive integer", file=sys.stderr)
         return 2
     try:
         report = args.func(args)

@@ -11,12 +11,12 @@ caller's responsibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .catalog import ReductiveDescriptor, derived_invariants
-from .errors import DimensionMismatch, InternalInconsistency
+from .errors import DimensionMismatch, InternalInconsistency, ParseError
 from .linalg import (
     Vector,
-    frac,
     is_zero,
     kernel_basis,
     primitive,
@@ -26,7 +26,14 @@ from .linalg import (
     zero_vector,
 )
 from .rootspace import RootSystem, check_dimension, require_in_span
-from .weyl import DEFAULT_CAP, WeylElement, dominant_representative, enumerate_weyl, is_antipodal
+from .weyl import (
+    DEFAULT_CAP,
+    WeylElement,
+    dominant_representative,
+    enumerate_weyl,
+    is_antipodal,
+    span_action,
+)
 
 OBSTRUCTION_FOUND = "ObstructionFound"
 NO_OBSTRUCTION = "NoObstruction"
@@ -53,15 +60,28 @@ class Subspace:
         object.__setattr__(self, "dim", len(basis))
 
 
+def _entry(token: str, lineno: int) -> Fraction:
+    try:
+        return Fraction(token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: entry {token!r} is not an integer "
+                         f"or a rational p/q") from None
+    except ZeroDivisionError:
+        raise ParseError(f"line {lineno}: entry {token!r} has a zero denominator") from None
+
+
 def subspace_from_text(text: str, system: RootSystem) -> Subspace:
     """Parse the plain-text subspace format: '#' comment lines, one
-    spanning vector per non-comment line, entries integers or 'p/q'."""
+    spanning vector per non-comment line, entries integers or 'p/q'.
+
+    A bad entry raises ParseError naming its line (counted from 1, comments
+    included) and the token."""
     vectors = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        vectors.append(tuple(frac(tok) for tok in line.split()))
+        vectors.append(tuple(_entry(tok, lineno) for tok in line.split()))
     return Subspace(system=system, spanning_vectors=tuple(vectors))
 
 
@@ -142,10 +162,14 @@ def check_proper_embedded(
     """Exact orbit test over the whole Weyl group.
 
     Proper iff every group element w keeps w.(a_l) intersecting a_h only
-    in zero, decided by an exact rank computation on the stacked bases.
+    in zero, decided by an exact kernel computation on the stacked bases.
     On failure, reports the first offending w in canonical enumeration
     order together with a nonzero witness vector in the intersection,
     normalized to a primitive integer vector with positive leading entry.
+
+    The group is generated lazily, so a NotProper scan stops generating at
+    the offending element.  Elements act on a_l's basis through their root
+    permutation (`span_action`); no element builds its matrix here.
     """
     for sub, name in ((a_h, "a_h"), (a_l, "a_l")):
         if sub.system != system_g:
@@ -153,10 +177,10 @@ def check_proper_embedded(
                                     f"{sub.system.label}, not {system_g.label}")
     if a_h.dim == 0 or a_l.dim == 0:
         return ProperCheck(proper=True)
-    for idx, w in enumerate(enumerate_weyl(system_g, cap)):
-        moved = [w.apply(b) for b in a_l.basis]
-        cols = list(a_h.basis) + moved
-        rows = [tuple(col[i] for col in cols) for i in range(system_g.ambient_dim)]
+    elements = enumerate_weyl(system_g, cap)
+    move = span_action(system_g, a_l.basis)
+    for idx, w in enumerate(elements):
+        rows = list(zip(*a_h.basis, *move(w)))
         kernel = kernel_basis(rows)
         if kernel:
             coeffs = kernel[0]

@@ -4,8 +4,11 @@ cone, the a-hyperbolic dimension, and the antipodal orbit test.
 
 Enumerated elements are stored as permutations of the root list (the
 group acts faithfully on the roots); exact matrices are reconstructed on
-demand.  Enumeration is breadth-first by word length with ties broken
-lexicographically by word, so indices are reproducible across runs.
+demand, and `span_action` applies elements to vectors of the root span
+through the permutation alone, without them.  Enumeration is
+breadth-first by word length with ties broken lexicographically by word,
+so indices are reproducible across runs; it is lazy, so a scan that stops
+early generates only the elements it read.
 The longest element, -w0 on the simple roots and the a-hyperbolic
 dimension come from the integer Cartan core (`cartan`), never from
 enumeration, which keeps rank-level invariants cheap for every supported
@@ -14,12 +17,13 @@ system including E_8.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import cartan
-from .errors import CapExceeded, InternalInconsistency
+from .errors import CapExceeded, InternalInconsistency, NotInSpan
 from .linalg import (
     Matrix,
     Vector,
@@ -31,13 +35,14 @@ from .linalg import (
     mat_mul,
     mat_scale,
     mat_vec,
+    solve,
     vadd,
     vector,
     vneg,
     vscale,
     zero_vector,
 )
-from .rootspace import RootSystem, _strictly_dominant_seed, check_dimension, reflect
+from .rootspace import RootSystem, _strictly_dominant_seed, check_dimension
 
 DEFAULT_CAP = 10**6
 
@@ -99,16 +104,40 @@ def _root_index(system: RootSystem) -> dict:
     return c["root_index"]
 
 
+def _integer_roots(system: RootSystem):
+    """The roots scaled by the common denominator of their entries, as
+    integer tuples; that denominator; and the root indices of the simple
+    roots."""
+    c = system._cache
+    if "int_roots" not in c:
+        den = lcm(*(x.denominator for r in system.roots for x in r))
+        roots = tuple(tuple(int(x * den) for x in r) for r in system.roots)
+        index = _root_index(system)
+        c["int_roots"] = (roots, den, tuple(index[a] for a in system.simple_roots))
+    return c["int_roots"]
+
+
 def _perm_data(system: RootSystem):
     """Identity permutation and simple-reflection permutations of the root
-    list; only enumeration needs these."""
+    list; only enumeration needs these.  Computed on the integer roots:
+    s_a(r) = r - <r, a^v> a with the Cartan integer <r, a^v> = 2(r, a)/(a, a)."""
     c = system._cache
     if "perms" not in c:
-        index = _root_index(system)
-        n = len(system.roots)
+        roots, _, simple = _integer_roots(system)
+        index = {r: i for i, r in enumerate(roots)}
+        n = len(roots)
         gens = []
-        for a in system.simple_roots:
-            images = [index[reflect(r, a)] for r in system.roots]
+        for s in simple:
+            a = roots[s]
+            norm = sum(x * x for x in a)
+            images = []
+            for r in roots:
+                k, rem = divmod(2 * sum(x * y for x, y in zip(r, a)), norm)
+                if rem:
+                    raise InternalInconsistency(
+                        f"roots of {system.label} are not crystallographic"
+                    )
+                images.append(index[tuple(x - k * y for x, y in zip(r, a))])
             gens.append(_make_perm(n, images))
         c["perms"] = (_make_perm(n, range(n)), tuple(gens))
     return c["perms"]
@@ -128,6 +157,15 @@ def _compose(outer, inner):
     return tuple(outer[i] for i in inner)
 
 
+def _invert(m: Matrix, what: str, system: RootSystem) -> Matrix:
+    """Inverse of a matrix the system's construction makes invertible; a
+    singular one is a fault in the package, not in the input."""
+    try:
+        return invert(m)
+    except ValueError:
+        raise InternalInconsistency(f"{what} of {system.label} is singular") from None
+
+
 def _basis_inv(system: RootSystem):
     """Complement basis of the root span and the inverse of the column
     matrix [simple roots | complement]; a group element's matrix is the
@@ -136,7 +174,7 @@ def _basis_inv(system: RootSystem):
     if "basis_inv" not in c:
         complement = kernel_basis(system.simple_roots)
         cols = list(system.simple_roots) + list(complement)
-        c["basis_inv"] = (tuple(complement), invert(columns_matrix(cols)))
+        c["basis_inv"] = (tuple(complement), _invert(columns_matrix(cols), "root basis", system))
     return c["basis_inv"]
 
 
@@ -165,23 +203,27 @@ class WeylElement:
     @property
     def matrix(self) -> Matrix:
         if self._matrix is None:
-            index = _root_index(self.system)
-            roots = self.system.roots
-            images = [roots[self._perm[index[a]]] for a in self.system.simple_roots]
+            _, _, simple = _integer_roots(self.system)
+            images = [self.system.roots[self._perm[s]] for s in simple]
             self._matrix = _matrix_from_simple_images(self.system, images)
         return self._matrix
 
     def apply(self, v: Vector) -> Vector:
         return mat_vec(self.matrix, v)
 
-    def root_permutation(self) -> tuple[int, ...]:
+    def _root_perm(self):
+        """The internal (possibly padded) root permutation, derived from the
+        matrix on first use."""
         if self._perm is None:
             index = _root_index(self.system)
             self._perm = _make_perm(
                 len(self.system.roots),
                 [index[self.apply(r)] for r in self.system.roots],
             )
-        return tuple(self._perm[: len(self.system.roots)])
+        return self._perm
+
+    def root_permutation(self) -> tuple[int, ...]:
+        return tuple(self._root_perm()[: len(self.system.roots)])
 
     def is_identity(self) -> bool:
         if self._perm is not None:
@@ -202,38 +244,135 @@ class WeylElement:
         return f"WeylElement(word={self.word})"
 
 
-def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
+class WeylEnumeration(Sequence):
+    """The group in canonical order, generated only as far as it is read.
+
+    `len()` is the closed-form order.  Iteration, indexing and slicing
+    generate elements up to the position they reach; generated elements are
+    kept, so later passes return the same objects (with any matrices they
+    have built).  The generation queue is the element list itself: the
+    element at `parent` is composed with each simple reflection in turn,
+    which is the breadth-first, lexicographic order.  When the queue is
+    exhausted the count is checked against the order.
+    """
+
+    def __init__(self, system: RootSystem, order: int):
+        self.system = system
+        self._order = order
+        ident, self._gens = _perm_data(system)
+        self._elements = [WeylElement(system, (), perm=ident)]
+        self._seen: set | None = {ident}   # None once generation is complete
+        self._next = (0, 0)                # (parent index, simple reflection)
+
+    def __len__(self) -> int:
+        return self._order
+
+    @property
+    def generated(self) -> int:
+        """How many elements have been generated so far."""
+        return len(self._elements)
+
+    def _grow(self, n: int) -> None:
+        """Generate elements until `n` exist or the group is exhausted."""
+        elements, seen = self._elements, self._seen
+        if seen is None:
+            return
+        gens, system = self._gens, self.system
+        parent, gen = self._next
+        while len(elements) < n:
+            if parent == len(elements):
+                self._seen = None
+                if len(elements) != self._order:
+                    raise InternalInconsistency(
+                        f"enumerated {len(elements)} elements of {system.label}, "
+                        f"expected {self._order}"
+                    )
+                return
+            source = elements[parent]
+            q = _compose(source._perm, gens[gen])
+            if q not in seen:
+                seen.add(q)
+                elements.append(WeylElement(system, source.word + (gen,), perm=q))
+            gen += 1
+            if gen == len(gens):
+                parent, gen = parent + 1, 0
+        self._next = (parent, gen)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            positions = range(self._order)[index]
+            if positions:
+                self._grow(max(positions) + 1)
+            return [self._elements[i] for i in positions]
+        i = range(self._order)[index]
+        self._grow(i + 1)
+        return self._elements[i]
+
+    def __iter__(self) -> Iterator[WeylElement]:
+        elements = self._elements
+        i = 0
+        while True:
+            if i == len(elements):
+                self._grow(i + 1)
+                if i == len(elements):
+                    return
+            yield elements[i]
+            i += 1
+
+    def __repr__(self):
+        return f"WeylEnumeration({self.system.label}, {self.generated} of {self._order})"
+
+
+def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> WeylEnumeration:
     """All group elements, breadth-first by word length, lexicographic
-    within a length, identity first.
+    within a length, identity first, as a lazy sequence (`WeylEnumeration`).
 
     Raises CapExceeded (with the exact order) when the group is larger
     than `cap`; the order is known from the closed formula before any
-    enumeration is attempted.
+    element is generated.
     """
     if cap < 1:
         raise ValueError("cap must be a positive integer")
     order = weyl_order(system)
     if order > cap:
         raise CapExceeded(order=order, cap=cap)
-    ident, gens = _perm_data(system)
-    seen = {ident}
-    out = [(ident, ())]
-    frontier = [(ident, ())]
-    while frontier:
-        nxt = []
-        for perm, word in frontier:
-            for i, g in enumerate(gens):
-                q = _compose(perm, g)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append((q, word + (i,)))
-        out.extend(nxt)
-        frontier = nxt
-    if len(out) != order:
-        raise InternalInconsistency(
-            f"enumerated {len(out)} elements of {system.label}, expected {order}"
-        )
-    return [WeylElement(system, w, perm=p) for p, w in out]
+    return WeylEnumeration(system, order)
+
+
+def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[Vector]]:
+    """Map a group element w to [w.v for v in vectors] without w's matrix.
+
+    Every v must lie in the root span.  It is written once as sum c_i a_i
+    over the simple roots; then w.v = sum c_i w(a_i), and w(a_i) is the root
+    that w's root permutation sends a_i to.  The sums run over integers:
+    the roots scaled by the common denominator of their entries, each
+    coefficient vector by the common denominator of its entries.
+    """
+    int_roots, root_den, simple = _integer_roots(system)
+    simple_matrix = columns_matrix(system.simple_roots)
+    combos = []
+    for v in vectors:
+        coeffs = solve(simple_matrix, v)
+        if coeffs is None:
+            raise NotInSpan(f"vector {tuple(map(str, v))} is not in the root span of {system.label}")
+        den = lcm(*(c.denominator for c in coeffs))
+        terms = [(i, int(c * den)) for i, c in enumerate(coeffs) if c]
+        combos.append((terms, den * root_den))
+    dim = system.ambient_dim
+
+    def act(w: WeylElement) -> list[Vector]:
+        perm = w._root_perm()
+        images = [int_roots[perm[s]] for s in simple]
+        out = []
+        for terms, den in combos:
+            acc = [0] * dim
+            for i, c in terms:
+                for k, x in enumerate(images[i]):
+                    acc[k] += c * x
+            out.append(tuple(Fraction(x, den) for x in acc))
+        return out
+
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +493,7 @@ def fundamental_coweights(system: RootSystem) -> tuple[Vector, ...]:
     if "coweights" not in c:
         simples = system.simple_roots
         gram = [[dot(a, b) for b in simples] for a in simples]
-        ginv = invert(gram)
+        ginv = _invert(gram, "Gram matrix of the simple roots", system)
         out = []
         for i in range(len(simples)):
             w = vector([0] * system.ambient_dim)

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import jsonschema
 
-from ckforms import catalog
+import pytest
+
+from ckforms import catalog, weyl
 from ckforms.cli import main
+from ckforms.rootspace import build_root_system
 from ckforms.errors import InternalInconsistency
 
 from helpers import FIXTURES
@@ -114,6 +117,54 @@ def test_check_proper_usage_errors(capsys):
     assert main(["check-proper", "--system", "A,4",
                  "--ah", "/nonexistent/file.vec",
                  "--al", str(FIXTURES / "a4_al_meets.vec")]) == 2
+
+
+@pytest.mark.parametrize("entry,reason", [
+    ("1/0", "has a zero denominator"),
+    ("1.2.3", "is not an integer or a rational p/q"),
+])
+def test_check_proper_bad_entry_exit_2(capsys, tmp_path, entry, reason):
+    bad = tmp_path / "bad.vec"
+    bad.write_text(f"# split vector\n1 {entry} -1\n")
+    assert main(["check-proper", "--system", "A,2", "--ah", str(bad), "--al", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 2: entry {entry!r} {reason}\n"
+
+
+def test_check_proper_binary_file_exit_2(capsys, tmp_path):
+    binary = tmp_path / "binary.vec"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert main(["check-proper", "--system", "A,4", "--ah", str(binary),
+                 "--al", str(FIXTURES / "a4_al_meets.vec")]) == 2
+    assert capsys.readouterr().err == f"error: {binary}: not a UTF-8 text file\n"
+
+
+def test_overlong_number_exit_2(capsys):
+    assert main(["info", f"sl({'1' * 5000},R)"]) == 2
+    assert capsys.readouterr().err == "error: number with 5000 digits is too large\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_check_proper_cap_below_one_exit_2(capsys, cap):
+    fixture = str(FIXTURES / "a4_ah.vec")
+    assert main(["check-proper", "--system", "A,4", "--cap", cap,
+                 "--ah", fixture, "--al", fixture]) == 2
+    assert capsys.readouterr().err == "error: cap must be a positive integer\n"
+
+
+def test_singular_internal_inverse_exit_4(capsys, monkeypatch):
+    def singular(m):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(weyl, "invert", singular)
+    monkeypatch.delitem(build_root_system("A", 4)._cache, "basis_inv", raising=False)
+    # the NotProper report builds the offending element's matrix
+    assert main(["check-proper", "--system", "A,4", "--ah", str(FIXTURES / "a4_ah.vec"),
+                 "--al", str(FIXTURES / "a4_al_meets.vec")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: root basis of A4 is singular\n"
 
 
 def test_standard_form_verdicts(capsys):

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ckforms import criteria, weyl
 from ckforms.catalog import parse_descriptor
 from ckforms.criteria import (
     NO_OBSTRUCTION,
@@ -14,8 +17,8 @@ from ckforms.criteria import (
     necessary_conditions,
     subspace_from_text,
 )
-from ckforms.errors import CapExceeded, DimensionMismatch, NotInSpan
-from ckforms.linalg import vadd, vector, vscale, zero_vector
+from ckforms.errors import CapExceeded, DimensionMismatch, NotInSpan, ParseError
+from ckforms.linalg import vadd, vector, vneg, vscale, zero_vector
 from ckforms.rootspace import build_root_system, direct_sum
 
 from helpers import FIXTURES, rand_fraction
@@ -83,6 +86,18 @@ def test_subspace_file_format():
     text = "# comment\n\n1/2 0 0 0 -1/2\n"
     assert subspace_from_text(text, A4).basis == (vector([1, 0, 0, 0, -1]),)
     assert subspace_from_text("# nothing\n", A4).dim == 0
+
+
+@pytest.mark.parametrize("entry,reason", [
+    ("1/0", "has a zero denominator"),
+    ("abc", "is not an integer or a rational p/q"),
+    ("1/x", "is not an integer or a rational p/q"),
+])
+def test_subspace_bad_entry_names_line_and_token(entry, reason):
+    text = f"# comment\n1 0 0 0 -1\n\n1 {entry} 0 0 -1\n"
+    with pytest.raises(ParseError) as exc:
+        subspace_from_text(text, A4)
+    assert str(exc.value) == f"line 4: entry {entry!r} {reason}"
 
 
 def test_check_proper_fixtures():
@@ -207,3 +222,104 @@ def test_proper_fixture_consistent_with_catalog_conditions():
     rep = necessary_conditions(parse_descriptor("sl(5,R)"), parse_descriptor("so(1,4)"),
                                parse_descriptor("R^1"))
     assert rep.overall == NO_OBSTRUCTION
+
+
+# ---------------------------------------------------------------------------
+# work done by the streamed, matrix-free scan
+
+E6 = build_root_system("E", 6)
+
+
+def _recording_views(monkeypatch):
+    views = []
+
+    def record(system, cap=weyl.DEFAULT_CAP):
+        views.append(weyl.enumerate_weyl(system, cap))
+        return views[-1]
+
+    monkeypatch.setattr(criteria, "enumerate_weyl", record)
+    return views
+
+
+def _counting_matrix_builds(monkeypatch):
+    built = []
+    build = weyl._matrix_from_simple_images
+
+    def counted(system, images):
+        built.append(images)
+        return build(system, images)
+
+    monkeypatch.setattr(weyl, "_matrix_from_simple_images", counted)
+    return built
+
+
+def test_not_proper_scan_generates_up_to_the_offending_element(monkeypatch):
+    views = _recording_views(monkeypatch)
+    built = _counting_matrix_builds(monkeypatch)
+    a_h = Subspace(E6, (E6.simple_roots[0],))
+    a_l = Subspace(E6, (E6.simple_roots[5],))
+    r = check_proper_embedded(E6, a_h, a_l)
+    assert not r.proper and r.w_index == 1746
+    assert r.element.word == (2, 0, 3, 2, 4, 3, 5, 4)
+    (view,) = views
+    assert view.generated == r.w_index + 1 and len(view) == 51840
+    assert built == []
+    moved = r.element.apply(E6.simple_roots[5])   # builds its matrix
+    assert moved in (E6.simple_roots[0], vneg(E6.simple_roots[0]))
+    assert len(built) == 1
+    assert [i for i, w in enumerate(view[:view.generated]) if w._matrix is not None] \
+        == [r.w_index]
+
+
+def test_proper_scan_visits_the_whole_group_without_matrices(monkeypatch):
+    views = _recording_views(monkeypatch)
+    built = _counting_matrix_builds(monkeypatch)
+    assert check_proper_embedded(A4, _load("a4_ah.vec", A4), _load("a4_al_clear.vec", A4)).proper
+    (view,) = views
+    assert view.generated == len(view) == 120
+    assert built == []
+
+
+_PROPERTY_SYSTEMS = {(t, n): build_root_system(t, n) for t, n in (("A", 3), ("B", 3), ("G", 2))}
+
+
+@st.composite
+def _pairs(draw):
+    """A system, two subspaces given by integer simple-root coordinates, and
+    an integer recombination matrix for each of them."""
+    system = _PROPERTY_SYSTEMS[draw(st.sampled_from(sorted(_PROPERTY_SYSTEMS)))]
+    rank = len(system.simple_roots)
+    coords = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    subs, mixes = [], []
+    for _ in range(2):
+        dim = draw(st.integers(1, rank - 1))
+        subs.append([draw(coords) for _ in range(dim)])
+        mixes.append([draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+                      for _ in range(dim)])
+    return system, subs, mixes
+
+
+def _combine(system, rows, vectors):
+    out = []
+    for row in rows:
+        v = zero_vector(system.ambient_dim)
+        for c, b in zip(row, vectors):
+            v = vadd(v, vscale(Fraction(c), b))
+        out.append(v)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pairs())
+def test_verdict_survives_swap_and_respan(pair):
+    system, coords, mixes = pair
+    a_h, a_l = (Subspace(system, tuple(_combine(system, c, system.simple_roots)))
+                for c in coords)
+    assume(a_h.dim == len(coords[0]) and a_l.dim == len(coords[1]))
+    verdict = check_proper_embedded(system, a_h, a_l).proper
+    assert check_proper_embedded(system, a_l, a_h).proper == verdict
+    re_h, re_l = (Subspace(system, tuple(_combine(system, m, sub.spanning_vectors)))
+                  for m, sub in zip(mixes, (a_h, a_l)))
+    assume(re_h.dim == a_h.dim and re_l.dim == a_l.dim)   # invertible recombinations
+    assert check_proper_embedded(system, re_h, a_l).proper == verdict
+    assert check_proper_embedded(system, a_h, re_l).proper == verdict

@@ -1,12 +1,15 @@
 import random
 from math import factorial
+from operator import itemgetter
 
 import pytest
 
-from ckforms.errors import CapExceeded, DimensionMismatch
+from ckforms import weyl
+from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency
 from ckforms.linalg import identity_matrix, mat_mul, mat_vec, vector, vneg
-from ckforms.rootspace import build_root_system, direct_sum, is_dominant
+from ckforms.rootspace import build_root_system, direct_sum, is_dominant, reflect
 from ckforms.weyl import (
+    WeylEnumeration,
     ahyp_dimension,
     dominant_representative,
     enumerate_weyl,
@@ -14,6 +17,7 @@ from ckforms.weyl import (
     is_antipodal,
     longest_element,
     minus_w0,
+    span_action,
     weyl_order,
 )
 
@@ -280,3 +284,107 @@ def test_enumeration_orders_formula_sweep():
         assert weyl_order(build_root_system("BC", n)) == 2**n * factorial(n)
     assert weyl_order(build_root_system("E", 7)) == 2903040
     assert weyl_order(build_root_system("E", 8)) == 696729600
+
+
+# ---------------------------------------------------------------------------
+# the lazy enumeration against the list-building breadth-first search
+
+def _bfs_oracle(system):
+    """(word, root permutation) of every element, by the list-building
+    search: frontier by frontier, each element composed with s_0, s_1, ...
+    in turn, keeping the first word that reaches a new permutation."""
+    index = {r: i for i, r in enumerate(system.roots)}
+    gens = [itemgetter(*[index[reflect(r, a)] for r in system.roots])
+            for a in system.simple_roots]
+    ident = tuple(range(len(system.roots)))
+    seen = {ident}
+    out = [((), ident)]
+    frontier = out
+    while frontier:
+        nxt = []
+        for word, perm in frontier:
+            for i, g in enumerate(gens):
+                q = g(perm)   # perm o s_i
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append((word + (i,), q))
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+_STREAMED = [("A", n) for n in range(1, 8)] + [(t, n) for t in "BC" for n in range(2, 7)] \
+    + [("BC", n) for n in range(1, 7)] + [("D", n) for n in range(3, 7)] + [("G", 2), ("F", 4)]
+
+
+def test_streamed_order_matches_list_building_search():
+    systems = [build_root_system(t, n) for t, n in _STREAMED]
+    systems.append(direct_sum(build_root_system("A", 2), build_root_system("G", 2)))
+    for s in systems:
+        assert weyl_order(s) <= 5 * 10**4
+        expected = _bfs_oracle(s)
+        streamed = [(w.word, w.root_permutation()) for w in enumerate_weyl(s)]
+        assert streamed == expected, s.label
+
+
+def test_view_keeps_and_reuses_elements():
+    s = build_root_system("B", 3)
+    view = enumerate_weyl(s)
+    assert view.generated == 1 and len(view) == 48
+    head = view[:10]
+    assert view.generated == 10
+    first = list(view)
+    assert len(first) == 48 == view.generated
+    assert all(a is b for a, b in zip(head, first))
+    assert all(a is b for a, b in zip(view, first))
+    assert view[-1] is first[-1] and view[5] is first[5]
+    assert view[3:40:7] == first[3:40:7]
+    with pytest.raises(IndexError):
+        view[48]
+
+
+def test_view_generates_only_what_is_read():
+    view = enumerate_weyl(build_root_system("E", 6))
+    assert len(view) == 51840 and view.generated == 1
+    assert view[6].word == (5,)
+    assert view.generated == 7
+    assert [w.word for w in view[2:12:3]] == [(1,), (4,), (0, 2), (0, 5)]
+    assert view.generated == 12
+    elements = iter(view)
+    for _ in range(100):
+        next(elements)
+    assert view.generated == 100
+
+
+def test_count_check_runs_when_generation_completes():
+    s = build_root_system("A", 2)
+    wrong = WeylEnumeration(s, 7)
+    assert [w.word for w in wrong[:6]] == [w for w, _ in _bfs_oracle(s)]
+    with pytest.raises(InternalInconsistency, match="enumerated 6 elements of A2, expected 7"):
+        list(wrong)
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 4), ("B", 3), ("G", 2), ("F", 4)])
+def test_span_action_equals_matrix_action(letter, rank):
+    s = build_root_system(letter, rank)
+    rng = random.Random(7 + rank)
+    vectors = [random_span_vector(s, rng) for _ in range(2)] + [s.simple_roots[-1]]
+    act = span_action(s, vectors)
+    for w in enumerate_weyl(s):
+        assert act(w) == [mat_vec(w.matrix, v) for v in vectors]
+    w0 = longest_element(s)   # built from its matrix, no enumeration
+    assert act(w0) == [w0.apply(v) for v in vectors]
+
+
+def test_singular_internal_inverse_is_internal_inconsistency(monkeypatch):
+    def singular(m):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(weyl, "invert", singular)
+    s = build_root_system("A", 3)
+    for key in ("basis_inv", "coweights"):   # computed by earlier tests
+        monkeypatch.delitem(s._cache, key, raising=False)
+    with pytest.raises(InternalInconsistency, match="root basis of A3 is singular"):
+        enumerate_weyl(s)[1].matrix
+    with pytest.raises(InternalInconsistency, match="Gram matrix .* of A3 is singular"):
+        weyl.fundamental_coweights(s)
