@@ -1,7 +1,8 @@
-"""Integer Cartan-matrix core: the longest element w0 of a Weyl group, the
-involution -w0 on the simple roots and the a-hyperbolic rank, computed in
-Dynkin-label and simple-root coordinates (Humphreys, *Reflection Groups
-and Coxeter Groups*, sections 1-2) without any explicit root realization.
+"""Integer Cartan-matrix core: the dominant chain in Dynkin labels, the
+longest element w0 of a Weyl group, the involution -w0 on the simple roots
+and the a-hyperbolic rank, computed in Dynkin-label and simple-root
+coordinates (Humphreys, *Reflection Groups and Coxeter Groups*, sections
+1-2) without any explicit root realization.
 
 The Cartan matrix is a[i][j] = <alpha_i, alpha_j^vee>
 = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j).  The simple reflection s_i acts
@@ -63,14 +64,12 @@ def w0_length(type_letter: str, rank: int) -> int:
 class W0:
     """w0 of the Weyl group of a Cartan matrix.
 
-    `chain` is the reduced word of w0 (w0 = s_chain[0] ... s_chain[-1]),
-    `images[j]` is w0(alpha_j) in simple-root coordinates, and `minus_w0`
-    is the permutation with -w0(alpha_j) = alpha_minus_w0[j].  `ahyp` is the
-    dimension of the fixed space of -w0.
+    `chain` is the reduced word of w0 (w0 = s_chain[0] ... s_chain[-1]) and
+    `minus_w0` is the permutation with -w0(alpha_j) = alpha_minus_w0[j].
+    `ahyp` is the dimension of the fixed space of -w0.
     """
 
     chain: tuple[int, ...]
-    images: tuple[tuple[int, ...], ...]
     minus_w0: tuple[int, ...]
     ahyp: int
 
@@ -92,35 +91,49 @@ def orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
+def dominant_chain(cartan: CartanMatrix, labels, limit: int):
+    """Reflect Dynkin labels into the dominant chamber.
+
+    Reflects in the first simple root whose label is negative until none
+    is: s_i adds -labels[i] * alpha_i to the vector, which moves label k by
+    -labels[i] * a[i][k].  Returns the final labels, the word of
+    reflections taken (in order) and, for each i, the multiple of alpha_i
+    subtracted in total, so the dominant vector is v - sum shift_i alpha_i.
+    Raises InternalInconsistency when more than `limit` reflections would
+    be needed.
+    """
+    labels = list(labels)
+    shift = [0] * len(labels)
+    word: list[int] = []
+    while (i := next((i for i, x in enumerate(labels) if x < 0), None)) is not None:
+        if len(word) == limit:
+            raise InternalInconsistency(
+                f"dominant chain on Cartan matrix {cartan} did not stop within "
+                f"{limit} reflections"
+            )
+        c = labels[i]
+        for k, x in enumerate(cartan[i]):
+            if x:
+                labels[k] -= c * x
+        shift[i] += c
+        word.append(i)
+    return labels, tuple(word), shift
+
+
 @lru_cache(maxsize=None)
 def w0_of(cartan: CartanMatrix, length: int) -> W0:
     """w0 of a Cartan matrix whose Weyl group has a longest element of the
     given length (`w0_length`, summed over the irreducible blocks).
 
-    The chain starts at -rho = (-1, ..., -1) in Dynkin labels and reflects
-    in the first simple root whose label is negative until none is; the
-    reflections taken, in order, spell w0.  Raises InternalInconsistency
-    when the chain does not stop within `length` reflections, does not end
-    at rho or has the wrong length, when -w0 does not permute the simple
-    roots, or when the kernel rank of w0 + 1 differs from the number of
-    orbits of that permutation.
+    The dominant chain from -rho = (-1, ..., -1) in Dynkin labels spells
+    w0.  Raises InternalInconsistency when the chain does not stop within
+    `length` reflections, does not end at rho or has the wrong length, when
+    -w0 does not permute the simple roots, or when the kernel rank of w0 + 1
+    differs from the number of orbits of that permutation.
     """
     n = len(cartan)
-    rows = [tuple((k, x) for k, x in enumerate(row) if x) for row in cartan]
     cols = [tuple((k, cartan[k][j]) for k in range(n) if cartan[k][j]) for j in range(n)]
-
-    labels = [-1] * n
-    chain: list[int] = []
-    while (i := next((i for i, x in enumerate(labels) if x < 0), None)) is not None:
-        if len(chain) == length:
-            raise InternalInconsistency(
-                f"dominant chain on Cartan matrix {cartan} did not stop within "
-                f"{length} reflections"
-            )
-        c = labels[i]
-        for k, x in rows[i]:
-            labels[k] -= c * x
-        chain.append(i)
+    labels, chain, _ = dominant_chain(cartan, [-1] * n, length)
     if labels != [1] * n:
         raise InternalInconsistency(f"dominant chain ends at {labels}, not at rho")
     if len(chain) != length:
@@ -153,4 +166,4 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
             f"fixed-space dimension disagreement on Cartan matrix {cartan}: "
             f"kernel {by_kernel} vs simple-root orbits {by_orbits}"
         )
-    return W0(tuple(chain), tuple(images), tuple(perm), by_kernel)
+    return W0(chain, tuple(perm), by_kernel)

@@ -194,17 +194,6 @@ def reduced_basis(vectors) -> tuple[Vector, ...]:
     return tuple(tuple(m[i]) for i in range(len(pivots)))
 
 
-def residue(reduced_rows, pivots, v: Vector) -> Vector:
-    """Remainder of v after elimination against RREF rows; zero iff v is
-    in their span."""
-    x = list(v)
-    for row, pc in zip(reduced_rows, pivots):
-        c = x[pc]
-        if c != 0:
-            x = [a - c * b for a, b in zip(x, row)]
-    return tuple(x)
-
-
 def primitive(v: Vector) -> Vector:
     """Scale v to a primitive integer vector with positive leading entry."""
     if is_zero(v):

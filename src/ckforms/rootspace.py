@@ -34,9 +34,7 @@ from .errors import (
 from .linalg import (
     Vector,
     dot,
-    is_zero,
-    residue,
-    rref,
+    kernel_basis,
     solve,
     vector,
     vneg,
@@ -180,8 +178,8 @@ def _type_e(rank: int):
     all_roots = _e8_roots()
     if rank == 8:
         return all_roots, simples, 8
-    red, pivots = rref(simples)
-    roots = [r for r in all_roots if is_zero(residue(red, pivots, r))]
+    complement = kernel_basis(simples)
+    roots = [r for r in all_roots if not any(dot(r, c) for c in complement)]
     return roots, simples, 8
 
 
@@ -309,17 +307,14 @@ def check_dimension(system: RootSystem, v: Vector) -> None:
         )
 
 
-def _span_data(system: RootSystem):
-    if "span" not in system._cache:
-        red, pivots = rref(system.simple_roots)
-        system._cache["span"] = (tuple(tuple(r) for r in red[: len(pivots)]), tuple(pivots))
-    return system._cache["span"]
-
-
 def in_root_span(system: RootSystem, v: Vector) -> bool:
+    """Whether v is orthogonal to the complement of the root span (its
+    basis is computed once per system)."""
     check_dimension(system, v)
-    red, pivots = _span_data(system)
-    return is_zero(residue(red, pivots, v))
+    c = system._cache
+    if "complement" not in c:
+        c["complement"] = kernel_basis(system.simple_roots)
+    return not any(dot(v, u) for u in c["complement"])
 
 
 def require_in_span(system: RootSystem, v: Vector) -> None:

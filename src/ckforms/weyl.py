@@ -2,17 +2,18 @@
 representatives, the longest element, the involution -w0 and its fixed
 cone, the a-hyperbolic dimension, and the antipodal orbit test.
 
-Enumerated elements are stored as permutations of the root list (the
-group acts faithfully on the roots); exact matrices are reconstructed on
-demand, and `span_action` applies elements to vectors of the root span
-through the permutation alone, without them.  Enumeration is
+Every element is stored as a permutation of the root list (the group acts
+faithfully on the roots).  Its exact matrix is reconstructed on demand from
+the images of the simple roots and the fundamental coweights, and
+`span_action` applies elements to vectors of the root span through the
+permutation alone, without it.  Enumeration is
 breadth-first by word length with ties broken lexicographically by word,
 so indices are reproducible across runs; it is lazy, so a scan that stops
 early generates only the elements it read.
-The longest element, -w0 on the simple roots and the a-hyperbolic
-dimension come from the integer Cartan core (`cartan`), never from
-enumeration, which keeps rank-level invariants cheap for every supported
-system including E_8.
+The longest element, -w0 on the simple roots, the a-hyperbolic dimension
+and dominant representatives come from the integer Cartan core (`cartan`),
+never from enumeration, which keeps rank-level invariants cheap for every
+supported system including E_8.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .linalg import (
     dot,
     identity_matrix,
     invert,
-    kernel_basis,
-    mat_mul,
     mat_scale,
     mat_vec,
     solve,
@@ -40,9 +39,9 @@ from .linalg import (
     vector,
     vneg,
     vscale,
-    zero_vector,
+    vsub,
 )
-from .rootspace import RootSystem, _strictly_dominant_seed, check_dimension
+from .rootspace import RootSystem, check_dimension
 
 DEFAULT_CAP = 10**6
 
@@ -69,41 +68,6 @@ def weyl_order(system: RootSystem) -> int:
 # ---------------------------------------------------------------------------
 # cached per-system data (each piece built only when first needed)
 
-def _sparse_simples(system: RootSystem):
-    """Simple roots as ((index, value), ...) plus squared norm; chain steps
-    then cost O(nonzeros) instead of O(dim^2)."""
-    c = system._cache
-    if "sparse" not in c:
-        out = []
-        for a in system.simple_roots:
-            entries = tuple((i, x) for i, x in enumerate(a) if x != 0)
-            out.append((entries, dot(a, a)))
-        c["sparse"] = tuple(out)
-    return c["sparse"]
-
-
-def _pairing(entries, v: Vector):
-    total = 0
-    for i, x in entries:
-        total += x * v[i]
-    return total
-
-
-def _reflect_sparse(v: Vector, entries, norm, pairing) -> Vector:
-    coeff = 2 * pairing / norm
-    out = list(v)
-    for i, x in entries:
-        out[i] -= coeff * x
-    return tuple(out)
-
-
-def _root_index(system: RootSystem) -> dict:
-    c = system._cache
-    if "root_index" not in c:
-        c["root_index"] = {r: i for i, r in enumerate(system.roots)}
-    return c["root_index"]
-
-
 def _integer_roots(system: RootSystem):
     """The roots scaled by the common denominator of their entries, as
     integer tuples; that denominator; and the root indices of the simple
@@ -112,14 +76,15 @@ def _integer_roots(system: RootSystem):
     if "int_roots" not in c:
         den = lcm(*(x.denominator for r in system.roots for x in r))
         roots = tuple(tuple(int(x * den) for x in r) for r in system.roots)
-        index = _root_index(system)
+        index = {r: i for i, r in enumerate(system.roots)}
         c["int_roots"] = (roots, den, tuple(index[a] for a in system.simple_roots))
     return c["int_roots"]
 
 
 def _perm_data(system: RootSystem):
     """Identity permutation and simple-reflection permutations of the root
-    list; only enumeration needs these.  Computed on the integer roots:
+    list, from which every element's permutation is composed.  Computed on
+    the integer roots:
     s_a(r) = r - <r, a^v> a with the Cartan integer <r, a^v> = 2(r, a)/(a, a)."""
     c = system._cache
     if "perms" not in c:
@@ -145,6 +110,7 @@ def _perm_data(system: RootSystem):
 
 def _make_perm(n: int, images):
     if n <= 256:
+        # bytes.translate, which composes these, needs a 256-entry table;
         # pad with the identity so composed tails stay canonical
         return bytes(images) + bytes(range(n, 256))
     return tuple(images)
@@ -166,39 +132,36 @@ def _invert(m: Matrix, what: str, system: RootSystem) -> Matrix:
         raise InternalInconsistency(f"{what} of {system.label} is singular") from None
 
 
-def _basis_inv(system: RootSystem):
-    """Complement basis of the root span and the inverse of the column
-    matrix [simple roots | complement]; a group element's matrix is the
-    image columns times this inverse."""
-    c = system._cache
-    if "basis_inv" not in c:
-        complement = kernel_basis(system.simple_roots)
-        cols = list(system.simple_roots) + list(complement)
-        c["basis_inv"] = (tuple(complement), _invert(columns_matrix(cols), "root basis", system))
-    return c["basis_inv"]
-
-
 def _matrix_from_simple_images(system: RootSystem, images) -> Matrix:
-    complement, inv = _basis_inv(system)
-    return mat_mul(columns_matrix(list(images) + list(complement)), inv)
+    """The matrix fixing the complement of the root span and sending each
+    simple root a_i to images[i]: 1 + sum_i (images[i] - a_i) w_i^T, with w_i
+    the fundamental coweights ((w_i, a_j) = delta_ij, w_i in the span)."""
+    rows = [list(r) for r in identity_matrix(system.ambient_dim)]
+    for image, a, w in zip(images, system.simple_roots, fundamental_coweights(system)):
+        for row, x, y in zip(rows, image, a):
+            if d := x - y:
+                for k, z in enumerate(w):
+                    row[k] += d * z
+    return tuple(map(tuple, rows))
 
 
 class WeylElement:
-    """Group element as an exact orthogonal matrix on ambient coordinates.
+    """Group element, acting as an exact orthogonal matrix on ambient
+    coordinates.
 
     `word` lists simple-reflection indices; the matrix equals the
-    composition of those reflections applied right to left.  Internally an
-    element carries the induced root permutation, its matrix, or both;
-    the missing representation is derived on first use.
+    composition of those reflections applied right to left.  An element is
+    its induced root permutation (padded by `_make_perm`); the matrix is
+    built from it on first use.
     """
 
     __slots__ = ("system", "word", "_perm", "_matrix")
 
-    def __init__(self, system: RootSystem, word: tuple[int, ...], perm=None, matrix=None):
+    def __init__(self, system: RootSystem, word: tuple[int, ...], perm):
         self.system = system
         self.word = word
         self._perm = perm
-        self._matrix = matrix
+        self._matrix = None
 
     @property
     def matrix(self) -> Matrix:
@@ -211,31 +174,16 @@ class WeylElement:
     def apply(self, v: Vector) -> Vector:
         return mat_vec(self.matrix, v)
 
-    def _root_perm(self):
-        """The internal (possibly padded) root permutation, derived from the
-        matrix on first use."""
-        if self._perm is None:
-            index = _root_index(self.system)
-            self._perm = _make_perm(
-                len(self.system.roots),
-                [index[self.apply(r)] for r in self.system.roots],
-            )
-        return self._perm
-
     def root_permutation(self) -> tuple[int, ...]:
-        return tuple(self._root_perm()[: len(self.system.roots)])
+        return tuple(self._perm[: len(self.system.roots)])
 
     def is_identity(self) -> bool:
-        if self._perm is not None:
-            return self._perm == _perm_data(self.system)[0]
-        return self.matrix == identity_matrix(self.system.ambient_dim)
+        return self._perm == _perm_data(self.system)[0]
 
     def __eq__(self, other):
-        if not isinstance(other, WeylElement) or self.system != other.system:
-            return NotImplemented if not isinstance(other, WeylElement) else False
-        if self._perm is not None and other._perm is not None:
-            return self._perm == other._perm
-        return self.matrix == other.matrix
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return self.system == other.system and self._perm == other._perm
 
     def __hash__(self):
         return hash((self.system.label, self.root_permutation()))
@@ -260,7 +208,7 @@ class WeylEnumeration(Sequence):
         self.system = system
         self._order = order
         ident, self._gens = _perm_data(system)
-        self._elements = [WeylElement(system, (), perm=ident)]
+        self._elements = [WeylElement(system, (), ident)]
         self._seen: set | None = {ident}   # None once generation is complete
         self._next = (0, 0)                # (parent index, simple reflection)
 
@@ -292,7 +240,7 @@ class WeylEnumeration(Sequence):
             q = _compose(source._perm, gens[gen])
             if q not in seen:
                 seen.add(q)
-                elements.append(WeylElement(system, source.word + (gen,), perm=q))
+                elements.append(WeylElement(system, source.word + (gen,), q))
             gen += 1
             if gen == len(gens):
                 parent, gen = parent + 1, 0
@@ -361,7 +309,7 @@ def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[Vec
     dim = system.ambient_dim
 
     def act(w: WeylElement) -> list[Vector]:
-        perm = w._root_perm()
+        perm = w._perm
         images = [int_roots[perm[s]] for s in simple]
         out = []
         for terms, den in combos:
@@ -378,52 +326,40 @@ def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[Vec
 # ---------------------------------------------------------------------------
 # dominant representatives and the longest element
 
-def _dominant_chain(system: RootSystem, v: Vector) -> tuple[Vector, list[int]]:
-    sparse = _sparse_simples(system)
-    limit = len(system.positive_roots) + 1
-    chain: list[int] = []
-    for _ in range(limit):
-        for i, (entries, norm) in enumerate(sparse):
-            p = _pairing(entries, v)
-            if p < 0:
-                v = _reflect_sparse(v, entries, norm, p)
-                chain.append(i)
-                break
-        else:
-            return v, chain
-    raise InternalInconsistency(f"dominant chain on {system.label} failed to terminate")
+def _cartan_data(system: RootSystem) -> tuple[cartan.CartanMatrix, tuple[Fraction, ...]]:
+    """Integer Cartan matrix 2(a_i, a_j)/(a_j, a_j) of the explicit simple
+    roots, in their order, and the half-norms (a_i, a_i)/2."""
+    c = system._cache
+    if "cartan" not in c:
+        simples = system.simple_roots
+        half = tuple(dot(a, a) / 2 for a in simples)
+        rows = []
+        for a in simples:
+            row = []
+            for b, h in zip(simples, half):
+                x = dot(a, b) / h
+                if x.denominator != 1:
+                    raise InternalInconsistency(
+                        f"Cartan entry {x} of {system.label} is not an integer"
+                    )
+                row.append(int(x))
+            rows.append(tuple(row))
+        c["cartan"] = (tuple(rows), half)
+    return c["cartan"]
 
 
 def dominant_representative(system: RootSystem, v: Vector) -> Vector:
     """The unique dominant vector in the orbit of v, found by repeatedly
-    reflecting in the first simple root pairing negatively."""
+    reflecting in the first simple root pairing negatively: the Cartan
+    core's dominant chain on the labels 2(v, a_i)/(a_i, a_i)."""
     check_dimension(system, v)
-    return _dominant_chain(system, v)[0]
-
-
-def _rho_check(system: RootSystem) -> Vector:
-    c = system._cache
-    if "rho" not in c:
-        c["rho"] = _strictly_dominant_seed(system.simple_roots)
-    return c["rho"]
-
-
-def _cartan_matrix(system: RootSystem) -> cartan.CartanMatrix:
-    """Integer Cartan matrix 2(a_i, a_j)/(a_j, a_j) of the explicit simple
-    roots, in their order."""
-    simples = system.simple_roots
-    rows = []
-    for a in simples:
-        row = []
-        for b in simples:
-            x = 2 * dot(a, b) / dot(b, b)
-            if x.denominator != 1:
-                raise InternalInconsistency(
-                    f"Cartan entry {x} of {system.label} is not an integer"
-                )
-            row.append(int(x))
-        rows.append(tuple(row))
-    return tuple(rows)
+    matrix, half = _cartan_data(system)
+    labels = [dot(v, a) / h for a, h in zip(system.simple_roots, half)]
+    _, _, shift = cartan.dominant_chain(matrix, labels, len(system.positive_roots))
+    for c, a in zip(shift, system.simple_roots):
+        if c:
+            v = vsub(v, vscale(c, a))
+    return v
 
 
 def _w0(system: RootSystem) -> cartan.W0:
@@ -431,29 +367,26 @@ def _w0(system: RootSystem) -> cartan.W0:
     c = system._cache
     if "w0_core" not in c:
         length = sum(cartan.w0_length(letter, rank) for letter, rank, _, _ in system.blocks)
-        c["w0_core"] = cartan.w0_of(_cartan_matrix(system), length)
+        c["w0_core"] = cartan.w0_of(_cartan_data(system)[0], length)
     return c["w0_core"]
 
 
 def longest_element(system: RootSystem) -> WeylElement:
     """The element mapping the dominant chamber onto its negative.
 
-    Computed without enumeration by the integer Cartan core: the word is
-    its reflection chain, and the matrix is built from its images of the
-    simple roots.
+    Computed without enumeration: its word is the integer Cartan core's
+    reflection chain, its root permutation the product of that chain's
+    simple reflections.  Raises InternalInconsistency unless it negates
+    rho = sum of the fundamental coweights.
     """
     c = system._cache
     if "w0" not in c:
-        core = _w0(system)
-        images = []
-        for coeffs in core.images:
-            v = zero_vector(system.ambient_dim)
-            for b, a in zip(coeffs, system.simple_roots):
-                if b:
-                    v = vadd(v, vscale(b, a))
-            images.append(v)
-        w0 = WeylElement(system, core.chain, matrix=_matrix_from_simple_images(system, images))
-        rho = _rho_check(system)
+        chain = _w0(system).chain
+        perm, gens = _perm_data(system)
+        for i in chain:
+            perm = _compose(perm, gens[i])
+        w0 = WeylElement(system, chain, perm)
+        rho = tuple(map(sum, zip(*fundamental_coweights(system))))
         if w0.apply(rho) != vneg(rho):
             raise InternalInconsistency(f"w0 of {system.label} does not negate rho")
         c["w0"] = w0

@@ -14,6 +14,17 @@ from ckforms.weyl import enumerate_weyl
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def supported_types(max_rank: int) -> list[tuple[str, int]]:
+    """Every supported (type letter, rank) with rank <= max_rank."""
+    out = [("A", n) for n in range(1, max_rank + 1)]
+    out += [(t, n) for t in ("B", "C") for n in range(2, max_rank + 1)]
+    out += [("BC", n) for n in range(1, max_rank + 1)]
+    out += [("D", n) for n in range(3, max_rank + 1)]
+    out += [(t, n) for t, n in (("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8))
+            if n <= max_rank]
+    return out
+
+
 def rand_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 

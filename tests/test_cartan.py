@@ -28,14 +28,7 @@ from ckforms.rootspace import (
 )
 from ckforms.weyl import ahyp_dimension, fixed_cone, longest_element
 
-
-def _supported(max_rank):
-    out = [("A", n) for n in range(1, max_rank + 1)]
-    out += [(t, n) for t in ("B", "C") for n in range(2, max_rank + 1)]
-    out += [("BC", n) for n in range(1, max_rank + 1)]
-    out += [("D", n) for n in range(3, max_rank + 1)]
-    out += [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
-    return out
+from helpers import supported_types
 
 
 def _system(blocks):
@@ -83,7 +76,7 @@ def _apply(m, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-DIFFERENTIAL_CASES = [((t, n),) for t, n in _supported(10)] + [
+DIFFERENTIAL_CASES = [((t, n),) for t, n in supported_types(10)] + [
     (("A", 2), ("G", 2)),
     (("B", 2), ("A", 1)),
 ]

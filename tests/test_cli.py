@@ -158,13 +158,13 @@ def test_singular_internal_inverse_exit_4(capsys, monkeypatch):
         raise ValueError("matrix is singular")
 
     monkeypatch.setattr(weyl, "invert", singular)
-    monkeypatch.delitem(build_root_system("A", 4)._cache, "basis_inv", raising=False)
+    monkeypatch.delitem(build_root_system("A", 4)._cache, "coweights", raising=False)
     # the NotProper report builds the offending element's matrix
     assert main(["check-proper", "--system", "A,4", "--ah", str(FIXTURES / "a4_ah.vec"),
                  "--al", str(FIXTURES / "a4_al_meets.vec")]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal error: root basis of A4 is singular\n"
+    assert captured.err == "internal error: Gram matrix of the simple roots of A4 is singular\n"
 
 
 def test_standard_form_verdicts(capsys):

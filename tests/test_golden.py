@@ -1,6 +1,8 @@
 """Golden corpus: the `--json` report of every CLI example in README.md and
-docs/cli.md, plus one `info` call whose descriptor touches every term kind
-of the grammar, compared byte for byte with the files in tests/golden/.
+docs/cli.md, one `info` call whose descriptor touches every term kind of
+the grammar, and two embedded NotProper reports (F4, and E6 with a matrix
+of quarters), compared byte for byte with the files in tests/golden/, on
+cold caches and again on warm ones.
 
 Re-record (only when a report is meant to change):
     PYTHONPATH=src python tests/test_golden.py
@@ -33,6 +35,12 @@ CASES = {
     "check-proper-embedded": ["check-proper", "--system", "A,4",
                               "--ah", "tests/fixtures/a4_ah.vec",
                               "--al", "tests/fixtures/a4_al_meets.vec"],
+    "check-proper-embedded-f4": ["check-proper", "--system", "F,4",
+                                 "--ah", "tests/fixtures/f4_h.vec",
+                                 "--al", "tests/fixtures/f4_l.vec"],
+    "check-proper-embedded-e6": ["check-proper", "--system", "E,6",
+                                 "--ah", "tests/fixtures/e6_ah.vec",
+                                 "--al", "tests/fixtures/e6_al.vec"],
     "standard-form-sl11R-so47": ["standard-form", "sl(11,R)", "so(4,7)"],
     "standard-form-sl9R-so36": ["standard-form", "sl(9,R)", "so(3,6)"],
 }
@@ -50,6 +58,8 @@ def _report(argv) -> str:
 def test_golden_report(stem, monkeypatch):
     monkeypatch.chdir(ROOT)
     expected = (GOLDEN / f"{stem}.json").read_text()
+    assert _report(CASES[stem]) == expected
+    # a second run in the same process reads every cache warm
     assert _report(CASES[stem]) == expected
 
 

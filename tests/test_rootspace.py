@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from ckforms import linalg
 from ckforms.errors import DimensionMismatch, NotInSpan, UnsupportedSystem, ZeroRoot
-from ckforms.linalg import dot, rank_of, solve, vector, vneg
+from ckforms.linalg import dot, rank_of, rref, solve, vector, vneg
 from ckforms.rootspace import (
     build_root_system,
     direct_sum,
@@ -172,3 +173,72 @@ def test_type_a_span_requires_zero_sum():
     a3 = build_root_system("A", 3)
     assert in_root_span(a3, vector([1, 2, -3, 0]))
     assert not in_root_span(a3, vector([1, 0, 0, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the complement span test against the elimination it replaced
+
+def _oracle_in_span(simples):
+    """Membership by the old test: v minus its elimination against the RREF
+    rows of the simple roots is zero."""
+    red, pivots = rref(simples)
+
+    def member(v):
+        x = list(v)
+        for row, pc in zip(red, pivots):
+            c = x[pc]
+            if c:
+                x = [a - c * b for a, b in zip(x, row)]
+        return not any(x)
+
+    return member
+
+
+SPAN_CASES = ALL_SMALL + [("E", 7), ("E", 8)]
+
+
+@pytest.mark.parametrize("letter,rank", SPAN_CASES)
+def test_in_root_span_matches_elimination_oracle(letter, rank):
+    s = build_root_system(letter, rank)
+    member = _oracle_in_span(s.simple_roots)
+    rng = random.Random(rank)
+    vectors = [random_span_vector(s, rng) for _ in range(10)] + list(s.roots)
+    vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                      for _ in range(s.ambient_dim)) for _ in range(10)]
+    for v in vectors:
+        assert in_root_span(s, v) == member(v)
+
+
+def test_in_root_span_matches_oracle_on_direct_sums():
+    a2g2 = direct_sum(build_root_system("A", 2), build_root_system("G", 2))
+    member = _oracle_in_span(a2g2.simple_roots)
+    rng = random.Random(3)
+    vectors = [random_span_vector(a2g2, rng) for _ in range(10)]
+    vectors += [tuple(Fraction(rng.randint(-2, 2)) for _ in range(6)) for _ in range(50)]
+    assert {member(v) for v in vectors} == {True, False}
+    for v in vectors:
+        assert in_root_span(a2g2, v) == member(v)
+
+
+@pytest.mark.parametrize("rank", [6, 7])
+def test_e6_e7_roots_match_elimination_filter(rank):
+    e8 = build_root_system("E", 8)
+    member = _oracle_in_span(e8.simple_roots[:rank])
+    expected = [r for r in e8.roots if member(r)]
+    assert list(build_root_system("E", rank).roots) == expected
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 4), ("E", 6)])
+def test_is_dominant_eliminates_nothing_once_the_complement_is_cached(monkeypatch, letter, rank):
+    s = build_root_system(letter, rank)
+    calls = []
+    rref_ = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or rref_(rows))
+    monkeypatch.delitem(s._cache, "complement", raising=False)
+    in_root_span(s, s.simple_roots[0])
+    assert len(calls) == 1   # the complement, once
+    rng = random.Random(rank)
+    vectors = [random_span_vector(s, rng) for _ in range(10)]
+    for i in range(1000):
+        is_dominant(s, vectors[i % 10])
+    assert len(calls) == 1

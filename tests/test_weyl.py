@@ -1,12 +1,23 @@
 import random
+from fractions import Fraction
 from math import factorial
 from operator import itemgetter
 
 import pytest
 
-from ckforms import weyl
+from ckforms import cartan, weyl
 from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency
-from ckforms.linalg import identity_matrix, mat_mul, mat_vec, vector, vneg
+from ckforms.linalg import (
+    columns_matrix,
+    dot,
+    identity_matrix,
+    invert,
+    kernel_basis,
+    mat_mul,
+    mat_vec,
+    vector,
+    vneg,
+)
 from ckforms.rootspace import build_root_system, direct_sum, is_dominant, reflect
 from ckforms.weyl import (
     WeylEnumeration,
@@ -21,7 +32,7 @@ from ckforms.weyl import (
     weyl_order,
 )
 
-from helpers import brute_dominant, random_span_vector
+from helpers import brute_dominant, random_span_vector, supported_types
 
 
 def test_dominant_representative_examples():
@@ -372,7 +383,7 @@ def test_span_action_equals_matrix_action(letter, rank):
     act = span_action(s, vectors)
     for w in enumerate_weyl(s):
         assert act(w) == [mat_vec(w.matrix, v) for v in vectors]
-    w0 = longest_element(s)   # built from its matrix, no enumeration
+    w0 = longest_element(s)   # composed from its chain, no enumeration
     assert act(w0) == [w0.apply(v) for v in vectors]
 
 
@@ -382,9 +393,89 @@ def test_singular_internal_inverse_is_internal_inconsistency(monkeypatch):
 
     monkeypatch.setattr(weyl, "invert", singular)
     s = build_root_system("A", 3)
-    for key in ("basis_inv", "coweights"):   # computed by earlier tests
-        monkeypatch.delitem(s._cache, key, raising=False)
-    with pytest.raises(InternalInconsistency, match="root basis of A3 is singular"):
+    monkeypatch.delitem(s._cache, "coweights", raising=False)   # computed by earlier tests
+    with pytest.raises(InternalInconsistency, match="Gram matrix of the simple roots of A3 is singular"):
         enumerate_weyl(s)[1].matrix
     with pytest.raises(InternalInconsistency, match="Gram matrix .* of A3 is singular"):
         weyl.fundamental_coweights(s)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the constructions the coweight matrix and the Cartan
+# chain replaced, kept here as oracles
+
+def _supported(max_rank):
+    return [build_root_system(t, n) for t, n in supported_types(max_rank)]
+
+
+A2G2 = direct_sum(build_root_system("A", 2), build_root_system("G", 2))
+B2A1 = direct_sum(build_root_system("B", 2), build_root_system("A", 1))
+
+
+def _oracle_matrices(system):
+    """Element -> matrix by the old construction: the columns [images of the
+    simple roots | complement of the root span] times the inverse of
+    [simple roots | complement]."""
+    complement = list(kernel_basis(system.simple_roots))
+    inv = invert(columns_matrix(list(system.simple_roots) + complement))
+    index = {r: i for i, r in enumerate(system.roots)}
+    simple = [index[a] for a in system.simple_roots]
+
+    def matrix(w):
+        perm = w.root_permutation()
+        images = [system.roots[perm[i]] for i in simple]
+        return mat_mul(columns_matrix(images + complement), inv)
+
+    return matrix
+
+
+@pytest.mark.parametrize("system", [build_root_system("A", 4), build_root_system("B", 3),
+                                    build_root_system("G", 2), build_root_system("F", 4), A2G2],
+                         ids=lambda s: s.label)
+def test_element_matrices_match_basis_inverse_oracle(system):
+    oracle = _oracle_matrices(system)
+    for w in enumerate_weyl(system):
+        assert w.matrix == oracle(w)
+
+
+def test_w0_matrices_match_basis_inverse_oracle():
+    for s in _supported(7) + [build_root_system("E", 8), A2G2, B2A1]:
+        assert longest_element(s).matrix == _oracle_matrices(s)(longest_element(s)), s.label
+
+
+def _oracle_dominant_chain(system, v):
+    """The old sparse Fraction chain: reflect v in the first simple root it
+    pairs negatively with, until none; returns the vector and the word."""
+    sparse = [(tuple((i, x) for i, x in enumerate(a) if x), dot(a, a))
+              for a in system.simple_roots]
+    word = []
+    for _ in range(len(system.positive_roots) + 1):
+        for i, (entries, norm) in enumerate(sparse):
+            p = sum(x * v[k] for k, x in entries)
+            if p < 0:
+                out = list(v)
+                for k, x in entries:
+                    out[k] -= 2 * p / norm * x
+                v = tuple(out)
+                word.append(i)
+                break
+        else:
+            return v, tuple(word)
+    raise AssertionError(f"oracle chain on {system.label} did not stop")
+
+
+@pytest.mark.parametrize("system", _supported(10) + [A2G2, B2A1],
+                         ids=lambda s: s.label)
+def test_dominant_chain_matches_fraction_oracle(system):
+    rng = random.Random(len(system.roots))
+    vectors = [random_span_vector(system, rng) for _ in range(4)]
+    vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                      for _ in range(system.ambient_dim)) for _ in range(4)]
+    matrix, half = weyl._cartan_data(system)
+    for v in vectors:
+        expected, word = _oracle_dominant_chain(system, v)
+        labels = [dot(v, a) / h for a, h in zip(system.simple_roots, half)]
+        final, chain, _ = cartan.dominant_chain(matrix, labels, len(system.positive_roots))
+        assert chain == word
+        assert final == [dot(expected, a) / h for a, h in zip(system.simple_roots, half)]
+        assert dominant_representative(system, v) == expected
