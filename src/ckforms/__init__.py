@@ -13,7 +13,7 @@ from .criteria import (
     subspace_from_text,
 )
 from .obstruction import candidate_combinations, candidate_simple_parts, standard_form_verdict
-from .rootspace import build_root_system, direct_sum, is_dominant, reflect
+from .rootspace import build_root_system, direct_sum, is_dominant
 from .weyl import (
     ahyp_dimension,
     dominant_representative,
@@ -54,7 +54,6 @@ __all__ = [
     "obstruction",
     "parse_descriptor",
     "parse_simple",
-    "reflect",
     "rootspace",
     "standard_form_verdict",
     "Subspace",

@@ -1,8 +1,11 @@
 """Classification data for real simple Lie algebras and reductive
-descriptors.  The a-hyperbolic rank is computed, never transcribed: the
+descriptors.  A `SimpleRealForm` is the one record of a form and its
+invariants.  The a-hyperbolic rank is computed, never transcribed: the
 integer Cartan core (`cartan`) derives it from the closed-form Cartan
-matrix of the restricted root system and cross-checks it at run time; the
+matrix of the restricted root system and cross-checks it at run time,
+once per form object, on first read of `SimpleRealForm.ahyp`; the
 explicit realization in `rootspace` is kept as the test oracle.
+Descriptors may name restricted ranks up to `MAX_RESTRICTED_RANK`.
 
 Restricted types per family:
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import count
 
 from .cartan import cartan_matrix, w0_length, w0_of
@@ -35,7 +38,11 @@ from .rootspace import build_root_system
 
 @dataclass(frozen=True)
 class SimpleRealForm:
-    """One noncompact simple real Lie algebra."""
+    """One noncompact simple real Lie algebra with its invariants.
+
+    The a-hyperbolic rank is derived, not stored: it is computed by
+    `ahyp_of` on first read and kept on the object, so scans that filter
+    forms by cheaper invariants never pay for it."""
 
     name: str
     family: str
@@ -47,6 +54,18 @@ class SimpleRealForm:
     dim_p: int
     rank_maxcompact: int
     is_complex_as_real: bool
+
+    @property
+    def real_rank(self) -> int:
+        return self.restricted_rank
+
+    @property
+    def restricted_label(self) -> str:
+        return f"{self.restricted_type}{self.restricted_rank}"
+
+    @cached_property
+    def ahyp(self) -> int:
+        return ahyp_of(self)
 
 
 @dataclass(frozen=True)
@@ -65,22 +84,6 @@ class ReductiveDescriptor:
     compact_parts: tuple[CompactPart, ...]
     split_center_dim: int
     compact_center_dim: int
-
-
-@dataclass(frozen=True)
-class AttributeRecord:
-    restricted_type: str
-    restricted_rank: int
-    real_rank: int
-    ahyp: int
-    dim_g: int
-    dim_k: int
-    dim_p: int
-    rank_maxcompact: int
-
-    @property
-    def restricted_label(self) -> str:
-        return f"{self.restricted_type}{self.restricted_rank}"
 
 
 @dataclass(frozen=True)
@@ -313,6 +316,13 @@ def compact_part(name: str, n: int | None = None) -> CompactPart:
 
 _ALIASES = {"e6(I)": "e6(6)", "e6(IV)": "e6(-26)"}
 
+# Largest restricted rank a descriptor may name.  The Cartan core's cost
+# grows about as the cube of the rank, so a mistyped sl(100000,R) is
+# refused before anything is computed.  Checked on parsing, not in the
+# builders: the catalog scans treat a builder's ParseError as a gap and
+# would never stop.
+MAX_RESTRICTED_RANK = 128
+
 _RE_SPLIT_CENTER = re.compile(r"^R\^(\d+)$")
 _RE_COMPACT_CENTER = re.compile(r"^u\(1\)\^(\d+)$")
 _RE_COMPACT = re.compile(r"^(su|so|sp)\((\d+)\)$")
@@ -336,7 +346,11 @@ def _parse_term(term, noncompact, compact, center):
         return
     for _, pattern, build in _FAMILIES:
         if (m := pattern.match(term)):
-            noncompact.append(build(*map(_int, m.groups())))
+            form = build(*map(_int, m.groups()))
+            if form.restricted_rank > MAX_RESTRICTED_RANK:
+                raise ParseError(f"{form.name} has restricted rank {form.restricted_rank}, "
+                                 f"above the limit {MAX_RESTRICTED_RANK}")
+            noncompact.append(form)
             return
     if term in _EXCEPTIONAL:
         noncompact.append(exceptional(term))
@@ -404,24 +418,17 @@ def restricted_system(form: SimpleRealForm):
 
 def ahyp_of(form: SimpleRealForm) -> int:
     """Dimension of the fixed space of -w0 on the restricted root system,
-    from the integer Cartan core; no explicit realization is built."""
+    from the integer Cartan core; no explicit realization is built.
+    `SimpleRealForm.ahyp` calls it once per form object."""
     t, r = form.restricted_type, form.restricted_rank
     return w0_of(cartan_matrix(t, r), w0_length(t, r)).ahyp
 
 
-def attributes(form: SimpleRealForm) -> AttributeRecord:
-    """All invariants of a simple form; the a-hyperbolic rank is computed
-    from the restricted root system's Cartan matrix, never transcribed."""
-    return AttributeRecord(
-        restricted_type=form.restricted_type,
-        restricted_rank=form.restricted_rank,
-        real_rank=form.restricted_rank,
-        ahyp=ahyp_of(form),
-        dim_g=form.dim_g,
-        dim_k=form.dim_k,
-        dim_p=form.dim_p,
-        rank_maxcompact=form.rank_maxcompact,
-    )
+def attributes(form: SimpleRealForm) -> SimpleRealForm:
+    """All invariants of a simple form: the form itself, which carries them.
+    Kept because it is public (`ckforms.attributes`) and `bench/tracing.py`
+    wraps it by name."""
+    return form
 
 
 def derived_invariants(desc: ReductiveDescriptor) -> DerivedInvariants:
@@ -429,7 +436,7 @@ def derived_invariants(desc: ReductiveDescriptor) -> DerivedInvariants:
     compact center contribute nothing to rank, a-hyperbolic rank or d;
     each split central direction adds one to both rank and d."""
     rank = sum(p.restricted_rank for p in desc.noncompact_parts) + desc.split_center_dim
-    ahyp = sum(ahyp_of(p) for p in desc.noncompact_parts)
+    ahyp = sum(p.ahyp for p in desc.noncompact_parts)
     d = sum(p.dim_p for p in desc.noncompact_parts) + desc.split_center_dim
     rk = (
         sum(p.rank_maxcompact for p in desc.noncompact_parts)
@@ -443,13 +450,6 @@ def derived_invariants(desc: ReductiveDescriptor) -> DerivedInvariants:
 # enumeration
 
 FAMILY_ORDER = tuple(label for label, _, _ in _FAMILIES) + tuple(_EXCEPTIONAL)
-
-_FAMILY_INDEX = {name: i for i, name in enumerate(FAMILY_ORDER)}
-
-
-def form_sort_key(form: SimpleRealForm) -> tuple:
-    return (_FAMILY_INDEX[form.family], form.params)
-
 
 def _walk(build, fits, start=1):
     """build(n) for n = start, start + 1, ... up to the first form that
@@ -545,12 +545,10 @@ def table1_rows(k_max: int) -> list[Table1Row]:
         for k in range(k_min, k_max + 1):
             form = build(k)
             ea, er = expect(k)
-            rows.append(Table1Row(family, k, form, ahyp_of(form),
-                                  form.restricted_rank, ea, er))
+            rows.append(Table1Row(family, k, form, form.ahyp, form.real_rank, ea, er))
     for name, (ea, er) in TABLE1_EXCEPTIONALS:
         form = exceptional(name)
-        rows.append(Table1Row(name, None, form, ahyp_of(form),
-                              form.restricted_rank, ea, er))
+        rows.append(Table1Row(name, None, form, form.ahyp, form.real_rank, ea, er))
     return rows
 
 
@@ -577,6 +575,6 @@ def completeness_mismatches(max_restricted_rank: int = 8) -> list[SimpleRealForm
     for form in scan_real_forms(max_restricted_rank):
         if form.is_complex_as_real:
             continue
-        if (ahyp_of(form) != form.restricted_rank) != in_table1_families(form):
+        if (form.ahyp != form.real_rank) != in_table1_families(form):
             out.append(form)
     return out

@@ -43,16 +43,16 @@ def _fmt_matrix(m) -> list[list[str]]:
     return [[str(x) for x in row] for row in m]
 
 
-def _attr_payload(record: catalog.AttributeRecord, name: str) -> dict:
+def _attr_payload(form: catalog.SimpleRealForm) -> dict:
     return {
-        "name": name,
-        "restricted_system": record.restricted_label,
-        "real_rank": record.real_rank,
-        "ahyp_rank": record.ahyp,
-        "dim_g": record.dim_g,
-        "dim_k": record.dim_k,
-        "dim_p": record.dim_p,
-        "rank_maxcompact": record.rank_maxcompact,
+        "name": form.name,
+        "restricted_system": form.restricted_label,
+        "real_rank": form.real_rank,
+        "ahyp_rank": form.ahyp,
+        "dim_g": form.dim_g,
+        "dim_k": form.dim_k,
+        "dim_p": form.dim_p,
+        "rank_maxcompact": form.rank_maxcompact,
     }
 
 
@@ -77,7 +77,7 @@ def _candidate_payload(c: obstruction.CandidateReport) -> dict:
 
 def cmd_info(args) -> dict:
     desc = catalog.parse_descriptor(args.algebra)
-    parts = [_attr_payload(catalog.attributes(p), p.name) for p in desc.noncompact_parts]
+    parts = [_attr_payload(p) for p in desc.noncompact_parts]
     totals = catalog.derived_invariants(desc)
     details = {
         "descriptor": desc.text,
@@ -126,6 +126,9 @@ def _render_info(report) -> str:
 
 
 def cmd_table1(args) -> dict:
+    if 2 * args.kmax + 1 > catalog.MAX_RESTRICTED_RANK:
+        raise ParseError(f"kmax {args.kmax} would tabulate restricted rank "
+                         f"{2 * args.kmax + 1}, above the limit {catalog.MAX_RESTRICTED_RANK}")
     rows = catalog.table1_rows(args.kmax)
     scan_rank = min(2 * args.kmax + 1, 8)
     extras = catalog.completeness_mismatches(scan_rank)
@@ -273,13 +276,12 @@ def cmd_standard_form(args) -> dict:
     g = catalog.parse_simple(args.g)
     h = catalog.parse_descriptor(args.h)
     verdict = obstruction.standard_form_verdict(g, h)
-    ga = catalog.attributes(g)
     hi = catalog.derived_invariants(h)
     checks = [
-        {"name": "space_real_rank", "lhs": hi.rank_R, "rhs": ga.real_rank,
-         "passed": hi.rank_R <= ga.real_rank},
-        {"name": "space_ahyp_rank", "lhs": hi.ahyp, "rhs": ga.ahyp,
-         "passed": hi.ahyp <= ga.ahyp},
+        {"name": "space_real_rank", "lhs": hi.rank_R, "rhs": g.real_rank,
+         "passed": hi.rank_R <= g.real_rank},
+        {"name": "space_ahyp_rank", "lhs": hi.ahyp, "rhs": g.ahyp,
+         "passed": hi.ahyp <= g.ahyp},
         {"name": "required_d_reachable", "lhs": verdict.required_d,
          "rhs": verdict.max_achievable,
          "passed": verdict.verdict == obstruction.INCONCLUSIVE},
@@ -293,7 +295,7 @@ def cmd_standard_form(args) -> dict:
         "details": {
             "required_d": verdict.required_d,
             "max_achievable": verdict.max_achievable,
-            "d_g": ga.dim_p,
+            "d_g": g.dim_p,
             "d_h": hi.d,
             "top_candidates": [_candidate_payload(c) for c in verdict.top_candidates],
         },

@@ -17,10 +17,6 @@ class NotInSpan(CkformsError):
     """Vector lies outside the span of the roots of the system."""
 
 
-class ZeroRoot(CkformsError):
-    """Reflection requested in the zero vector."""
-
-
 class CapExceeded(CkformsError):
     """Weyl group enumeration would exceed the caller's element cap."""
 

@@ -64,30 +64,12 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def mat_scale(c: Fraction, m: Matrix) -> Matrix:
     return tuple(vscale(c, row) for row in m)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vadd(ra, rb) for ra, rb in zip(a, b))
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
-
-
-def columns_matrix(cols) -> Matrix:
-    """Matrix whose columns are the given vectors."""
-    return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:

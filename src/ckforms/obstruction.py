@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from .catalog import (
     ReductiveDescriptor,
     SimpleRealForm,
-    ahyp_of,
-    attributes,
     derived_invariants,
     enumerate_simple_forms,
 )
@@ -66,23 +64,22 @@ class StandardFormVerdict:
 
 
 def _budget_limits(g: SimpleRealForm, h: ReductiveDescriptor):
-    ga = attributes(g)
     hi = derived_invariants(h)
-    if hi.ahyp > ga.ahyp or hi.rank_R > ga.real_rank:
+    if hi.ahyp > g.ahyp or hi.rank_R > g.real_rank:
         raise SpaceObstruction(
             f"G/H itself violates the rank conditions: ahyp {hi.ahyp} vs "
-            f"{ga.ahyp}, rank {hi.rank_R} vs {ga.real_rank}"
+            f"{g.ahyp}, rank {hi.rank_R} vs {g.real_rank}"
         )
-    if hi.d > ga.dim_p:
+    if hi.d > g.dim_p:
         raise SpaceObstruction(
-            f"H cannot embed reductively in G: d(H) = {hi.d} exceeds d(G) = {ga.dim_p}"
+            f"H cannot embed reductively in G: d(H) = {hi.d} exceeds d(G) = {g.dim_p}"
         )
     return {
-        "ahyp": ga.ahyp - hi.ahyp,
-        "rank": ga.real_rank - hi.rank_R,
-        "maxcompact": ga.rank_maxcompact,
-        "dim": ga.dim_p - hi.d,
-        "dim_g": ga.dim_g,
+        "ahyp": g.ahyp - hi.ahyp,
+        "rank": g.real_rank - hi.rank_R,
+        "maxcompact": g.rank_maxcompact,
+        "dim": g.dim_p - hi.d,
+        "dim_g": g.dim_g,
     }
 
 
@@ -97,7 +94,7 @@ def candidate_simple_parts(g: SimpleRealForm, h: ReductiveDescriptor) -> list[Si
             s.restricted_rank <= lim["rank"]
             and s.rank_maxcompact <= lim["maxcompact"]
             and s.dim_p <= lim["dim"]
-            and ahyp_of(s) <= lim["ahyp"]
+            and s.ahyp <= lim["ahyp"]
         ):
             out.append(s)
     return out
@@ -129,7 +126,7 @@ def candidate_combinations(g: SimpleRealForm, h: ReductiveDescriptor) -> list[Ca
         emit(chosen, ahyp, rank, maxc, dim)
         for i in range(start, len(parts)):
             s = parts[i]
-            na, nr = ahyp + ahyp_of(s), rank + s.restricted_rank
+            na, nr = ahyp + s.ahyp, rank + s.restricted_rank
             nm, nd = maxc + s.rank_maxcompact, dim + s.dim_p
             ng = dim_g + s.dim_g
             if (na <= lim["ahyp"] and nr <= lim["rank"] and nm <= lim["maxcompact"]
@@ -146,7 +143,7 @@ def standard_form_verdict(
     """Decide whether d(G) - d(H) is achievable by any budget-compatible
     candidate.  NoStandardForm means no candidate interval contains the
     required value; Inconclusive lists the candidates whose interval does."""
-    required = attributes(g).dim_p - derived_invariants(h).d
+    required = g.dim_p - derived_invariants(h).d
     combos = candidate_combinations(g, h)
     witnesses = tuple(c for c in combos if c.d_interval[0] <= required <= c.d_interval[1])
     max_achievable = max(c.d_interval[1] for c in combos)

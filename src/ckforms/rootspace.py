@@ -29,7 +29,6 @@ from .errors import (
     InternalInconsistency,
     NotInSpan,
     UnsupportedSystem,
-    ZeroRoot,
 )
 from .linalg import (
     Vector,
@@ -329,20 +328,3 @@ def is_dominant(system: RootSystem, v: Vector) -> bool:
     """Whether v pairs non-negatively with every simple (hence positive) root."""
     require_in_span(system, v)
     return all(dot(v, a) >= 0 for a in system.simple_roots)
-
-
-def reflect(v: Vector, root: Vector) -> Vector:
-    """Orthogonal reflection of v in the hyperplane normal to root."""
-    if len(v) != len(root):
-        raise DimensionMismatch(f"vector dim {len(v)} vs root dim {len(root)}")
-    nn = dot(root, root)
-    if nn == 0:
-        raise ZeroRoot("cannot reflect in the zero vector")
-    c = 2 * dot(v, root) / nn
-    return tuple(a - c * b for a, b in zip(v, root))
-
-
-def root_count_formula(type_letter: str, rank: int) -> int:
-    """Closed-form number of roots for a supported (type, rank)."""
-    _validate(type_letter, rank)
-    return _COUNTS[type_letter](rank)

@@ -24,24 +24,22 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from . import cartan
-from .errors import CapExceeded, InternalInconsistency, NotInSpan
+from .errors import CapExceeded, InternalInconsistency
 from .linalg import (
     Matrix,
     Vector,
-    columns_matrix,
     dot,
     identity_matrix,
     invert,
     mat_scale,
     mat_vec,
-    solve,
     vadd,
     vector,
     vneg,
     vscale,
     vsub,
 )
-from .rootspace import RootSystem, check_dimension
+from .rootspace import RootSystem, check_dimension, require_in_span
 
 DEFAULT_CAP = 10**6
 
@@ -291,18 +289,18 @@ def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[Vec
     """Map a group element w to [w.v for v in vectors] without w's matrix.
 
     Every v must lie in the root span.  It is written once as sum c_i a_i
-    over the simple roots; then w.v = sum c_i w(a_i), and w(a_i) is the root
+    over the simple roots, with c_i = (omega_i, v) for the fundamental
+    coweights omega_i; then w.v = sum c_i w(a_i), and w(a_i) is the root
     that w's root permutation sends a_i to.  The sums run over integers:
     the roots scaled by the common denominator of their entries, each
     coefficient vector by the common denominator of its entries.
     """
     int_roots, root_den, simple = _integer_roots(system)
-    simple_matrix = columns_matrix(system.simple_roots)
+    coweights = fundamental_coweights(system)
     combos = []
     for v in vectors:
-        coeffs = solve(simple_matrix, v)
-        if coeffs is None:
-            raise NotInSpan(f"vector {tuple(map(str, v))} is not in the root span of {system.label}")
+        require_in_span(system, v)
+        coeffs = [dot(omega, v) for omega in coweights]
         den = lcm(*(c.denominator for c in coeffs))
         terms = [(i, int(c * den)) for i, c in enumerate(coeffs) if c]
         combos.append((terms, den * root_den))

@@ -1,5 +1,6 @@
-"""Shared test utilities: seeded random rational vectors and brute-force
-orbit oracles that stay independent of the code paths they check."""
+"""Shared test utilities: seeded random rational vectors, brute-force
+orbit oracles and the matrix and reflection formulas that stay independent
+of the code paths they check."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from ckforms.linalg import Vector, vadd, vscale, zero_vector
+from ckforms.catalog import FAMILY_ORDER, SimpleRealForm
+from ckforms.linalg import Matrix, Vector, dot, vadd, vscale, zero_vector
 from ckforms.rootspace import RootSystem, is_dominant
 from ckforms.weyl import enumerate_weyl
 
@@ -23,6 +25,30 @@ def supported_types(max_rank: int) -> list[tuple[str, int]]:
     out += [(t, n) for t, n in (("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8))
             if n <= max_rank]
     return out
+
+
+def form_order_key(form: SimpleRealForm) -> tuple:
+    """Canonical catalog order: family as in FAMILY_ORDER, then parameters."""
+    return (FAMILY_ORDER.index(form.family), form.params)
+
+
+def transpose(m: Matrix) -> Matrix:
+    return tuple(zip(*m)) if m else ()
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    bt = transpose(b)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(vadd(ra, rb) for ra, rb in zip(a, b))
+
+
+def reflect(v: Vector, root: Vector) -> Vector:
+    """Orthogonal reflection of v in the hyperplane normal to root."""
+    c = 2 * dot(v, root) / dot(root, root)
+    return tuple(a - c * b for a, b in zip(v, root))
 
 
 def rand_fraction(rng: random.Random) -> Fraction:

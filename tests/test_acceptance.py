@@ -32,7 +32,6 @@ from ckforms.criteria import (
 )
 from ckforms.linalg import (
     identity_matrix,
-    mat_mul,
     mat_vec,
     vadd,
     vector,
@@ -56,7 +55,7 @@ from ckforms.weyl import (
     minus_w0,
 )
 
-from helpers import FIXTURES, rand_fraction, random_span_vector
+from helpers import FIXTURES, mat_mul, rand_fraction, random_span_vector
 
 
 @contextmanager

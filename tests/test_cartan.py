@@ -19,16 +19,11 @@ import ckforms
 from ckforms import catalog, obstruction
 from ckforms.cartan import cartan_matrix, w0_length, w0_of
 from ckforms.errors import InternalInconsistency
-from ckforms.linalg import dot, identity_matrix, integer_rank, mat_add, rank_of, vector, vneg
-from ckforms.rootspace import (
-    _strictly_dominant_seed,
-    build_root_system,
-    direct_sum,
-    reflect,
-)
+from ckforms.linalg import dot, identity_matrix, integer_rank, rank_of, vector, vneg
+from ckforms.rootspace import _strictly_dominant_seed, build_root_system, direct_sum
 from ckforms.weyl import ahyp_dimension, fixed_cone, longest_element
 
-from helpers import supported_types
+from helpers import mat_add, reflect, supported_types
 
 
 def _system(blocks):

@@ -15,6 +15,8 @@ from ckforms.catalog import (
 )
 from ckforms.errors import NotSemisimple, ParseError
 
+from helpers import form_order_key
+
 
 def test_parse_single_simple():
     d = parse_descriptor("sl(5,R)")
@@ -174,7 +176,7 @@ def test_complex_forms_can_mismatch_but_are_flagged():
 def test_enumerate_simple_forms():
     forms = enumerate_simple_forms(80)
     names = [f.name for f in forms]
-    assert names == sorted(names, key=lambda n: catalog.form_sort_key(
+    assert names == sorted(names, key=lambda n: form_order_key(
         next(f for f in forms if f.name == n)))
     assert "e6(6)" in names and "e8(8)" not in names
     assert "so(2,2)" not in names and "so(1,1)" not in names
@@ -204,7 +206,7 @@ def _brute_pool():
             pool.append(build(*params))
         except (NotSemisimple, ParseError):
             pass
-    return sorted(pool, key=catalog.form_sort_key)
+    return sorted(pool, key=form_order_key)
 
 
 def test_scanners_match_brute_force():
@@ -224,6 +226,19 @@ def test_scanners_match_brute_force():
 def test_names_round_trip():
     for form in enumerate_simple_forms(300):
         assert parse_simple(form.name) == form
+
+
+def test_restricted_rank_limit(monkeypatch):
+    def unread(form):
+        raise AssertionError(f"a-hyperbolic rank of {form.name} read while parsing")
+
+    monkeypatch.setattr(catalog, "ahyp_of", unread)
+    assert catalog.MAX_RESTRICTED_RANK == 128
+    assert parse_simple("sl(129,R)").restricted_rank == 128
+    assert parse_simple("so(3,100000)").restricted_rank == 3
+    for text, rank in (("sl(130,R)", 129), ("sp(129,R)", 129), ("so(129,200)", 129)):
+        with pytest.raises(ParseError, match=f"restricted rank {rank}, above the limit 128"):
+            parse_descriptor(f"R^1+{text}")
 
 
 def test_rank_maxcompact_spot_values():

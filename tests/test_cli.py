@@ -145,6 +145,22 @@ def test_overlong_number_exit_2(capsys):
     assert capsys.readouterr().err == "error: number with 5000 digits is too large\n"
 
 
+@pytest.mark.parametrize("argv,limited", [
+    (["info", "sl(100000,R)"], True),
+    (["table1", "64"], True),
+    (["table1", "63"], False),
+])
+def test_restricted_rank_limit_exit_2(capsys, monkeypatch, argv, limited):
+    # a refused input is never computed: it exits 2 before any a-hyperbolic
+    # rank is read, while an admitted one reaches this stand-in and exits 4
+    def unread(form):
+        raise InternalInconsistency(f"a-hyperbolic rank of {form.name} read")
+
+    monkeypatch.setattr(catalog, "ahyp_of", unread)
+    assert main(argv) == (2 if limited else 4)
+    assert ("above the limit 128" in capsys.readouterr().err) == limited
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_check_proper_cap_below_one_exit_2(capsys, cap):
     fixture = str(FIXTURES / "a4_ah.vec")

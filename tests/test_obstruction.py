@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from ckforms import catalog
 from ckforms.catalog import (
     ahyp_of,
     attributes,
     enumerate_simple_forms,
     parse_descriptor,
     parse_simple,
+    table1_rows,
 )
 from ckforms.criteria import NO_OBSTRUCTION, necessary_conditions
 from ckforms.errors import SpaceObstruction
@@ -18,6 +20,8 @@ from ckforms.obstruction import (
     candidate_simple_parts,
     standard_form_verdict,
 )
+
+from helpers import form_order_key
 
 G11 = parse_simple("sl(11,R)")
 H47 = parse_descriptor("so(4,7)")
@@ -36,8 +40,7 @@ def test_candidate_parts_examples():
 def test_candidate_parts_canonical_order():
     parts = candidate_simple_parts(G11, H47)
     assert parts == candidate_simple_parts(G11, H47)
-    from ckforms.catalog import form_sort_key
-    keys = [form_sort_key(p) for p in parts]
+    keys = [form_order_key(p) for p in parts]
     assert keys == sorted(keys)
 
 
@@ -152,3 +155,19 @@ def test_candidates_pass_necessary_conditions():
                           ([f"R^{c_max}"] if c_max else []))
         rep = necessary_conditions(g_desc, H47, parse_descriptor(l_text))
         assert rep.overall == NO_OBSTRUCTION
+
+
+def test_each_form_reaches_ahyp_of_once(monkeypatch):
+    """However many budgets, candidates and combinations read a form's
+    a-hyperbolic rank, it is computed at most once per form object."""
+    calls = {}  # id -> [form, count]; holding the form keeps its id unique
+
+    def counting(form, real=catalog.ahyp_of):
+        calls.setdefault(id(form), [form, 0])[1] += 1
+        return real(form)
+
+    monkeypatch.setattr(catalog, "ahyp_of", counting)
+    standard_form_verdict(parse_simple("sl(13,R)"), parse_descriptor("so(5,8)"))
+    table1_rows(8)
+    assert len(calls) > 100
+    assert [form.name for form, n in calls.values() if n > 1] == []

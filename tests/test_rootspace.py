@@ -4,19 +4,17 @@ from fractions import Fraction
 import pytest
 
 from ckforms import linalg
-from ckforms.errors import DimensionMismatch, NotInSpan, UnsupportedSystem, ZeroRoot
+from ckforms.errors import DimensionMismatch, NotInSpan, UnsupportedSystem
 from ckforms.linalg import dot, rank_of, rref, solve, vector, vneg
 from ckforms.rootspace import (
     build_root_system,
     direct_sum,
     in_root_span,
     is_dominant,
-    reflect,
-    root_count_formula,
 )
 from ckforms.weyl import enumerate_weyl
 
-from helpers import random_span_vector
+from helpers import random_span_vector, reflect
 
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -54,7 +52,7 @@ def test_root_counts_match_formulas():
     for letter, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3), ("BC", 1)):
         for n in range(lo, 9):
             s = build_root_system(letter, n)
-            assert len(s.roots) == counts[letter](n) == root_count_formula(letter, n)
+            assert len(s.roots) == counts[letter](n)
     for letter, rank, expected in (("G", 2, 12), ("F", 4, 48),
                                    ("E", 6, 72), ("E", 7, 126), ("E", 8, 240)):
         assert len(build_root_system(letter, rank).roots) == expected
@@ -124,13 +122,6 @@ def test_reflect_examples():
     assert reflect(vector([2, 1]), vector([0, 1])) == vector([2, -1])
     r = vector([1, -2, 1])
     assert reflect(r, r) == vneg(r)
-
-
-def test_reflect_errors():
-    with pytest.raises(ZeroRoot):
-        reflect(vector([1, 0]), vector([0, 0]))
-    with pytest.raises(DimensionMismatch):
-        reflect(vector([1, 0]), vector([1, 0, 0]))
 
 
 def test_reflect_involution():

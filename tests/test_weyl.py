@@ -6,19 +6,9 @@ from operator import itemgetter
 import pytest
 
 from ckforms import cartan, weyl
-from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency
-from ckforms.linalg import (
-    columns_matrix,
-    dot,
-    identity_matrix,
-    invert,
-    kernel_basis,
-    mat_mul,
-    mat_vec,
-    vector,
-    vneg,
-)
-from ckforms.rootspace import build_root_system, direct_sum, is_dominant, reflect
+from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency, NotInSpan
+from ckforms.linalg import dot, identity_matrix, invert, kernel_basis, mat_vec, vector, vneg
+from ckforms.rootspace import build_root_system, direct_sum, is_dominant
 from ckforms.weyl import (
     WeylEnumeration,
     ahyp_dimension,
@@ -32,7 +22,7 @@ from ckforms.weyl import (
     weyl_order,
 )
 
-from helpers import brute_dominant, random_span_vector, supported_types
+from helpers import brute_dominant, mat_mul, random_span_vector, reflect, supported_types
 
 
 def test_dominant_representative_examples():
@@ -98,7 +88,6 @@ def test_elements_permute_roots_and_preserve_inner_product():
 
 def test_word_composes_to_matrix():
     s = build_root_system("B", 3)
-    from ckforms.rootspace import reflect
     for w in enumerate_weyl(s)[:60]:
         m = identity_matrix(s.ambient_dim)
         for i in w.word:
@@ -387,6 +376,13 @@ def test_span_action_equals_matrix_action(letter, rank):
     assert act(w0) == [w0.apply(v) for v in vectors]
 
 
+def test_span_action_rejects_vectors_off_the_span():
+    # (omega_i, v) would silently read the projection of v onto the span
+    a3 = build_root_system("A", 3)
+    with pytest.raises(NotInSpan):
+        span_action(a3, [a3.simple_roots[0], vector([1, 0, 0, 0])])
+
+
 def test_singular_internal_inverse_is_internal_inconsistency(monkeypatch):
     def singular(m):
         raise ValueError("matrix is singular")
@@ -412,19 +408,24 @@ A2G2 = direct_sum(build_root_system("A", 2), build_root_system("G", 2))
 B2A1 = direct_sum(build_root_system("B", 2), build_root_system("A", 1))
 
 
+def _columns_matrix(cols):
+    """Matrix whose columns are the given vectors."""
+    return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
+
+
 def _oracle_matrices(system):
     """Element -> matrix by the old construction: the columns [images of the
     simple roots | complement of the root span] times the inverse of
     [simple roots | complement]."""
     complement = list(kernel_basis(system.simple_roots))
-    inv = invert(columns_matrix(list(system.simple_roots) + complement))
+    inv = invert(_columns_matrix(list(system.simple_roots) + complement))
     index = {r: i for i, r in enumerate(system.roots)}
     simple = [index[a] for a in system.simple_roots]
 
     def matrix(w):
         perm = w.root_permutation()
         images = [system.roots[perm[i]] for i in simple]
-        return mat_mul(columns_matrix(images + complement), inv)
+        return mat_mul(_columns_matrix(images + complement), inv)
 
     return matrix
 
