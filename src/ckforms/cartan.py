@@ -1,4 +1,5 @@
-"""Integer Cartan-matrix core: the dominant chain in Dynkin labels, the
+"""Integer Cartan-matrix core: the closed-form Cartan matrices, the roots
+in simple-root coordinates, the dominant chain in Dynkin labels, the
 longest element w0 of a Weyl group, the involution -w0 on the simple roots
 and the a-hyperbolic rank, computed in Dynkin-label and simple-root
 coordinates (Humphreys, *Reflection Groups and Coxeter Groups*, sections
@@ -11,7 +12,8 @@ coordinates by b_i -= sum_k b_k a[k][i].
 
 Every result is cross-checked when it is computed; a failed check raises
 InternalInconsistency, so the checks also run under `python -O`.  The
-explicit realizations in `rootspace` serve as the test oracle.
+explicit realization (`rootspace`) is built on this core, which knows
+nothing of it.
 """
 
 from __future__ import annotations
@@ -19,17 +21,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, UnsupportedSystem
 from .linalg import integer_rank
-from .rootspace import _COUNTS, _validate
 
 CartanMatrix = tuple[tuple[int, ...], ...]
+
+# number of roots of each reduced type
+_COUNTS = {
+    "A": lambda n: n * (n + 1),
+    "B": lambda n: 2 * n * n,
+    "C": lambda n: 2 * n * n,
+    "D": lambda n: 2 * n * (n - 1),
+    "G": lambda n: 12,
+    "F": lambda n: 48,
+    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
+}
+
+
+def _validate(type_letter: str, rank: int) -> None:
+    ok = (
+        (type_letter == "A" and rank >= 1)
+        or (type_letter in ("B", "C") and rank >= 2)
+        or (type_letter == "D" and rank >= 3)
+        or (type_letter == "BC" and rank >= 1)
+        or (type_letter == "G" and rank == 2)
+        or (type_letter == "F" and rank == 4)
+        or (type_letter == "E" and rank in (6, 7, 8))
+    )
+    if not ok:
+        raise UnsupportedSystem(
+            f"no root system of type {type_letter}_{rank}; supported: A_n (n>=1), "
+            f"B_n/C_n (n>=2), D_n (n>=3), BC_n (n>=1), G_2, F_4, E_6, E_7, E_8"
+        )
 
 
 def cartan_matrix(type_letter: str, rank: int) -> CartanMatrix:
     """Closed-form Cartan matrix of a supported (type, rank), with the
-    simple roots in the order `rootspace` realizes them.  BC_n has the Weyl
-    group of B_n and shares its simple roots, hence its matrix."""
+    simple roots in the order docs/cli.md numbers them.  BC_n has the Weyl
+    group of B_n and shares its simple roots, hence its matrix.  Raises
+    UnsupportedSystem for any other (type, rank), including D_2 and E_5."""
     _validate(type_letter, rank)
     n = rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -58,6 +88,47 @@ def w0_length(type_letter: str, rank: int) -> int:
     with the same Weyl group (B_n for BC_n)."""
     _validate(type_letter, rank)
     return _COUNTS["B" if type_letter == "BC" else type_letter](rank) // 2
+
+
+def _columns(cartan: CartanMatrix):
+    """For each j, the pairs (k, a[k][j]) with a[k][j] != 0: what s_j reads."""
+    n = len(cartan)
+    return [tuple((k, cartan[k][j]) for k in range(n) if cartan[k][j]) for j in range(n)]
+
+
+def roots_of(cartan: CartanMatrix, count: int) -> list[tuple[int, ...]]:
+    """The roots of the reduced system of a Cartan matrix, in simple-root
+    coordinates, in breadth-first order from the simple roots.
+
+    Every root is W-conjugate to a simple root (Humphreys, Cor. 1.5), so
+    the roots are the orbit of the simple roots under the simple
+    reflections; s_i changes only coordinate i, by -sum_k b_k a[k][i].
+    Raises InternalInconsistency when a root has coefficients of both signs
+    or when the orbit does not have exactly `count` roots (the search stops
+    as soon as it has more).
+    """
+    cols = _columns(cartan)
+    n = len(cartan)
+    roots = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    seen = set(roots)
+    for b in roots:   # the list grows while it is read: a breadth-first queue
+        if min(b) < 0 < max(b):
+            raise InternalInconsistency(f"root {b} of Cartan matrix {cartan} "
+                                        f"has coefficients of both signs")
+        for i, col in enumerate(cols):
+            if c := sum(b[k] * x for k, x in col):
+                r = b[:i] + (b[i] - c,) + b[i + 1:]
+                if r not in seen:
+                    seen.add(r)
+                    roots.append(r)
+        if len(roots) > count:
+            break
+    if len(roots) != count:
+        more = "+" if len(roots) > count else ""
+        raise InternalInconsistency(
+            f"Cartan matrix {cartan} has {len(roots)}{more} roots, expected {count}"
+        )
+    return roots
 
 
 @dataclass(frozen=True)
@@ -132,7 +203,7 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
     differs from the number of orbits of that permutation.
     """
     n = len(cartan)
-    cols = [tuple((k, cartan[k][j]) for k in range(n) if cartan[k][j]) for j in range(n)]
+    cols = _columns(cartan)
     labels, chain, _ = dominant_chain(cartan, [-1] * n, length)
     if labels != [1] * n:
         raise InternalInconsistency(f"dominant chain ends at {labels}, not at rho")

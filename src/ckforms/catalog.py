@@ -3,8 +3,8 @@ descriptors.  A `SimpleRealForm` is the one record of a form and its
 invariants.  The a-hyperbolic rank is computed, never transcribed: the
 integer Cartan core (`cartan`) derives it from the closed-form Cartan
 matrix of the restricted root system and cross-checks it at run time,
-once per form object, on first read of `SimpleRealForm.ahyp`; the
-explicit realization in `rootspace` is kept as the test oracle.
+once per form object, on first read of `SimpleRealForm.ahyp`; no
+explicit root realization is built.
 Descriptors may name restricted ranks up to `MAX_RESTRICTED_RANK`.
 
 Restricted types per family:
@@ -33,7 +33,6 @@ from itertools import count
 
 from .cartan import cartan_matrix, w0_length, w0_of
 from .errors import InternalInconsistency, NotSemisimple, ParseError
-from .rootspace import build_root_system
 
 
 @dataclass(frozen=True)
@@ -412,10 +411,6 @@ def parse_simple(text: str) -> SimpleRealForm:
 # ---------------------------------------------------------------------------
 # invariants
 
-def restricted_system(form: SimpleRealForm):
-    return build_root_system(form.restricted_type, form.restricted_rank)
-
-
 def ahyp_of(form: SimpleRealForm) -> int:
     """Dimension of the fixed space of -w0 on the restricted root system,
     from the integer Cartan core; no explicit realization is built.
@@ -464,7 +459,7 @@ def _walk(build, fits, start=1):
         yield form
 
 
-def _scan(fits) -> list[SimpleRealForm]:
+def scan_forms(fits) -> list[SimpleRealForm]:
     """Every catalog form satisfying `fits`, in canonical order.
 
     Each classical family is walked upward in its parameters, two-parameter
@@ -494,7 +489,7 @@ def enumerate_simple_forms(max_dim_g: int) -> list[SimpleRealForm]:
     """All noncompact simple forms with dim_g <= max_dim_g, in canonical
     order (family, then parameters ascending).  Every family dimension
     grows without bound in each parameter, so the scan terminates."""
-    return _scan(lambda f: f.dim_g <= max_dim_g)
+    return scan_forms(lambda f: f.dim_g <= max_dim_g)
 
 
 def scan_real_forms(max_restricted_rank: int) -> list[SimpleRealForm]:
@@ -508,8 +503,8 @@ def scan_real_forms(max_restricted_rank: int) -> list[SimpleRealForm]:
     (ahyp, rank) behavior.
     """
     r = max_restricted_rank
-    return _scan(lambda f: f.restricted_rank <= r
-                 and (len(f.params) < 2 or f.params[1] <= 2 * r + 2))
+    return scan_forms(lambda f: f.restricted_rank <= r
+                      and (len(f.params) < 2 or f.params[1] <= 2 * r + 2))
 
 
 # ---------------------------------------------------------------------------

@@ -178,9 +178,13 @@ def _render_table1(report) -> str:
 def _parse_system(text: str):
     try:
         letter, rank = text.split(",")
-        return build_root_system(letter.strip(), int(rank))
-    except (ValueError, TypeError) as exc:
+        rank = int(rank)
+    except ValueError as exc:
         raise ParseError(f"bad --system designation {text!r}; expected TYPE,RANK") from exc
+    if rank > catalog.MAX_RESTRICTED_RANK:
+        raise ParseError(f"--system {text!r} has rank {rank}, above the limit "
+                         f"{catalog.MAX_RESTRICTED_RANK}")
+    return build_root_system(letter.strip(), rank)
 
 
 def _read_subspace(path: str, system) -> criteria.Subspace:

@@ -15,7 +15,7 @@ from .catalog import (
     ReductiveDescriptor,
     SimpleRealForm,
     derived_invariants,
-    enumerate_simple_forms,
+    scan_forms,
 )
 from .errors import SpaceObstruction
 
@@ -86,18 +86,17 @@ def _budget_limits(g: SimpleRealForm, h: ReductiveDescriptor):
 def candidate_simple_parts(g: SimpleRealForm, h: ReductiveDescriptor) -> list[SimpleRealForm]:
     """Catalog simple forms that fit the per-part budgets: a-hyperbolic rank
     and real rank within the leftover of G over H, maximal compact rank and
-    total dimension within G's, dim p within d(G) - d(H)."""
+    total dimension within G's, dim p within d(G) - d(H).
+
+    The catalog scan stops on the cheap budgets (each invariant grows with
+    every family parameter); the a-hyperbolic rank is read last, so forms
+    outside them never compute it."""
     lim = _budget_limits(g, h)
-    out = []
-    for s in enumerate_simple_forms(lim["dim_g"]):
-        if (
-            s.restricted_rank <= lim["rank"]
-            and s.rank_maxcompact <= lim["maxcompact"]
-            and s.dim_p <= lim["dim"]
-            and s.ahyp <= lim["ahyp"]
-        ):
-            out.append(s)
-    return out
+    parts = scan_forms(lambda s: s.dim_g <= lim["dim_g"]
+                       and s.restricted_rank <= lim["rank"]
+                       and s.rank_maxcompact <= lim["maxcompact"]
+                       and s.dim_p <= lim["dim"])
+    return [s for s in parts if s.ahyp <= lim["ahyp"]]
 
 
 def candidate_combinations(g: SimpleRealForm, h: ReductiveDescriptor) -> list[CandidateReport]:

@@ -58,7 +58,7 @@ _ORDERS = {
 def weyl_order(system: RootSystem) -> int:
     """Exact group order from the closed formulas, multiplied over blocks."""
     order = 1
-    for (letter, rank, _, _) in system.blocks:
+    for letter, rank in system.blocks:
         order *= _ORDERS[letter](rank)
     return order
 
@@ -364,7 +364,7 @@ def _w0(system: RootSystem) -> cartan.W0:
     """The integer core's w0 for an explicit system (a direct sum included)."""
     c = system._cache
     if "w0_core" not in c:
-        length = sum(cartan.w0_length(letter, rank) for letter, rank, _, _ in system.blocks)
+        length = sum(cartan.w0_length(letter, rank) for letter, rank in system.blocks)
         c["w0_core"] = cartan.w0_of(_cartan_data(system)[0], length)
     return c["w0_core"]
 

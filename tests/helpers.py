@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ckforms.catalog import FAMILY_ORDER, SimpleRealForm
-from ckforms.linalg import Matrix, Vector, dot, vadd, vscale, zero_vector
+from ckforms.linalg import Matrix, Vector, dot, solve, vadd, vector, vscale, zero_vector
 from ckforms.rootspace import RootSystem, is_dominant
 from ckforms.weyl import enumerate_weyl
 
@@ -49,6 +49,19 @@ def reflect(v: Vector, root: Vector) -> Vector:
     """Orthogonal reflection of v in the hyperplane normal to root."""
     c = 2 * dot(v, root) / dot(root, root)
     return tuple(a - c * b for a, b in zip(v, root))
+
+
+def strictly_dominant_seed(simples) -> Vector:
+    """rho by a Gram solve: the vector in the span of the simple roots
+    pairing to 1 with each (the positivity test of the per-type root lists
+    the Cartan core replaced)."""
+    gram = [[dot(a, b) for b in simples] for a in simples]
+    coeffs = solve(gram, vector([1] * len(simples)))
+    assert coeffs is not None
+    out = zero_vector(len(simples[0]))
+    for c, a in zip(coeffs, simples):
+        out = vadd(out, vscale(c, a))
+    return out
 
 
 def rand_fraction(rng: random.Random) -> Fraction:

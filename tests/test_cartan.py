@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 import ckforms
 from ckforms import catalog, obstruction
-from ckforms.cartan import cartan_matrix, w0_length, w0_of
+from ckforms.cartan import cartan_matrix, roots_of, w0_length, w0_of
 from ckforms.errors import InternalInconsistency
 from ckforms.linalg import dot, identity_matrix, integer_rank, rank_of, vector, vneg
-from ckforms.rootspace import _strictly_dominant_seed, build_root_system, direct_sum
+from ckforms.rootspace import build_root_system, direct_sum
 from ckforms.weyl import ahyp_dimension, fixed_cone, longest_element
 
-from helpers import mat_add, reflect, supported_types
+from helpers import mat_add, reflect, strictly_dominant_seed, supported_types
 
 
 def _system(blocks):
@@ -47,7 +47,7 @@ def _oracle_cartan(system):
 
 
 def _oracle_chain(system):
-    rho = _strictly_dominant_seed(system.simple_roots)
+    rho = strictly_dominant_seed(system.simple_roots)
     v, chain = vneg(rho), []
     while True:
         i = next((i for i, a in enumerate(system.simple_roots) if dot(a, v) < 0), None)
@@ -150,6 +150,17 @@ def test_rank_level_commands_build_no_explicit_system():
 def test_core_rejects_inconsistent_input(matrix, length):
     with pytest.raises(InternalInconsistency):
         w0_of(matrix, length)
+
+
+@pytest.mark.parametrize("matrix,count", [
+    (((2, -2), (-2, 2)), 10),  # affine A1: the orbit never closes
+    (((2, -1), (-1, 2)), 8),   # A2 with a wrong expected count
+    (((2, -1), (-1, 2)), 4),
+    (((2, 1), (1, 2)), 6),     # s_0 sends alpha_1 to alpha_1 - alpha_0
+])
+def test_root_orbit_rejects_inconsistent_input(matrix, count):
+    with pytest.raises(InternalInconsistency):
+        roots_of(matrix, count)
 
 
 def test_core_checks_survive_optimize():

@@ -5,7 +5,7 @@ import jsonschema
 
 import pytest
 
-from ckforms import catalog, weyl
+from ckforms import catalog, cli, weyl
 from ckforms.cli import main
 from ckforms.rootspace import build_root_system
 from ckforms.errors import InternalInconsistency
@@ -159,6 +159,29 @@ def test_restricted_rank_limit_exit_2(capsys, monkeypatch, argv, limited):
     monkeypatch.setattr(catalog, "ahyp_of", unread)
     assert main(argv) == (2 if limited else 4)
     assert ("above the limit 128" in capsys.readouterr().err) == limited
+
+
+@pytest.mark.parametrize("system,limited", [("A,129", True), ("A,128", False)])
+def test_system_rank_limit_exit_2(capsys, monkeypatch, system, limited):
+    # a refused designation builds nothing; an admitted one reaches this
+    # stand-in and exits 4
+    def unbuilt(letter, rank):
+        raise InternalInconsistency(f"{letter}{rank} built")
+
+    monkeypatch.setattr(cli, "build_root_system", unbuilt)
+    fixture = str(FIXTURES / "a4_ah.vec")
+    assert main(["check-proper", "--system", system, "--ah", fixture, "--al", fixture]) == (
+        2 if limited else 4)
+    err = capsys.readouterr().err
+    assert ("above the limit 128" in err) == limited
+    assert ("A128 built" in err) != limited
+
+
+def test_default_cap_refuses_a9(capsys, tmp_path):
+    line = tmp_path / "line.vec"
+    line.write_text("1 -1 0 0 0 0 0 0 0 0\n")
+    assert main(["check-proper", "--system", "A,9", "--ah", str(line), "--al", str(line)]) == 3
+    assert "3628800" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

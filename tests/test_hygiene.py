@@ -90,3 +90,25 @@ def test_every_public_name_is_used(module):
             if not any(node.name in _names(tree, skip=node) for tree in others):
                 unused.append(node.name)
     assert unused == []
+
+
+def _imported_modules(tree) -> set[str]:
+    """Last components of the modules a module imports from, including the
+    submodules named in `from . import x`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[-1] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                out.add(node.module.split(".")[-1])
+            else:
+                out |= {a.name for a in node.names}
+    return out
+
+
+@pytest.mark.parametrize("module", ["cartan", "catalog", "obstruction"])
+def test_rank_level_layers_import_no_realization(module):
+    """The integer core and the rank-level layers on it never reach the
+    explicit realization or the layers built on it."""
+    assert _imported_modules(TREES[module]) & {"rootspace", "weyl", "criteria"} == set()

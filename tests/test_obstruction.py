@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ckforms import catalog
+from ckforms import catalog, obstruction
 from ckforms.catalog import (
     ahyp_of,
     attributes,
@@ -171,3 +171,39 @@ def test_each_form_reaches_ahyp_of_once(monkeypatch):
     table1_rows(8)
     assert len(calls) > 100
     assert [form.name for form, n in calls.values() if n > 1] == []
+
+
+def _filtered_scan(g, h):
+    """The scan the budget-bounded one replaced: every form up to dim g(G),
+    filtered by the budgets afterwards."""
+    lim = obstruction._budget_limits(g, h)
+    return [s for s in enumerate_simple_forms(lim["dim_g"])
+            if s.restricted_rank <= lim["rank"] and s.rank_maxcompact <= lim["maxcompact"]
+            and s.dim_p <= lim["dim"] and s.ahyp <= lim["ahyp"]]
+
+
+def test_candidate_parts_match_filtered_scan():
+    rng = random.Random(11)
+    groups = enumerate_simple_forms(250)
+    pieces = [f.name for f in catalog.scan_real_forms(3)] + ["R^1", "R^2", "u(1)^1", "su(3)"]
+    checked = 0
+    while checked < 500:
+        g = rng.choice(groups)
+        h = parse_descriptor("+".join(rng.sample(pieces, rng.randint(0, 2))))
+        try:
+            expected = _filtered_scan(g, h)
+        except SpaceObstruction:
+            continue
+        assert candidate_simple_parts(g, h) == expected, (g.name, h.text)
+        checked += 1
+
+
+def test_candidate_scan_stops_at_the_budgets(monkeypatch):
+    # su(2,100) has dim g = 10403 but real rank 2: the scan builds forms
+    # within the rank and dim p budgets, not every form up to dim 10403
+    built = []
+    form = catalog._form
+    monkeypatch.setattr(catalog, "_form", lambda *a, **k: built.append(a[0]) or form(*a, **k))
+    parts = candidate_simple_parts(parse_simple("su(2,100)"), parse_descriptor("R^1"))
+    assert len(parts) == 321
+    assert len(built) < 2 * len(parts)

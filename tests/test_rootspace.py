@@ -1,11 +1,17 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ckforms import linalg
-from ckforms.errors import DimensionMismatch, NotInSpan, UnsupportedSystem
-from ckforms.linalg import dot, rank_of, rref, solve, vector, vneg
+from ckforms import linalg, rootspace
+from ckforms.cartan import cartan_matrix
+from ckforms.errors import DimensionMismatch, InternalInconsistency, NotInSpan, UnsupportedSystem
+from ckforms.linalg import dot, kernel_basis, rank_of, rref, solve, vector, vneg
 from ckforms.rootspace import (
     build_root_system,
     direct_sum,
@@ -14,7 +20,7 @@ from ckforms.rootspace import (
 )
 from ckforms.weyl import enumerate_weyl
 
-from helpers import random_span_vector, reflect
+from helpers import random_span_vector, reflect, strictly_dominant_seed, supported_types
 
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -233,3 +239,132 @@ def test_is_dominant_eliminates_nothing_once_the_complement_is_cached(monkeypatc
     for i in range(1000):
         is_dominant(s, vectors[i % 10])
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the root lists generated from the simple roots against the per-type
+# enumerations they replaced, with positivity by pairing with rho
+
+def _oracle_lists(letter, n):
+    """(roots, simple roots) as the per-type enumerations wrote them."""
+    q = Fraction
+
+    def unit(i, dim, value=1):
+        return tuple(q(value if j == i else 0) for j in range(dim))
+
+    def pm_pairs(dim):
+        out = []
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                for si in (1, -1):
+                    for sj in (1, -1):
+                        v = [q(0)] * dim
+                        v[i], v[j] = q(si), q(sj)
+                        out.append(tuple(v))
+        return out
+
+    def diff(i, j, dim):
+        return tuple(x - y for x, y in zip(unit(i, dim), unit(j, dim)))
+
+    if letter in ("A", "G"):
+        dim = n + 1
+        roots = [diff(i, j, dim) for i in range(dim) for j in range(dim) if i != j]
+        simples = [diff(i, i + 1, dim) for i in range(n)]
+        if letter == "G":
+            for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+                v = [q(0)] * 3
+                v[i], v[j], v[k] = q(2), q(-1), q(-1)
+                roots += [tuple(v), vneg(tuple(v))]
+            simples = [vector([1, -1, 0]), vector([-2, 1, 1])]
+        return roots, simples
+    half = q(1, 2)
+    if letter == "F":
+        roots = [unit(i, 4, s) for i in range(4) for s in (1, -1)] + pm_pairs(4)
+        roots += list(itertools.product((half, -half), repeat=4))
+        simples = [vector([0, 1, -1, 0]), vector([0, 0, 1, -1]), vector([0, 0, 0, 1]),
+                   (half, -half, -half, -half)]
+        return roots, simples
+    if letter == "E":
+        roots = pm_pairs(8) + [s for s in itertools.product((half, -half), repeat=8)
+                               if sum(1 for x in s if x < 0) % 2 == 0]
+        simples = [(half, -half, -half, -half, -half, -half, -half, half),
+                   vector([1, 1, 0, 0, 0, 0, 0, 0])]
+        simples += [diff(i + 1, i, 8) for i in range(6)]
+        simples = simples[:n]
+        if n < 8:   # the E8 roots in the span of the first n simple roots
+            complement = kernel_basis(simples)
+            roots = [r for r in roots if not any(dot(r, c) for c in complement)]
+        return roots, simples
+    roots = pm_pairs(n)
+    if letter in ("B", "BC"):
+        roots += [unit(i, n, s) for i in range(n) for s in (1, -1)]
+    if letter in ("C", "BC"):
+        roots += [unit(i, n, s) for i in range(n) for s in (2, -2)]
+    last = {"B": unit(n - 1, n), "BC": unit(n - 1, n), "C": unit(n - 1, n, 2),
+            "D": vector([0] * (n - 2) + [1, 1])}[letter]
+    return roots, [diff(i, i + 1, n) for i in range(n - 1)] + [last]
+
+
+def _oracle_system(letter, n):
+    roots, simples = _oracle_lists(letter, n)
+    roots = sorted(set(roots))
+    rho = strictly_dominant_seed(simples)
+    return roots, simples, [r for r in roots if dot(rho, r) > 0]
+
+
+def _embedded(parts):
+    """Roots, simples and positives of a direct sum of oracle systems."""
+    total = sum(len(p[1][0]) for p in parts)
+    out, offset = ([], [], []), 0
+    for part in parts:
+        width = len(part[1][0])
+        for acc, vectors in zip(out, part):
+            acc += [(Fraction(0),) * offset + v + (Fraction(0),) * (total - offset - width)
+                    for v in vectors]
+        offset += width
+    return out
+
+
+GENERATED_CASES = [((t, n),) for t, n in supported_types(12)] + [
+    (("A", 2), ("G", 2)), (("B", 2), ("A", 1)), (("A", 1), ("A", 1))]
+
+
+@pytest.mark.parametrize("blocks", GENERATED_CASES,
+                         ids=lambda b: "+".join(f"{t}{n}" for t, n in b))
+def test_generated_roots_match_per_type_enumeration(blocks):
+    s = direct_sum(*(build_root_system(t, n) for t, n in blocks))
+    roots, simples, positives = _embedded([_oracle_system(t, n) for t, n in blocks])
+    assert list(s.roots) == roots
+    assert list(s.simple_roots) == simples
+    assert list(s.positive_roots) == positives
+    assert s.blocks == blocks
+
+
+@pytest.mark.parametrize("letter,rank", [("B", 3), ("C", 4)])
+def test_transposed_cartan_matrix_is_an_internal_inconsistency(monkeypatch, letter, rank):
+    # the transpose generates a root set of the right size in the wrong
+    # places; only the comparison with the simple roots catches it
+    monkeypatch.setattr(rootspace, "cartan_matrix",
+                        lambda t, n: tuple(zip(*cartan_matrix(t, n))))
+    with pytest.raises(InternalInconsistency, match="does not match its simple roots"):
+        build_root_system.__wrapped__(letter, rank)
+
+
+def test_cartan_matrix_check_survives_optimize():
+    code = (
+        "import sys\n"
+        "from ckforms import cartan, rootspace\n"
+        "from ckforms.errors import InternalInconsistency\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "rootspace.cartan_matrix = lambda t, n: tuple(zip(*cartan.cartan_matrix(t, n)))\n"
+        "try:\n"
+        "    rootspace.build_root_system('B', 3)\n"
+        "except InternalInconsistency:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(rootspace.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["optimize 1", "raised"]
