@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalInconsistency, UnsupportedSystem
-from .linalg import integer_rank
+from .linalg import rank_of
 
 CartanMatrix = tuple[tuple[int, ...], ...]
 
@@ -230,7 +230,7 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
         perm.append(support[0])
 
     w0_plus_1 = [[images[j][i] + (i == j) for j in range(n)] for i in range(n)]
-    by_kernel = n - integer_rank(w0_plus_1)
+    by_kernel = n - rank_of(w0_plus_1)
     by_orbits = len(orbits(tuple(perm)))
     if by_kernel != by_orbits:
         raise InternalInconsistency(

@@ -526,24 +526,20 @@ class Table1Row:
     family: str
     k: int | None
     form: SimpleRealForm
-    ahyp: int
-    real_rank: int
     expected_ahyp: int
     expected_rank: int
 
 
 def table1_rows(k_max: int) -> list[Table1Row]:
-    """Rows of the rank-vs-ahyp table with parameters up to k_max, each
-    (ahyp, rank) computed from the restricted root system's Cartan matrix."""
+    """Rows of the rank-vs-ahyp table with parameters up to k_max: each
+    form, whose (ahyp, rank) comes from its restricted root system's Cartan
+    matrix, beside the expected pair."""
     rows = []
     for family, k_min, build, expect in TABLE1_FAMILIES:
         for k in range(k_min, k_max + 1):
-            form = build(k)
-            ea, er = expect(k)
-            rows.append(Table1Row(family, k, form, form.ahyp, form.real_rank, ea, er))
-    for name, (ea, er) in TABLE1_EXCEPTIONALS:
-        form = exceptional(name)
-        rows.append(Table1Row(name, None, form, form.ahyp, form.real_rank, ea, er))
+            rows.append(Table1Row(family, k, build(k), *expect(k)))
+    for name, expected in TABLE1_EXCEPTIONALS:
+        rows.append(Table1Row(name, None, exceptional(name), *expected))
     return rows
 
 

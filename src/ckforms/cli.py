@@ -134,17 +134,17 @@ def cmd_table1(args) -> dict:
     extras = catalog.completeness_mismatches(scan_rank)
     checks = []
     for row in rows:
-        tag = row.form.name
-        checks.append({"name": f"{tag}.ahyp", "lhs": row.ahyp,
-                       "rhs": row.expected_ahyp, "passed": row.ahyp == row.expected_ahyp})
-        checks.append({"name": f"{tag}.real_rank", "lhs": row.real_rank,
-                       "rhs": row.expected_rank, "passed": row.real_rank == row.expected_rank})
+        form = row.form
+        checks.append({"name": f"{form.name}.ahyp", "lhs": form.ahyp,
+                       "rhs": row.expected_ahyp, "passed": form.ahyp == row.expected_ahyp})
+        checks.append({"name": f"{form.name}.real_rank", "lhs": form.real_rank,
+                       "rhs": row.expected_rank, "passed": form.real_rank == row.expected_rank})
     checks.append({"name": "completeness", "lhs": len(extras), "rhs": 0,
                    "passed": not extras})
     verdict = "Complete" if all(c["passed"] for c in checks) else "ExtraMismatches"
     details = {
         "rows": [{"family": r.family, "k": r.k, "algebra": r.form.name,
-                  "ahyp_rank": r.ahyp, "real_rank": r.real_rank} for r in rows],
+                  "ahyp_rank": r.form.ahyp, "real_rank": r.form.real_rank} for r in rows],
         "completeness_scan_max_rank": scan_rank,
         "unexpected": [f.name for f in extras],
     }

@@ -1,8 +1,11 @@
 """Exact rational linear algebra over tuples of Fraction.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.
-Elimination uses a fixed pivoting rule (leftmost column, topmost nonzero
-row) so every result is deterministic; no floating point appears anywhere.
+Vectors are tuples of Fraction, matrices are tuples of row tuples.  Rank,
+kernel, solve, inverse and reduced basis all run on one fraction-free
+elimination, `_eliminate`, over rows scaled to integers; Fractions are
+built only for the entries a result returns.  Its fixed pivoting rule
+(leftmost column, topmost nonzero row) makes every result deterministic;
+no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -72,57 +75,48 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+def _integer_row(row) -> list[int]:
+    """The row times the common denominator of its entries (ints pass
+    through: they too have `.numerator` and `.denominator`)."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) of the rows, each first scaled to integers.
+
+    Returns (rows, pivot columns, d): every division by the previous pivot
+    is exact, every pivot ends equal to the last one, d, and rows / d is
+    the reduced row echelon form.  A row with a zero in the pivot column
+    still has to be scaled by p / prev, so it is skipped only when p == prev.
+    """
+    m = [_integer_row(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and (f or p != prev):
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(c)
-        r += 1
-    return m, pivots
+    return m, pivots, prev
 
 
 def rank_of(rows) -> int:
-    return len(rref(rows)[1])
-
-
-def integer_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free elimination (Bareiss,
-    Math. Comp. 22, 1968): each division by the previous pivot is exact,
-    so every entry stays an integer."""
-    m = [list(r) for r in rows]
-    ncols = len(m[0]) if m else 0
-    rank, prev = 0, 1
-    for c in range(ncols):
-        pr = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        top = m[rank]
-        p = top[c]
-        for row in m[rank + 1:]:
-            f = row[c]
-            for k in range(c + 1, ncols):
-                row[k] = (p * row[k] - f * top[k]) // prev
-            row[c] = 0
-        prev = p
-        rank += 1
-    return rank
+    return len(_eliminate(rows)[1])
 
 
 def kernel_basis(rows) -> tuple[Vector, ...]:
@@ -130,17 +124,14 @@ def kernel_basis(rows) -> tuple[Vector, ...]:
     free-column order (free variable set to 1)."""
     if not rows:
         return ()
-    m, pivots = rref(rows)
+    m, pivots, d = _eliminate(rows)
     ncols = len(rows[0])
-    pivot_set = set(pivots)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for free in (c for c in range(ncols) if c not in pivots):
         x = [ZERO] * ncols
         x[free] = ONE
         for r, pc in enumerate(pivots):
-            x[pc] = -m[r][free]
+            x[pc] = Fraction(-m[r][free], d)
         basis.append(tuple(x))
     return tuple(basis)
 
@@ -148,45 +139,37 @@ def kernel_basis(rows) -> tuple[Vector, ...]:
 def solve(rows, rhs: Vector) -> Vector | None:
     """One exact solution of M x = rhs (free variables zero), or None."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
+    m, pivots, d = _eliminate(aug)
     ncols = len(rows[0])
     if ncols in pivots:
         return None
     x = [ZERO] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
+        x[pc] = Fraction(m[r][ncols], d)
     return tuple(x)
 
 
 def invert(m: Matrix) -> Matrix:
     n = len(m)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    red, pivots, d = _eliminate(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(tuple(Fraction(x, d) for x in red[i][n:]) for i in range(n))
 
 
 def reduced_basis(vectors) -> tuple[Vector, ...]:
     """Canonical (RREF) basis of the span of the given vectors."""
-    vectors = [v for v in vectors if not is_zero(v)]
-    if not vectors:
-        return ()
-    m, pivots = rref(vectors)
-    return tuple(tuple(m[i]) for i in range(len(pivots)))
+    m, pivots, d = _eliminate(vectors)
+    return tuple(tuple(Fraction(x, d) for x in m[i]) for i in range(len(pivots)))
 
 
 def primitive(v: Vector) -> Vector:
     """Scale v to a primitive integer vector with positive leading entry."""
     if is_zero(v):
         return v
-    mult = lcm(*(a.denominator for a in v)) if len(v) > 1 else v[0].denominator
-    ints = [int(a * mult) for a in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    ints = [a // g for a in ints]
-    lead = next(a for a in ints if a != 0)
-    if lead < 0:
-        ints = [-a for a in ints]
-    return tuple(Fraction(a) for a in ints)
+    ints = _integer_row(v)
+    g = gcd(*ints)
+    if next(a for a in ints if a) < 0:
+        g = -g
+    return tuple(Fraction(a // g) for a in ints)

@@ -1,6 +1,6 @@
 """Shared test utilities: seeded random rational vectors, brute-force
-orbit oracles and the matrix and reflection formulas that stay independent
-of the code paths they check."""
+orbit oracles, and the matrix, reflection and elimination formulas that
+stay independent of the code paths they check."""
 
 from __future__ import annotations
 
@@ -43,6 +43,56 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vadd(ra, rb) for ra, rb in zip(a, b))
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Fraction Gauss-Jordan elimination (the
+    pivot rule of `linalg._eliminate`); returns (rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def integer_rank(rows) -> int:
+    """Rank of an integer matrix by forward fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968): each division by the previous pivot is
+    exact, so every entry stays an integer."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    rank, prev = 0, 1
+    for c in range(ncols):
+        pr = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        top = m[rank]
+        p = top[c]
+        for row in m[rank + 1:]:
+            f = row[c]
+            for k in range(c + 1, ncols):
+                row[k] = (p * row[k] - f * top[k]) // prev
+            row[c] = 0
+        prev = p
+        rank += 1
+    return rank
 
 
 def reflect(v: Vector, root: Vector) -> Vector:

@@ -79,7 +79,7 @@ def test_criterion_1_table_reproduction():
         rows = table1_rows(8)
         assert len(rows) == 39
         for row in rows:
-            assert (row.ahyp, row.real_rank) == (row.expected_ahyp, row.expected_rank), row
+            assert (row.form.ahyp, row.form.real_rank) == (row.expected_ahyp, row.expected_rank), row
         assert completeness_mismatches(8) == []
         # both directions: mismatch exactly on the seven table families
         for form in scan_real_forms(8):

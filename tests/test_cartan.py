@@ -19,11 +19,11 @@ import ckforms
 from ckforms import catalog, obstruction
 from ckforms.cartan import cartan_matrix, roots_of, w0_length, w0_of
 from ckforms.errors import InternalInconsistency
-from ckforms.linalg import dot, identity_matrix, integer_rank, rank_of, vector, vneg
+from ckforms.linalg import dot, identity_matrix, rank_of, vneg
 from ckforms.rootspace import build_root_system, direct_sum
 from ckforms.weyl import ahyp_dimension, fixed_cone, longest_element
 
-from helpers import mat_add, reflect, strictly_dominant_seed, supported_types
+from helpers import integer_rank, mat_add, reflect, strictly_dominant_seed, supported_types
 
 
 def _system(blocks):
@@ -189,4 +189,4 @@ def test_integer_rank_matches_rational_rank():
         m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         if rng.random() < 0.5 and rows > 1:
             m[-1] = [x + 2 * y for x, y in zip(m[0], m[1 % rows])]
-        assert integer_rank(m) == rank_of([vector(r) for r in m])
+        assert rank_of(m) == integer_rank(m)

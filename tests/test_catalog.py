@@ -151,8 +151,8 @@ def test_dim_k_plus_dim_p_equals_dim_g():
 def test_table1_values():
     rows = table1_rows(8)
     for row in rows:
-        assert (row.ahyp, row.real_rank) == (row.expected_ahyp, row.expected_rank), row
-    by_name = {r.form.name: r for r in rows}
+        assert (row.form.ahyp, row.form.real_rank) == (row.expected_ahyp, row.expected_rank), row
+    by_name = {r.form.name: r.form for r in rows}
     assert (by_name["sl(5,R)"].ahyp, by_name["sl(5,R)"].real_rank) == (2, 4)
     assert (by_name["so(5,5)"].ahyp, by_name["so(5,5)"].real_rank) == (4, 5)
     assert (by_name["su*(6)"].ahyp, by_name["su*(6)"].real_rank) == (1, 2)

@@ -112,3 +112,26 @@ def test_rank_level_layers_import_no_realization(module):
     """The integer core and the rank-level layers on it never reach the
     explicit realization or the layers built on it."""
     assert _imported_modules(TREES[module]) & {"rootspace", "weyl", "criteria"} == set()
+
+
+FLOAT_MATH = {"sqrt", "log", "exp"}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_floating_point(module):
+    """No float literal, no `float(...)` call and no `math.sqrt`, `math.log`
+    or `math.exp` anywhere in the package: every answer is exact."""
+    found = []
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"line {node.lineno}: float literal {node.value!r}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append(f"line {node.lineno}: float() call")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"line {node.lineno}: imports math.{a.name}"
+                      for a in node.names if a.name in FLOAT_MATH]
+        elif (isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            found.append(f"line {node.lineno}: uses math.{node.attr}")
+    assert found == []

@@ -11,7 +11,7 @@ import pytest
 from ckforms import linalg, rootspace
 from ckforms.cartan import cartan_matrix
 from ckforms.errors import DimensionMismatch, InternalInconsistency, NotInSpan, UnsupportedSystem
-from ckforms.linalg import dot, kernel_basis, rank_of, rref, solve, vector, vneg
+from ckforms.linalg import dot, kernel_basis, rank_of, solve, vector, vneg
 from ckforms.rootspace import (
     build_root_system,
     direct_sum,
@@ -20,7 +20,7 @@ from ckforms.rootspace import (
 )
 from ckforms.weyl import enumerate_weyl
 
-from helpers import random_span_vector, reflect, strictly_dominant_seed, supported_types
+from helpers import random_span_vector, reflect, rref, strictly_dominant_seed, supported_types
 
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -229,8 +229,8 @@ def test_e6_e7_roots_match_elimination_filter(rank):
 def test_is_dominant_eliminates_nothing_once_the_complement_is_cached(monkeypatch, letter, rank):
     s = build_root_system(letter, rank)
     calls = []
-    rref_ = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or rref_(rows))
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows: calls.append(rows) or eliminate(rows))
     monkeypatch.delitem(s._cache, "complement", raising=False)
     in_root_span(s, s.simple_roots[0])
     assert len(calls) == 1   # the complement, once
