@@ -10,6 +10,7 @@ caller's responsibility.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,14 +61,20 @@ class Subspace:
         object.__setattr__(self, "dim", len(basis))
 
 
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _entry(token: str, lineno: int) -> Fraction:
+    """An entry of the documented grammar [+-]?[0-9]+(/[0-9]+)?; `Fraction`
+    alone would also take decimals, exponents, '_' and non-ASCII digits."""
     try:
-        return Fraction(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: entry {token!r} is not an integer "
-                         f"or a rational p/q") from None
+        if _ENTRY.fullmatch(token):
+            return Fraction(token)
+    except ValueError:   # more digits than int() converts
+        pass
     except ZeroDivisionError:
         raise ParseError(f"line {lineno}: entry {token!r} has a zero denominator") from None
+    raise ParseError(f"line {lineno}: entry {token!r} is not an integer or a rational p/q")
 
 
 def subspace_from_text(text: str, system: RootSystem) -> Subspace:
@@ -169,7 +176,9 @@ def check_proper_embedded(
 
     The group is generated lazily, so a NotProper scan stops generating at
     the offending element.  Elements act on a_l's basis through their root
-    permutation (`span_action`); no element builds its matrix here.
+    permutation in integers (`span_action`); each image is a positive
+    multiple of w.b, which leaves the witness unchanged.  No element's
+    `apply` or matrix runs here.
     """
     for sub, name in ((a_h, "a_h"), (a_l, "a_l")):
         if sub.system != system_g:

@@ -47,10 +47,6 @@ def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
@@ -61,14 +57,6 @@ def vscale(c: Fraction, u: Vector) -> Vector:
 
 def is_zero(u: Vector) -> bool:
     return all(a == 0 for a in u)
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in m)
-
-
-def mat_scale(c: Fraction, m: Matrix) -> Matrix:
-    return tuple(vscale(c, row) for row in m)
 
 
 def identity_matrix(n: int) -> Matrix:

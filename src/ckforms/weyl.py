@@ -3,13 +3,15 @@ representatives, the longest element, the involution -w0 and its fixed
 cone, the a-hyperbolic dimension, and the antipodal orbit test.
 
 Every element is stored as a permutation of the root list (the group acts
-faithfully on the roots).  Its exact matrix is reconstructed on demand from
-the images of the simple roots and the fundamental coweights, and
-`span_action` applies elements to vectors of the root span through the
-permutation alone, without it.  Enumeration is
-breadth-first by word length with ties broken lexicographically by word,
-so indices are reproducible across runs; it is lazy, so a scan that stops
-early generates only the elements it read.
+faithfully on the roots).  It acts in integers through one conversion and
+one accumulation: `_coordinates` writes a vector over a denominator
+together with its pairings (omega_i, v) with the fundamental coweights, and
+`_combine` sums c_i w(a_i), reading each image w(a_i) of a simple root from
+the permutation.  `WeylElement.apply`, its matrix (the images of the unit
+vectors), `span_action` and `dominant_representative` all run on these two.
+Enumeration is breadth-first by word length with ties broken
+lexicographically by word, so indices are reproducible across runs; it is
+lazy, so a scan that stops early generates only the elements it read.
 The longest element, -w0 on the simple roots, the a-hyperbolic dimension
 and dominant representatives come from the integer Cartan core (`cartan`),
 never from enumeration, which keeps rank-level invariants cheap for every
@@ -22,23 +24,11 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 
 from . import cartan
 from .errors import CapExceeded, InternalInconsistency
-from .linalg import (
-    Matrix,
-    Vector,
-    dot,
-    identity_matrix,
-    invert,
-    mat_scale,
-    mat_vec,
-    vadd,
-    vector,
-    vneg,
-    vscale,
-    vsub,
-)
+from .linalg import Matrix, Vector, dot, identity_matrix, invert, vadd, vneg
 from .rootspace import RootSystem, check_dimension, require_in_span
 
 DEFAULT_CAP = 10**6
@@ -130,47 +120,81 @@ def _invert(m: Matrix, what: str, system: RootSystem) -> Matrix:
         raise InternalInconsistency(f"{what} of {system.label} is singular") from None
 
 
-def _matrix_from_simple_images(system: RootSystem, images) -> Matrix:
-    """The matrix fixing the complement of the root span and sending each
-    simple root a_i to images[i]: 1 + sum_i (images[i] - a_i) w_i^T, with w_i
-    the fundamental coweights ((w_i, a_j) = delta_ij, w_i in the span)."""
-    rows = [list(r) for r in identity_matrix(system.ambient_dim)]
-    for image, a, w in zip(images, system.simple_roots, fundamental_coweights(system)):
-        for row, x, y in zip(rows, image, a):
-            if d := x - y:
-                for k, z in enumerate(w):
-                    row[k] += d * z
-    return tuple(map(tuple, rows))
+def _coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The fundamental coweights omega_i ((omega_i, a_j) = delta_ij,
+    omega_i in the root span) as integer rows over one denominator E."""
+    c = system._cache
+    if "coweights" not in c:
+        roots, den, simple = _integer_roots(system)
+        simples = [roots[s] for s in simple]
+        gram = [[sum(map(mul, a, b)) for b in simples] for a in simples]
+        ginv = _invert(gram, "Gram matrix of the simple roots", system)
+        # ginv inverts the Gram matrix of the integer roots den * a_j, which
+        # is den^2 times that of the a_j: omega_i = den * sum_j ginv[j][i] (den * a_j)
+        omegas = [[den * sum(ginv[j][i] * a[k] for j, a in enumerate(simples))
+                   for k in range(system.ambient_dim)] for i in range(len(simples))]
+        e = lcm(*(x.denominator for w in omegas for x in w))
+        c["coweights"] = (tuple(tuple(int(x * e) for x in w) for w in omegas), e)
+    return c["coweights"]
+
+
+def _coordinates(system: RootSystem, v: Vector) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """v as integers over a denominator D, and the nonzero terms (i, c_i) of
+    its pairings with the coweights, scaled so that sum_i c_i a_i over the
+    integer roots (`_combine`), divided by D, is the projection of v onto
+    the root span: c_i / D = (omega_i, v) / den, with den the denominator of
+    the integer roots."""
+    check_dimension(system, v)
+    rows, e = _coweight_rows(system)
+    d = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (d // x.denominator) for x in v]
+    terms = [(i, c) for i, row in enumerate(rows) if (c := sum(map(mul, row, ints)))]
+    scale = e * _integer_roots(system)[1]
+    return d * scale, [x * scale for x in ints], terms
+
+
+def _combine(system: RootSystem, perm, terms) -> list[int]:
+    """sum c_i w(a_i) on the integer roots, for the terms (i, c_i) and the
+    element w with root permutation `perm`."""
+    roots, _, simple = _integer_roots(system)
+    acc = [0] * system.ambient_dim
+    for i, c in terms:
+        for k, x in enumerate(roots[perm[simple[i]]]):
+            if x:
+                acc[k] += c * x
+    return acc
 
 
 class WeylElement:
-    """Group element, acting as an exact orthogonal matrix on ambient
-    coordinates.
+    """Group element, acting as an exact orthogonal transformation of the
+    ambient coordinates.
 
-    `word` lists simple-reflection indices; the matrix equals the
+    `word` lists simple-reflection indices; the action equals the
     composition of those reflections applied right to left.  An element is
-    its induced root permutation (padded by `_make_perm`); the matrix is
-    built from it on first use.
+    its induced root permutation (padded by `_make_perm`) and nothing else:
+    `apply` and `matrix` read the images of the simple roots from it.
     """
 
-    __slots__ = ("system", "word", "_perm", "_matrix")
+    __slots__ = ("system", "word", "_perm")
 
     def __init__(self, system: RootSystem, word: tuple[int, ...], perm):
         self.system = system
         self.word = word
         self._perm = perm
-        self._matrix = None
 
     @property
     def matrix(self) -> Matrix:
-        if self._matrix is None:
-            _, _, simple = _integer_roots(self.system)
-            images = [self.system.roots[self._perm[s]] for s in simple]
-            self._matrix = _matrix_from_simple_images(self.system, images)
-        return self._matrix
+        """The exact matrix, column by column the images of the unit vectors."""
+        return tuple(zip(*map(self.apply, identity_matrix(self.system.ambient_dim))))
 
     def apply(self, v: Vector) -> Vector:
-        return mat_vec(self.matrix, v)
+        """w.v = v + sum_i (omega_i, v) (w(a_i) - a_i); the complement of the
+        root span stays fixed."""
+        system = self.system
+        den, ints, terms = _coordinates(system, v)
+        moved = _combine(system, self._perm, terms)
+        span_part = _combine(system, _perm_data(system)[0], terms)
+        return tuple(Fraction(x + y - z, den) for x, y, z in zip(ints, moved, span_part))
 
     def root_permutation(self) -> tuple[int, ...]:
         return tuple(self._perm[: len(self.system.roots)])
@@ -195,10 +219,10 @@ class WeylEnumeration(Sequence):
 
     `len()` is the closed-form order.  Iteration, indexing and slicing
     generate elements up to the position they reach; generated elements are
-    kept, so later passes return the same objects (with any matrices they
-    have built).  The generation queue is the element list itself: the
-    element at `parent` is composed with each simple reflection in turn,
-    which is the breadth-first, lexicographic order.  When the queue is
+    kept, so later passes return the same objects.  The generation queue is
+    the element list itself: the element at `parent` is composed with each
+    simple reflection in turn, which is the breadth-first, lexicographic
+    order.  When the queue is
     exhausted the count is checked against the order.
     """
 
@@ -285,38 +309,21 @@ def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> WeylEnumeratio
     return WeylEnumeration(system, order)
 
 
-def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[Vector]]:
-    """Map a group element w to [w.v for v in vectors] without w's matrix.
+def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[list[int]]]:
+    """Map a group element w to integer images of the vectors: for each v,
+    a positive multiple of w.v, the same multiple for every w.
 
-    Every v must lie in the root span.  It is written once as sum c_i a_i
-    over the simple roots, with c_i = (omega_i, v) for the fundamental
-    coweights omega_i; then w.v = sum c_i w(a_i), and w(a_i) is the root
-    that w's root permutation sends a_i to.  The sums run over integers:
-    the roots scaled by the common denominator of their entries, each
-    coefficient vector by the common denominator of its entries.
+    Every v must lie in the root span, so v = sum_i (omega_i, v) a_i and
+    w.v = sum_i (omega_i, v) w(a_i): `_combine` on v's `_coordinates`,
+    without the denominator.
     """
-    int_roots, root_den, simple = _integer_roots(system)
-    coweights = fundamental_coweights(system)
     combos = []
     for v in vectors:
         require_in_span(system, v)
-        coeffs = [dot(omega, v) for omega in coweights]
-        den = lcm(*(c.denominator for c in coeffs))
-        terms = [(i, int(c * den)) for i, c in enumerate(coeffs) if c]
-        combos.append((terms, den * root_den))
-    dim = system.ambient_dim
+        combos.append(_coordinates(system, v)[2])
 
-    def act(w: WeylElement) -> list[Vector]:
-        perm = w._perm
-        images = [int_roots[perm[s]] for s in simple]
-        out = []
-        for terms, den in combos:
-            acc = [0] * dim
-            for i, c in terms:
-                for k, x in enumerate(images[i]):
-                    acc[k] += c * x
-            out.append(tuple(Fraction(x, den) for x in acc))
-        return out
+    def act(w: WeylElement) -> list[list[int]]:
+        return [_combine(system, w._perm, terms) for terms in combos]
 
     return act
 
@@ -324,40 +331,43 @@ def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[Vec
 # ---------------------------------------------------------------------------
 # dominant representatives and the longest element
 
-def _cartan_data(system: RootSystem) -> tuple[cartan.CartanMatrix, tuple[Fraction, ...]]:
+def _cartan_data(system: RootSystem) -> cartan.CartanMatrix:
     """Integer Cartan matrix 2(a_i, a_j)/(a_j, a_j) of the explicit simple
-    roots, in their order, and the half-norms (a_i, a_i)/2."""
+    roots, in their order."""
     c = system._cache
     if "cartan" not in c:
         simples = system.simple_roots
-        half = tuple(dot(a, a) / 2 for a in simples)
         rows = []
         for a in simples:
             row = []
-            for b, h in zip(simples, half):
-                x = dot(a, b) / h
+            for b in simples:
+                x = 2 * dot(a, b) / dot(b, b)
                 if x.denominator != 1:
                     raise InternalInconsistency(
                         f"Cartan entry {x} of {system.label} is not an integer"
                     )
                 row.append(int(x))
             rows.append(tuple(row))
-        c["cartan"] = (tuple(rows), half)
+        c["cartan"] = tuple(rows)
     return c["cartan"]
 
 
 def dominant_representative(system: RootSystem, v: Vector) -> Vector:
     """The unique dominant vector in the orbit of v, found by repeatedly
     reflecting in the first simple root pairing negatively: the Cartan
-    core's dominant chain on the labels 2(v, a_i)/(a_i, a_i)."""
-    check_dimension(system, v)
-    matrix, half = _cartan_data(system)
-    labels = [dot(v, a) / h for a, h in zip(system.simple_roots, half)]
+    core's dominant chain on the labels 2(v, a_k)/(a_k, a_k), which are
+    sum_i (omega_i, v) a[i][k] up to the positive denominator."""
+    den, ints, terms = _coordinates(system, v)
+    matrix = _cartan_data(system)
+    labels = [0] * len(matrix)
+    for i, c in terms:
+        for k, x in enumerate(matrix[i]):
+            labels[k] += c * x
     _, _, shift = cartan.dominant_chain(matrix, labels, len(system.positive_roots))
-    for c, a in zip(shift, system.simple_roots):
-        if c:
-            v = vsub(v, vscale(c, a))
-    return v
+    if not any(shift):
+        return v
+    moved = _combine(system, _perm_data(system)[0], [(i, c) for i, c in enumerate(shift) if c])
+    return tuple(Fraction(x - y, den) for x, y in zip(ints, moved))
 
 
 def _w0(system: RootSystem) -> cartan.W0:
@@ -365,7 +375,7 @@ def _w0(system: RootSystem) -> cartan.W0:
     c = system._cache
     if "w0_core" not in c:
         length = sum(cartan.w0_length(letter, rank) for letter, rank in system.blocks)
-        c["w0_core"] = cartan.w0_of(_cartan_data(system)[0], length)
+        c["w0_core"] = cartan.w0_of(_cartan_data(system), length)
     return c["w0_core"]
 
 
@@ -394,7 +404,7 @@ def longest_element(system: RootSystem) -> WeylElement:
 def minus_w0(system: RootSystem) -> Matrix:
     """The involution -w0 as an exact matrix; it preserves the dominant
     chamber and permutes the simple roots."""
-    return mat_scale(Fraction(-1), longest_element(system).matrix)
+    return tuple(map(vneg, longest_element(system).matrix))
 
 
 def ahyp_dimension(system: RootSystem) -> int:
@@ -420,19 +430,8 @@ class FixedCone:
 
 def fundamental_coweights(system: RootSystem) -> tuple[Vector, ...]:
     """Vectors in the root span pairing as Kronecker delta with the simples."""
-    c = system._cache
-    if "coweights" not in c:
-        simples = system.simple_roots
-        gram = [[dot(a, b) for b in simples] for a in simples]
-        ginv = _invert(gram, "Gram matrix of the simple roots", system)
-        out = []
-        for i in range(len(simples)):
-            w = vector([0] * system.ambient_dim)
-            for j, a in enumerate(simples):
-                w = vadd(w, vscale(ginv[j][i], a))
-            out.append(w)
-        c["coweights"] = tuple(out)
-    return c["coweights"]
+    rows, e = _coweight_rows(system)
+    return tuple(tuple(Fraction(x, e) for x in row) for row in rows)
 
 
 def fixed_cone(system: RootSystem) -> FixedCone:

@@ -41,6 +41,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
+def mat_vec(m: Matrix, v: Vector) -> Vector:
+    return tuple(dot(row, v) for row in m)
+
+
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vadd(ra, rb) for ra, rb in zip(a, b))
 

@@ -32,7 +32,6 @@ from ckforms.criteria import (
 )
 from ckforms.linalg import (
     identity_matrix,
-    mat_vec,
     vadd,
     vector,
     vscale,
@@ -55,7 +54,7 @@ from ckforms.weyl import (
     minus_w0,
 )
 
-from helpers import FIXTURES, mat_mul, rand_fraction, random_span_vector
+from helpers import FIXTURES, mat_mul, mat_vec, rand_fraction, random_span_vector
 
 
 @contextmanager

@@ -92,6 +92,10 @@ def test_subspace_file_format():
     ("1/0", "has a zero denominator"),
     ("abc", "is not an integer or a rational p/q"),
     ("1/x", "is not an integer or a rational p/q"),
+    ("1e4000000", "is not an integer or a rational p/q"),
+    ("0.5", "is not an integer or a rational p/q"),
+    ("1_000", "is not an integer or a rational p/q"),
+    ("\u0663", "is not an integer or a rational p/q"),
 ])
 def test_subspace_bad_entry_names_line_and_token(entry, reason):
     text = f"# comment\n1 0 0 0 -1\n\n1 {entry} 0 0 -1\n"
@@ -241,21 +245,21 @@ def _recording_views(monkeypatch):
     return views
 
 
-def _counting_matrix_builds(monkeypatch):
-    built = []
-    build = weyl._matrix_from_simple_images
+def _counting_applies(monkeypatch):
+    applied = []
+    apply = weyl.WeylElement.apply
 
-    def counted(system, images):
-        built.append(images)
-        return build(system, images)
+    def counted(w, v):
+        applied.append(w)
+        return apply(w, v)
 
-    monkeypatch.setattr(weyl, "_matrix_from_simple_images", counted)
-    return built
+    monkeypatch.setattr(weyl.WeylElement, "apply", counted)
+    return applied
 
 
 def test_not_proper_scan_generates_up_to_the_offending_element(monkeypatch):
     views = _recording_views(monkeypatch)
-    built = _counting_matrix_builds(monkeypatch)
+    applied = _counting_applies(monkeypatch)
     a_h = Subspace(E6, (E6.simple_roots[0],))
     a_l = Subspace(E6, (E6.simple_roots[5],))
     r = check_proper_embedded(E6, a_h, a_l)
@@ -263,21 +267,36 @@ def test_not_proper_scan_generates_up_to_the_offending_element(monkeypatch):
     assert r.element.word == (2, 0, 3, 2, 4, 3, 5, 4)
     (view,) = views
     assert view.generated == r.w_index + 1 and len(view) == 51840
-    assert built == []
-    moved = r.element.apply(E6.simple_roots[5])   # builds its matrix
+    assert applied == []
+    moved = r.element.apply(E6.simple_roots[5])
     assert moved in (E6.simple_roots[0], vneg(E6.simple_roots[0]))
-    assert len(built) == 1
-    assert [i for i, w in enumerate(view[:view.generated]) if w._matrix is not None] \
-        == [r.w_index]
+    assert applied == [r.element]
 
 
 def test_proper_scan_visits_the_whole_group_without_matrices(monkeypatch):
     views = _recording_views(monkeypatch)
-    built = _counting_matrix_builds(monkeypatch)
+    applied = _counting_applies(monkeypatch)
     assert check_proper_embedded(A4, _load("a4_ah.vec", A4), _load("a4_al_clear.vec", A4)).proper
     (view,) = views
     assert view.generated == len(view) == 120
-    assert built == []
+    assert applied == []
+
+
+def test_scan_hands_integer_images_to_the_kernel(monkeypatch):
+    # the a_l images reach the elimination as ints, never as Fractions
+    seen = []
+    kernel = criteria.kernel_basis
+
+    def record(rows):
+        seen.append([x for row in rows for x in row[1:]])
+        return kernel(rows)
+
+    monkeypatch.setattr(criteria, "kernel_basis", record)
+    a_h = Subspace(E6, (E6.simple_roots[0],))
+    a_l = Subspace(E6, (E6.simple_roots[5], E6.simple_roots[3]))
+    r = check_proper_embedded(E6, a_h, a_l)
+    assert len(seen) == r.w_index + 1
+    assert all(type(x) is int for entries in seen for x in entries)
 
 
 _PROPERTY_SYSTEMS = {(t, n): build_root_system(t, n) for t, n in (("A", 3), ("B", 3), ("G", 2))}

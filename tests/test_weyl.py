@@ -1,13 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
+import ckforms
 from ckforms import cartan, weyl
 from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency, NotInSpan
-from ckforms.linalg import dot, identity_matrix, invert, kernel_basis, mat_vec, vector, vneg
+from ckforms.linalg import dot, identity_matrix, invert, kernel_basis, vector, vneg
 from ckforms.rootspace import build_root_system, direct_sum, is_dominant
 from ckforms.weyl import (
     WeylEnumeration,
@@ -22,7 +27,7 @@ from ckforms.weyl import (
     weyl_order,
 )
 
-from helpers import brute_dominant, mat_mul, random_span_vector, reflect, supported_types
+from helpers import brute_dominant, mat_mul, mat_vec, random_span_vector, reflect, supported_types
 
 
 def test_dominant_representative_examples():
@@ -370,10 +375,22 @@ def test_span_action_equals_matrix_action(letter, rank):
     rng = random.Random(7 + rank)
     vectors = [random_span_vector(s, rng) for _ in range(2)] + [s.simple_roots[-1]]
     act = span_action(s, vectors)
+    scales = [None] * len(vectors)
+
+    def check(images, expected):
+        # each image is an integer multiple t * w.v, t > 0 and the same for every w
+        for j, (u, x) in enumerate(zip(images, expected)):
+            assert all(type(y) is int for y in u)
+            k = next(k for k, y in enumerate(x) if y)
+            t = u[k] / x[k]
+            assert t > 0 and scales[j] in (None, t)
+            assert tuple(u) == tuple(t * y for y in x)
+            scales[j] = t
+
     for w in enumerate_weyl(s):
-        assert act(w) == [mat_vec(w.matrix, v) for v in vectors]
+        check(act(w), [mat_vec(w.matrix, v) for v in vectors])
     w0 = longest_element(s)   # composed from its chain, no enumeration
-    assert act(w0) == [w0.apply(v) for v in vectors]
+    check(act(w0), [w0.apply(v) for v in vectors])
 
 
 def test_span_action_rejects_vectors_off_the_span():
@@ -381,6 +398,29 @@ def test_span_action_rejects_vectors_off_the_span():
     a3 = build_root_system("A", 3)
     with pytest.raises(NotInSpan):
         span_action(a3, [a3.simple_roots[0], vector([1, 0, 0, 0])])
+
+
+def test_rho_check_survives_optimize():
+    # a w0 whose chain composes to the identity must fail the rho check,
+    # which runs through `apply`, also under python -O
+    code = (
+        "import sys\n"
+        "from ckforms import weyl\n"
+        "from ckforms.errors import InternalInconsistency\n"
+        "from ckforms.rootspace import build_root_system\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "weyl._compose = lambda outer, inner: outer\n"
+        "try:\n"
+        "    weyl.longest_element(build_root_system('A', 3))\n"
+        "except InternalInconsistency as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(ckforms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["optimize 1", "w0 of A3 does not negate rho"]
 
 
 def test_singular_internal_inverse_is_internal_inconsistency(monkeypatch):
@@ -472,7 +512,8 @@ def test_dominant_chain_matches_fraction_oracle(system):
     vectors = [random_span_vector(system, rng) for _ in range(4)]
     vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                       for _ in range(system.ambient_dim)) for _ in range(4)]
-    matrix, half = weyl._cartan_data(system)
+    matrix = weyl._cartan_data(system)
+    half = [dot(a, a) / 2 for a in system.simple_roots]
     for v in vectors:
         expected, word = _oracle_dominant_chain(system, v)
         labels = [dot(v, a) / h for a, h in zip(system.simple_roots, half)]
