@@ -18,8 +18,8 @@ nothing of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InternalInconsistency, UnsupportedSystem
 from .linalg import rank_of
@@ -131,8 +131,7 @@ def roots_of(cartan: CartanMatrix, count: int) -> list[tuple[int, ...]]:
     return roots
 
 
-@dataclass(frozen=True)
-class W0:
+class W0(NamedTuple):
     """w0 of the Weyl group of a Cartan matrix.
 
     `chain` is the reduced word of w0 (w0 = s_chain[0] ... s_chain[-1]) and

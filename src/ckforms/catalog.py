@@ -27,22 +27,15 @@ invariants coincide on isomorphic algebras.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import count
+from typing import NamedTuple
 
 from .cartan import cartan_matrix, w0_length, w0_of
 from .errors import InternalInconsistency, NotSemisimple, ParseError
 
 
-@dataclass(frozen=True)
-class SimpleRealForm:
-    """One noncompact simple real Lie algebra with its invariants.
-
-    The a-hyperbolic rank is derived, not stored: it is computed by
-    `ahyp_of` on first read and kept on the object, so scans that filter
-    forms by cheaper invariants never pay for it."""
-
+class _SimpleRealFormFields(NamedTuple):
     name: str
     family: str
     params: tuple[int, ...]
@@ -53,6 +46,14 @@ class SimpleRealForm:
     dim_p: int
     rank_maxcompact: int
     is_complex_as_real: bool
+
+
+class SimpleRealForm(_SimpleRealFormFields):
+    """One noncompact simple real Lie algebra with its invariants.
+
+    The a-hyperbolic rank is derived, not stored: it is computed by
+    `ahyp_of` on first read and kept on the object (outside the tuple), so
+    scans that filter forms by cheaper invariants never pay for it."""
 
     @property
     def real_rank(self) -> int:
@@ -67,15 +68,13 @@ class SimpleRealForm:
         return ahyp_of(self)
 
 
-@dataclass(frozen=True)
-class CompactPart:
+class CompactPart(NamedTuple):
     name: str
     dim: int
     rank: int
 
 
-@dataclass(frozen=True)
-class ReductiveDescriptor:
+class ReductiveDescriptor(NamedTuple):
     """Parsed reductive algebra: simple parts plus split/compact center."""
 
     text: str
@@ -85,8 +84,7 @@ class ReductiveDescriptor:
     compact_center_dim: int
 
 
-@dataclass(frozen=True)
-class DerivedInvariants:
+class DerivedInvariants(NamedTuple):
     rank_R: int
     ahyp: int
     d: int
@@ -521,8 +519,7 @@ TABLE1_FAMILIES = (
 TABLE1_EXCEPTIONALS = (("e6(6)", (4, 6)), ("e6(-26)", (1, 2)))
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     family: str
     k: int | None
     form: SimpleRealForm

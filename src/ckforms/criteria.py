@@ -11,13 +11,14 @@ caller's responsibility.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .catalog import ReductiveDescriptor, derived_invariants
 from .errors import DimensionMismatch, InternalInconsistency, ParseError
 from .linalg import (
     Vector,
+    integer_row,
     is_zero,
     kernel_basis,
     primitive,
@@ -40,25 +41,33 @@ OBSTRUCTION_FOUND = "ObstructionFound"
 NO_OBSTRUCTION = "NoObstruction"
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of the ambient space of a root system, inside the root span.
-
-    A reduced basis is computed once by exact elimination; `dim` is its size.
-    """
-
+class _SubspaceFields(NamedTuple):
     system: RootSystem
     spanning_vectors: tuple[Vector, ...]
-    basis: tuple[Vector, ...] = field(init=False, compare=False)
-    dim: int = field(init=False, compare=False)
 
-    def __post_init__(self):
-        for v in self.spanning_vectors:
-            check_dimension(self.system, v)
-            require_in_span(self.system, v)
-        basis = reduced_basis(self.spanning_vectors)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "dim", len(basis))
+
+class Subspace(_SubspaceFields):
+    """Subspace of the ambient space of a root system, inside the root span.
+
+    A reduced basis is computed once by exact elimination at construction;
+    `dim` is its size.  Both are read-only and left out of equality.
+    """
+
+    def __new__(cls, system: RootSystem, spanning_vectors: tuple[Vector, ...]):
+        for v in spanning_vectors:
+            check_dimension(system, v)
+            require_in_span(system, v)
+        self = super().__new__(cls, system, spanning_vectors)
+        self._basis = reduced_basis(spanning_vectors)
+        return self
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        return self._basis
+
+    @property
+    def dim(self) -> int:
+        return len(self._basis)
 
 
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -92,16 +101,14 @@ def subspace_from_text(text: str, system: RootSystem) -> Subspace:
     return Subspace(system=system, spanning_vectors=tuple(vectors))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     lhs: int
     rhs: int
     passed: bool
 
 
-@dataclass(frozen=True)
-class PropernessReport:
+class PropernessReport(NamedTuple):
     checks: tuple[Check, ...]
     overall: str
 
@@ -123,8 +130,7 @@ def necessary_conditions(
     return PropernessReport(checks=checks, overall=overall)
 
 
-@dataclass(frozen=True)
-class CocompactReport:
+class CocompactReport(NamedTuple):
     d_g: int
     d_h: int
     d_l: int
@@ -148,8 +154,7 @@ def cocompact_dimension_check(
     )
 
 
-@dataclass(frozen=True)
-class ProperCheck:
+class ProperCheck(NamedTuple):
     proper: bool
     w_index: int | None = None
     element: WeylElement | None = None
@@ -176,9 +181,10 @@ def check_proper_embedded(
 
     The group is generated lazily, so a NotProper scan stops generating at
     the offending element.  Elements act on a_l's basis through their root
-    permutation in integers (`span_action`); each image is a positive
-    multiple of w.b, which leaves the witness unchanged.  No element's
-    `apply` or matrix runs here.
+    permutation in integers (`span_action`) and a_h's basis is scaled to
+    integers once: each column is a positive multiple of its vector, which
+    leaves the pivots and the witness unchanged.  No element's `apply` or
+    matrix runs here.
     """
     for sub, name in ((a_h, "a_h"), (a_l, "a_l")):
         if sub.system != system_g:
@@ -188,13 +194,12 @@ def check_proper_embedded(
         return ProperCheck(proper=True)
     elements = enumerate_weyl(system_g, cap)
     move = span_action(system_g, a_l.basis)
+    h_cols = [integer_row(b) for b in a_h.basis]
     for idx, w in enumerate(elements):
-        rows = list(zip(*a_h.basis, *move(w)))
-        kernel = kernel_basis(rows)
+        kernel = kernel_basis(list(zip(*h_cols, *move(w))))
         if kernel:
-            coeffs = kernel[0]
             witness = zero_vector(system_g.ambient_dim)
-            for c, b in zip(coeffs[: a_h.dim], a_h.basis):
+            for c, b in zip(kernel[0], h_cols):
                 witness = vadd(witness, vscale(c, b))
             if is_zero(witness):
                 raise InternalInconsistency(f"zero witness at element {idx}")
@@ -203,8 +208,7 @@ def check_proper_embedded(
     return ProperCheck(proper=True)
 
 
-@dataclass(frozen=True)
-class AntipodalReport:
+class AntipodalReport(NamedTuple):
     antipodal: bool
     dominant_rep: Vector
 

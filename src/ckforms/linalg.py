@@ -63,7 +63,7 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def _integer_row(row) -> list[int]:
+def integer_row(row) -> list[int]:
     """The row times the common denominator of its entries (ints pass
     through: they too have `.numerator` and `.denominator`)."""
     den = lcm(*(x.denominator for x in row))
@@ -79,7 +79,7 @@ def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:
     the reduced row echelon form.  A row with a zero in the pivot column
     still has to be scaled by p / prev, so it is skipped only when p == prev.
     """
-    m = [_integer_row(r) for r in rows]
+    m = [integer_row(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
@@ -156,7 +156,7 @@ def primitive(v: Vector) -> Vector:
     """Scale v to a primitive integer vector with positive leading entry."""
     if is_zero(v):
         return v
-    ints = _integer_row(v)
+    ints = integer_row(v)
     g = gcd(*ints)
     if next(a for a in ints if a) < 0:
         g = -g

@@ -9,7 +9,7 @@ conditions, never proofs of embeddability, so it never claims existence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import (
     ReductiveDescriptor,
@@ -23,8 +23,7 @@ NO_STANDARD_FORM = "NoStandardForm"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class BudgetUse:
+class BudgetUse(NamedTuple):
     used: int
     limit: int
 
@@ -33,16 +32,14 @@ class BudgetUse:
         return self.used <= self.limit
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(NamedTuple):
     ahyp: BudgetUse
     rank: BudgetUse
     maxcompact: BudgetUse
     dim: BudgetUse
 
 
-@dataclass(frozen=True)
-class CandidateReport:
+class CandidateReport(NamedTuple):
     """One multiset of simple parts together with the d values it can reach.
 
     The interval is [sum of dim_p, same + c_max] where c_max is the split
@@ -54,8 +51,7 @@ class CandidateReport:
     budgets: Budgets
 
 
-@dataclass(frozen=True)
-class StandardFormVerdict:
+class StandardFormVerdict(NamedTuple):
     required_d: int
     verdict: str
     max_achievable: int

@@ -23,9 +23,9 @@ immutable, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .cartan import cartan_matrix, roots_of, w0_length
 from .errors import DimensionMismatch, InternalInconsistency, NotInSpan
@@ -37,10 +37,7 @@ Q = Fraction
 Block = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """A restricted root system in a fixed exact coordinate realization."""
-
+class _RootSystemFields(NamedTuple):
     label: str
     blocks: tuple[Block, ...]
     ambient_dim: int
@@ -48,7 +45,15 @@ class RootSystem:
     roots: tuple[Vector, ...]
     simple_roots: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+class RootSystem(_RootSystemFields):
+    """A restricted root system in a fixed exact coordinate realization;
+    `_cache` holds derived data outside the tuple, so == and hash ignore it."""
+
+    @cached_property
+    def _cache(self) -> dict:
+        return {}
 
     @property
     def type_letter(self) -> str | None:

@@ -21,10 +21,10 @@ supported system including E_8.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
+from typing import NamedTuple
 
 from . import cartan
 from .errors import CapExceeded, InternalInconsistency
@@ -420,8 +420,7 @@ def ahyp_dimension(system: RootSystem) -> int:
 # ---------------------------------------------------------------------------
 # the fixed cone
 
-@dataclass(frozen=True)
-class FixedCone:
+class FixedCone(NamedTuple):
     """Basis of the -w0 fixed subspace, chosen inside the dominant chamber."""
 
     b_basis: tuple[Vector, ...]

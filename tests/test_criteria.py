@@ -18,7 +18,15 @@ from ckforms.criteria import (
     subspace_from_text,
 )
 from ckforms.errors import CapExceeded, DimensionMismatch, NotInSpan, ParseError
-from ckforms.linalg import vadd, vector, vneg, vscale, zero_vector
+from ckforms.linalg import (
+    kernel_basis,
+    primitive,
+    vadd,
+    vector,
+    vneg,
+    vscale,
+    zero_vector,
+)
 from ckforms.rootspace import build_root_system, direct_sum
 
 from helpers import FIXTURES, rand_fraction
@@ -342,3 +350,55 @@ def test_verdict_survives_swap_and_respan(pair):
     assume(re_h.dim == a_h.dim and re_l.dim == a_l.dim)   # invertible recombinations
     assert check_proper_embedded(system, re_h, a_l).proper == verdict
     assert check_proper_embedded(system, a_h, re_l).proper == verdict
+
+
+# ---------------------------------------------------------------------------
+# a_h scaled to integer columns once, against the scan on its Fraction basis
+
+def _fraction_basis_scan(system, a_h, a_l):
+    """The embedded scan with a_h's Fraction basis handed to every
+    elimination: (w_index, word, witness) of the first offending element,
+    or None when the pair is Proper."""
+    move = weyl.span_action(system, a_l.basis)
+    for idx, w in enumerate(weyl.enumerate_weyl(system)):
+        kernel = kernel_basis(list(zip(*a_h.basis, *move(w))))
+        if kernel:
+            witness = zero_vector(system.ambient_dim)
+            for c, b in zip(kernel[0], a_h.basis):
+                witness = vadd(witness, vscale(c, b))
+            return idx, w.word, primitive(witness)
+    return None
+
+
+def _scan(system, a_h, a_l):
+    r = check_proper_embedded(system, a_h, a_l)
+    return None if r.proper else (r.w_index, r.element.word, r.witness)
+
+
+F4 = build_root_system("F", 4)
+_E6_HALVES = Subspace(E6, E6.simple_roots[:2])   # a basis with entries 1/2
+
+
+@pytest.mark.parametrize("system,h,l", [
+    (A4, "a4_ah.vec", "a4_al_meets.vec"),
+    (A4, "a4_ah.vec", "a4_al_clear.vec"),
+    (A4, "so23_in_sl5.vec", "a4_al_meets.vec"),
+    (A4, "a4_al_clear.vec", "so23_in_sl5.vec"),
+    (F4, "f4_h.vec", "f4_l.vec"),
+    (E6, "e6_ah.vec", "e6_al.vec"),
+    (E6, None, "e6_al.vec"),
+], ids=["A4-meets", "A4-clear", "A4-so23", "A4-clear-so23", "F4", "E6", "E6-halves"])
+def test_integer_columns_match_the_fraction_basis_scan(system, h, l):
+    a_h = _load(h, system) if h else _E6_HALVES
+    a_l = _load(l, system)
+    assert _scan(system, a_h, a_l) == _fraction_basis_scan(system, a_h, a_l)
+    assert _scan(system, a_l, a_h) == _fraction_basis_scan(system, a_l, a_h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs())
+def test_integer_columns_match_the_fraction_basis_scan_on_random_pairs(pair):
+    system, coords, _ = pair
+    a_h, a_l = (Subspace(system, tuple(_combine(system, c, system.simple_roots)))
+                for c in coords)
+    assert _scan(system, a_h, a_l) == _fraction_basis_scan(system, a_h, a_l)

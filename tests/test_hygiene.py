@@ -6,6 +6,9 @@ a dead import, helper or API behind."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,6 +115,32 @@ def test_rank_level_layers_import_no_realization(module):
     """The integer core and the rank-level layers on it never reach the
     explicit realization or the layers built on it."""
     assert _imported_modules(TREES[module]) & {"rootspace", "weyl", "criteria"} == set()
+
+
+# code-generating or source-reading modules: `dataclasses` pulls in `inspect`,
+# which pulls in `ast`, `dis` and `tokenize`, about a quarter of the start-up
+# of every CLI process
+SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_slow_standard_imports(module):
+    assert _imported_modules(TREES[module]) & set(SLOW_IMPORTS) == set()
+
+
+def test_cli_process_loads_no_slow_standard_modules():
+    """A fresh process that imports the CLI and answers a command loads
+    none of them (the record types are named tuples, not dataclasses)."""
+    code = (
+        "import sys, ckforms.cli\n"
+        "assert ckforms.cli.main(['info', 'e8(8)', '--json']) == 0\n"
+        f"print([m for m in {SLOW_IMPORTS!r} if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 FLOAT_MATH = {"sqrt", "log", "exp"}
