@@ -5,7 +5,9 @@ criterion for explicitly embedded split subspaces.
 The embedded checker trusts the caller that the two subspaces really are
 the (conjugated) maximally split abelian subspaces of the subgroups in
 question; producing those coordinates for an abstract embedding is the
-caller's responsibility.
+caller's responsibility.  Subspaces are read and witnesses reported in the
+ambient coordinates of the system's realization; the scan itself runs in
+simple-root coordinates.
 """
 
 from __future__ import annotations
@@ -16,18 +18,8 @@ from typing import NamedTuple
 
 from .catalog import ReductiveDescriptor, derived_invariants
 from .errors import DimensionMismatch, InternalInconsistency, ParseError
-from .linalg import (
-    Vector,
-    integer_row,
-    is_zero,
-    kernel_basis,
-    primitive,
-    reduced_basis,
-    vadd,
-    vscale,
-    zero_vector,
-)
-from .rootspace import RootSystem, check_dimension, require_in_span
+from .linalg import Vector, is_zero, kernel_basis, primitive, reduced_basis
+from .rootspace import RootSystem, require_in_span
 from .weyl import (
     DEFAULT_CAP,
     WeylElement,
@@ -35,6 +27,7 @@ from .weyl import (
     enumerate_weyl,
     is_antipodal,
     span_action,
+    to_ambient,
 )
 
 OBSTRUCTION_FOUND = "ObstructionFound"
@@ -55,7 +48,6 @@ class Subspace(_SubspaceFields):
 
     def __new__(cls, system: RootSystem, spanning_vectors: tuple[Vector, ...]):
         for v in spanning_vectors:
-            check_dimension(system, v)
             require_in_span(system, v)
         self = super().__new__(cls, system, spanning_vectors)
         self._basis = reduced_basis(spanning_vectors)
@@ -180,11 +172,13 @@ def check_proper_embedded(
     normalized to a primitive integer vector with positive leading entry.
 
     The group is generated lazily, so a NotProper scan stops generating at
-    the offending element.  Elements act on a_l's basis through their root
-    permutation in integers (`span_action`) and a_h's basis is scaled to
-    integers once: each column is a positive multiple of its vector, which
-    leaves the pivots and the witness unchanged.  No element's `apply` or
-    matrix runs here.
+    the offending element.  Both bases are stacked in integer simple-root
+    coordinates (`span_action`; a_h's once, at the identity), `rank` rows.
+    Each column is a positive multiple of its vector's coordinates, which
+    are injective on the root span: the pivots are those of the ambient
+    stack, and the witness mapped back by `to_ambient` differs from the
+    ambient one by a positive factor that `primitive` removes.  No
+    element's `apply` or matrix runs here.
     """
     for sub, name in ((a_h, "a_h"), (a_l, "a_l")):
         if sub.system != system_g:
@@ -194,13 +188,13 @@ def check_proper_embedded(
         return ProperCheck(proper=True)
     elements = enumerate_weyl(system_g, cap)
     move = span_action(system_g, a_l.basis)
-    h_cols = [integer_row(b) for b in a_h.basis]
+    h_cols = span_action(system_g, a_h.basis)(elements[0])
     for idx, w in enumerate(elements):
         kernel = kernel_basis(list(zip(*h_cols, *move(w))))
         if kernel:
-            witness = zero_vector(system_g.ambient_dim)
-            for c, b in zip(kernel[0], h_cols):
-                witness = vadd(witness, vscale(c, b))
+            coords = [sum(c * b[k] for c, b in zip(kernel[0], h_cols))
+                      for k in range(system_g.rank)]
+            witness = to_ambient(system_g, coords)
             if is_zero(witness):
                 raise InternalInconsistency(f"zero witness at element {idx}")
             return ProperCheck(proper=False, w_index=idx, element=w,

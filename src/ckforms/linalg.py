@@ -35,10 +35,6 @@ def vector(entries) -> Vector:
     return tuple(frac(e) for e in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
@@ -51,10 +47,6 @@ def vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
 
-def vscale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def is_zero(u: Vector) -> bool:
     return all(a == 0 for a in u)
 
@@ -63,11 +55,19 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def integer_row(row) -> list[int]:
-    """The row times the common denominator of its entries (ints pass
-    through: they too have `.numerator` and `.denominator`)."""
+def integer_row(row) -> tuple[list[int], int]:
+    """The row times the common denominator d of its entries, and d (ints
+    pass through: they too have `.numerator` and `.denominator`)."""
     den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The (non-empty) rows times one common denominator d of all their
+    entries, and d."""
+    flat, den = integer_row([x for r in rows for x in r])
+    n = len(rows[0])
+    return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), den
 
 
 def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:
@@ -79,7 +79,7 @@ def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:
     the reduced row echelon form.  A row with a zero in the pivot column
     still has to be scaled by p / prev, so it is skipped only when p == prev.
     """
-    m = [integer_row(r) for r in rows]
+    m = [integer_row(r)[0] for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
@@ -156,7 +156,7 @@ def primitive(v: Vector) -> Vector:
     """Scale v to a primitive integer vector with positive leading entry."""
     if is_zero(v):
         return v
-    ints = integer_row(v)
+    ints = integer_row(v)[0]
     g = gcd(*ints)
     if next(a for a in ints if a) < 0:
         g = -g

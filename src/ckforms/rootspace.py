@@ -15,7 +15,11 @@ docs/cli.md for the bit-exact statement):
 
 The roots follow from them through the integer Cartan core (`cartan`): the
 orbit of the simple roots under the simple reflections, mapped to ambient
-coordinates, plus twice each short root for BC_n.
+coordinates, plus twice each short root for BC_n.  A system keeps the
+core's integer Cartan matrix (`cartan`) and each root in simple-root
+coordinates (`root_coords`, aligned with `roots`), on which the Weyl layer
+runs.  The span and dominance tests pair a vector, scaled to integers,
+with integer rows of the span's complement and of the simple roots.
 
 All coordinates are exact rationals and every constructed system is
 immutable, so values can be shared freely across threads.
@@ -25,11 +29,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import NamedTuple
 
-from .cartan import cartan_matrix, roots_of, w0_length
+from .cartan import CartanMatrix, cartan_matrix, roots_of, w0_length
 from .errors import DimensionMismatch, InternalInconsistency, NotInSpan
-from .linalg import Vector, dot, kernel_basis
+from .linalg import Vector, integer_row, integer_rows, kernel_basis
 
 Q = Fraction
 
@@ -45,10 +50,13 @@ class _RootSystemFields(NamedTuple):
     roots: tuple[Vector, ...]
     simple_roots: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
+    cartan: CartanMatrix
+    root_coords: tuple[tuple[int, ...], ...]
 
 
 class RootSystem(_RootSystemFields):
-    """A restricted root system in a fixed exact coordinate realization;
+    """A restricted root system in a fixed exact coordinate realization,
+    with its integer Cartan matrix and its roots in simple-root coordinates;
     `_cache` holds derived data outside the tuple, so == and hash ignore it."""
 
     @cached_property
@@ -113,19 +121,19 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
         )
     sparse = [[(k, x) for k, x in enumerate(v) if x] for v in simples]
     dim = len(simples[0])
-    positive: dict[tuple[int, ...], bool] = {}   # root over den -> is positive
+    coords: dict[tuple[int, ...], tuple[int, ...]] = {}   # root over den -> b
     for b in roots_of(a, 2 * w0_length(type_letter, rank)):
         v = [0] * dim
         for c, terms in zip(b, sparse):
             if c:
                 for k, x in terms:
                     v[k] += c * x
-        positive[tuple(v)] = max(b) > 0
+        coords[tuple(v)] = b
     if type_letter == "BC":
-        short = min(sum(x * x for x in v) for v in positive)
-        positive.update({tuple(2 * x for x in v): p for v, p in list(positive.items())
-                         if sum(x * x for x in v) == short})
-    order = sorted(positive)
+        short = min(sum(x * x for x in v) for v in coords)
+        coords.update({tuple(2 * x for x in v): tuple(2 * c for c in b)
+                       for v, b in list(coords.items()) if sum(x * x for x in v) == short})
+    order = sorted(coords)
     frac = {x: Q(x, den) for x in set().union(*order)}
     roots = tuple(tuple(frac[x] for x in v) for v in order)
     return RootSystem(
@@ -135,38 +143,49 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
         rank=rank,
         roots=roots,
         simple_roots=tuple(tuple(frac[x] for x in v) for v in simples),
-        positive_roots=tuple(r for r, v in zip(roots, order) if positive[v]),
+        positive_roots=tuple(r for r, v in zip(roots, order) if max(coords[v]) > 0),
+        cartan=a,
+        root_coords=tuple(coords[v] for v in order),
     )
 
 
-def _embed(v: Vector, offset: int, total: int) -> Vector:
-    return (Q(0),) * offset + v + (Q(0),) * (total - offset - len(v))
+def _embed(v: tuple, offset: int, total: int, zero=Q(0)) -> tuple:
+    return (zero,) * offset + v + (zero,) * (total - offset - len(v))
 
 
 @lru_cache(maxsize=None)
 def direct_sum(*systems: RootSystem) -> RootSystem:
     """Formal direct sum: blocks embedded side by side in a common ambient
-    space, simple roots ordered block by block."""
+    space, simple roots ordered block by block, the Cartan matrix and the
+    simple-root coordinates assembled block-diagonally."""
     if len(systems) == 1:
         return systems[0]
     total = sum(s.ambient_dim for s in systems)
+    rank = sum(s.rank for s in systems)
     roots: list[Vector] = []
     simples: list[Vector] = []
     positives: list[Vector] = []
-    offset = 0
+    matrix: list[tuple[int, ...]] = []
+    coords: list[tuple[int, ...]] = []
+    offset = first = 0   # ambient and simple-root offsets of the block
     for s in systems:
         roots.extend(_embed(r, offset, total) for r in s.roots)
         simples.extend(_embed(r, offset, total) for r in s.simple_roots)
         positives.extend(_embed(r, offset, total) for r in s.positive_roots)
+        matrix.extend(_embed(row, first, rank, 0) for row in s.cartan)
+        coords.extend(_embed(b, first, rank, 0) for b in s.root_coords)
         offset += s.ambient_dim
+        first += s.rank
     return RootSystem(
         label="+".join(s.label for s in systems),
         blocks=tuple(b for s in systems for b in s.blocks),
         ambient_dim=total,
-        rank=sum(s.rank for s in systems),
+        rank=rank,
         roots=tuple(roots),
         simple_roots=tuple(simples),
         positive_roots=tuple(positives),
+        cartan=tuple(matrix),
+        root_coords=tuple(coords),
     )
 
 
@@ -178,25 +197,35 @@ def check_dimension(system: RootSystem, v: Vector) -> None:
         )
 
 
-def in_root_span(system: RootSystem, v: Vector) -> bool:
-    """Whether v is orthogonal to the complement of the root span (its
-    basis is computed once per system)."""
+def simple_root_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The simple roots as integer rows over one common denominator, and
+    that denominator (computed once per system)."""
+    c = system._cache
+    if "simple_rows" not in c:
+        c["simple_rows"] = integer_rows(system.simple_roots)
+    return c["simple_rows"]
+
+
+def require_in_span(system: RootSystem, v: Vector) -> list[int]:
+    """v scaled to integers (a positive multiple, so every sign and zero of
+    its pairings is kept); raises NotInSpan when it pairs nonzero with an
+    integer row of the complement of the root span (computed once per
+    system)."""
     check_dimension(system, v)
+    ints = integer_row(v)[0]
     c = system._cache
     if "complement" not in c:
-        c["complement"] = kernel_basis(system.simple_roots)
-    return not any(dot(v, u) for u in c["complement"])
-
-
-def require_in_span(system: RootSystem, v: Vector) -> None:
-    if not in_root_span(system, v):
+        c["complement"] = tuple(integer_row(u)[0] for u in kernel_basis(system.simple_roots))
+    if any(sum(map(mul, u, ints)) for u in c["complement"]):
         raise NotInSpan(
             f"vector {tuple(str(x) for x in v)} is not in the root span of "
             f"{system.label} (type-A blocks require coordinates summing to zero)"
         )
+    return ints
 
 
 def is_dominant(system: RootSystem, v: Vector) -> bool:
-    """Whether v pairs non-negatively with every simple (hence positive) root."""
-    require_in_span(system, v)
-    return all(dot(v, a) >= 0 for a in system.simple_roots)
+    """Whether v pairs non-negatively with every simple (hence positive)
+    root, in integers."""
+    ints = require_in_span(system, v)
+    return all(sum(map(mul, a, ints)) >= 0 for a in simple_root_rows(system)[0])

@@ -2,13 +2,16 @@
 representatives, the longest element, the involution -w0 and its fixed
 cone, the a-hyperbolic dimension, and the antipodal orbit test.
 
-Every element is stored as a permutation of the root list (the group acts
-faithfully on the roots).  It acts in integers through one conversion and
-one accumulation: `_coordinates` writes a vector over a denominator
-together with its pairings (omega_i, v) with the fundamental coweights, and
-`_combine` sums c_i w(a_i), reading each image w(a_i) of a simple root from
-the permutation.  `WeylElement.apply`, its matrix (the images of the unit
-vectors), `span_action` and `dominant_representative` all run on these two.
+The layer runs in simple-root coordinates.  Every element is stored as a
+permutation of the root list (the group acts faithfully on the roots),
+composed from the simple reflections on the system's `root_coords`, where
+s_i changes only coordinate i, by -sum_k b_k a[k][i].  It acts in integers
+through one conversion and one accumulation: `_coordinates` writes a
+vector over a denominator together with its pairings (omega_i, v) with the
+fundamental coweights, and `_combine` sums c_i w(a_i) in simple-root
+coordinates, reading each image w(a_i) from the permutation.  `span_action`
+returns those sums; only `WeylElement.apply`, its matrix and
+`dominant_representative` map them back, through `to_ambient`.
 Enumeration is breadth-first by word length with ties broken
 lexicographically by word, so indices are reproducible across runs; it is
 lazy, so a scan that stops early generates only the elements it read.
@@ -22,14 +25,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 from typing import NamedTuple
 
 from . import cartan
 from .errors import CapExceeded, InternalInconsistency
-from .linalg import Matrix, Vector, dot, identity_matrix, invert, vadd, vneg
-from .rootspace import RootSystem, check_dimension, require_in_span
+from .linalg import Matrix, Vector, identity_matrix, integer_row, integer_rows, invert, vadd, vneg
+from .rootspace import RootSystem, check_dimension, require_in_span, simple_root_rows
 
 DEFAULT_CAP = 10**6
 
@@ -56,43 +59,27 @@ def weyl_order(system: RootSystem) -> int:
 # ---------------------------------------------------------------------------
 # cached per-system data (each piece built only when first needed)
 
-def _integer_roots(system: RootSystem):
-    """The roots scaled by the common denominator of their entries, as
-    integer tuples; that denominator; and the root indices of the simple
-    roots."""
-    c = system._cache
-    if "int_roots" not in c:
-        den = lcm(*(x.denominator for r in system.roots for x in r))
-        roots = tuple(tuple(int(x * den) for x in r) for r in system.roots)
-        index = {r: i for i, r in enumerate(system.roots)}
-        c["int_roots"] = (roots, den, tuple(index[a] for a in system.simple_roots))
-    return c["int_roots"]
-
-
 def _perm_data(system: RootSystem):
     """Identity permutation and simple-reflection permutations of the root
-    list, from which every element's permutation is composed.  Computed on
-    the integer roots:
-    s_a(r) = r - <r, a^v> a with the Cartan integer <r, a^v> = 2(r, a)/(a, a)."""
+    list, from which every element's permutation is composed; and the root
+    indices of the simple roots.  Computed on `root_coords`: s_i changes
+    only coordinate i, by -sum_k b_k a[k][i].  A coordinate tuple missing
+    from the list raises InternalInconsistency."""
     c = system._cache
     if "perms" not in c:
-        roots, _, simple = _integer_roots(system)
-        index = {r: i for i, r in enumerate(roots)}
-        n = len(roots)
-        gens = []
-        for s in simple:
-            a = roots[s]
-            norm = sum(x * x for x in a)
-            images = []
-            for r in roots:
-                k, rem = divmod(2 * sum(x * y for x, y in zip(r, a)), norm)
-                if rem:
-                    raise InternalInconsistency(
-                        f"roots of {system.label} are not crystallographic"
-                    )
-                images.append(index[tuple(x - k * y for x, y in zip(r, a))])
-            gens.append(_make_perm(n, images))
-        c["perms"] = (_make_perm(n, range(n)), tuple(gens))
+        coords, rank, n = system.root_coords, system.rank, len(system.root_coords)
+        index = {b: i for i, b in enumerate(coords)}
+        try:
+            simple = tuple(index[tuple(int(k == i) for k in range(rank))] for i in range(rank))
+            gens = []
+            for i, col in enumerate(zip(*system.cartan)):   # col[k] = a[k][i]
+                images = [index[b[:i] + (b[i] - sum(map(mul, b, col)),) + b[i + 1:]]
+                          for b in coords]
+                gens.append(_make_perm(n, images))
+        except KeyError as missing:
+            raise InternalInconsistency(f"{missing} is not a root of {system.label} "
+                                        f"in simple-root coordinates") from None
+        c["perms"] = (_make_perm(n, range(n)), tuple(gens), simple)
     return c["perms"]
 
 
@@ -125,44 +112,54 @@ def _coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int
     omega_i in the root span) as integer rows over one denominator E."""
     c = system._cache
     if "coweights" not in c:
-        roots, den, simple = _integer_roots(system)
-        simples = [roots[s] for s in simple]
+        simples, den = simple_root_rows(system)
         gram = [[sum(map(mul, a, b)) for b in simples] for a in simples]
         ginv = _invert(gram, "Gram matrix of the simple roots", system)
-        # ginv inverts the Gram matrix of the integer roots den * a_j, which
+        # ginv inverts the Gram matrix of the integer simple roots den * a_j, which
         # is den^2 times that of the a_j: omega_i = den * sum_j ginv[j][i] (den * a_j)
         omegas = [[den * sum(ginv[j][i] * a[k] for j, a in enumerate(simples))
                    for k in range(system.ambient_dim)] for i in range(len(simples))]
-        e = lcm(*(x.denominator for w in omegas for x in w))
-        c["coweights"] = (tuple(tuple(int(x * e) for x in w) for w in omegas), e)
+        c["coweights"] = integer_rows(omegas)
     return c["coweights"]
 
 
 def _coordinates(system: RootSystem, v: Vector) -> tuple[int, list[int], list[tuple[int, int]]]:
     """v as integers over a denominator D, and the nonzero terms (i, c_i) of
-    its pairings with the coweights, scaled so that sum_i c_i a_i over the
-    integer roots (`_combine`), divided by D, is the projection of v onto
-    the root span: c_i / D = (omega_i, v) / den, with den the denominator of
-    the integer roots."""
+    its pairings with the coweights, scaled so that `to_ambient` of the
+    simple-root coordinates c, divided by D, is the projection of v onto the
+    root span: c_i / D = (omega_i, v) / den, with den the denominator of the
+    integer simple roots."""
     check_dimension(system, v)
     rows, e = _coweight_rows(system)
-    d = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (d // x.denominator) for x in v]
+    ints, d = integer_row(v)
     terms = [(i, c) for i, row in enumerate(rows) if (c := sum(map(mul, row, ints)))]
-    scale = e * _integer_roots(system)[1]
+    scale = e * simple_root_rows(system)[1]
     return d * scale, [x * scale for x in ints], terms
 
 
-def _combine(system: RootSystem, perm, terms) -> list[int]:
-    """sum c_i w(a_i) on the integer roots, for the terms (i, c_i) and the
-    element w with root permutation `perm`."""
-    roots, _, simple = _integer_roots(system)
-    acc = [0] * system.ambient_dim
-    for i, c in terms:
-        for k, x in enumerate(roots[perm[simple[i]]]):
-            if x:
-                acc[k] += c * x
+def _sum_rows(pairs, width: int) -> list:
+    """sum c * row over the pairs (c, row), in `width` entries."""
+    acc = [0] * width
+    for c, row in pairs:
+        if c:
+            for k, x in enumerate(row):
+                if x:
+                    acc[k] += c * x
     return acc
+
+
+def _combine(system: RootSystem, perm, terms) -> list[int]:
+    """sum c_i w(a_i) in simple-root coordinates, for the terms (i, c_i) and
+    the element w with root permutation `perm`."""
+    coords, simple = system.root_coords, _perm_data(system)[2]
+    return _sum_rows([(c, coords[perm[simple[i]]]) for i, c in terms], system.rank)
+
+
+def to_ambient(system: RootSystem, coords) -> list:
+    """sum_j b_j (den a_j) for simple-root coordinates b, over the integer
+    simple roots den a_j (`rootspace.simple_root_rows`): den times the
+    ambient vector sum_j b_j a_j."""
+    return _sum_rows(zip(coords, simple_root_rows(system)[0]), system.ambient_dim)
 
 
 class WeylElement:
@@ -193,11 +190,12 @@ class WeylElement:
         system = self.system
         den, ints, terms = _coordinates(system, v)
         moved = _combine(system, self._perm, terms)
-        span_part = _combine(system, _perm_data(system)[0], terms)
-        return tuple(Fraction(x + y - z, den) for x, y, z in zip(ints, moved, span_part))
+        for i, c in terms:
+            moved[i] -= c
+        return tuple(Fraction(x + y, den) for x, y in zip(ints, to_ambient(system, moved)))
 
     def root_permutation(self) -> tuple[int, ...]:
-        return tuple(self._perm[: len(self.system.roots)])
+        return tuple(self._perm[: len(self.system.root_coords)])
 
     def is_identity(self) -> bool:
         return self._perm == _perm_data(self.system)[0]
@@ -229,7 +227,7 @@ class WeylEnumeration(Sequence):
     def __init__(self, system: RootSystem, order: int):
         self.system = system
         self._order = order
-        ident, self._gens = _perm_data(system)
+        ident, self._gens, _ = _perm_data(system)
         self._elements = [WeylElement(system, (), ident)]
         self._seen: set | None = {ident}   # None once generation is complete
         self._next = (0, 0)                # (parent index, simple reflection)
@@ -310,8 +308,9 @@ def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> WeylEnumeratio
 
 
 def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[list[int]]]:
-    """Map a group element w to integer images of the vectors: for each v,
-    a positive multiple of w.v, the same multiple for every w.
+    """Map a group element w to the images of the vectors in integer
+    simple-root coordinates: for each v, a positive multiple of the
+    coordinates (omega_i, w.v), the same multiple for every w.
 
     Every v must lie in the root span, so v = sum_i (omega_i, v) a_i and
     w.v = sum_i (omega_i, v) w(a_i): `_combine` on v's `_coordinates`,
@@ -331,43 +330,19 @@ def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[lis
 # ---------------------------------------------------------------------------
 # dominant representatives and the longest element
 
-def _cartan_data(system: RootSystem) -> cartan.CartanMatrix:
-    """Integer Cartan matrix 2(a_i, a_j)/(a_j, a_j) of the explicit simple
-    roots, in their order."""
-    c = system._cache
-    if "cartan" not in c:
-        simples = system.simple_roots
-        rows = []
-        for a in simples:
-            row = []
-            for b in simples:
-                x = 2 * dot(a, b) / dot(b, b)
-                if x.denominator != 1:
-                    raise InternalInconsistency(
-                        f"Cartan entry {x} of {system.label} is not an integer"
-                    )
-                row.append(int(x))
-            rows.append(tuple(row))
-        c["cartan"] = tuple(rows)
-    return c["cartan"]
-
-
 def dominant_representative(system: RootSystem, v: Vector) -> Vector:
     """The unique dominant vector in the orbit of v, found by repeatedly
     reflecting in the first simple root pairing negatively: the Cartan
     core's dominant chain on the labels 2(v, a_k)/(a_k, a_k), which are
     sum_i (omega_i, v) a[i][k] up to the positive denominator."""
     den, ints, terms = _coordinates(system, v)
-    matrix = _cartan_data(system)
-    labels = [0] * len(matrix)
-    for i, c in terms:
-        for k, x in enumerate(matrix[i]):
-            labels[k] += c * x
-    _, _, shift = cartan.dominant_chain(matrix, labels, len(system.positive_roots))
+    matrix = system.cartan
+    labels = _sum_rows([(c, matrix[i]) for i, c in terms], system.rank)
+    # the chain is at most as long as there are positive roots
+    _, _, shift = cartan.dominant_chain(matrix, labels, len(system.root_coords) // 2)
     if not any(shift):
         return v
-    moved = _combine(system, _perm_data(system)[0], [(i, c) for i, c in enumerate(shift) if c])
-    return tuple(Fraction(x - y, den) for x, y in zip(ints, moved))
+    return tuple(Fraction(x - y, den) for x, y in zip(ints, to_ambient(system, shift)))
 
 
 def _w0(system: RootSystem) -> cartan.W0:
@@ -375,7 +350,7 @@ def _w0(system: RootSystem) -> cartan.W0:
     c = system._cache
     if "w0_core" not in c:
         length = sum(cartan.w0_length(letter, rank) for letter, rank in system.blocks)
-        c["w0_core"] = cartan.w0_of(_cartan_data(system), length)
+        c["w0_core"] = cartan.w0_of(system.cartan, length)
     return c["w0_core"]
 
 
@@ -390,7 +365,7 @@ def longest_element(system: RootSystem) -> WeylElement:
     c = system._cache
     if "w0" not in c:
         chain = _w0(system).chain
-        perm, gens = _perm_data(system)
+        perm, gens, _ = _perm_data(system)
         for i in chain:
             perm = _compose(perm, gens[i])
         w0 = WeylElement(system, chain, perm)
@@ -451,5 +426,4 @@ def fixed_cone(system: RootSystem) -> FixedCone:
 def is_antipodal(system: RootSystem, v: Vector) -> bool:
     """Whether the orbit of v contains -v (equivalently, whether the
     dominant representative of v lies in the fixed cone)."""
-    check_dimension(system, v)
     return dominant_representative(system, v) == dominant_representative(system, vneg(v))

@@ -9,8 +9,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from ckforms.catalog import FAMILY_ORDER, SimpleRealForm
-from ckforms.linalg import Matrix, Vector, dot, solve, vadd, vector, vscale, zero_vector
-from ckforms.rootspace import RootSystem, is_dominant
+from ckforms.errors import NotInSpan
+from ckforms.linalg import Matrix, Vector, dot, solve, vadd, vector
+from ckforms.rootspace import RootSystem, is_dominant, require_in_span
 from ckforms.weyl import enumerate_weyl
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -30,6 +31,23 @@ def supported_types(max_rank: int) -> list[tuple[str, int]]:
 def form_order_key(form: SimpleRealForm) -> tuple:
     """Canonical catalog order: family as in FAMILY_ORDER, then parameters."""
     return (FAMILY_ORDER.index(form.family), form.params)
+
+
+def zero_vector(n: int) -> Vector:
+    return (Fraction(0),) * n
+
+
+def vscale(c: Fraction, u: Vector) -> Vector:
+    return tuple(c * a for a in u)
+
+
+def in_root_span(system: RootSystem, v: Vector) -> bool:
+    """The root-span test of `require_in_span`, as a predicate."""
+    try:
+        require_in_span(system, v)
+    except NotInSpan:
+        return False
+    return True
 
 
 def transpose(m: Matrix) -> Matrix:

@@ -34,8 +34,6 @@ from ckforms.linalg import (
     identity_matrix,
     vadd,
     vector,
-    vscale,
-    zero_vector,
 )
 from ckforms.obstruction import (
     INCONCLUSIVE,
@@ -54,7 +52,15 @@ from ckforms.weyl import (
     minus_w0,
 )
 
-from helpers import FIXTURES, mat_mul, mat_vec, rand_fraction, random_span_vector
+from helpers import (
+    FIXTURES,
+    mat_mul,
+    mat_vec,
+    rand_fraction,
+    random_span_vector,
+    vscale,
+    zero_vector,
+)
 
 
 @contextmanager

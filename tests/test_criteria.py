@@ -24,12 +24,10 @@ from ckforms.linalg import (
     vadd,
     vector,
     vneg,
-    vscale,
-    zero_vector,
 )
 from ckforms.rootspace import build_root_system, direct_sum
 
-from helpers import FIXTURES, rand_fraction
+from helpers import FIXTURES, rand_fraction, vscale, zero_vector
 
 A4 = build_root_system("A", 4)
 
@@ -353,15 +351,16 @@ def test_verdict_survives_swap_and_respan(pair):
 
 
 # ---------------------------------------------------------------------------
-# a_h scaled to integer columns once, against the scan on its Fraction basis
+# the scan on integer simple-root coordinates, against the scan on the
+# Fraction bases in ambient coordinates
 
 def _fraction_basis_scan(system, a_h, a_l):
-    """The embedded scan with a_h's Fraction basis handed to every
-    elimination: (w_index, word, witness) of the first offending element,
-    or None when the pair is Proper."""
-    move = weyl.span_action(system, a_l.basis)
+    """The embedded scan with a_h's Fraction basis and the ambient images
+    w.v of a_l's (by `apply`) handed to every elimination: (w_index, word,
+    witness) of the first offending element, or None when the pair is
+    Proper."""
     for idx, w in enumerate(weyl.enumerate_weyl(system)):
-        kernel = kernel_basis(list(zip(*a_h.basis, *move(w))))
+        kernel = kernel_basis(list(zip(*a_h.basis, *(w.apply(v) for v in a_l.basis))))
         if kernel:
             witness = zero_vector(system.ambient_dim)
             for c, b in zip(kernel[0], a_h.basis):

@@ -1,8 +1,9 @@
 """Golden corpus: the `--json` report of every CLI example in README.md and
 docs/cli.md, one `info` call whose descriptor touches every term kind of
-the grammar, and two embedded NotProper reports (F4, and E6 with a matrix
-of quarters), compared byte for byte with the files in tests/golden/, on
-cold caches and again on warm ones.
+the grammar, three more embedded NotProper reports (F4, BC3 with its
+doubled roots, and E6 with a matrix of quarters) and one embedded Proper
+report from a full scan of A4's group, compared byte for byte with the
+files in tests/golden/, on cold caches and again on warm ones.
 
 Re-record (only when a report is meant to change):
     PYTHONPATH=src python tests/test_golden.py
@@ -35,6 +36,12 @@ CASES = {
     "check-proper-embedded": ["check-proper", "--system", "A,4",
                               "--ah", "tests/fixtures/a4_ah.vec",
                               "--al", "tests/fixtures/a4_al_meets.vec"],
+    "check-proper-embedded-a4-proper": ["check-proper", "--system", "A,4",
+                                        "--ah", "tests/fixtures/a4_ah.vec",
+                                        "--al", "tests/fixtures/a4_al_clear.vec"],
+    "check-proper-embedded-bc3": ["check-proper", "--system", "BC,3",
+                                  "--ah", "tests/fixtures/bc3_h.vec",
+                                  "--al", "tests/fixtures/bc3_l.vec"],
     "check-proper-embedded-f4": ["check-proper", "--system", "F,4",
                                  "--ah", "tests/fixtures/f4_h.vec",
                                  "--al", "tests/fixtures/f4_l.vec"],

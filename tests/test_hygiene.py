@@ -117,6 +117,15 @@ def test_rank_level_layers_import_no_realization(module):
     assert _imported_modules(TREES[module]) & {"rootspace", "weyl", "criteria"} == set()
 
 
+@pytest.mark.parametrize("module", sorted(m for m in TREES if m != "rootspace"))
+def test_only_rootspace_reads_the_ambient_root_lists(module):
+    """The Weyl layer and everything above it run on the Cartan matrix and
+    the simple-root coordinates; the ambient root lists stay in rootspace."""
+    reads = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(TREES[module])
+             if isinstance(node, ast.Attribute) and node.attr in ("roots", "positive_roots")]
+    assert reads == []
+
+
 # code-generating or source-reading modules: `dataclasses` pulls in `inspect`,
 # which pulls in `ast`, `dis` and `tokenize`, about a quarter of the start-up
 # of every CLI process

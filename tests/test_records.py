@@ -27,7 +27,9 @@ from ckforms.criteria import (
 )
 from ckforms.linalg import vector
 from ckforms.obstruction import standard_form_verdict
-from ckforms.rootspace import build_root_system, in_root_span
+from ckforms.rootspace import build_root_system
+
+from helpers import in_root_span
 
 A4 = build_root_system("A", 4)
 
@@ -69,7 +71,7 @@ def _instances():
         "StandardFormVerdict": (verdict, ("required_d", "verdict", "max_achievable",
                                           "witnesses", "top_candidates")),
         "RootSystem": (A4, ("label", "blocks", "ambient_dim", "rank", "roots",
-                            "simple_roots", "positive_roots")),
+                            "simple_roots", "positive_roots", "cartan", "root_coords")),
         "FixedCone": (weyl.fixed_cone(A4), ("b_basis", "system")),
     }
 

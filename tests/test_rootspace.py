@@ -15,12 +15,18 @@ from ckforms.linalg import dot, kernel_basis, rank_of, solve, vector, vneg
 from ckforms.rootspace import (
     build_root_system,
     direct_sum,
-    in_root_span,
     is_dominant,
 )
 from ckforms.weyl import enumerate_weyl
 
-from helpers import random_span_vector, reflect, rref, strictly_dominant_seed, supported_types
+from helpers import (
+    in_root_span,
+    random_span_vector,
+    reflect,
+    rref,
+    strictly_dominant_seed,
+    supported_types,
+)
 
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -338,6 +344,35 @@ def test_generated_roots_match_per_type_enumeration(blocks):
     assert list(s.simple_roots) == simples
     assert list(s.positive_roots) == positives
     assert s.blocks == blocks
+
+
+# ---------------------------------------------------------------------------
+# the Cartan matrix and simple-root coordinates a system carries, against
+# the ambient realization
+
+@pytest.mark.parametrize("blocks", GENERATED_CASES,
+                         ids=lambda b: "+".join(f"{t}{n}" for t, n in b))
+def test_cartan_matrix_matches_the_simple_roots(blocks):
+    s = direct_sum(*(build_root_system(t, n) for t, n in blocks))
+    expected = tuple(tuple(2 * dot(a, b) / dot(b, b) for b in s.simple_roots)
+                     for a in s.simple_roots)
+    assert s.cartan == expected
+    assert all(type(x) is int for row in s.cartan for x in row)
+
+
+@pytest.mark.parametrize("blocks", GENERATED_CASES,
+                         ids=lambda b: "+".join(f"{t}{n}" for t, n in b))
+def test_root_coords_recombine_to_the_roots(blocks):
+    s = direct_sum(*(build_root_system(t, n) for t, n in blocks))
+    assert len(s.root_coords) == len(s.roots)
+    for r, b in zip(s.roots, s.root_coords):
+        assert len(b) == s.rank and all(type(x) is int for x in b)
+        v = [Fraction(0)] * s.ambient_dim
+        for c, a in zip(b, s.simple_roots):
+            v = [x + c * y for x, y in zip(v, a)]
+        assert tuple(v) == r
+    nonnegative = {r for r, b in zip(s.roots, s.root_coords) if min(b) >= 0}
+    assert nonnegative == set(s.positive_roots)
 
 
 @pytest.mark.parametrize("letter,rank", [("B", 3), ("C", 4)])

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from operator import itemgetter
 from pathlib import Path
 
@@ -375,16 +375,19 @@ def test_span_action_equals_matrix_action(letter, rank):
     rng = random.Random(7 + rank)
     vectors = [random_span_vector(s, rng) for _ in range(2)] + [s.simple_roots[-1]]
     act = span_action(s, vectors)
+    coweights = weyl.fundamental_coweights(s)
     scales = [None] * len(vectors)
 
-    def check(images, expected):
-        # each image is an integer multiple t * w.v, t > 0 and the same for every w
-        for j, (u, x) in enumerate(zip(images, expected)):
-            assert all(type(y) is int for y in u)
-            k = next(k for k, y in enumerate(x) if y)
-            t = u[k] / x[k]
+    def check(images, moved):
+        # each image is t times the simple-root coordinates (omega_i, w.v),
+        # in integers, t > 0 and the same for every w
+        for j, (u, x) in enumerate(zip(images, moved)):
+            assert len(u) == s.rank and all(type(y) is int for y in u)
+            coords = [dot(omega, x) for omega in coweights]
+            k = next(k for k, y in enumerate(coords) if y)
+            t = u[k] / coords[k]
             assert t > 0 and scales[j] in (None, t)
-            assert tuple(u) == tuple(t * y for y in x)
+            assert tuple(u) == tuple(t * y for y in coords)
             scales[j] = t
 
     for w in enumerate_weyl(s):
@@ -437,8 +440,8 @@ def test_singular_internal_inverse_is_internal_inconsistency(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# differential tests: the constructions the coweight matrix and the Cartan
-# chain replaced, kept here as oracles
+# differential tests: the constructions the coweight matrix, the Cartan
+# chain and the simple-root coordinates replaced, kept here as oracles
 
 def _supported(max_rank):
     return [build_root_system(t, n) for t, n in supported_types(max_rank)]
@@ -468,6 +471,64 @@ def _oracle_matrices(system):
         return mat_mul(_columns_matrix(images + complement), inv)
 
     return matrix
+
+
+def _oracle_reflections(system):
+    """Root indices of the simple roots and the simple-reflection
+    permutations by the ambient construction: the roots scaled to integers,
+    s_a(r) = r - <r, a^v> a with <r, a^v> = 2(r, a)/(a, a) from integer dot
+    products, which must divide evenly."""
+    den = lcm(*(x.denominator for r in system.roots for x in r))
+    roots = [tuple(int(x * den) for x in r) for r in system.roots]
+    index = {r: i for i, r in enumerate(roots)}
+    simple = tuple(system.roots.index(a) for a in system.simple_roots)
+    gens = []
+    for s in simple:
+        a = roots[s]
+        norm = sum(x * x for x in a)
+        images = []
+        for r in roots:
+            k, rem = divmod(2 * sum(x * y for x, y in zip(r, a)), norm)
+            assert rem == 0, system.label
+            images.append(index[tuple(x - k * y for x, y in zip(r, a))])
+        gens.append(tuple(images))
+    return simple, gens
+
+
+@pytest.mark.parametrize("system", _supported(10) + [A2G2, B2A1], ids=lambda s: s.label)
+def test_reflections_on_root_coords_match_ambient_oracle(system):
+    ident, gens, simple = weyl._perm_data(system)
+    n = len(system.roots)
+    assert tuple(ident[:n]) == tuple(range(n))
+    assert (simple, [tuple(g[:n]) for g in gens]) == _oracle_reflections(system)
+
+
+def test_corrupted_root_coords_are_an_internal_inconsistency_under_optimize():
+    # a root whose coordinates were doubled is missing as the image of the
+    # roots that reflect onto it: an InternalInconsistency, not a KeyError
+    code = (
+        "import sys\n"
+        "from ckforms import weyl\n"
+        "from ckforms.errors import InternalInconsistency\n"
+        "from ckforms.rootspace import build_root_system\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "s = build_root_system('B', 3)\n"
+        "coords = list(s.root_coords)\n"
+        "i = next(i for i, b in enumerate(coords) if sum(map(abs, b)) > 1)\n"
+        "coords[i] = tuple(2 * x for x in coords[i])\n"
+        "try:\n"
+        "    weyl.enumerate_weyl(s._replace(root_coords=tuple(coords)))[1]\n"
+        "except InternalInconsistency as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(ckforms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].endswith("is not a root of B3 in simple-root coordinates")
 
 
 @pytest.mark.parametrize("system", [build_root_system("A", 4), build_root_system("B", 3),
@@ -512,7 +573,7 @@ def test_dominant_chain_matches_fraction_oracle(system):
     vectors = [random_span_vector(system, rng) for _ in range(4)]
     vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                       for _ in range(system.ambient_dim)) for _ in range(4)]
-    matrix = weyl._cartan_data(system)
+    matrix = system.cartan
     half = [dot(a, a) / 2 for a in system.simple_roots]
     for v in vectors:
         expected, word = _oracle_dominant_chain(system, v)
