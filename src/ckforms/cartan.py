@@ -19,10 +19,10 @@ nothing of it.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import InternalInconsistency, UnsupportedSystem
-from .linalg import rank_of
 
 CartanMatrix = tuple[tuple[int, ...], ...]
 
@@ -55,6 +55,7 @@ def _validate(type_letter: str, rank: int) -> None:
         )
 
 
+@lru_cache(maxsize=None)
 def cartan_matrix(type_letter: str, rank: int) -> CartanMatrix:
     """Closed-form Cartan matrix of a supported (type, rank), with the
     simple roots in the order docs/cli.md numbers them.  BC_n has the Weyl
@@ -164,27 +165,36 @@ def orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
 def dominant_chain(cartan: CartanMatrix, labels, limit: int):
     """Reflect Dynkin labels into the dominant chamber.
 
-    Reflects in the first simple root whose label is negative until none
-    is: s_i adds -labels[i] * alpha_i to the vector, which moves label k by
-    -labels[i] * a[i][k].  Returns the final labels, the word of
-    reflections taken (in order) and, for each i, the multiple of alpha_i
-    subtracted in total, so the dominant vector is v - sum shift_i alpha_i.
-    Raises InternalInconsistency when more than `limit` reflections would
-    be needed.
+    Reflects in the smallest index whose label is negative until none is:
+    s_i adds -labels[i] * alpha_i to the vector, which moves label k by
+    -labels[i] * a[i][k].  The negative indices wait in a min-heap (an entry
+    whose label has turned non-negative is dropped when popped) and s_i
+    reads only the nonzero entries of row i, so a step costs O(deg + log n).
+    Returns the final labels, the word of reflections taken (in order) and,
+    for each i, the multiple of alpha_i subtracted in total, so the dominant
+    vector is v - sum shift_i alpha_i.  Raises InternalInconsistency when
+    more than `limit` reflections would be needed.
     """
+    rows = [[(k, x) for k, x in enumerate(row) if x] for row in cartan]
     labels = list(labels)
     shift = [0] * len(labels)
     word: list[int] = []
-    while (i := next((i for i, x in enumerate(labels) if x < 0), None)) is not None:
+    heap = [i for i, x in enumerate(labels) if x < 0]   # ascending, so a heap
+    while heap:
+        i = heappop(heap)
+        c = labels[i]
+        if c >= 0:
+            continue
         if len(word) == limit:
             raise InternalInconsistency(
                 f"dominant chain on Cartan matrix {cartan} did not stop within "
                 f"{limit} reflections"
             )
-        c = labels[i]
-        for k, x in enumerate(cartan[i]):
-            if x:
-                labels[k] -= c * x
+        for k, x in rows[i]:
+            old = labels[k]
+            labels[k] = old - c * x
+            if labels[k] < 0 <= old:
+                heappush(heap, k)
         shift[i] += c
         word.append(i)
     return labels, tuple(word), shift
@@ -195,45 +205,34 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
     """w0 of a Cartan matrix whose Weyl group has a longest element of the
     given length (`w0_length`, summed over the irreducible blocks).
 
-    The dominant chain from -rho = (-1, ..., -1) in Dynkin labels spells
-    w0.  Raises InternalInconsistency when the chain does not stop within
-    `length` reflections, does not end at rho or has the wrong length, when
-    -w0 does not permute the simple roots, or when the kernel rank of w0 + 1
-    differs from the number of orbits of that permutation.
+    Along a dominant chain the signs of the labels depend only on the
+    element reached, so every strictly dominant lambda gives the word of
+    the chain from -rho (Humphreys, sections 1.6-1.8).  One chain from
+    -lambda, lambda = (1, 2, ..., n) in Dynkin labels, therefore spells w0
+    and ends at -w0(lambda), whose label k is lambda at -w0(alpha_k): the
+    permutation -w0 on the simple roots is labels[k] - 1.  Raises
+    InternalInconsistency when the chain does not stop within `length`
+    reflections or has another length, when its final labels are not a
+    permutation of lambda, when that permutation does not preserve the
+    Cartan matrix, or when the chain, run backwards on sum_j (j+1) alpha_j
+    in simple-root coordinates, does not give -sum_j (j+1) alpha_sigma(j).
     """
     n = len(cartan)
-    cols = _columns(cartan)
-    labels, chain, _ = dominant_chain(cartan, [-1] * n, length)
-    if labels != [1] * n:
-        raise InternalInconsistency(f"dominant chain ends at {labels}, not at rho")
+    labels, chain, _ = dominant_chain(cartan, range(-1, -n - 1, -1), length)
     if len(chain) != length:
-        raise InternalInconsistency(
-            f"longest element has length {len(chain)}, expected {length}"
-        )
-
-    images = []
-    for j in range(n):
-        b = [0] * n
-        b[j] = 1
-        for i in reversed(chain):
-            b[i] -= sum(b[k] * x for k, x in cols[i])
-        images.append(tuple(b))
-
-    perm = []
-    for j, b in enumerate(images):
-        support = [k for k, x in enumerate(b) if x]
-        if len(support) != 1 or b[support[0]] != -1:
-            raise InternalInconsistency(
-                f"-w0 maps simple root {j} to {tuple(-x for x in b)}, not a simple root"
-            )
-        perm.append(support[0])
-
-    w0_plus_1 = [[images[j][i] + (i == j) for j in range(n)] for i in range(n)]
-    by_kernel = n - rank_of(w0_plus_1)
-    by_orbits = len(orbits(tuple(perm)))
-    if by_kernel != by_orbits:
-        raise InternalInconsistency(
-            f"fixed-space dimension disagreement on Cartan matrix {cartan}: "
-            f"kernel {by_kernel} vs simple-root orbits {by_orbits}"
-        )
-    return W0(chain, tuple(perm), by_kernel)
+        raise InternalInconsistency(f"longest element has length {len(chain)}, expected {length}")
+    if sorted(labels) != list(range(1, n + 1)):
+        raise InternalInconsistency(f"dominant chain ends at {labels}, not at a permutation "
+                                    f"of 1..{n}")
+    sigma = tuple(x - 1 for x in labels)
+    if any(cartan[sigma[i]][sigma[j]] != x
+           for i, row in enumerate(cartan) for j, x in enumerate(row)):
+        raise InternalInconsistency(f"-w0 = {sigma} does not preserve the Cartan matrix {cartan}")
+    cols = _columns(cartan)
+    b = list(range(1, n + 1))
+    for i in reversed(chain):
+        b[i] -= sum(b[k] * x for k, x in cols[i])
+    if any(b[s] != -j for j, s in enumerate(sigma, 1)):
+        raise InternalInconsistency(f"w0 maps sum_j (j+1) alpha_j to {b}, not to "
+                                    f"-sum_j (j+1) alpha_sigma(j) with sigma = {sigma}")
+    return W0(chain, sigma, len(orbits(sigma)))

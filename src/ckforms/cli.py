@@ -15,8 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import catalog, criteria, obstruction
+from . import catalog, obstruction
 from .errors import (
+    DEFAULT_CAP,
     CapExceeded,
     DimensionMismatch,
     InternalInconsistency,
@@ -26,8 +27,6 @@ from .errors import (
     SpaceObstruction,
     UnsupportedSystem,
 )
-from .rootspace import build_root_system
-from .weyl import DEFAULT_CAP
 
 _USAGE_ERRORS = (
     ParseError, NotSemisimple, UnsupportedSystem, DimensionMismatch,
@@ -176,6 +175,8 @@ def _render_table1(report) -> str:
 
 
 def _parse_system(text: str):
+    from .rootspace import build_root_system
+
     try:
         letter, rank = text.split(",")
         rank = int(rank)
@@ -187,18 +188,24 @@ def _parse_system(text: str):
     return build_root_system(letter.strip(), rank)
 
 
-def _read_subspace(path: str, system) -> criteria.Subspace:
+def _read_subspace(path: str, system):
+    from .criteria import subspace_from_text
+
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not a UTF-8 text file") from None
     try:
-        return criteria.subspace_from_text(text, system)
+        return subspace_from_text(text, system)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
 def cmd_check_proper(args) -> dict:
+    # criteria and rootspace (imported here and in the two helpers above)
+    # load only for this command: the rank-level commands never import them
+    from . import criteria
+
     if args.system:
         if not (args.ah and args.al) or len(args.descriptors) != 0:
             raise ParseError("embedded mode needs --system with --ah and --al and "

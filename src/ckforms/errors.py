@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default Weyl
+enumeration cap that `CapExceeded` reports against."""
 
 
 class CkformsError(Exception):
@@ -15,6 +16,10 @@ class DimensionMismatch(CkformsError):
 
 class NotInSpan(CkformsError):
     """Vector lies outside the span of the roots of the system."""
+
+
+# the Weyl enumeration cap when the caller names none
+DEFAULT_CAP = 10**6
 
 
 class CapExceeded(CkformsError):

@@ -72,14 +72,14 @@ def integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968) of the rows, each first scaled to integers.
+    1968) of the rows, each scaled to integers unless it is all ints already.
 
     Returns (rows, pivot columns, d): every division by the previous pivot
     is exact, every pivot ends equal to the last one, d, and rows / d is
     the reduced row echelon form.  A row with a zero in the pivot column
     still has to be scaled by p / prev, so it is skipped only when p == prev.
     """
-    m = [integer_row(r)[0] for r in rows]
+    m = [list(r) if all(type(x) is int for x in r) else integer_row(r)[0] for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []

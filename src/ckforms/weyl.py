@@ -30,11 +30,9 @@ from operator import mul
 from typing import NamedTuple
 
 from . import cartan
-from .errors import CapExceeded, InternalInconsistency
+from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
 from .linalg import Matrix, Vector, identity_matrix, integer_row, integer_rows, invert, vadd, vneg
 from .rootspace import RootSystem, check_dimension, require_in_span, simple_root_rows
-
-DEFAULT_CAP = 10**6
 
 _ORDERS = {
     "A": lambda n: factorial(n + 1),
@@ -130,11 +128,16 @@ def _coordinates(system: RootSystem, v: Vector) -> tuple[int, list[int], list[tu
     root span: c_i / D = (omega_i, v) / den, with den the denominator of the
     integer simple roots."""
     check_dimension(system, v)
-    rows, e = _coweight_rows(system)
     ints, d = integer_row(v)
-    terms = [(i, c) for i, row in enumerate(rows) if (c := sum(map(mul, row, ints)))]
-    scale = e * simple_root_rows(system)[1]
-    return d * scale, [x * scale for x in ints], terms
+    scale = _coweight_rows(system)[1] * simple_root_rows(system)[1]
+    return d * scale, [x * scale for x in ints], _terms(system, ints)
+
+
+def _terms(system: RootSystem, ints) -> list[tuple[int, int]]:
+    """The nonzero pairings (i, c_i) of an integer vector with the integer
+    coweight rows."""
+    rows = _coweight_rows(system)[0]
+    return [(i, c) for i, row in enumerate(rows) if (c := sum(map(mul, row, ints)))]
 
 
 def _sum_rows(pairs, width: int) -> list:
@@ -313,13 +316,11 @@ def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[lis
     coordinates (omega_i, w.v), the same multiple for every w.
 
     Every v must lie in the root span, so v = sum_i (omega_i, v) a_i and
-    w.v = sum_i (omega_i, v) w(a_i): `_combine` on v's `_coordinates`,
-    without the denominator.
+    w.v = sum_i (omega_i, v) w(a_i): `_combine` on the coweight pairings
+    (`_terms`) of the integers `require_in_span` scales v to, so each v is
+    checked and scaled once.
     """
-    combos = []
-    for v in vectors:
-        require_in_span(system, v)
-        combos.append(_coordinates(system, v)[2])
+    combos = [_terms(system, require_in_span(system, v)) for v in vectors]
 
     def act(w: WeylElement) -> list[list[int]]:
         return [_combine(system, w._perm, terms) for terms in combos]

@@ -1,8 +1,12 @@
-"""The integer Cartan core against the explicit Fraction realization.
+"""The integer Cartan core against the explicit Fraction realization and
+against its own earlier algorithm.
 
-The oracle below is the explicit path the core replaced: the dominant chain
-on -rho over the realized simple roots, the exact w0 matrix composed from
-reflections, and the a-hyperbolic rank as the kernel rank of w0 + 1.
+The first oracle below is the explicit path the core replaced: the dominant
+chain on -rho over the realized simple roots, the exact w0 matrix composed
+from reflections, and the a-hyperbolic rank as the kernel rank of w0 + 1.
+The second is the core's earlier integer path: the dominant chain that
+rescans every label, every simple root pushed through the chain from -rho,
+and the same kernel rank.
 """
 
 import os
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 
 import ckforms
 from ckforms import catalog, obstruction
-from ckforms.cartan import cartan_matrix, roots_of, w0_length, w0_of
+from ckforms.cartan import cartan_matrix, dominant_chain, orbits, roots_of, w0_length, w0_of
 from ckforms.errors import InternalInconsistency
 from ckforms.linalg import dot, identity_matrix, rank_of, vneg
 from ckforms.rootspace import build_root_system, direct_sum
@@ -97,6 +101,78 @@ def test_core_matches_explicit_oracle(blocks):
     by_kernel = s.ambient_dim - rank_of(mat_add(m, identity_matrix(s.ambient_dim)))
     assert ahyp_dimension(s) == core.ahyp == by_kernel
     assert len(fixed_cone(s).b_basis) == by_kernel
+
+
+def _linear_chain(matrix, labels, limit):
+    """The dominant chain by a rescan of every label for the first negative
+    one and a walk of the dense row: the chain before the heap."""
+    labels = list(labels)
+    shift = [0] * len(labels)
+    word = []
+    while (i := next((i for i, x in enumerate(labels) if x < 0), None)) is not None:
+        assert len(word) < limit
+        c = labels[i]
+        for k, x in enumerate(matrix[i]):
+            labels[k] -= c * x
+        shift[i] += c
+        word.append(i)
+    return labels, tuple(word), shift
+
+
+def _image_loop_w0(matrix, length):
+    """w0 as the core computed it before one chain gave -w0: the chain from
+    -rho, each simple root pushed through it, and the a-hyperbolic rank as
+    the kernel rank of w0 + 1, checked against the orbits of -w0."""
+    n = len(matrix)
+    labels, chain, _ = _linear_chain(matrix, [-1] * n, length)
+    assert labels == [1] * n and len(chain) == length
+    images = []
+    for j in range(n):
+        b = [int(k == j) for k in range(n)]
+        for i in reversed(chain):
+            b[i] -= sum(b[k] * matrix[k][i] for k in range(n))
+        images.append(b)
+    perm = []
+    for b in images:
+        (k,) = [k for k, x in enumerate(b) if x]
+        assert b[k] == -1
+        perm.append(k)
+    ahyp = n - rank_of([[images[j][i] + (i == j) for j in range(n)] for i in range(n)])
+    assert ahyp == len(orbits(tuple(perm)))
+    return chain, tuple(perm), ahyp
+
+
+IMAGE_LOOP_CASES = (
+    [(("A", n),) for n in range(1, 40)]
+    + [((t, n),) for t in ("B", "C") for n in range(2, 30)]
+    + [(("D", n),) for n in range(3, 30)]
+    + [((t, n),) for t, n in (("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8))]
+    + [(("A", 2), ("G", 2)), (("B", 2), ("A", 1))]
+)
+
+
+@pytest.mark.parametrize("blocks", IMAGE_LOOP_CASES,
+                         ids=lambda b: "+".join(f"{t}{n}" for t, n in b))
+def test_one_chain_matches_image_loop(blocks):
+    matrix = _block_diagonal([cartan_matrix(t, n) for t, n in blocks])
+    length = sum(w0_length(t, n) for t, n in blocks)
+    core = w0_of(matrix, length)
+    assert (core.chain, core.minus_w0, core.ahyp) == _image_loop_w0(matrix, length)
+
+
+_BLOCKS = st.lists(st.sampled_from(supported_types(8)), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_heap_chain_matches_linear_scan(data):
+    blocks = data.draw(_BLOCKS)
+    matrix = _block_diagonal([cartan_matrix(t, n) for t, n in blocks])
+    labels = data.draw(st.lists(st.integers(-20, 20), min_size=len(matrix),
+                                max_size=len(matrix)))
+    # any chain in a finite Weyl group is at most as long as w0
+    limit = sum(w0_length(t, n) for t, n in blocks)
+    assert dominant_chain(matrix, labels, limit) == _linear_chain(matrix, labels, limit)
 
 
 def _minus_w0_rule(letter, n):
@@ -180,6 +256,44 @@ def test_core_checks_survive_optimize():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n")[:2] == ["optimize 1", "raised"]
+
+
+def test_corrupted_chain_is_caught_under_optimize():
+    # each corruption of the chain's word or final labels trips one check
+    code = (
+        "from ckforms import cartan\n"
+        "from ckforms.errors import InternalInconsistency\n"
+        "real = cartan.dominant_chain\n"
+        "def swap_ends(labels):\n"
+        "    return [labels[-1]] + labels[1:-1] + [labels[0]]\n"
+        "cases = [\n"
+        "    ('A', 3, lambda labels, word: (labels, word[:-1])),\n"
+        "    ('A', 3, lambda labels, word: (labels[:-1] + [labels[-1] + 1], word)),\n"
+        "    ('B', 3, lambda labels, word: (swap_ends(labels), word)),\n"
+        "    ('A', 3, lambda labels, word: (labels, word[1:] + word[:1])),\n"
+        "]\n"
+        "for letter, n, corrupt in cases:\n"
+        "    def chain(matrix, labels, limit, corrupt=corrupt):\n"
+        "        labels, word, shift = real(matrix, labels, limit)\n"
+        "        return (*corrupt(labels, word), shift)\n"
+        "    cartan.dominant_chain = chain\n"
+        "    try:\n"
+        "        cartan.w0_of(cartan.cartan_matrix(letter, n), cartan.w0_length(letter, n))\n"
+        "        print('not raised')\n"
+        "    except InternalInconsistency as exc:\n"
+        "        print(str(exc)[:30])\n"
+    )
+    src = str(Path(ckforms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "longest element has length 5, ",
+        "dominant chain ends at [3, 2, ",
+        "-w0 = (2, 1, 0) does not prese",
+        "w0 maps sum_j (j+1) alpha_j to",
+    ]
 
 
 def test_integer_rank_matches_rational_rank():

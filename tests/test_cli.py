@@ -5,7 +5,7 @@ import jsonschema
 
 import pytest
 
-from ckforms import catalog, cli, weyl
+from ckforms import catalog, rootspace, weyl
 from ckforms.cli import main
 from ckforms.rootspace import build_root_system
 from ckforms.errors import InternalInconsistency
@@ -168,7 +168,7 @@ def test_system_rank_limit_exit_2(capsys, monkeypatch, system, limited):
     def unbuilt(letter, rank):
         raise InternalInconsistency(f"{letter}{rank} built")
 
-    monkeypatch.setattr(cli, "build_root_system", unbuilt)
+    monkeypatch.setattr(rootspace, "build_root_system", unbuilt)
     fixture = str(FIXTURES / "a4_ah.vec")
     assert main(["check-proper", "--system", system, "--ah", fixture, "--al", fixture]) == (
         2 if limited else 4)

@@ -2,8 +2,10 @@
 docs/cli.md, one `info` call whose descriptor touches every term kind of
 the grammar, three more embedded NotProper reports (F4, BC3 with its
 doubled roots, and E6 with a matrix of quarters) and one embedded Proper
-report from a full scan of A4's group, compared byte for byte with the
-files in tests/golden/, on cold caches and again on warm ones.
+report from a full scan of A4's group, and two large-rank rank-level reports
+(`table1 63`, the largest KMAX accepted, and `standard-form` on rank-128
+`sl(129,R)`), compared byte for byte with the files in tests/golden/, on
+cold caches and again on warm ones.
 
 Re-record (only when a report is meant to change):
     PYTHONPATH=src python tests/test_golden.py
@@ -50,6 +52,8 @@ CASES = {
                                  "--al", "tests/fixtures/e6_al.vec"],
     "standard-form-sl11R-so47": ["standard-form", "sl(11,R)", "so(4,7)"],
     "standard-form-sl9R-so36": ["standard-form", "sl(9,R)", "so(3,6)"],
+    "table1-63": ["table1", "63"],
+    "standard-form-sl129R-so6465": ["standard-form", "sl(129,R)", "so(64,65)"],
 }
 
 

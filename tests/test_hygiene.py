@@ -113,8 +113,9 @@ def _imported_modules(tree) -> set[str]:
 @pytest.mark.parametrize("module", ["cartan", "catalog", "obstruction"])
 def test_rank_level_layers_import_no_realization(module):
     """The integer core and the rank-level layers on it never reach the
-    explicit realization or the layers built on it."""
-    assert _imported_modules(TREES[module]) & {"rootspace", "weyl", "criteria"} == set()
+    rational linear algebra, the explicit realization or the layers built
+    on it."""
+    assert _imported_modules(TREES[module]) & {"linalg", "rootspace", "weyl", "criteria"} == set()
 
 
 @pytest.mark.parametrize("module", sorted(m for m in TREES if m != "rootspace"))
@@ -173,3 +174,37 @@ def test_no_floating_point(module):
               and isinstance(node.value, ast.Name) and node.value.id == "math"):
             found.append(f"line {node.lineno}: uses math.{node.attr}")
     assert found == []
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The modules a fresh process has loaded after running the code."""
+    code += "\nprint(sorted(sys.modules))\n"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def test_bare_import_loads_no_submodule():
+    assert [m for m in _loaded_after("import ckforms") if m.startswith("ckforms.")] == []
+
+
+def test_rank_level_commands_load_only_the_cartan_core():
+    """`info`, `table1` and `standard-form` run on the integer Cartan core:
+    neither the rational linear algebra (nor `fractions` and the `decimal`
+    it imports) nor the explicit realization and the layers on it load."""
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from ckforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['info', 'sl(7,R)+so(2,3)']) == 0\n"
+        "    assert main(['table1', '2']) == 0\n"
+        "    assert main(['standard-form', 'sl(9,R)', 'so(3,6)']) == 0\n"
+    )
+    forbidden = {"fractions", "decimal", "ckforms.linalg", "ckforms.rootspace",
+                 "ckforms.weyl", "ckforms.criteria"}
+    assert forbidden & set(loaded) == set()
+    assert [m for m in loaded if m.startswith("ckforms.")] == [
+        "ckforms.cartan", "ckforms.catalog", "ckforms.cli", "ckforms.errors",
+        "ckforms.obstruction"]
