@@ -18,9 +18,9 @@ nothing of it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import NamedTuple
 
 from .errors import InternalInconsistency, UnsupportedSystem
 
@@ -132,17 +132,16 @@ def roots_of(cartan: CartanMatrix, count: int) -> list[tuple[int, ...]]:
     return roots
 
 
-class W0(NamedTuple):
+class W0(namedtuple("W0", "chain minus_w0 ahyp")):
     """w0 of the Weyl group of a Cartan matrix.
 
-    `chain` is the reduced word of w0 (w0 = s_chain[0] ... s_chain[-1]) and
-    `minus_w0` is the permutation with -w0(alpha_j) = alpha_minus_w0[j].
-    `ahyp` is the dimension of the fixed space of -w0.
+    `chain` (tuple of int) is the reduced word of w0
+    (w0 = s_chain[0] ... s_chain[-1]) and `minus_w0` (tuple of int) is the
+    permutation with -w0(alpha_j) = alpha_minus_w0[j].  `ahyp` (int) is the
+    dimension of the fixed space of -w0.
     """
 
-    chain: tuple[int, ...]
-    minus_w0: tuple[int, ...]
-    ahyp: int
+    __slots__ = ()
 
 
 def orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -214,8 +213,10 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
     InternalInconsistency when the chain does not stop within `length`
     reflections or has another length, when its final labels are not a
     permutation of lambda, when that permutation does not preserve the
-    Cartan matrix, or when the chain, run backwards on sum_j (j+1) alpha_j
-    in simple-root coordinates, does not give -sum_j (j+1) alpha_sigma(j).
+    Cartan matrix, or when the chain, run backwards on its final labels,
+    does not return to -lambda.  -lambda is regular, so only w0 maps the
+    final labels to it, and a word of the right length that does is a
+    reduced word of w0.
     """
     n = len(cartan)
     labels, chain, _ = dominant_chain(cartan, range(-1, -n - 1, -1), length)
@@ -228,11 +229,13 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
     if any(cartan[sigma[i]][sigma[j]] != x
            for i, row in enumerate(cartan) for j, x in enumerate(row)):
         raise InternalInconsistency(f"-w0 = {sigma} does not preserve the Cartan matrix {cartan}")
-    cols = _columns(cartan)
-    b = list(range(1, n + 1))
+    rows = [[(k, x) for k, x in enumerate(row) if x] for row in cartan]
+    back = list(labels)
     for i in reversed(chain):
-        b[i] -= sum(b[k] * x for k, x in cols[i])
-    if any(b[s] != -j for j, s in enumerate(sigma, 1)):
-        raise InternalInconsistency(f"w0 maps sum_j (j+1) alpha_j to {b}, not to "
-                                    f"-sum_j (j+1) alpha_sigma(j) with sigma = {sigma}")
+        c = back[i]
+        for k, x in rows[i]:
+            back[k] -= c * x
+    if back != list(range(-1, -n - 1, -1)):
+        raise InternalInconsistency(f"the chain run backwards maps {labels} to {back}, "
+                                    f"not to -(1, ..., {n})")
     return W0(chain, sigma, len(orbits(sigma)))

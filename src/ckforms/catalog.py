@@ -27,29 +27,21 @@ invariants coincide on isomorphic algebras.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import cached_property, partial
 from itertools import count
-from typing import NamedTuple
 
 from .cartan import cartan_matrix, w0_length, w0_of
-from .errors import InternalInconsistency, NotSemisimple, ParseError
+from .errors import MAX_RESTRICTED_RANK, InternalInconsistency, NotSemisimple, ParseError
 
 
-class _SimpleRealFormFields(NamedTuple):
-    name: str
-    family: str
-    params: tuple[int, ...]
-    restricted_type: str
-    restricted_rank: int
-    dim_g: int
-    dim_k: int
-    dim_p: int
-    rank_maxcompact: int
-    is_complex_as_real: bool
-
-
-class SimpleRealForm(_SimpleRealFormFields):
-    """One noncompact simple real Lie algebra with its invariants.
+class SimpleRealForm(namedtuple("SimpleRealForm", "name family params restricted_type "
+                                "restricted_rank dim_g dim_k dim_p rank_maxcompact "
+                                "is_complex_as_real")):
+    """One noncompact simple real Lie algebra with its invariants: `name`,
+    `family` and `restricted_type` (str), `params` (tuple of int),
+    `restricted_rank`, `dim_g`, `dim_k`, `dim_p` and `rank_maxcompact`
+    (int), `is_complex_as_real` (bool).
 
     The a-hyperbolic rank is derived, not stored: it is computed by
     `ahyp_of` on first read and kept on the object (outside the tuple), so
@@ -68,27 +60,21 @@ class SimpleRealForm(_SimpleRealFormFields):
         return ahyp_of(self)
 
 
-class CompactPart(NamedTuple):
-    name: str
-    dim: int
-    rank: int
+CompactPart = namedtuple("CompactPart", "name dim rank")
 
 
-class ReductiveDescriptor(NamedTuple):
-    """Parsed reductive algebra: simple parts plus split/compact center."""
+class ReductiveDescriptor(namedtuple("ReductiveDescriptor", "text noncompact_parts "
+                                     "compact_parts split_center_dim compact_center_dim")):
+    """Parsed reductive algebra: simple parts plus split/compact center.
 
-    text: str
-    noncompact_parts: tuple[SimpleRealForm, ...]
-    compact_parts: tuple[CompactPart, ...]
-    split_center_dim: int
-    compact_center_dim: int
+    `text` (str), `noncompact_parts` (tuple of SimpleRealForm),
+    `compact_parts` (tuple of CompactPart), `split_center_dim` and
+    `compact_center_dim` (int)."""
+
+    __slots__ = ()
 
 
-class DerivedInvariants(NamedTuple):
-    rank_R: int
-    ahyp: int
-    d: int
-    rank_maxcompact_sum: int
+DerivedInvariants = namedtuple("DerivedInvariants", "rank_R ahyp d rank_maxcompact_sum")
 
 
 def _normalize_rank1(rtype: str, rrank: int) -> tuple[str, int]:
@@ -313,13 +299,6 @@ def compact_part(name: str, n: int | None = None) -> CompactPart:
 
 _ALIASES = {"e6(I)": "e6(6)", "e6(IV)": "e6(-26)"}
 
-# Largest restricted rank a descriptor may name.  The Cartan core's cost
-# grows about as the cube of the rank, so a mistyped sl(100000,R) is
-# refused before anything is computed.  Checked on parsing, not in the
-# builders: the catalog scans treat a builder's ParseError as a gap and
-# would never stop.
-MAX_RESTRICTED_RANK = 128
-
 _RE_SPLIT_CENTER = re.compile(r"^R\^(\d+)$")
 _RE_COMPACT_CENTER = re.compile(r"^u\(1\)\^(\d+)$")
 _RE_COMPACT = re.compile(r"^(su|so|sp)\((\d+)\)$")
@@ -344,6 +323,8 @@ def _parse_term(term, noncompact, compact, center):
     for _, pattern, build in _FAMILIES:
         if (m := pattern.match(term)):
             form = build(*map(_int, m.groups()))
+            # checked here, not in the builders: the catalog scans treat a
+            # builder's ParseError as a gap and would never stop
             if form.restricted_rank > MAX_RESTRICTED_RANK:
                 raise ParseError(f"{form.name} has restricted rank {form.restricted_rank}, "
                                  f"above the limit {MAX_RESTRICTED_RANK}")
@@ -519,12 +500,7 @@ TABLE1_FAMILIES = (
 TABLE1_EXCEPTIONALS = (("e6(6)", (4, 6)), ("e6(-26)", (1, 2)))
 
 
-class Table1Row(NamedTuple):
-    family: str
-    k: int | None
-    form: SimpleRealForm
-    expected_ahyp: int
-    expected_rank: int
+Table1Row = namedtuple("Table1Row", "family k form expected_ahyp expected_rank")
 
 
 def table1_rows(k_max: int) -> list[Table1Row]:

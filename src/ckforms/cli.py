@@ -15,9 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import catalog, obstruction
 from .errors import (
     DEFAULT_CAP,
+    MAX_RESTRICTED_RANK,
     CapExceeded,
     DimensionMismatch,
     InternalInconsistency,
@@ -42,7 +42,7 @@ def _fmt_matrix(m) -> list[list[str]]:
     return [[str(x) for x in row] for row in m]
 
 
-def _attr_payload(form: catalog.SimpleRealForm) -> dict:
+def _attr_payload(form) -> dict:
     return {
         "name": form.name,
         "restricted_system": form.restricted_label,
@@ -55,7 +55,7 @@ def _attr_payload(form: catalog.SimpleRealForm) -> dict:
     }
 
 
-def _candidate_payload(c: obstruction.CandidateReport) -> dict:
+def _candidate_payload(c) -> dict:
     return {
         "parts": [p.name for p in c.derived_parts],
         "d_interval": list(c.d_interval),
@@ -72,9 +72,11 @@ def _candidate_payload(c: obstruction.CandidateReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each imports the layers it runs, so a process loads only those
 
 def cmd_info(args) -> dict:
+    from . import catalog
+
     desc = catalog.parse_descriptor(args.algebra)
     parts = [_attr_payload(p) for p in desc.noncompact_parts]
     totals = catalog.derived_invariants(desc)
@@ -125,9 +127,11 @@ def _render_info(report) -> str:
 
 
 def cmd_table1(args) -> dict:
-    if 2 * args.kmax + 1 > catalog.MAX_RESTRICTED_RANK:
+    from . import catalog
+
+    if 2 * args.kmax + 1 > MAX_RESTRICTED_RANK:
         raise ParseError(f"kmax {args.kmax} would tabulate restricted rank "
-                         f"{2 * args.kmax + 1}, above the limit {catalog.MAX_RESTRICTED_RANK}")
+                         f"{2 * args.kmax + 1}, above the limit {MAX_RESTRICTED_RANK}")
     rows = catalog.table1_rows(args.kmax)
     scan_rank = min(2 * args.kmax + 1, 8)
     extras = catalog.completeness_mismatches(scan_rank)
@@ -182,9 +186,9 @@ def _parse_system(text: str):
         rank = int(rank)
     except ValueError as exc:
         raise ParseError(f"bad --system designation {text!r}; expected TYPE,RANK") from exc
-    if rank > catalog.MAX_RESTRICTED_RANK:
+    if rank > MAX_RESTRICTED_RANK:
         raise ParseError(f"--system {text!r} has rank {rank}, above the limit "
-                         f"{catalog.MAX_RESTRICTED_RANK}")
+                         f"{MAX_RESTRICTED_RANK}")
     return build_root_system(letter.strip(), rank)
 
 
@@ -202,8 +206,6 @@ def _read_subspace(path: str, system):
 
 
 def cmd_check_proper(args) -> dict:
-    # criteria and rootspace (imported here and in the two helpers above)
-    # load only for this command: the rank-level commands never import them
     from . import criteria
 
     if args.system:
@@ -234,6 +236,8 @@ def cmd_check_proper(args) -> dict:
         }
     if len(args.descriptors) != 3:
         raise ParseError("catalog mode needs three descriptors: G H L")
+    from . import catalog
+
     g, h, l = (catalog.parse_descriptor(t) for t in args.descriptors)
     report = criteria.necessary_conditions(g, h, l)
     cocompact = criteria.cocompact_dimension_check(g, h, l)
@@ -284,6 +288,8 @@ def _render_check_proper(report) -> str:
 
 
 def cmd_standard_form(args) -> dict:
+    from . import catalog, obstruction
+
     g = catalog.parse_simple(args.g)
     h = catalog.parse_descriptor(args.h)
     verdict = obstruction.standard_form_verdict(g, h)

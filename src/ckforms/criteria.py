@@ -13,16 +13,14 @@ simple-root coordinates.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
-from .catalog import ReductiveDescriptor, derived_invariants
 from .errors import DimensionMismatch, InternalInconsistency, ParseError
 from .linalg import Vector, is_zero, kernel_basis, primitive, reduced_basis
 from .rootspace import RootSystem, require_in_span
 from .weyl import (
     DEFAULT_CAP,
-    WeylElement,
     dominant_representative,
     enumerate_weyl,
     is_antipodal,
@@ -34,13 +32,10 @@ OBSTRUCTION_FOUND = "ObstructionFound"
 NO_OBSTRUCTION = "NoObstruction"
 
 
-class _SubspaceFields(NamedTuple):
-    system: RootSystem
-    spanning_vectors: tuple[Vector, ...]
-
-
-class Subspace(_SubspaceFields):
-    """Subspace of the ambient space of a root system, inside the root span.
+class Subspace(namedtuple("Subspace", "system spanning_vectors")):
+    """Subspace of the ambient space of a root system (`system`, a
+    RootSystem), inside the root span, spanned by `spanning_vectors` (a
+    tuple of Vector).
 
     A reduced basis is computed once by exact elimination at construction;
     `dim` is its size.  Both are read-only and left out of equality.
@@ -93,24 +88,17 @@ def subspace_from_text(text: str, system: RootSystem) -> Subspace:
     return Subspace(system=system, spanning_vectors=tuple(vectors))
 
 
-class Check(NamedTuple):
-    name: str
-    lhs: int
-    rhs: int
-    passed: bool
+Check = namedtuple("Check", "name lhs rhs passed")
+PropernessReport = namedtuple("PropernessReport", "checks overall")
 
 
-class PropernessReport(NamedTuple):
-    checks: tuple[Check, ...]
-    overall: str
-
-
-def necessary_conditions(
-    g: ReductiveDescriptor, h: ReductiveDescriptor, l: ReductiveDescriptor
-) -> PropernessReport:
+def necessary_conditions(g, h, l) -> PropernessReport:
     """Rank inequalities that any proper action must satisfy, regardless of
-    the embedding.  A failed check rules the action out; passing means only
-    that these tests found no obstruction."""
+    the embedding, for the `catalog.ReductiveDescriptor`s g, h and l.  A
+    failed check rules the action out; passing means only that these tests
+    found no obstruction."""
+    from .catalog import derived_invariants
+
     gi, hi, li = derived_invariants(g), derived_invariants(h), derived_invariants(l)
     checks = (
         Check("real_rank", li.rank_R + hi.rank_R, gi.rank_R,
@@ -122,20 +110,16 @@ def necessary_conditions(
     return PropernessReport(checks=checks, overall=overall)
 
 
-class CocompactReport(NamedTuple):
-    d_g: int
-    d_h: int
-    d_l: int
-    equal: bool
-    required_d: int
+CocompactReport = namedtuple("CocompactReport", "d_g d_h d_l equal required_d")
 
 
-def cocompact_dimension_check(
-    g: ReductiveDescriptor, h: ReductiveDescriptor, l: ReductiveDescriptor
-) -> CocompactReport:
-    """Exact dimension test: given a proper action, the double coset space
-    is compact iff d(l) + d(h) = d(g).  `required_d` is d(g) - d(h), the
-    value d(l) would have to hit."""
+def cocompact_dimension_check(g, h, l) -> CocompactReport:
+    """Exact dimension test on `catalog.ReductiveDescriptor`s: given a
+    proper action, the double coset space is compact iff
+    d(l) + d(h) = d(g).  `required_d` is d(g) - d(h), the value d(l) would
+    have to hit."""
+    from .catalog import derived_invariants
+
     d_g = derived_invariants(g).d
     d_h = derived_invariants(h).d
     d_l = derived_invariants(l).d
@@ -146,11 +130,13 @@ def cocompact_dimension_check(
     )
 
 
-class ProperCheck(NamedTuple):
-    proper: bool
-    w_index: int | None = None
-    element: WeylElement | None = None
-    witness: Vector | None = None
+class ProperCheck(namedtuple("ProperCheck", "proper w_index element witness",
+                             defaults=(None, None, None))):
+    """`proper` (bool); on NotProper, the index `w_index` (int) and the
+    `element` (WeylElement) of the first offending element and a `witness`
+    Vector, else None."""
+
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:
@@ -202,9 +188,7 @@ def check_proper_embedded(
     return ProperCheck(proper=True)
 
 
-class AntipodalReport(NamedTuple):
-    antipodal: bool
-    dominant_rep: Vector
+AntipodalReport = namedtuple("AntipodalReport", "antipodal dominant_rep")
 
 
 def antipodal_orbit_check(system_g: RootSystem, x: Vector) -> AntipodalReport:

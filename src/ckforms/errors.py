@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the default Weyl
-enumeration cap that `CapExceeded` reports against."""
+"""Exception types shared across the package, the default Weyl
+enumeration cap that `CapExceeded` reports against, and the largest
+restricted rank an input may name."""
 
 
 class CkformsError(Exception):
@@ -20,6 +21,11 @@ class NotInSpan(CkformsError):
 
 # the Weyl enumeration cap when the caller names none
 DEFAULT_CAP = 10**6
+
+# Largest restricted rank a descriptor or `--system` may name.  The Cartan
+# core's cost grows about as the cube of the rank, so a mistyped
+# sl(100000,R) is refused before anything is computed.
+MAX_RESTRICTED_RANK = 128
 
 
 class CapExceeded(CkformsError):

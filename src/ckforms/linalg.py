@@ -79,7 +79,14 @@ def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:
     the reduced row echelon form.  A row with a zero in the pivot column
     still has to be scaled by p / prev, so it is skipped only when p == prev.
     """
-    m = [list(r) if all(type(x) is int for x in r) else integer_row(r)[0] for r in rows]
+    m = []
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                m.append(integer_row(row)[0])
+                break
+        else:
+            m.append(list(row))
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
@@ -88,16 +95,23 @@ def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:
         r = len(pivots)
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if m[pr][c]:
+                break
+        else:
             continue
         m[r], m[pr] = m[pr], m[r]
         top = m[r]
         p = top[c]
-        for i, row in enumerate(m):
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = m[i]
             f = row[c]
-            if i != r and (f or p != prev):
+            if f:
                 m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
         prev = p
         pivots.append(c)
     return m, pivots, prev

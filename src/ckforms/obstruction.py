@@ -9,7 +9,7 @@ conditions, never proofs of embeddability, so it never claims existence.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .catalog import (
     ReductiveDescriptor,
@@ -23,40 +23,36 @@ NO_STANDARD_FORM = "NoStandardForm"
 INCONCLUSIVE = "Inconclusive"
 
 
-class BudgetUse(NamedTuple):
-    used: int
-    limit: int
+class BudgetUse(namedtuple("BudgetUse", "used limit")):
+    """How much of one budget a candidate uses (`used`, int) against its
+    `limit` (int)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.used <= self.limit
 
 
-class Budgets(NamedTuple):
-    ahyp: BudgetUse
-    rank: BudgetUse
-    maxcompact: BudgetUse
-    dim: BudgetUse
+# a BudgetUse per budget
+Budgets = namedtuple("Budgets", "ahyp rank maxcompact dim")
 
 
-class CandidateReport(NamedTuple):
-    """One multiset of simple parts together with the d values it can reach.
+class CandidateReport(namedtuple("CandidateReport", "derived_parts d_interval budgets")):
+    """One multiset of simple parts (`derived_parts`, a tuple of
+    SimpleRealForm) together with the d values it can reach (`d_interval`,
+    a pair of int) and its `budgets` (Budgets).
 
     The interval is [sum of dim_p, same + c_max] where c_max is the split
     center dimension still allowed by the rank budget.
     """
 
-    derived_parts: tuple[SimpleRealForm, ...]
-    d_interval: tuple[int, int]
-    budgets: Budgets
+    __slots__ = ()
 
 
-class StandardFormVerdict(NamedTuple):
-    required_d: int
-    verdict: str
-    max_achievable: int
-    witnesses: tuple[CandidateReport, ...]
-    top_candidates: tuple[CandidateReport, ...]
+# `witnesses` and `top_candidates` are tuples of CandidateReport
+StandardFormVerdict = namedtuple("StandardFormVerdict", "required_d verdict max_achievable "
+                                 "witnesses top_candidates")
 
 
 def _budget_limits(g: SimpleRealForm, h: ReductiveDescriptor):

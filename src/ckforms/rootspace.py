@@ -27,37 +27,29 @@ immutable, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import NamedTuple
 
-from .cartan import CartanMatrix, cartan_matrix, roots_of, w0_length
+from .cartan import cartan_matrix, roots_of, w0_length
 from .errors import DimensionMismatch, InternalInconsistency, NotInSpan
 from .linalg import Vector, integer_row, integer_rows, kernel_basis
 
 Q = Fraction
 
-# (type letter, rank) of each irreducible block
-Block = tuple[str, int]
 
-
-class _RootSystemFields(NamedTuple):
-    label: str
-    blocks: tuple[Block, ...]
-    ambient_dim: int
-    rank: int
-    roots: tuple[Vector, ...]
-    simple_roots: tuple[Vector, ...]
-    positive_roots: tuple[Vector, ...]
-    cartan: CartanMatrix
-    root_coords: tuple[tuple[int, ...], ...]
-
-
-class RootSystem(_RootSystemFields):
+class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank roots simple_roots "
+                            "positive_roots cartan root_coords")):
     """A restricted root system in a fixed exact coordinate realization,
     with its integer Cartan matrix and its roots in simple-root coordinates;
-    `_cache` holds derived data outside the tuple, so == and hash ignore it."""
+    `_cache` holds derived data outside the tuple, so == and hash ignore it.
+
+    `label` (str), `blocks` (the (type letter, rank) of each irreducible
+    block), `ambient_dim` and `rank` (int), `roots`, `simple_roots` and
+    `positive_roots` (tuples of Vector), `cartan` (the CartanMatrix) and
+    `root_coords` (each root in simple-root coordinates, aligned with
+    `roots`)."""
 
     @cached_property
     def _cache(self) -> dict:

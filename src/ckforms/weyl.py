@@ -23,11 +23,11 @@ supported system including E_8.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from math import factorial
 from operator import mul
-from typing import NamedTuple
 
 from . import cartan
 from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
@@ -396,11 +396,11 @@ def ahyp_dimension(system: RootSystem) -> int:
 # ---------------------------------------------------------------------------
 # the fixed cone
 
-class FixedCone(NamedTuple):
-    """Basis of the -w0 fixed subspace, chosen inside the dominant chamber."""
+class FixedCone(namedtuple("FixedCone", "b_basis system")):
+    """Basis of the -w0 fixed subspace (`b_basis`, a tuple of Vector),
+    chosen inside the dominant chamber of `system` (a RootSystem)."""
 
-    b_basis: tuple[Vector, ...]
-    system: RootSystem
+    __slots__ = ()
 
 
 def fundamental_coweights(system: RootSystem) -> tuple[Vector, ...]:

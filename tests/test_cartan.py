@@ -271,6 +271,7 @@ def test_corrupted_chain_is_caught_under_optimize():
         "    ('A', 3, lambda labels, word: (labels[:-1] + [labels[-1] + 1], word)),\n"
         "    ('B', 3, lambda labels, word: (swap_ends(labels), word)),\n"
         "    ('A', 3, lambda labels, word: (labels, word[1:] + word[:1])),\n"
+        "    ('A', 3, lambda labels, word: (labels, (0, 0, 0, 1, 0, 2))),\n"
         "]\n"
         "for letter, n, corrupt in cases:\n"
         "    def chain(matrix, labels, limit, corrupt=corrupt):\n"
@@ -292,7 +293,8 @@ def test_corrupted_chain_is_caught_under_optimize():
         "longest element has length 5, ",
         "dominant chain ends at [3, 2, ",
         "-w0 = (2, 1, 0) does not prese",
-        "w0 maps sum_j (j+1) alpha_j to",
+        "the chain run backwards maps [",
+        "the chain run backwards maps [",
     ]
 
 

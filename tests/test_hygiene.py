@@ -138,6 +138,15 @@ def test_no_slow_standard_imports(module):
     assert _imported_modules(TREES[module]) & set(SLOW_IMPORTS) == set()
 
 
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_typing_import(module):
+    """The records are `collections.namedtuple`s: `typing.NamedTuple` would
+    compile every field annotation into a `ForwardRef` at import.  (Checked
+    in the source, not in a fresh process: a site-packages `.pth` file may
+    load `typing` before any package code runs.)"""
+    assert "typing" not in _imported_modules(TREES[module])
+
+
 def test_cli_process_loads_no_slow_standard_modules():
     """A fresh process that imports the CLI and answers a command loads
     none of them (the record types are named tuples, not dataclasses)."""
@@ -208,3 +217,32 @@ def test_rank_level_commands_load_only_the_cartan_core():
     assert [m for m in loaded if m.startswith("ckforms.")] == [
         "ckforms.cartan", "ckforms.catalog", "ckforms.cli", "ckforms.errors",
         "ckforms.obstruction"]
+
+
+def _loaded_by_command(argv: list[str]) -> list[str]:
+    """The package modules a fresh process loads to run one CLI command."""
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from ckforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    return [m for m in loaded if m.startswith("ckforms.")]
+
+
+def test_embedded_check_proper_loads_only_the_layers_it_runs():
+    fixtures = ROOT / "tests" / "fixtures"
+    assert _loaded_by_command(["check-proper", "--system", "A,4",
+                               "--ah", str(fixtures / "a4_ah.vec"),
+                               "--al", str(fixtures / "a4_al_meets.vec")]) == [
+        "ckforms.cartan", "ckforms.cli", "ckforms.criteria", "ckforms.errors",
+        "ckforms.linalg", "ckforms.rootspace", "ckforms.weyl"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "sl(7,R)+so(2,3)"],
+    ["table1", "2"],
+    ["check-proper", "sl(11,R)", "so(4,7)", "e6(-26)"],
+], ids=["info", "table1", "check-proper-catalog"])
+def test_catalog_commands_load_no_obstruction(argv):
+    assert "ckforms.obstruction" not in _loaded_by_command(argv)
