@@ -10,10 +10,10 @@ report conforming to docs/report-schema.json; rationals are serialized as
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import (
     DEFAULT_CAP,
@@ -34,40 +34,21 @@ _USAGE_ERRORS = (
 )
 
 
-def _fmt_vector(v) -> list[str]:
-    return [str(x) for x in v]
+def _report(command, inputs, verdict, details, checks=(), witnesses=()) -> dict:
+    """The top level of a report (docs/report-schema.json)."""
+    return {"command": command, "inputs": inputs, "verdict": verdict,
+            "checks": list(checks), "witnesses": list(witnesses), "details": details}
 
 
-def _fmt_matrix(m) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m]
-
-
-def _attr_payload(form) -> dict:
-    return {
-        "name": form.name,
-        "restricted_system": form.restricted_label,
-        "real_rank": form.real_rank,
-        "ahyp_rank": form.ahyp,
-        "dim_g": form.dim_g,
-        "dim_k": form.dim_k,
-        "dim_p": form.dim_p,
-        "rank_maxcompact": form.rank_maxcompact,
-    }
+def _check(name, lhs, rhs, passed) -> dict:
+    return {"name": name, "lhs": lhs, "rhs": rhs, "passed": passed}
 
 
 def _candidate_payload(c) -> dict:
     return {
         "parts": [p.name for p in c.derived_parts],
         "d_interval": list(c.d_interval),
-        "budgets": {
-            key: {"used": b.used, "limit": b.limit}
-            for key, b in (
-                ("ahyp", c.budgets.ahyp),
-                ("rank", c.budgets.rank),
-                ("maxcompact", c.budgets.maxcompact),
-                ("dim", c.budgets.dim),
-            )
-        },
+        "budgets": {key: b._asdict() for key, b in c.budgets._asdict().items()},
     }
 
 
@@ -78,13 +59,20 @@ def cmd_info(args) -> dict:
     from . import catalog
 
     desc = catalog.parse_descriptor(args.algebra)
-    parts = [_attr_payload(p) for p in desc.noncompact_parts]
     totals = catalog.derived_invariants(desc)
     details = {
         "descriptor": desc.text,
-        "parts": parts,
-        "compact_parts": [{"name": p.name, "dim": p.dim, "rank": p.rank}
-                          for p in desc.compact_parts],
+        "parts": [{
+            "name": p.name,
+            "restricted_system": p.restricted_label,
+            "real_rank": p.real_rank,
+            "ahyp_rank": p.ahyp,
+            "dim_g": p.dim_g,
+            "dim_k": p.dim_k,
+            "dim_p": p.dim_p,
+            "rank_maxcompact": p.rank_maxcompact,
+        } for p in desc.noncompact_parts],
+        "compact_parts": [p._asdict() for p in desc.compact_parts],
         "split_center_dim": desc.split_center_dim,
         "compact_center_dim": desc.compact_center_dim,
         "totals": {
@@ -94,14 +82,7 @@ def cmd_info(args) -> dict:
             "rank_maxcompact": totals.rank_maxcompact_sum,
         },
     }
-    return {
-        "command": "info",
-        "inputs": {"algebra": args.algebra},
-        "verdict": "Info",
-        "checks": [],
-        "witnesses": [],
-        "details": details,
-    }
+    return _report("info", {"algebra": args.algebra}, "Info", details)
 
 
 def _render_info(report) -> str:
@@ -138,12 +119,11 @@ def cmd_table1(args) -> dict:
     checks = []
     for row in rows:
         form = row.form
-        checks.append({"name": f"{form.name}.ahyp", "lhs": form.ahyp,
-                       "rhs": row.expected_ahyp, "passed": form.ahyp == row.expected_ahyp})
-        checks.append({"name": f"{form.name}.real_rank", "lhs": form.real_rank,
-                       "rhs": row.expected_rank, "passed": form.real_rank == row.expected_rank})
-    checks.append({"name": "completeness", "lhs": len(extras), "rhs": 0,
-                   "passed": not extras})
+        checks.append(_check(f"{form.name}.ahyp", form.ahyp, row.expected_ahyp,
+                             form.ahyp == row.expected_ahyp))
+        checks.append(_check(f"{form.name}.real_rank", form.real_rank, row.expected_rank,
+                             form.real_rank == row.expected_rank))
+    checks.append(_check("completeness", len(extras), 0, not extras))
     verdict = "Complete" if all(c["passed"] for c in checks) else "ExtraMismatches"
     details = {
         "rows": [{"family": r.family, "k": r.k, "algebra": r.form.name,
@@ -151,14 +131,7 @@ def cmd_table1(args) -> dict:
         "completeness_scan_max_rank": scan_rank,
         "unexpected": [f.name for f in extras],
     }
-    return {
-        "command": "table1",
-        "inputs": {"kmax": args.kmax},
-        "verdict": verdict,
-        "checks": checks,
-        "witnesses": [],
-        "details": details,
-    }
+    return _report("table1", {"kmax": args.kmax}, verdict, details, checks)
 
 
 def _render_table1(report) -> str:
@@ -196,7 +169,8 @@ def _read_subspace(path: str, system):
     from .criteria import subspace_from_text
 
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not a UTF-8 text file") from None
     try:
@@ -221,19 +195,12 @@ def cmd_check_proper(args) -> dict:
             witnesses.append({
                 "w_index": result.w_index,
                 "word": list(result.element.word),
-                "matrix": _fmt_matrix(result.element.matrix),
-                "vector": _fmt_vector(result.witness),
+                "matrix": [[str(x) for x in row] for row in result.element.matrix],
+                "vector": [str(x) for x in result.witness],
             })
-        return {
-            "command": "check-proper",
-            "inputs": {"system": args.system, "ah": args.ah, "al": args.al,
-                       "cap": args.cap},
-            "verdict": result.verdict,
-            "checks": [],
-            "witnesses": witnesses,
-            "details": {"dim_ah": a_h.dim, "dim_al": a_l.dim,
-                        "ambient_dim": system.ambient_dim},
-        }
+        inputs = {"system": args.system, "ah": args.ah, "al": args.al, "cap": args.cap}
+        details = {"dim_ah": a_h.dim, "dim_al": a_l.dim, "ambient_dim": system.ambient_dim}
+        return _report("check-proper", inputs, result.verdict, details, witnesses=witnesses)
     if len(args.descriptors) != 3:
         raise ParseError("catalog mode needs three descriptors: G H L")
     from . import catalog
@@ -241,21 +208,9 @@ def cmd_check_proper(args) -> dict:
     g, h, l = (catalog.parse_descriptor(t) for t in args.descriptors)
     report = criteria.necessary_conditions(g, h, l)
     cocompact = criteria.cocompact_dimension_check(g, h, l)
-    return {
-        "command": "check-proper",
-        "inputs": {"g": args.descriptors[0], "h": args.descriptors[1],
-                   "l": args.descriptors[2]},
-        "verdict": report.overall,
-        "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "passed": c.passed}
-                   for c in report.checks],
-        "witnesses": [],
-        "details": {
-            "cocompactness": {
-                "d_g": cocompact.d_g, "d_h": cocompact.d_h, "d_l": cocompact.d_l,
-                "equal": cocompact.equal, "required_d": cocompact.required_d,
-            },
-        },
-    }
+    return _report("check-proper", dict(zip("ghl", args.descriptors)), report.overall,
+                   {"cocompactness": cocompact._asdict()},
+                   [c._asdict() for c in report.checks])
 
 
 def _render_check_proper(report) -> str:
@@ -295,28 +250,20 @@ def cmd_standard_form(args) -> dict:
     verdict = obstruction.standard_form_verdict(g, h)
     hi = catalog.derived_invariants(h)
     checks = [
-        {"name": "space_real_rank", "lhs": hi.rank_R, "rhs": g.real_rank,
-         "passed": hi.rank_R <= g.real_rank},
-        {"name": "space_ahyp_rank", "lhs": hi.ahyp, "rhs": g.ahyp,
-         "passed": hi.ahyp <= g.ahyp},
-        {"name": "required_d_reachable", "lhs": verdict.required_d,
-         "rhs": verdict.max_achievable,
-         "passed": verdict.verdict == obstruction.INCONCLUSIVE},
+        _check("space_real_rank", hi.rank_R, g.real_rank, hi.rank_R <= g.real_rank),
+        _check("space_ahyp_rank", hi.ahyp, g.ahyp, hi.ahyp <= g.ahyp),
+        _check("required_d_reachable", verdict.required_d, verdict.max_achievable,
+               verdict.verdict == obstruction.INCONCLUSIVE),
     ]
-    return {
-        "command": "standard-form",
-        "inputs": {"g": args.g, "h": args.h},
-        "verdict": verdict.verdict,
-        "checks": checks,
-        "witnesses": [_candidate_payload(c) for c in verdict.witnesses],
-        "details": {
-            "required_d": verdict.required_d,
-            "max_achievable": verdict.max_achievable,
-            "d_g": g.dim_p,
-            "d_h": hi.d,
-            "top_candidates": [_candidate_payload(c) for c in verdict.top_candidates],
-        },
+    details = {
+        "required_d": verdict.required_d,
+        "max_achievable": verdict.max_achievable,
+        "d_g": g.dim_p,
+        "d_h": hi.d,
+        "top_candidates": [_candidate_payload(c) for c in verdict.top_candidates],
     }
+    return _report("standard-form", {"g": args.g, "h": args.h}, verdict.verdict, details,
+                   checks, [_candidate_payload(c) for c in verdict.witnesses])
 
 
 def _render_standard_form(report) -> str:
@@ -340,61 +287,140 @@ def _render_standard_form(report) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the command line, read by the rules of argparse (tests/helpers.py keeps an
+# argparse parser as the oracle): long options match by unique prefix and
+# take `--opt=value`; `--` ends the options; `-`, negative numbers and
+# tokens with a space are values
 
-_RENDERERS = {
-    "info": _render_info,
-    "table1": _render_table1,
-    "check-proper": _render_check_proper,
-    "standard-form": _render_standard_form,
+SYNOPSIS = """\
+ckforms info ALGEBRA [--json]
+ckforms table1 KMAX [--json]
+ckforms check-proper G H L [--json]
+ckforms check-proper --system TYPE,RANK --ah FILE --al FILE [--cap N] [--json]
+ckforms standard-form G H [--json]"""
+
+# each command: its handler and renderer, its positionals (None: any number,
+# as `descriptors`) and its options that take a value; --json works everywhere
+_COMMANDS = {
+    "info": (cmd_info, _render_info, ("algebra",), ()),
+    "table1": (cmd_table1, _render_table1, ("kmax",), ()),
+    "check-proper": (cmd_check_proper, _render_check_proper, None,
+                     ("--system", "--ah", "--al", "--cap")),
+    "standard-form": (cmd_standard_form, _render_standard_form, ("g", "h"), ()),
 }
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ckforms",
-        description="Exact rank and dimension tests for proper actions and "
-                    "standard compact quotients of reductive homogeneous spaces.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+class _Help(Exception):
+    """-h or --help: print the synopsis and exit 0."""
 
-    p = sub.add_parser("info", help="invariants of a reductive algebra descriptor")
-    p.add_argument("algebra")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("table1", help="regenerate the rank-vs-ahyp table")
-    p.add_argument("kmax", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_table1)
+class _UsageError(Exception):
+    """A command line outside the synopsis: exit 2."""
 
-    p = sub.add_parser("check-proper",
-                       help="properness tests (catalog descriptors or embedded subspaces)")
-    p.add_argument("descriptors", nargs="*",
-                   help="catalog mode: G H L descriptor texts")
-    p.add_argument("--system", help="embedded mode: root system as TYPE,RANK")
-    p.add_argument("--ah", help="embedded mode: subspace file for a_h")
-    p.add_argument("--al", help="embedded mode: subspace file for a_l")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help=f"Weyl enumeration cap (default {DEFAULT_CAP})")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_proper)
 
-    p = sub.add_parser("standard-form",
-                       help="obstruction to a standard compact quotient of G/H")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_standard_form)
+def _option(token: str, options):
+    """(option, its `=` value or None) for a token naming one of the
+    options, (None, token) for an unknown option, None for a value."""
+    if not token.startswith("-") or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] == "-":
+        matches, value = [o for o in options if o.startswith(name)], value if eq else None
+    else:   # a short option carries its value: -hh is -h -h
+        matches, value = [o for o in options if o == token[:2]], token[2:] or None
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, token
 
-    return parser
+
+def _flag(name, value) -> None:
+    """Act on an option that takes no value (a -h may carry more h's: -hh
+    is -h -h), or on an unknown option."""
+    if name is None:
+        raise _UsageError(f"unrecognized option {value}")
+    if value is not None and (name != "-h" or value.strip("h") or not value):
+        raise _UsageError(f"{name} takes no value")
+    if name in _HELP:
+        raise _Help
+
+
+def _integer(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"{name} must be an integer, not {text!r}") from None
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The handler (`func`) and values of a command line; raises _Help for
+    -h or --help and _UsageError for anything outside the synopsis."""
+    if argv and argv[0] != "--" and (opt := _option(argv[0], _HELP)):
+        _flag(*opt)     # before the command only -h and --help, which raise
+    if not argv or argv[0] not in _COMMANDS:
+        raise _UsageError(f"unknown command {argv[0]!r}" if argv else "no command given")
+    func, _, positionals, valued = _COMMANDS[argv[0]]
+    values = {"func": func, "json": False}
+    if positionals is None:
+        values.update(system=None, ah=None, al=None, cap=DEFAULT_CAP)
+    rest = argv[1:]
+    end = rest.index("--") if "--" in rest else len(rest)   # no options after --
+    options = (*_HELP, "--json", *valued)
+    # the values between two options form a run; the positionals read the
+    # runs in order, the descriptors exactly one, and -- must share its run
+    # with a value
+    runs, sep_run = [[]], None
+    tokens = iter(enumerate(rest))
+    for k, token in tokens:
+        opt = _option(token, options) if k < end else None
+        if opt is None:
+            if k == end:
+                sep_run = runs[-1]
+            else:
+                runs[-1].append(token)
+            continue
+        runs.append([])
+        name, value = opt
+        if name not in valued:
+            _flag(name, value)
+            values["json"] = True
+            continue
+        if value is None:
+            if k + 1 == end or _option(rest[k + 1], options):
+                raise _UsageError(f"{name} expects a value")
+            value = next(tokens)[1]
+        values[name[2:]] = _integer(name, value) if name == "--cap" else value
+
+    found = [t for run in runs for t in run]
+    if positionals is None:
+        if len([run for run in runs if run or run is sep_run]) > 1:
+            raise _UsageError("the descriptors must be one consecutive run")
+        values["descriptors"] = found
+    elif len(found) != len(positionals):
+        raise _UsageError(f"{argv[0]} takes {' '.join(positionals).upper()}, "
+                          f"got {len(found)} values")
+    elif sep_run == []:
+        raise _UsageError("unrecognized argument --")
+    for dest, token in zip(positionals or (), found):
+        values[dest] = _integer("KMAX", token) if dest == "kmax" else token
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except _Help:
+        print(SYNOPSIS)
+        return 0
+    except _UsageError as exc:
+        print(f"{SYNOPSIS}\nckforms: error: {exc}", file=sys.stderr)
+        return 2
     if getattr(args, "kmax", None) is not None and args.kmax < 1:
         print("error: kmax must be >= 1", file=sys.stderr)
         return 2
@@ -415,7 +441,7 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(_RENDERERS[report["command"]](report))
+        print(_COMMANDS[report["command"]][1](report))
     return 0
 
 

@@ -99,12 +99,10 @@ def candidate_combinations(g: SimpleRealForm, h: ReductiveDescriptor) -> list[Ca
     parts = candidate_simple_parts(g, h)
     reports: list[CandidateReport] = []
 
-    def emit(chosen: tuple[SimpleRealForm, ...], ahyp, rank, maxc, dim):
-        c_max = lim["rank"] - rank
-        lo = dim
+    def rec(start, chosen, ahyp, rank, maxc, dim, dim_g):
         reports.append(CandidateReport(
             derived_parts=chosen,
-            d_interval=(lo, lo + c_max),
+            d_interval=(dim, dim + lim["rank"] - rank),
             budgets=Budgets(
                 ahyp=BudgetUse(ahyp, lim["ahyp"]),
                 rank=BudgetUse(rank, lim["rank"]),
@@ -112,9 +110,6 @@ def candidate_combinations(g: SimpleRealForm, h: ReductiveDescriptor) -> list[Ca
                 dim=BudgetUse(dim, lim["dim"]),
             ),
         ))
-
-    def rec(start, chosen, ahyp, rank, maxc, dim, dim_g):
-        emit(chosen, ahyp, rank, maxc, dim)
         for i in range(start, len(parts)):
             s = parts[i]
             na, nr = ahyp + s.ahyp, rank + s.restricted_rank

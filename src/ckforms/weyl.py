@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from operator import mul
 
 from . import cartan
@@ -96,28 +96,27 @@ def _compose(outer, inner):
     return tuple(outer[i] for i in inner)
 
 
-def _invert(m: Matrix, what: str, system: RootSystem) -> Matrix:
-    """Inverse of a matrix the system's construction makes invertible; a
-    singular one is a fault in the package, not in the input."""
-    try:
-        return invert(m)
-    except ValueError:
-        raise InternalInconsistency(f"{what} of {system.label} is singular") from None
-
-
 def _coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The fundamental coweights omega_i ((omega_i, a_j) = delta_ij,
-    omega_i in the root span) as integer rows over one denominator E."""
+    omega_i in the root span) as integer rows over one denominator E, the
+    least one.  A singular Gram matrix is a fault in the package, not in the
+    input."""
     c = system._cache
     if "coweights" not in c:
         simples, den = simple_root_rows(system)
         gram = [[sum(map(mul, a, b)) for b in simples] for a in simples]
-        ginv = _invert(gram, "Gram matrix of the simple roots", system)
-        # ginv inverts the Gram matrix of the integer simple roots den * a_j, which
-        # is den^2 times that of the a_j: omega_i = den * sum_j ginv[j][i] (den * a_j)
-        omegas = [[den * sum(ginv[j][i] * a[k] for j, a in enumerate(simples))
-                   for k in range(system.ambient_dim)] for i in range(len(simples))]
-        c["coweights"] = integer_rows(omegas)
+        try:
+            ginv = invert(gram)
+        except ValueError:
+            raise InternalInconsistency(f"Gram matrix of the simple roots of {system.label} "
+                                        f"is singular") from None
+        # ginv = G / e inverts the Gram matrix of the integer simple roots S_j = den * a_j,
+        # which is den^2 times that of the a_j: omega_i = den * sum_j G[j][i] S_j / e
+        g, e = integer_rows(ginv)
+        rows = [[den * x for x in _sum_rows(zip(col, simples), system.ambient_dim)]
+                for col in zip(*g)]
+        common = gcd(e, *(x for row in rows for x in row))
+        c["coweights"] = tuple(tuple(x // common for x in row) for row in rows), e // common
     return c["coweights"]
 
 

@@ -1,17 +1,20 @@
 """Shared test utilities: seeded random rational vectors, brute-force
-orbit oracles, and the matrix, reflection and elimination formulas that
-stay independent of the code paths they check."""
+orbit oracles, the matrix, reflection and elimination formulas that stay
+independent of the code paths they check, the Fraction coweight
+construction and the argparse parser that faster code replaced."""
 
 from __future__ import annotations
 
+import argparse
 import random
 from fractions import Fraction
 from pathlib import Path
 
 from ckforms.catalog import FAMILY_ORDER, SimpleRealForm
-from ckforms.errors import NotInSpan
-from ckforms.linalg import Matrix, Vector, dot, solve, vadd, vector
-from ckforms.rootspace import RootSystem, is_dominant, require_in_span
+from ckforms.cli import cmd_check_proper, cmd_info, cmd_standard_form, cmd_table1
+from ckforms.errors import DEFAULT_CAP, NotInSpan
+from ckforms.linalg import Matrix, Vector, dot, integer_rows, invert, solve, vadd, vector
+from ckforms.rootspace import RootSystem, is_dominant, require_in_span, simple_root_rows
 from ckforms.weyl import enumerate_weyl
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -157,3 +160,58 @@ def brute_dominant(system: RootSystem, v: Vector) -> Vector:
     dominants = {u for u in brute_orbit(system, v) if is_dominant(system, u)}
     assert len(dominants) == 1
     return next(iter(dominants))
+
+
+def fraction_coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The fundamental coweights as integer rows over their least common
+    denominator, by the Fraction construction the integer sum replaced:
+    den * sum_j ginv[j][i] S_j for the integer simple roots S_j = den * a_j
+    and the Fraction inverse ginv of their Gram matrix."""
+    simples, den = simple_root_rows(system)
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in simples] for a in simples]
+    ginv = invert(gram)
+    omegas = [[den * sum(ginv[j][i] * a[k] for j, a in enumerate(simples))
+               for k in range(system.ambient_dim)] for i in range(len(simples))]
+    return integer_rows(omegas)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI's own reader replaced, kept as its oracle:
+    `cli.parse_args` must give the same handler and values, less `cmd`."""
+    parser = argparse.ArgumentParser(
+        prog="ckforms",
+        description="Exact rank and dimension tests for proper actions and "
+                    "standard compact quotients of reductive homogeneous spaces.",
+    )
+    sub = parser.add_subparsers(dest="cmd", required=True)
+
+    p = sub.add_parser("info", help="invariants of a reductive algebra descriptor")
+    p.add_argument("algebra")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_info)
+
+    p = sub.add_parser("table1", help="regenerate the rank-vs-ahyp table")
+    p.add_argument("kmax", type=int)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_table1)
+
+    p = sub.add_parser("check-proper",
+                       help="properness tests (catalog descriptors or embedded subspaces)")
+    p.add_argument("descriptors", nargs="*",
+                   help="catalog mode: G H L descriptor texts")
+    p.add_argument("--system", help="embedded mode: root system as TYPE,RANK")
+    p.add_argument("--ah", help="embedded mode: subspace file for a_h")
+    p.add_argument("--al", help="embedded mode: subspace file for a_l")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help=f"Weyl enumeration cap (default {DEFAULT_CAP})")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_check_proper)
+
+    p = sub.add_parser("standard-form",
+                       help="obstruction to a standard compact quotient of G/H")
+    p.add_argument("g")
+    p.add_argument("h")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_standard_form)
+
+    return parser

@@ -1,18 +1,26 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ckforms import catalog, rootspace, weyl
+from ckforms import catalog, cli, rootspace, weyl
 from ckforms.cli import main
 from ckforms.rootspace import build_root_system
 from ckforms.errors import InternalInconsistency
 
-from helpers import FIXTURES
+from helpers import FIXTURES, build_parser
 
-SCHEMA = json.loads((Path(__file__).parents[1] / "docs" / "report-schema.json").read_text())
+ROOT = Path(__file__).parents[1]
+SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 
 def run(capsys, *argv):
@@ -256,3 +264,117 @@ def test_human_output_mentions_verdict(capsys):
     assert code == 0 and "verdict: NoStandardForm" in out
     code, out = run(capsys, "info", "sl(7,R)")
     assert code == 0 and "a-hyperbolic rank : 3" in out
+
+
+# ---------------------------------------------------------------------------
+# the command line: help, usage errors, and argparse as the oracle
+
+def _cli(*argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "ckforms.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _documented_synopsis() -> list[str]:
+    """The lines of the code block in the "Commands" section of docs/cli.md."""
+    section = (ROOT / "docs" / "cli.md").read_text().split("## Commands\n", 1)[1]
+    return section.split("```\n", 2)[1].splitlines()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--h"], ["check-proper", "-h"]])
+def test_help_prints_the_synopsis(argv):
+    result = _cli(*argv)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == cli.SYNOPSIS + "\n"
+
+
+def test_help_matches_docs():
+    assert _cli("--help").stdout.splitlines() == _documented_synopsis()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["table1"],
+    ["table1", "x"],
+    ["check-proper", "--cap", "x", "--system", "A,4"],
+    ["--bogus"],
+    ["info", "sl(3,R)", "--bogus"],
+    ["check-proper", "--a", "f.vec"],
+    ["check-proper", "--system", "A,4", "--ah"],
+    ["info", "sl(3,R)", "--json=1"],
+], ids=["no-command", "unknown-command", "no-kmax", "kmax-x", "cap-x", "bogus",
+        "bogus-after-command", "ambiguous", "ah-without-value", "json-with-value"])
+def test_usage_error_exit_2(argv):
+    result = _cli(*argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    lines = result.stderr.splitlines()
+    assert lines[:-1] == cli.SYNOPSIS.splitlines()
+    assert lines[-1].startswith("ckforms: error: ")
+
+
+# the vocabulary of the differential property: the commands, each option in
+# full, abbreviated, ambiguous, with `=` and with an empty `=`, help tokens,
+# --, values that look like options and values that do not
+COMMANDS = ["info", "table1", "check-proper", "standard-form"]
+HELP_TOKENS = ["-h", "--help", "--h", "--he", "-hh", "-h=h"]
+VOCABULARY = COMMANDS + HELP_TOKENS + [
+    "--system", "--sys", "--s", "--system=A,4", "--sys=A,4", "--system=", "--sys=x y",
+    "--ah", "--ah=f.vec", "--ah=", "--al", "--al=-h", "--a", "--a=x", "--a=x y",
+    "--cap", "--c", "--ca", "--cap=5", "--cap=x", "--cap=", "--cap=-5",
+    "--json", "--j", "--js", "--json=1", "--json=", "--j=", "--help=", "-hx", "-h=", "-h x",
+    "--", "-", "-5", "-1.5", "-.5", "-x", "-a b", "--bogus", "--bogus=a b", "--=x",
+    "5", " 7", "1_0", "x", "0", "", "sl(3,R)", "so(1,2)", "e6(-26)", "A,4",
+    "tests/fixtures/a4_ah.vec", "f.vec",
+]
+ORACLE = build_parser()
+
+
+def _oracle_outcome(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            values = vars(ORACLE.parse_args(argv))
+    except SystemExit as exc:
+        return "help" if exc.code == 0 else "error"
+    del values["cmd"]
+    # argparse strips the first "--" from a positional's own strings, so a
+    # literal "--" after the separator reaches it as [] (and the command
+    # crashed on the list); the hand-written reader passes the string on
+    return {k: "--" if v == [] and k in ("g", "h") else v for k, v in values.items()}
+
+
+def _outcome(argv):
+    try:
+        return vars(cli.parse_args(argv))
+    except cli._Help:
+        return "help"
+    except cli._UsageError:
+        return "error"
+
+
+@settings(max_examples=1500, deadline=None)
+# the rules a random draw rarely reaches: -- that no positional takes, the
+# descriptors as one run, --cap converted when read, the space rule
+@example(["info", "x", "--json", "--"])
+@example(["standard-form", "G", "--json", "H", "--"])
+@example(["check-proper", "G", "--json", "--"])
+@example(["check-proper", "--json", "--"])
+@example(["check-proper", "G", "--json", "H", "L"])
+@example(["check-proper", "--cap", "x", "--cap=5"])
+@example(["check-proper", "--sys=A,4", "--a=x y", "-a b", "--bogus=a b"])
+@example(["standard-form", "G", "--", "--"])
+@given(st.one_of(
+    st.lists(st.sampled_from(VOCABULARY), max_size=7),
+    st.tuples(st.sampled_from(COMMANDS), st.lists(st.sampled_from(VOCABULARY), max_size=7))
+    .map(lambda t: [t[0], *t[1]]),
+))
+def test_parser_agrees_with_argparse(argv):
+    expected, got = _oracle_outcome(argv), _outcome(argv)
+    if isinstance(expected, dict) or got == expected:
+        assert got == expected
+        return
+    # help and a usage error may trade places only when the command line
+    # holds both a help token and an error
+    assert {expected, got} == {"help", "error"}
+    assert set(HELP_TOKENS) & set(argv)
+    assert _oracle_outcome([t for t in argv if t not in HELP_TOKENS]) == "error"

@@ -135,7 +135,12 @@ SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_no_slow_standard_imports(module):
-    assert _imported_modules(TREES[module]) & set(SLOW_IMPORTS) == set()
+    """No module imports them, nor `argparse` (its parser build loads
+    `gettext` and `locale`) or `pathlib` (about 7 ms without `site`).
+    Checked in the source: a site-packages `.pth` file may load `pathlib`
+    before any package code runs."""
+    forbidden = {*SLOW_IMPORTS, "argparse", "pathlib"}
+    assert _imported_modules(TREES[module]) & forbidden == set()
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
@@ -217,6 +222,24 @@ def test_rank_level_commands_load_only_the_cartan_core():
     assert [m for m in loaded if m.startswith("ckforms.")] == [
         "ckforms.cartan", "ckforms.catalog", "ckforms.cli", "ckforms.errors",
         "ckforms.obstruction"]
+
+
+def test_no_command_loads_argparse():
+    """The command line is read without argparse, so no command loads it,
+    nor the `gettext` and `locale` its parser build pulls in."""
+    fixtures = ROOT / "tests" / "fixtures"
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from ckforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['info', 'e8(8)', '--json']) == 0\n"
+        "    assert main(['table1', '2']) == 0\n"
+        "    assert main(['standard-form', 'sl(9,R)', 'so(3,6)']) == 0\n"
+        "    assert main(['check-proper', 'sl(11,R)', 'so(4,7)', 'e6(-26)']) == 0\n"
+        f"    assert main(['check-proper', '--system', 'A,4', '--ah', {str(fixtures / 'a4_ah.vec')!r},\n"
+        f"                 '--al', {str(fixtures / 'a4_al_meets.vec')!r}]) == 0\n"
+    )
+    assert {"argparse", "gettext", "locale"} & set(loaded) == set()
 
 
 def _loaded_by_command(argv: list[str]) -> list[str]:

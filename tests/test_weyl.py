@@ -27,7 +27,15 @@ from ckforms.weyl import (
     weyl_order,
 )
 
-from helpers import brute_dominant, mat_mul, mat_vec, random_span_vector, reflect, supported_types
+from helpers import (
+    brute_dominant,
+    fraction_coweight_rows,
+    mat_mul,
+    mat_vec,
+    random_span_vector,
+    reflect,
+    supported_types,
+)
 
 
 def test_dominant_representative_examples():
@@ -501,6 +509,14 @@ def test_reflections_on_root_coords_match_ambient_oracle(system):
     n = len(system.roots)
     assert tuple(ident[:n]) == tuple(range(n))
     assert (simple, [tuple(g[:n]) for g in gens]) == _oracle_reflections(system)
+
+
+@pytest.mark.parametrize("system", _supported(12) + [A2G2, B2A1], ids=lambda s: s.label)
+def test_coweight_rows_match_fraction_oracle(system):
+    # fresh systems: rows cached by an earlier test would not be recomputed
+    fresh = system._replace()
+    assert "coweights" not in fresh._cache
+    assert weyl._coweight_rows(fresh) == fraction_coweight_rows(fresh)
 
 
 def test_corrupted_root_coords_are_an_internal_inconsistency_under_optimize():
