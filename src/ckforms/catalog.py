@@ -77,14 +77,9 @@ class ReductiveDescriptor(namedtuple("ReductiveDescriptor", "text noncompact_par
 DerivedInvariants = namedtuple("DerivedInvariants", "rank_R ahyp d rank_maxcompact_sum")
 
 
-def _normalize_rank1(rtype: str, rrank: int) -> tuple[str, int]:
-    if rrank == 1 and rtype in ("B", "C"):
-        return "A", 1
-    return rtype, rrank
-
-
 def _form(name, family, params, rtype, rrank, dim_g, dim_k, rank_k, complex_=False):
-    rtype, rrank = _normalize_rank1(rtype, rrank)
+    if rrank == 1 and rtype in ("B", "C"):
+        rtype = "A"
     dim_p = dim_g - dim_k
     if dim_p <= 0:
         raise InternalInconsistency(f"{name}: noncompact form must have dim p > 0")
@@ -223,21 +218,23 @@ def sp_pq(p: int, q: int) -> SimpleRealForm:
                  n * (2 * n + 1), p * (2 * p + 1) + q * (2 * q + 1), n)
 
 
-# The classical families in canonical order: (family label, descriptor term
-# pattern with one group per parameter, builder).  Parsing and both catalog
-# scans read this table; the builders alone decide which parameters are valid.
+# The classical families in canonical order: (label, term key, builder), the
+# key a term's name and its second parameter (None, "R", "C", or "q" for a
+# second integer).  Parsing and both catalog scans read this table; the
+# builders alone decide which parameters are valid.
 _FAMILIES = (
-    ("sl(n,R)", re.compile(r"^sl\((\d+),R\)$"), sl_R),
-    ("sl(n,C)", re.compile(r"^sl\((\d+),C\)$"), sl_C),
-    ("su*(2n)", re.compile(r"^su\*\((\d+)\)$"), su_star),
-    ("su(p,q)", re.compile(r"^su\((\d+),(\d+)\)$"), su_pq),
-    ("so(p,q)", re.compile(r"^so\((\d+),(\d+)\)$"), so_pq),
-    ("so(n,C)", re.compile(r"^so\((\d+),C\)$"), so_C),
-    ("so*(2n)", re.compile(r"^so\*\((\d+)\)$"), so_star),
-    ("sp(n,R)", re.compile(r"^sp\((\d+),R\)$"), sp_R),
-    ("sp(n,C)", re.compile(r"^sp\((\d+),C\)$"), sp_C),
-    ("sp(p,q)", re.compile(r"^sp\((\d+),(\d+)\)$"), sp_pq),
+    ("sl(n,R)", ("sl", "R"), sl_R),
+    ("sl(n,C)", ("sl", "C"), sl_C),
+    ("su*(2n)", ("su*", None), su_star),
+    ("su(p,q)", ("su", "q"), su_pq),
+    ("so(p,q)", ("so", "q"), so_pq),
+    ("so(n,C)", ("so", "C"), so_C),
+    ("so*(2n)", ("so*", None), so_star),
+    ("sp(n,R)", ("sp", "R"), sp_R),
+    ("sp(n,C)", ("sp", "C"), sp_C),
+    ("sp(p,q)", ("sp", "q"), sp_pq),
 )
+_BUILDERS = {key: build for _, key, build in _FAMILIES}
 
 
 # name: (restricted type, restricted rank, dim_g, dim_k, rank_k, complex)
@@ -270,6 +267,10 @@ def exceptional(name: str) -> SimpleRealForm:
 # ---------------------------------------------------------------------------
 # compact simple algebras (admitted in descriptors, all invariants zero)
 
+# the compact exceptional algebras: name -> (dim, rank)
+_COMPACT_FIXED = {"g2": (14, 2), "f4": (52, 4), "e6": (78, 6), "e7": (133, 7), "e8": (248, 8)}
+
+
 def compact_part(name: str, n: int | None = None) -> CompactPart:
     if name == "su":
         if n < 2:
@@ -289,9 +290,7 @@ def compact_part(name: str, n: int | None = None) -> CompactPart:
         if n < 1:
             raise NotSemisimple("sp(0) is zero-dimensional")
         return CompactPart(f"sp({n})", n * (2 * n + 1), n)
-    fixed = {"g2": (14, 2), "f4": (52, 4), "e6": (78, 6), "e7": (133, 7), "e8": (248, 8)}
-    dim, rank = fixed[name]
-    return CompactPart(name, dim, rank)
+    return CompactPart(name, *_COMPACT_FIXED[name])
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +298,10 @@ def compact_part(name: str, n: int | None = None) -> CompactPart:
 
 _ALIASES = {"e6(I)": "e6(6)", "e6(IV)": "e6(-26)"}
 
-_RE_SPLIT_CENTER = re.compile(r"^R\^(\d+)$")
-_RE_COMPACT_CENTER = re.compile(r"^u\(1\)\^(\d+)$")
-_RE_COMPACT = re.compile(r"^(su|so|sp)\((\d+)\)$")
-_COMPACT_FIXED = ("g2", "f4", "e6", "e7", "e8")
+# every parameterized term: a classical family or compact name with one or
+# two parameters, R^k or u(1)^k; compiled (and cached by `re`) on first
+# use, not at import
+_TERM = r"(sl|su\*?|so\*?|sp)\((\d+)(?:,(\d+|R|C))?\)|(R|u\(1\))\^(\d+)"
 
 
 def _int(digits: str) -> int:
@@ -314,32 +313,31 @@ def _int(digits: str) -> int:
 
 def _parse_term(term, noncompact, compact, center):
     term = _ALIASES.get(term, term)
-    if (m := _RE_SPLIT_CENTER.match(term)):
-        center[0] += _int(m.group(1))
-        return
-    if (m := _RE_COMPACT_CENTER.match(term)):
-        center[1] += _int(m.group(1))
-        return
-    for _, pattern, build in _FAMILIES:
-        if (m := pattern.match(term)):
-            form = build(*map(_int, m.groups()))
-            # checked here, not in the builders: the catalog scans treat a
-            # builder's ParseError as a gap and would never stop
-            if form.restricted_rank > MAX_RESTRICTED_RANK:
-                raise ParseError(f"{form.name} has restricted rank {form.restricted_rank}, "
-                                 f"above the limit {MAX_RESTRICTED_RANK}")
-            noncompact.append(form)
-            return
     if term in _EXCEPTIONAL:
         noncompact.append(exceptional(term))
-        return
-    if (m := _RE_COMPACT.match(term)):
-        compact.append(compact_part(m.group(1), _int(m.group(2))))
         return
     if term in _COMPACT_FIXED:
         compact.append(compact_part(term))
         return
-    raise ParseError(f"cannot parse descriptor term {term!r}")
+    m = re.fullmatch(_TERM, term)   # no match falls through to the error below
+    name, n, second, center_name, k = m.groups() if m else (None,) * 5
+    if center_name is not None:
+        center[0 if center_name == "R" else 1] += _int(k)
+        return
+    kind = "q" if second and second.isdigit() else second
+    build = _BUILDERS.get((name, kind))
+    if build is not None:
+        form = build(*map(_int, (n, second) if kind == "q" else (n,)))
+        # checked here, not in the builders: the catalog scans treat a
+        # builder's ParseError as a gap and would never stop
+        if form.restricted_rank > MAX_RESTRICTED_RANK:
+            raise ParseError(f"{form.name} has restricted rank {form.restricted_rank}, "
+                             f"above the limit {MAX_RESTRICTED_RANK}")
+        noncompact.append(form)
+    elif second is None and name in ("su", "so", "sp"):
+        compact.append(compact_part(name, _int(n)))
+    else:
+        raise ParseError(f"cannot parse descriptor term {term!r}")
 
 
 def parse_descriptor(text: str) -> ReductiveDescriptor:
@@ -351,7 +349,7 @@ def parse_descriptor(text: str) -> ReductiveDescriptor:
     Whitespace is ignored; names are case-sensitive.  An empty string is
     the trivial (zero) algebra.
     """
-    stripped = re.sub(r"\s+", "", text)
+    stripped = "".join(text.split())
     noncompact: list[SimpleRealForm] = []
     compact: list[CompactPart] = []
     center = [0, 0]
@@ -377,12 +375,8 @@ def parse_descriptor(text: str) -> ReductiveDescriptor:
 def parse_simple(text: str) -> SimpleRealForm:
     """Parse a descriptor required to be a single noncompact simple form."""
     desc = parse_descriptor(text)
-    if (
-        len(desc.noncompact_parts) != 1
-        or desc.compact_parts
-        or desc.split_center_dim
-        or desc.compact_center_dim
-    ):
+    # the canonical text names every part and every nonzero center
+    if len(desc.noncompact_parts) != 1 or desc.text != desc.noncompact_parts[0].name:
         raise ParseError(f"{text!r} must name a single noncompact simple algebra")
     return desc.noncompact_parts[0]
 
@@ -451,8 +445,8 @@ def scan_forms(fits) -> list[SimpleRealForm]:
     and is skipped, so the builders stay the only source of validity rules.
     """
     out: list[SimpleRealForm] = []
-    for _, pattern, build in _FAMILIES:
-        if pattern.groups == 1:
+    for _, (_, second), build in _FAMILIES:
+        if second != "q":
             out.extend(_walk(build, fits))
             continue
         for p in count(1):

@@ -10,7 +10,6 @@ report conforming to docs/report-schema.json; rationals are serialized as
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from types import SimpleNamespace
@@ -50,6 +49,49 @@ def _candidate_payload(c) -> dict:
         "d_interval": list(c.d_interval),
         "budgets": {key: b._asdict() for key, b in c.budgets._asdict().items()},
     }
+
+
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
+            "\t": "\\t"}
+
+
+def _escape(c: str) -> str:
+    """A character as json's ensure_ascii writes it; above U+FFFF a
+    surrogate pair, by arithmetic, so a lone surrogate passes as itself."""
+    n = ord(c)
+    if n > 0xFFFF:
+        return _escape(chr(0xD800 | (n - 0x10000) >> 10)) + _escape(chr(0xDC00 | n & 0x3FF))
+    return _ESCAPES.get(c, c if " " <= c <= "~" else f"\\u{n:04x}")
+
+
+def _string(s: str) -> str:
+    """s as ensure_ascii writes it; the unbound str.isascii raises TypeError on a non-str key."""
+    if not (str.isascii(s) and s.isprintable()) or '"' in s or "\\" in s:
+        s = "".join(map(_escape, s))
+    return f'"{s}"'
+
+
+def _to_json(value, indent="\n") -> str:
+    """The bytes of json.dumps(value, indent=2, sort_keys=True), without
+    loading `json`, for what a report holds: dicts with str keys, lists,
+    tuples, str, int, bool and None.  Anything else, such as a float or a
+    Fraction, raises TypeError."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None or value is True or value is False:    # bool before int
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{_string(k)}: {_to_json(value[k], inner)}" for k in sorted(value)], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_to_json(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"{type(value).__name__} {value!r} cannot be in a report")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +152,8 @@ def _render_info(report) -> str:
 def cmd_table1(args) -> dict:
     from . import catalog
 
+    if args.kmax < 1:
+        raise ParseError("kmax must be >= 1")
     if 2 * args.kmax + 1 > MAX_RESTRICTED_RANK:
         raise ParseError(f"kmax {args.kmax} would tabulate restricted rank "
                          f"{2 * args.kmax + 1}, above the limit {MAX_RESTRICTED_RANK}")
@@ -180,16 +224,19 @@ def _read_subspace(path: str, system):
 
 
 def cmd_check_proper(args) -> dict:
+    if args.cap is not None and args.cap < 1:
+        raise ParseError("cap must be a positive integer")
     from . import criteria
 
-    if args.system:
+    if args.system is not None:
         if not (args.ah and args.al) or len(args.descriptors) != 0:
             raise ParseError("embedded mode needs --system with --ah and --al and "
                              "no positional descriptors")
         system = _parse_system(args.system)
         a_h = _read_subspace(args.ah, system)
         a_l = _read_subspace(args.al, system)
-        result = criteria.check_proper_embedded(system, a_h, a_l, cap=args.cap)
+        cap = DEFAULT_CAP if args.cap is None else args.cap
+        result = criteria.check_proper_embedded(system, a_h, a_l, cap=cap)
         witnesses = []
         if not result.proper:
             witnesses.append({
@@ -198,9 +245,11 @@ def cmd_check_proper(args) -> dict:
                 "matrix": [[str(x) for x in row] for row in result.element.matrix],
                 "vector": [str(x) for x in result.witness],
             })
-        inputs = {"system": args.system, "ah": args.ah, "al": args.al, "cap": args.cap}
+        inputs = {"system": args.system, "ah": args.ah, "al": args.al, "cap": cap}
         details = {"dim_ah": a_h.dim, "dim_al": a_l.dim, "ambient_dim": system.ambient_dim}
         return _report("check-proper", inputs, result.verdict, details, witnesses=witnesses)
+    if (args.ah, args.al, args.cap) != (None, None, None):
+        raise ParseError("--ah, --al and --cap need --system (embedded mode)")
     if len(args.descriptors) != 3:
         raise ParseError("catalog mode needs three descriptors: G H L")
     from . import catalog
@@ -368,7 +417,7 @@ def parse_args(argv) -> SimpleNamespace:
     func, _, positionals, valued = _COMMANDS[argv[0]]
     values = {"func": func, "json": False}
     if positionals is None:
-        values.update(system=None, ah=None, al=None, cap=DEFAULT_CAP)
+        values.update(system=None, ah=None, al=None, cap=None)
     rest = argv[1:]
     end = rest.index("--") if "--" in rest else len(rest)   # no options after --
     options = (*_HELP, "--json", *valued)
@@ -421,12 +470,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"{SYNOPSIS}\nckforms: error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "kmax", None) is not None and args.kmax < 1:
-        print("error: kmax must be >= 1", file=sys.stderr)
-        return 2
-    if getattr(args, "cap", None) is not None and args.cap < 1:
-        print("error: cap must be a positive integer", file=sys.stderr)
-        return 2
     try:
         report = args.func(args)
     except CapExceeded as exc:
@@ -438,10 +481,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_COMMANDS[report["command"]][1](report))
+    print(_to_json(report) if args.json else _COMMANDS[report["command"]][1](report))
     return 0
 
 

@@ -20,25 +20,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def frac(value) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
-def vector(entries) -> Vector:
-    return tuple(frac(e) for e in entries)
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 

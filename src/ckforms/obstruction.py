@@ -23,18 +23,9 @@ NO_STANDARD_FORM = "NoStandardForm"
 INCONCLUSIVE = "Inconclusive"
 
 
-class BudgetUse(namedtuple("BudgetUse", "used limit")):
-    """How much of one budget a candidate uses (`used`, int) against its
-    `limit` (int)."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.used <= self.limit
-
-
-# a BudgetUse per budget
+# how much of one budget a candidate uses (`used`, int) against its `limit`
+# (int), and a BudgetUse per budget
+BudgetUse = namedtuple("BudgetUse", "used limit")
 Budgets = namedtuple("Budgets", "ahyp rank maxcompact dim")
 
 

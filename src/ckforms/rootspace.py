@@ -55,11 +55,6 @@ class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank roots s
     def _cache(self) -> dict:
         return {}
 
-    @property
-    def type_letter(self) -> str | None:
-        """Type letter for irreducible systems, None for direct sums."""
-        return self.blocks[0][0] if len(self.blocks) == 1 else None
-
     def __repr__(self):  # pragma: no cover
         return f"RootSystem({self.label}, {len(self.roots)} roots)"
 

@@ -199,9 +199,6 @@ class WeylElement:
     def root_permutation(self) -> tuple[int, ...]:
         return tuple(self._perm[: len(self.system.root_coords)])
 
-    def is_identity(self) -> bool:
-        return self._perm == _perm_data(self.system)[0]
-
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
@@ -385,9 +382,11 @@ def minus_w0(system: RootSystem) -> Matrix:
 def ahyp_dimension(system: RootSystem) -> int:
     """Dimension of the fixed space of -w0 on the root span.
 
-    Read from the integer Cartan core, which computes it both as the kernel
-    rank of (w0 + identity) and as the number of orbits of the permutation
-    -w0 induces on the simple roots, and checks that the two agree.
+    Read from the integer Cartan core: the number of orbits of the
+    permutation -w0 induces on the simple roots, one fixed direction per
+    orbit.  The core checks that permutation and the word of w0 it comes
+    from (`cartan.w0_of`); the tests compare it with the kernel rank of
+    (w0 + identity).
     """
     return _w0(system).ahyp
 

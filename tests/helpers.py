@@ -1,7 +1,8 @@
 """Shared test utilities: seeded random rational vectors, brute-force
-orbit oracles, the matrix, reflection and elimination formulas that stay
-independent of the code paths they check, the Fraction coweight
-construction and the argparse parser that faster code replaced."""
+orbit oracles, exact vectors, the dot product and the matrix, reflection
+and elimination formulas that stay independent of the code paths they
+check, the Fraction coweight construction and the argparse parser that
+faster code replaced."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 from ckforms.catalog import FAMILY_ORDER, SimpleRealForm
 from ckforms.cli import cmd_check_proper, cmd_info, cmd_standard_form, cmd_table1
 from ckforms.errors import DEFAULT_CAP, NotInSpan
-from ckforms.linalg import Matrix, Vector, dot, integer_rows, invert, solve, vadd, vector
+from ckforms.linalg import Matrix, Vector, integer_rows, invert, solve, vadd
 from ckforms.rootspace import RootSystem, is_dominant, require_in_span, simple_root_rows
 from ckforms.weyl import enumerate_weyl
 
@@ -51,6 +52,15 @@ def in_root_span(system: RootSystem, v: Vector) -> bool:
     except NotInSpan:
         return False
     return True
+
+
+def vector(entries) -> Vector:
+    """Exact entries from ints, Fractions or 'p/q' strings."""
+    return tuple(map(Fraction, entries))
+
+
+def dot(u: Vector, v: Vector) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def transpose(m: Matrix) -> Matrix:

@@ -23,11 +23,11 @@ import ckforms
 from ckforms import catalog, obstruction
 from ckforms.cartan import cartan_matrix, dominant_chain, orbits, roots_of, w0_length, w0_of
 from ckforms.errors import InternalInconsistency
-from ckforms.linalg import dot, identity_matrix, rank_of, vneg
+from ckforms.linalg import identity_matrix, rank_of, vneg
 from ckforms.rootspace import build_root_system, direct_sum
 from ckforms.weyl import ahyp_dimension, fixed_cone, longest_element
 
-from helpers import integer_rank, mat_add, reflect, strictly_dominant_seed, supported_types
+from helpers import dot, integer_rank, mat_add, reflect, strictly_dominant_seed, supported_types
 
 
 def _system(blocks):

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ckforms import catalog
 from ckforms.catalog import (
@@ -13,7 +17,7 @@ from ckforms.catalog import (
     scan_real_forms,
     table1_rows,
 )
-from ckforms.errors import NotSemisimple, ParseError
+from ckforms.errors import MAX_RESTRICTED_RANK, NotSemisimple, ParseError
 from ckforms.rootspace import build_root_system
 
 from helpers import form_order_key
@@ -104,6 +108,98 @@ def test_hints_name_only_valid_inputs(text, hint):
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_descriptor(text)
+
+
+# the descriptor grammar as one pattern per classical family (in family
+# order) and per kind of term, tried in the order the parser once tried
+# them; the oracle of the single pattern that replaced them
+OLD_FAMILY_PATTERNS = (
+    r"^sl\((\d+),R\)$", r"^sl\((\d+),C\)$", r"^su\*\((\d+)\)$", r"^su\((\d+),(\d+)\)$",
+    r"^so\((\d+),(\d+)\)$", r"^so\((\d+),C\)$", r"^so\*\((\d+)\)$", r"^sp\((\d+),R\)$",
+    r"^sp\((\d+),C\)$", r"^sp\((\d+),(\d+)\)$",
+)
+
+
+def _old_parse(text):
+    """(noncompact parts, compact parts, [split, compact] center) of a
+    descriptor, parsed term by term with the per-family patterns."""
+    noncompact, compact, center = [], [], [0, 0]
+    stripped = re.sub(r"\s+", "", text)
+    for term in stripped.split("+") if stripped else ():
+        if not term:
+            raise ParseError(f"empty term in descriptor {text!r}")
+        term = catalog._ALIASES.get(term, term)
+        if (m := re.match(r"^R\^(\d+)$", term)):
+            center[0] += catalog._int(m.group(1))
+        elif (m := re.match(r"^u\(1\)\^(\d+)$", term)):
+            center[1] += catalog._int(m.group(1))
+        elif (m := next(filter(None, (re.match(p, term) for p in OLD_FAMILY_PATTERNS)), None)):
+            build = catalog._FAMILIES[OLD_FAMILY_PATTERNS.index(m.re.pattern)][2]
+            form = build(*map(catalog._int, m.groups()))
+            if form.restricted_rank > MAX_RESTRICTED_RANK:
+                raise ParseError(f"{form.name} has restricted rank {form.restricted_rank}, "
+                                 f"above the limit {MAX_RESTRICTED_RANK}")
+            noncompact.append(form)
+        elif term in catalog._EXCEPTIONAL:
+            noncompact.append(catalog.exceptional(term))
+        elif (m := re.match(r"^(su|so|sp)\((\d+)\)$", term)):
+            compact.append(catalog.compact_part(m.group(1), catalog._int(m.group(2))))
+        elif term in ("g2", "f4", "e6", "e7", "e8"):
+            compact.append(catalog.compact_part(term))
+        else:
+            raise ParseError(f"cannot parse descriptor term {term!r}")
+    return noncompact, compact, center
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, NotSemisimple) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _new_parse(text):
+    d = parse_descriptor(text)
+    return (list(d.noncompact_parts), list(d.compact_parts),
+            [d.split_center_dim, d.compact_center_dim])
+
+
+# term templates of the grammar, then some a token off it
+TERM_TEMPLATES = [
+    "sl({},R)", "sl({},C)", "su*({})", "su({},{})", "so({},{})", "so({},C)", "so*({})",
+    "sp({},R)", "sp({},C)", "sp({},{})", "su({})", "so({})", "sp({})", "R^{}", "u(1)^{}",
+    "sl({})", "sl({},{})", "su*({},{})", "so*({},C)", "su({},C)", "sp({},H)", "sl({},R",
+    "R^{}\n", "e6({})", "u(1)^({})", "so({},{},{})", "SL({},R)",
+]
+TERM_NAMES = ["e6(I)", "e6(IV)", "e8(8)", "f4(-20)", "e7(C)", "f4", "g2", "e9", ""]
+TERM_PARAMS = st.one_of(st.integers(0, 13).map(str),
+                        st.sampled_from(["129", "130", "\u0663", "9" * 5000, "-1", "", "R", " 5 "]))
+
+
+@st.composite
+def descriptor_texts(draw):
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.integers(0, 5)) == 0:
+            terms.append(draw(st.sampled_from(TERM_NAMES)))
+            continue
+        template = draw(st.sampled_from(TERM_TEMPLATES))
+        terms.append(template.format(*(draw(TERM_PARAMS) for _ in range(template.count("{}")))))
+    return draw(st.sampled_from(["+"] * 3 + [" + ", "++", "+\t"])).join(terms)
+
+
+@settings(max_examples=800, deadline=None)
+@example("sl(3,4)")
+@example("su*(3,4)+so*(4,C)+su(2,C)+sl(3)")
+@example("su(" + "9" * 5000 + ")")
+@example("sl(" + "9" * 5000 + ",4)")
+@example("sl(\u0663,R) + R^\u0663 + u(1)^\u0663 + so(\u0663)")
+@given(st.one_of(descriptor_texts(),
+                 st.text(alphabet="slupoRCxe6g2*()^,0139 +\n\t\u00a0\u2003", max_size=14)))
+def test_parser_agrees_with_per_family_patterns(text):
+    """The single term pattern and the builder lookup give the same parts
+    or the same error message as the per-family patterns."""
+    assert _parse_outcome(_new_parse, text) == _parse_outcome(_old_parse, text)
 
 
 def test_attributes_examples():

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from ckforms import catalog, cli, rootspace, weyl
 from ckforms.cli import main
 from ckforms.rootspace import build_root_system
-from ckforms.errors import InternalInconsistency
+from ckforms.errors import DEFAULT_CAP, InternalInconsistency
 
 from helpers import FIXTURES, build_parser
 
@@ -125,6 +127,24 @@ def test_check_proper_usage_errors(capsys):
     assert main(["check-proper", "--system", "A,4",
                  "--ah", "/nonexistent/file.vec",
                  "--al", str(FIXTURES / "a4_al_meets.vec")]) == 2
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--system=", "sl(3,R)", "so(1,2)", "sl(2,R)"], "embedded mode needs --system"),
+    (["--system=", "--ah", str(FIXTURES / "a4_ah.vec"), "--al", str(FIXTURES / "a4_al_meets.vec")],
+     "bad --system designation ''"),
+    (["--ah", "x.vec", "--cap", "5", "sl(3,R)", "so(1,2)", "sl(2,R)"], "need --system"),
+    (["--cap", "5", "sl(3,R)", "so(1,2)", "sl(2,R)"], "need --system"),
+    (["--al", "x.vec", "sl(3,R)", "so(1,2)", "sl(2,R)"], "need --system"),
+], ids=["empty-system-catalog", "empty-system-embedded", "ah-cap-catalog", "cap-catalog",
+        "al-catalog"])
+def test_check_proper_mode_is_chosen_by_system(capsys, argv, reason):
+    """--system, even empty, chooses embedded mode; --ah, --al or --cap
+    without it is refused, not ignored."""
+    assert main(["check-proper", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and reason in captured.err
 
 
 @pytest.mark.parametrize("entry,reason", [
@@ -259,6 +279,64 @@ def test_output_is_deterministic(capsys):
     assert runs[0] == runs[1]
 
 
+# the report writer against json.dumps(..., indent=2, sort_keys=True), whose
+# bytes it must reproduce: strings over every code point, lone surrogates
+# included, and the characters json escapes by name
+JSON_STRINGS = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\\x00\x1f\x7f\b\f\n\r\t \u00e9\u2028\U0001f600\U0010ffff\ud800\udcff'),
+), max_size=8)
+JSON_TREES = st.recursive(
+    st.one_of(st.integers(), st.integers(min_value=-10**40, max_value=10**40), st.booleans(),
+              st.none(), JSON_STRINGS),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(JSON_STRINGS, children, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example({})
+@example([[], {}, ()])
+@example({"a": {"b": []}, "\ud83d": "\udcff\U0001f600", "": True, "\x7f": False})
+@given(JSON_TREES)
+def test_report_writer_matches_json_dumps(value):
+    assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests" / "golden").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_report_writer_reproduces_the_golden_reports(path):
+    text = path.read_text()
+    assert cli._to_json(json.loads(text)) + "\n" == text
+
+
+@pytest.mark.parametrize("value", [
+    1.5, Fraction(1, 2), {1: "x"}, {None: "x"}, {"a": 1, 2: "b"}, {"a": [0.0]}, [{"b": Fraction(0)}],
+], ids=["float", "Fraction", "int-key", "None-key", "mixed-keys", "nested-float", "nested-Fraction"])
+def test_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._to_json(value)
+
+
+def test_json_report_escapes_non_ascii_paths(capsys, tmp_path):
+    """A subspace file name with a non-ASCII letter, an astral character and
+    a byte that is not UTF-8 (a lone surrogate once decoded) is written in
+    ASCII escapes, as json.dumps writes it."""
+    names = {}
+    for key, fixture in (("ah", "a4_ah.vec"), ("al", "a4_al_meets.vec")):
+        name = tmp_path / os.fsdecode(f"\u00e9\U0001f600{key}".encode() + b"\xff.vec")
+        shutil.copy(FIXTURES / fixture, name)
+        names[key] = str(name)
+    code, report = run_json(capsys, "check-proper", "--system", "A,4",
+                            "--ah", names["ah"], "--al", names["al"])
+    assert code == 0 and report["inputs"]["ah"] == names["ah"]
+    code, out = run(capsys, "check-proper", "--system", "A,4",
+                    "--ah", names["ah"], "--al", names["al"], "--json")
+    assert out.isascii() and "\\u00e9\\ud83d\\ude00ah\\udcff.vec" in out
+
+
 def test_human_output_mentions_verdict(capsys):
     code, out = run(capsys, "standard-form", "sl(11,R)", "so(4,7)")
     assert code == 0 and "verdict: NoStandardForm" in out
@@ -345,11 +423,16 @@ def _oracle_outcome(argv):
 
 def _outcome(argv):
     try:
-        return vars(cli.parse_args(argv))
+        values = vars(cli.parse_args(argv))
     except cli._Help:
         return "help"
     except cli._UsageError:
         return "error"
+    # the reader leaves --cap None when not given, so that catalog mode can
+    # refuse it; embedded mode then uses the default the oracle fills in
+    if values.get("cap", 0) is None:
+        values["cap"] = DEFAULT_CAP
+    return values
 
 
 @settings(max_examples=1500, deadline=None)

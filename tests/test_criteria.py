@@ -22,12 +22,11 @@ from ckforms.linalg import (
     kernel_basis,
     primitive,
     vadd,
-    vector,
     vneg,
 )
 from ckforms.rootspace import build_root_system, direct_sum
 
-from helpers import FIXTURES, rand_fraction, vscale, zero_vector
+from helpers import FIXTURES, rand_fraction, vector, vscale, zero_vector
 
 A4 = build_root_system("A", 4)
 
@@ -124,7 +123,7 @@ def test_check_proper_fixtures():
     self_hit = check_proper_embedded(A4, a_h, a_h)
     assert not self_hit.proper
     assert self_hit.w_index == 0
-    assert self_hit.element.is_identity()
+    assert self_hit.element.root_permutation() == tuple(range(len(A4.roots)))
     assert self_hit.witness == a_h.basis[0]
 
     a1a1 = direct_sum(build_root_system("A", 1), build_root_system("A", 1))

@@ -136,10 +136,11 @@ SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_no_slow_standard_imports(module):
     """No module imports them, nor `argparse` (its parser build loads
-    `gettext` and `locale`) or `pathlib` (about 7 ms without `site`).
-    Checked in the source: a site-packages `.pth` file may load `pathlib`
-    before any package code runs."""
-    forbidden = {*SLOW_IMPORTS, "argparse", "pathlib"}
+    `gettext` and `locale`), `pathlib` (about 7 ms without `site`) or
+    `json` (about 2 ms; `cli` writes the reports itself).  Checked in the
+    source: a site-packages `.pth` file may load `pathlib` before any
+    package code runs."""
+    forbidden = {*SLOW_IMPORTS, "argparse", "pathlib", "json"}
     assert _imported_modules(TREES[module]) & forbidden == set()
 
 
@@ -240,6 +241,28 @@ def test_no_command_loads_argparse():
         f"                 '--al', {str(fixtures / 'a4_al_meets.vec')!r}]) == 0\n"
     )
     assert {"argparse", "gettext", "locale"} & set(loaded) == set()
+
+
+def test_no_command_loads_json():
+    """Every command, with --json and without, runs without loading `json`
+    or its submodules."""
+    fixtures = ROOT / "tests" / "fixtures"
+    commands = [
+        ["info", "e8(8)"],
+        ["table1", "2"],
+        ["standard-form", "sl(9,R)", "so(3,6)"],
+        ["check-proper", "sl(11,R)", "so(4,7)", "e6(-26)"],
+        ["check-proper", "--system", "A,4", "--ah", str(fixtures / "a4_ah.vec"),
+         "--al", str(fixtures / "a4_al_meets.vec")],
+    ]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from ckforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in {commands!r}:\n"
+        "        assert main(argv) == 0 and main(argv + ['--json']) == 0\n"
+    )
+    assert {"json", "json.decoder", "json.encoder", "json.scanner"} & set(loaded) == set()
 
 
 def _loaded_by_command(argv: list[str]) -> list[str]:

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckforms import linalg
-from ckforms.linalg import invert, kernel_basis, rank_of, reduced_basis, solve, vector
+from ckforms.linalg import invert, kernel_basis, rank_of, reduced_basis, solve
 
-from helpers import mat_vec, rref
+from helpers import mat_vec, rref, vector
 
 ENTRIES = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 

@@ -58,7 +58,7 @@ def test_combination_intervals():
     assert all(len(c.derived_parts) <= 1 for c in combos)  # ahyp budget 1
     for c in combos:
         for b in (c.budgets.ahyp, c.budgets.rank, c.budgets.maxcompact, c.budgets.dim):
-            assert b.ok
+            assert b.used <= b.limit
 
 
 def test_multi_part_combinations_when_budget_allows():

@@ -25,11 +25,10 @@ from ckforms.criteria import (
     cocompact_dimension_check,
     necessary_conditions,
 )
-from ckforms.linalg import vector
 from ckforms.obstruction import standard_form_verdict
 from ckforms.rootspace import build_root_system
 
-from helpers import in_root_span
+from helpers import in_root_span, vector
 
 A4 = build_root_system("A", 4)
 
@@ -113,14 +112,14 @@ def test_subspace_validation_survives_optimize():
         "import sys\n"
         "from ckforms.criteria import Subspace\n"
         "from ckforms.errors import DimensionMismatch, NotInSpan\n"
-        "from ckforms.linalg import vector\n"
+        "from fractions import Fraction\n"
         "from ckforms.rootspace import build_root_system\n"
         "A4 = build_root_system('A', 4)\n"
         "print('optimize', sys.flags.optimize)\n"
         "for bad, error in (([1, 0, 0, -1], DimensionMismatch),\n"
         "                   ([1, 0, 0, 0, 0], NotInSpan)):\n"
         "    try:\n"
-        "        Subspace(A4, (vector(bad),))\n"
+        "        Subspace(A4, (tuple(map(Fraction, bad)),))\n"
         "    except error:\n"
         "        print('raised', error.__name__)\n"
     )

@@ -11,7 +11,7 @@ import pytest
 from ckforms import linalg, rootspace
 from ckforms.cartan import cartan_matrix
 from ckforms.errors import DimensionMismatch, InternalInconsistency, NotInSpan, UnsupportedSystem
-from ckforms.linalg import dot, kernel_basis, rank_of, solve, vector, vneg
+from ckforms.linalg import kernel_basis, rank_of, solve, vneg
 from ckforms.rootspace import (
     build_root_system,
     direct_sum,
@@ -20,12 +20,14 @@ from ckforms.rootspace import (
 from ckforms.weyl import enumerate_weyl
 
 from helpers import (
+    dot,
     in_root_span,
     random_span_vector,
     reflect,
     rref,
     strictly_dominant_seed,
     supported_types,
+    vector,
 )
 
 ALL_SMALL = [
@@ -167,7 +169,7 @@ def test_direct_sum_layout():
     assert s.rank == 2
     assert len(s.roots) == 4
     assert s.label == "A1+A1"
-    assert s.type_letter is None
+    assert s.blocks == (("A", 1), ("A", 1))
     assert in_root_span(s, vector([1, -1, 0, 0]))
     assert not in_root_span(s, vector([1, 0, -1, 0]))
 

@@ -12,7 +12,7 @@ import pytest
 import ckforms
 from ckforms import cartan, weyl
 from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency, NotInSpan
-from ckforms.linalg import dot, identity_matrix, invert, kernel_basis, vector, vneg
+from ckforms.linalg import identity_matrix, invert, kernel_basis, vneg
 from ckforms.rootspace import build_root_system, direct_sum, is_dominant
 from ckforms.weyl import (
     WeylEnumeration,
@@ -29,12 +29,14 @@ from ckforms.weyl import (
 
 from helpers import (
     brute_dominant,
+    dot,
     fraction_coweight_rows,
     mat_mul,
     mat_vec,
     random_span_vector,
     reflect,
     supported_types,
+    vector,
 )
 
 
@@ -62,7 +64,7 @@ def test_enumeration_orders(letter, rank, order):
     s = build_root_system(letter, rank)
     els = enumerate_weyl(s, cap=2000)
     assert len(els) == order == weyl_order(s)
-    assert els[0].is_identity()
+    assert els[0].root_permutation() == tuple(range(len(s.roots)))
     assert els[0].word == ()
 
 
