@@ -16,8 +16,6 @@ explicit realization (`rootspace`) is built on this core, which knows
 nothing of it.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from heapq import heappop, heappush

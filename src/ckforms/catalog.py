@@ -24,8 +24,6 @@ isomorphisms (so(3,1) = sl(2,C), ...) are not canonicalized, since all
 invariants coincide on isomorphic algebras.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from functools import cached_property, partial

@@ -8,8 +8,6 @@ report conforming to docs/report-schema.json; rationals are serialized as
 'p/q' strings.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from types import SimpleNamespace

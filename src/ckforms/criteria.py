@@ -10,8 +10,6 @@ ambient coordinates of the system's realization; the scan itself runs in
 simple-root coordinates.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from fractions import Fraction
@@ -57,14 +55,14 @@ class Subspace(namedtuple("Subspace", "system spanning_vectors")):
         return len(self._basis)
 
 
-_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_ENTRY = r"[+-]?[0-9]+(/[0-9]+)?"
 
 
 def _entry(token: str, lineno: int) -> Fraction:
     """An entry of the documented grammar [+-]?[0-9]+(/[0-9]+)?; `Fraction`
     alone would also take decimals, exponents, '_' and non-ASCII digits."""
     try:
-        if _ENTRY.fullmatch(token):
+        if re.fullmatch(_ENTRY, token):
             return Fraction(token)
     except ValueError:   # more digits than int() converts
         pass
@@ -157,14 +155,15 @@ def check_proper_embedded(
     order together with a nonzero witness vector in the intersection,
     normalized to a primitive integer vector with positive leading entry.
 
-    The group is generated lazily, so a NotProper scan stops generating at
-    the offending element.  Both bases are stacked in integer simple-root
-    coordinates (`span_action`; a_h's once, at the identity), `rank` rows.
-    Each column is a positive multiple of its vector's coordinates, which
-    are injective on the root span: the pivots are those of the ambient
-    stack, and the witness mapped back by `to_ambient` differs from the
-    ambient one by a positive factor that `primitive` removes.  No
-    element's `apply` or matrix runs here.
+    The group is streamed (`enumerate_weyl`), so a NotProper scan
+    stops generating at the offending element and a Proper scan holds
+    two length layers of the group, never all of it.  Both bases are stacked
+    in integer simple-root coordinates (`span_action`; a_h's once, at the
+    identity), `rank` rows.  Each column is a positive multiple of its
+    vector's coordinates, which are injective on the root span: the pivots
+    are those of the ambient stack, and the witness mapped back by
+    `to_ambient` differs from the ambient one by a positive factor that
+    `primitive` removes.  No element's `apply` or matrix runs here.
     """
     for sub, name in ((a_h, "a_h"), (a_l, "a_l")):
         if sub.system != system_g:
@@ -174,7 +173,7 @@ def check_proper_embedded(
         return ProperCheck(proper=True)
     elements = enumerate_weyl(system_g, cap)
     move = span_action(system_g, a_l.basis)
-    h_cols = span_action(system_g, a_h.basis)(elements[0])
+    h_cols = span_action(system_g, a_h.basis)(next(iter(elements)))
     for idx, w in enumerate(elements):
         kernel = kernel_basis(list(zip(*h_cols, *move(w))))
         if kernel:

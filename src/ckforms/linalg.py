@@ -8,8 +8,6 @@ built only for the entries a result returns.  Its fixed pivoting rule
 no floating point appears anywhere.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 

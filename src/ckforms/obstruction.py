@@ -7,8 +7,6 @@ ever answers NoStandardForm or Inconclusive: the budgets are necessary
 conditions, never proofs of embeddability, so it never claims existence.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .catalog import (
@@ -21,6 +19,7 @@ from .errors import SpaceObstruction
 
 NO_STANDARD_FORM = "NoStandardForm"
 INCONCLUSIVE = "Inconclusive"
+TOP_CANDIDATES = 10   # candidates a verdict lists, by upper end of their d interval
 
 
 # how much of one budget a candidate uses (`used`, int) against its `limit`
@@ -114,9 +113,7 @@ def candidate_combinations(g: SimpleRealForm, h: ReductiveDescriptor) -> list[Ca
     return reports
 
 
-def standard_form_verdict(
-    g: SimpleRealForm, h: ReductiveDescriptor, top: int = 10
-) -> StandardFormVerdict:
+def standard_form_verdict(g: SimpleRealForm, h: ReductiveDescriptor) -> StandardFormVerdict:
     """Decide whether d(G) - d(H) is achievable by any budget-compatible
     candidate.  NoStandardForm means no candidate interval contains the
     required value; Inconclusive lists the candidates whose interval does."""
@@ -130,5 +127,5 @@ def standard_form_verdict(
         verdict=INCONCLUSIVE if witnesses else NO_STANDARD_FORM,
         max_achievable=max_achievable,
         witnesses=witnesses,
-        top_candidates=tuple(c for _, c in ranked[:top]),
+        top_candidates=tuple(c for _, c in ranked[:TOP_CANDIDATES]),
     )

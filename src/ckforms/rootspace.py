@@ -25,8 +25,6 @@ All coordinates are exact rationals and every constructed system is
 immutable, so values can be shared freely across threads.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache

@@ -14,17 +14,16 @@ returns those sums; only `WeylElement.apply`, its matrix and
 `dominant_representative` map them back, through `to_ambient`.
 Enumeration is breadth-first by word length with ties broken
 lexicographically by word, so indices are reproducible across runs; it is
-lazy, so a scan that stops early generates only the elements it read.
+a stream, so a scan that stops early generates only the elements it read,
+and a full pass holds two length layers, never the whole group.
 The longest element, -w0 on the simple roots, the a-hyperbolic dimension
 and dominant representatives come from the integer Cartan core (`cartan`),
 never from enumeration, which keeps rank-level invariants cheap for every
 supported system including E_8.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
@@ -211,80 +210,47 @@ class WeylElement:
         return f"WeylElement(word={self.word})"
 
 
-class WeylEnumeration(Sequence):
-    """The group in canonical order, generated only as far as it is read.
+class WeylEnumeration:
+    """The group in canonical order, generated afresh by each pass.
 
-    `len()` is the closed-form order.  Iteration, indexing and slicing
-    generate elements up to the position they reach; generated elements are
-    kept, so later passes return the same objects.  The generation queue is
-    the element list itself: the element at `parent` is composed with each
-    simple reflection in turn, which is the breadth-first, lexicographic
-    order.  When the queue is
-    exhausted the count is checked against the order.
+    `len()` is the closed-form order; `generated` counts the elements the
+    latest pass has yielded.  A pass is breadth-first by length and keeps
+    only the current layer and the next: each element w of the layer, in
+    order, is composed with s_0, s_1, ... in turn, skipping s_i when
+    w(a_i) < 0, since then l(w s_i) < l(w) (Humphreys 1.6-1.7); the first
+    word reaching a permutation is kept.  An exhausted pass checks its
+    count against the order.
     """
 
     def __init__(self, system: RootSystem, order: int):
         self.system = system
         self._order = order
-        ident, self._gens, _ = _perm_data(system)
-        self._elements = [WeylElement(system, (), ident)]
-        self._seen: set | None = {ident}   # None once generation is complete
-        self._next = (0, 0)                # (parent index, simple reflection)
+        self._ident, gens, simple = _perm_data(system)
+        self._steps = tuple(zip(range(system.rank), simple, gens))
+        self._positive = [max(b) > 0 for b in system.root_coords]
+        self.generated = 0
 
     def __len__(self) -> int:
         return self._order
 
-    @property
-    def generated(self) -> int:
-        """How many elements have been generated so far."""
-        return len(self._elements)
-
-    def _grow(self, n: int) -> None:
-        """Generate elements until `n` exist or the group is exhausted."""
-        elements, seen = self._elements, self._seen
-        if seen is None:
-            return
-        gens, system = self._gens, self.system
-        parent, gen = self._next
-        while len(elements) < n:
-            if parent == len(elements):
-                self._seen = None
-                if len(elements) != self._order:
-                    raise InternalInconsistency(
-                        f"enumerated {len(elements)} elements of {system.label}, "
-                        f"expected {self._order}"
-                    )
-                return
-            source = elements[parent]
-            q = _compose(source._perm, gens[gen])
-            if q not in seen:
-                seen.add(q)
-                elements.append(WeylElement(system, source.word + (gen,), q))
-            gen += 1
-            if gen == len(gens):
-                parent, gen = parent + 1, 0
-        self._next = (parent, gen)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            positions = range(self._order)[index]
-            if positions:
-                self._grow(max(positions) + 1)
-            return [self._elements[i] for i in positions]
-        i = range(self._order)[index]
-        self._grow(i + 1)
-        return self._elements[i]
-
     def __iter__(self) -> Iterator[WeylElement]:
-        elements = self._elements
-        i = 0
-        while True:
-            if i == len(elements):
-                self._grow(i + 1)
-                if i == len(elements):
-                    return
-            yield elements[i]
-            i += 1
+        system, steps, positive = self.system, self._steps, self._positive
+        layer = [WeylElement(system, (), self._ident)]
+        self.generated = count = 1
+        yield layer[0]
+        while layer:
+            nxt = {}   # the next layer, keyed by permutation
+            for w in layer:
+                perm = w._perm
+                for i, simple, gen in steps:
+                    if positive[perm[simple]] and (q := _compose(perm, gen)) not in nxt:
+                        nxt[q] = u = WeylElement(system, w.word + (i,), q)
+                        self.generated = count = count + 1
+                        yield u
+            layer = nxt.values()
+        if count != self._order:
+            raise InternalInconsistency(
+                f"enumerated {count} elements of {system.label}, expected {self._order}")
 
     def __repr__(self):
         return f"WeylEnumeration({self.system.label}, {self.generated} of {self._order})"
@@ -292,7 +258,7 @@ class WeylEnumeration(Sequence):
 
 def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> WeylEnumeration:
     """All group elements, breadth-first by word length, lexicographic
-    within a length, identity first, as a lazy sequence (`WeylEnumeration`).
+    within a length, identity first, as a sized stream (`WeylEnumeration`).
 
     Raises CapExceeded (with the exact order) when the group is larger
     than `cap`; the order is known from the closed formula before any

@@ -125,7 +125,7 @@ def test_criterion_3_enumeration_orders():
             s = build_root_system(letter, rank)
             els = enumerate_weyl(s, cap=10**6)
             assert len(els) == order, (letter, rank)
-            assert els[0].root_permutation() == tuple(range(len(s.roots)))
+            assert next(iter(els)).root_permutation() == tuple(range(len(s.roots)))
         for letter, rank in (("A", 4), ("B", 4), ("E", 6)):
             s = build_root_system(letter, rank)
             first = [w.word for w in enumerate_weyl(s)]

@@ -136,11 +136,13 @@ SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_no_slow_standard_imports(module):
     """No module imports them, nor `argparse` (its parser build loads
-    `gettext` and `locale`), `pathlib` (about 7 ms without `site`) or
-    `json` (about 2 ms; `cli` writes the reports itself).  Checked in the
-    source: a site-packages `.pth` file may load `pathlib` before any
+    `gettext` and `locale`), `pathlib` (about 7 ms without `site`),
+    `json` (about 2 ms; `cli` writes the reports itself) or `__future__`
+    (its `annotations` import costs each process about 0.3-0.45 ms; the
+    annotations run at definition, which Python 3.10 allows).  Checked in
+    the source: a site-packages `.pth` file may load `pathlib` before any
     package code runs."""
-    forbidden = {*SLOW_IMPORTS, "argparse", "pathlib", "json"}
+    forbidden = {*SLOW_IMPORTS, "argparse", "pathlib", "json", "__future__"}
     assert _imported_modules(TREES[module]) & forbidden == set()
 
 

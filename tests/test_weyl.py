@@ -2,7 +2,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from math import factorial, lcm
 from operator import itemgetter
 from pathlib import Path
@@ -64,8 +66,9 @@ def test_enumeration_orders(letter, rank, order):
     s = build_root_system(letter, rank)
     els = enumerate_weyl(s, cap=2000)
     assert len(els) == order == weyl_order(s)
-    assert els[0].root_permutation() == tuple(range(len(s.roots)))
-    assert els[0].word == ()
+    first = next(iter(els))
+    assert first.root_permutation() == tuple(range(len(s.roots)))
+    assert first.word == ()
 
 
 def test_enumeration_cap():
@@ -103,7 +106,7 @@ def test_elements_permute_roots_and_preserve_inner_product():
 
 def test_word_composes_to_matrix():
     s = build_root_system("B", 3)
-    for w in enumerate_weyl(s)[:60]:
+    for w in islice(enumerate_weyl(s), 60):
         m = identity_matrix(s.ambient_dim)
         for i in w.word:
             refl = tuple(
@@ -342,28 +345,24 @@ def test_streamed_order_matches_list_building_search():
         assert streamed == expected, s.label
 
 
-def test_view_keeps_and_reuses_elements():
-    s = build_root_system("B", 3)
-    view = enumerate_weyl(s)
-    assert view.generated == 1 and len(view) == 48
-    head = view[:10]
-    assert view.generated == 10
-    first = list(view)
+def test_each_pass_generates_the_same_elements_again():
+    view = enumerate_weyl(build_root_system("B", 3))
+    assert view.generated == 0 and len(view) == 48
+    first = [(w.word, w.root_permutation()) for w in view]
     assert len(first) == 48 == view.generated
-    assert all(a is b for a, b in zip(head, first))
-    assert all(a is b for a, b in zip(view, first))
-    assert view[-1] is first[-1] and view[5] is first[5]
-    assert view[3:40:7] == first[3:40:7]
-    with pytest.raises(IndexError):
-        view[48]
+    head = [(w.word, w.root_permutation()) for w in islice(view, 10)]
+    assert head == first[:10] and view.generated == 10
+    assert list(view) == list(view)   # WeylElement equality: same permutations
+    assert [(w.word, w.root_permutation()) for w in view] == first
+    assert view.generated == 48
 
 
 def test_view_generates_only_what_is_read():
     view = enumerate_weyl(build_root_system("E", 6))
-    assert len(view) == 51840 and view.generated == 1
-    assert view[6].word == (5,)
+    assert len(view) == 51840 and view.generated == 0
+    assert list(islice(view, 7))[6].word == (5,)
     assert view.generated == 7
-    assert [w.word for w in view[2:12:3]] == [(1,), (4,), (0, 2), (0, 5)]
+    assert [w.word for w in islice(view, 2, 12, 3)] == [(1,), (4,), (0, 2), (0, 5)]
     assert view.generated == 12
     elements = iter(view)
     for _ in range(100):
@@ -371,10 +370,23 @@ def test_view_generates_only_what_is_read():
     assert view.generated == 100
 
 
+def test_full_pass_holds_two_layers_not_the_group():
+    # E6's largest length layer has 3,662 of the 51,840 elements: two layers
+    # fit under the bound, the whole group (about 29 MiB) does not
+    view = enumerate_weyl(build_root_system("E", 6))
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in view) == 51840
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_count_check_runs_when_generation_completes():
     s = build_root_system("A", 2)
     wrong = WeylEnumeration(s, 7)
-    assert [w.word for w in wrong[:6]] == [w for w, _ in _bfs_oracle(s)]
+    assert [w.word for w in islice(wrong, 6)] == [w for w, _ in _bfs_oracle(s)]
     with pytest.raises(InternalInconsistency, match="enumerated 6 elements of A2, expected 7"):
         list(wrong)
 
@@ -444,7 +456,7 @@ def test_singular_internal_inverse_is_internal_inconsistency(monkeypatch):
     s = build_root_system("A", 3)
     monkeypatch.delitem(s._cache, "coweights", raising=False)   # computed by earlier tests
     with pytest.raises(InternalInconsistency, match="Gram matrix of the simple roots of A3 is singular"):
-        enumerate_weyl(s)[1].matrix
+        next(islice(enumerate_weyl(s), 1, None)).matrix
     with pytest.raises(InternalInconsistency, match="Gram matrix .* of A3 is singular"):
         weyl.fundamental_coweights(s)
 
@@ -526,6 +538,7 @@ def test_corrupted_root_coords_are_an_internal_inconsistency_under_optimize():
     # roots that reflect onto it: an InternalInconsistency, not a KeyError
     code = (
         "import sys\n"
+        "from itertools import islice\n"
         "from ckforms import weyl\n"
         "from ckforms.errors import InternalInconsistency\n"
         "from ckforms.rootspace import build_root_system\n"
@@ -535,7 +548,7 @@ def test_corrupted_root_coords_are_an_internal_inconsistency_under_optimize():
         "i = next(i for i, b in enumerate(coords) if sum(map(abs, b)) > 1)\n"
         "coords[i] = tuple(2 * x for x in coords[i])\n"
         "try:\n"
-        "    weyl.enumerate_weyl(s._replace(root_coords=tuple(coords)))[1]\n"
+        "    next(islice(weyl.enumerate_weyl(s._replace(root_coords=tuple(coords))), 1, None))\n"
         "except InternalInconsistency as e:\n"
         "    print(e)\n"
     )
