@@ -13,9 +13,9 @@ _SUBMODULES = ("cartan", "catalog", "criteria", "errors", "linalg", "obstruction
 
 # each re-exported name -> the submodule that defines it
 _HOMES = {name: module for module, names in (
-    ("catalog", "attributes derived_invariants parse_descriptor parse_simple"),
-    ("criteria", "Subspace antipodal_orbit_check check_proper_embedded "
-                 "cocompact_dimension_check necessary_conditions subspace_from_text"),
+    ("catalog", "attributes cocompact_dimension_check derived_invariants "
+                "necessary_conditions parse_descriptor parse_simple"),
+    ("criteria", "Subspace antipodal_orbit_check check_proper_embedded subspace_from_text"),
     ("obstruction", "candidate_combinations candidate_simple_parts standard_form_verdict"),
     ("rootspace", "build_root_system direct_sum is_dominant"),
     ("weyl", "ahyp_dimension dominant_representative enumerate_weyl fixed_cone "
@@ -24,16 +24,7 @@ _HOMES = {name: module for module, names in (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "attributes", "ahyp_dimension", "antipodal_orbit_check", "build_root_system",
-    "candidate_combinations", "candidate_simple_parts", "cartan", "catalog",
-    "check_proper_embedded", "cocompact_dimension_check", "criteria",
-    "derived_invariants", "direct_sum", "dominant_representative", "enumerate_weyl",
-    "errors", "fixed_cone", "is_antipodal", "is_dominant", "linalg", "longest_element",
-    "minus_w0", "necessary_conditions", "obstruction", "parse_descriptor",
-    "parse_simple", "rootspace", "standard_form_verdict", "Subspace",
-    "subspace_from_text", "weyl", "weyl_order",
-]
+__all__ = [*_SUBMODULES, *_HOMES]
 
 
 def __getattr__(name: str):

@@ -1,5 +1,7 @@
 """Classification data for real simple Lie algebras and reductive
-descriptors.  A `SimpleRealForm` is the one record of a form and its
+descriptors, and the tests that read only their invariants: the rank
+inequalities any proper action satisfies and the dimension equality for
+cocompactness.  A `SimpleRealForm` is the one record of a form and its
 invariants.  The a-hyperbolic rank is computed, never transcribed: the
 integer Cartan core (`cartan`) derives it from the closed-form Cartan
 matrix of the restricted root system and cross-checks it at run time,
@@ -413,9 +415,51 @@ def derived_invariants(desc: ReductiveDescriptor) -> DerivedInvariants:
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# the rank tests for properness and the dimension test for cocompactness
 
-FAMILY_ORDER = tuple(label for label, _, _ in _FAMILIES) + tuple(_EXCEPTIONAL)
+OBSTRUCTION_FOUND = "ObstructionFound"
+NO_OBSTRUCTION = "NoObstruction"
+
+Check = namedtuple("Check", "name lhs rhs passed")
+PropernessReport = namedtuple("PropernessReport", "checks overall")
+
+
+def necessary_conditions(g, h, l) -> PropernessReport:
+    """Rank inequalities that any proper action must satisfy, regardless of
+    the embedding, for the `ReductiveDescriptor`s g, h and l.  A failed
+    check rules the action out; passing means only that these tests found
+    no obstruction."""
+    gi, hi, li = derived_invariants(g), derived_invariants(h), derived_invariants(l)
+    checks = (
+        Check("real_rank", li.rank_R + hi.rank_R, gi.rank_R,
+              li.rank_R + hi.rank_R <= gi.rank_R),
+        Check("ahyp_rank", li.ahyp + hi.ahyp, gi.ahyp,
+              li.ahyp + hi.ahyp <= gi.ahyp),
+    )
+    overall = NO_OBSTRUCTION if all(c.passed for c in checks) else OBSTRUCTION_FOUND
+    return PropernessReport(checks=checks, overall=overall)
+
+
+CocompactReport = namedtuple("CocompactReport", "d_g d_h d_l equal required_d")
+
+
+def cocompact_dimension_check(g, h, l) -> CocompactReport:
+    """Exact dimension test on `ReductiveDescriptor`s: given a proper
+    action, the double coset space is compact iff d(l) + d(h) = d(g)
+    (Kobayashi, Math. Ann. 285, 1989).  `required_d` is d(g) - d(h), the
+    value d(l) would have to hit."""
+    d_g = derived_invariants(g).d
+    d_h = derived_invariants(h).d
+    d_l = derived_invariants(l).d
+    return CocompactReport(
+        d_g=d_g, d_h=d_h, d_l=d_l,
+        equal=(d_l + d_h == d_g),
+        required_d=d_g - d_h,
+    )
+
+
+# ---------------------------------------------------------------------------
+# enumeration
 
 def _walk(build, fits, start=1):
     """build(n) for n = start, start + 1, ... up to the first form that

@@ -224,9 +224,9 @@ def _read_subspace(path: str, system):
 def cmd_check_proper(args) -> dict:
     if args.cap is not None and args.cap < 1:
         raise ParseError("cap must be a positive integer")
-    from . import criteria
-
     if args.system is not None:
+        from . import criteria
+
         if not (args.ah and args.al) or len(args.descriptors) != 0:
             raise ParseError("embedded mode needs --system with --ah and --al and "
                              "no positional descriptors")
@@ -253,8 +253,8 @@ def cmd_check_proper(args) -> dict:
     from . import catalog
 
     g, h, l = (catalog.parse_descriptor(t) for t in args.descriptors)
-    report = criteria.necessary_conditions(g, h, l)
-    cocompact = criteria.cocompact_dimension_check(g, h, l)
+    report = catalog.necessary_conditions(g, h, l)
+    cocompact = catalog.cocompact_dimension_check(g, h, l)
     return _report("check-proper", dict(zip("ghl", args.descriptors)), report.overall,
                    {"cocompactness": cocompact._asdict()},
                    [c._asdict() for c in report.checks])

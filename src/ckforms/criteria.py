@@ -1,6 +1,7 @@
-"""Executable necessary/sufficient tests: the rank inequalities, the
-dimension equality for cocompactness, and the exact Weyl-orbit properness
-criterion for explicitly embedded split subspaces.
+"""The exact Weyl-orbit properness criterion for explicitly embedded split
+subspaces, and the reader of their files.  The rank tests and the
+cocompactness dimension test read only catalog invariants; they are in
+`catalog`, so catalog-mode `check-proper` never loads this module.
 
 The embedded checker trusts the caller that the two subspaces really are
 the (conjugated) maximally split abelian subspaces of the subgroups in
@@ -25,9 +26,6 @@ from .weyl import (
     span_action,
     to_ambient,
 )
-
-OBSTRUCTION_FOUND = "ObstructionFound"
-NO_OBSTRUCTION = "NoObstruction"
 
 
 class Subspace(namedtuple("Subspace", "system spanning_vectors")):
@@ -84,48 +82,6 @@ def subspace_from_text(text: str, system: RootSystem) -> Subspace:
             continue
         vectors.append(tuple(_entry(tok, lineno) for tok in line.split()))
     return Subspace(system=system, spanning_vectors=tuple(vectors))
-
-
-Check = namedtuple("Check", "name lhs rhs passed")
-PropernessReport = namedtuple("PropernessReport", "checks overall")
-
-
-def necessary_conditions(g, h, l) -> PropernessReport:
-    """Rank inequalities that any proper action must satisfy, regardless of
-    the embedding, for the `catalog.ReductiveDescriptor`s g, h and l.  A
-    failed check rules the action out; passing means only that these tests
-    found no obstruction."""
-    from .catalog import derived_invariants
-
-    gi, hi, li = derived_invariants(g), derived_invariants(h), derived_invariants(l)
-    checks = (
-        Check("real_rank", li.rank_R + hi.rank_R, gi.rank_R,
-              li.rank_R + hi.rank_R <= gi.rank_R),
-        Check("ahyp_rank", li.ahyp + hi.ahyp, gi.ahyp,
-              li.ahyp + hi.ahyp <= gi.ahyp),
-    )
-    overall = NO_OBSTRUCTION if all(c.passed for c in checks) else OBSTRUCTION_FOUND
-    return PropernessReport(checks=checks, overall=overall)
-
-
-CocompactReport = namedtuple("CocompactReport", "d_g d_h d_l equal required_d")
-
-
-def cocompact_dimension_check(g, h, l) -> CocompactReport:
-    """Exact dimension test on `catalog.ReductiveDescriptor`s: given a
-    proper action, the double coset space is compact iff
-    d(l) + d(h) = d(g).  `required_d` is d(g) - d(h), the value d(l) would
-    have to hit."""
-    from .catalog import derived_invariants
-
-    d_g = derived_invariants(g).d
-    d_h = derived_invariants(h).d
-    d_l = derived_invariants(l).d
-    return CocompactReport(
-        d_g=d_g, d_h=d_h, d_l=d_l,
-        equal=(d_l + d_h == d_g),
-        required_d=d_g - d_h,
-    )
 
 
 class ProperCheck(namedtuple("ProperCheck", "proper w_index element witness",
@@ -197,3 +153,11 @@ def antipodal_orbit_check(system_g: RootSystem, x: Vector) -> AntipodalReport:
         antipodal=is_antipodal(system_g, x),
         dominant_rep=dominant_representative(system_g, x),
     )
+
+
+def __getattr__(name: str):
+    # the benchmark's tracer still wraps the two catalog tests by these names
+    if name in ("necessary_conditions", "cocompact_dimension_check"):
+        from . import catalog
+        return getattr(catalog, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from ckforms.catalog import FAMILY_ORDER, SimpleRealForm
+from ckforms import catalog
+from ckforms.catalog import SimpleRealForm
 from ckforms.cli import cmd_check_proper, cmd_info, cmd_standard_form, cmd_table1
 from ckforms.errors import DEFAULT_CAP, NotInSpan
 from ckforms.linalg import Matrix, Vector, integer_rows, invert, solve, vadd
@@ -19,6 +20,11 @@ from ckforms.rootspace import RootSystem, is_dominant, require_in_span, simple_r
 from ckforms.weyl import enumerate_weyl
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# the family labels in canonical catalog order: the classical families as
+# the catalog's family table lists them, then the exceptional forms
+FAMILY_ORDER = (tuple(label for label, _, _ in catalog._FAMILIES)
+                + tuple(catalog._EXCEPTIONAL))
 
 
 def supported_types(max_rank: int) -> list[tuple[str, int]]:

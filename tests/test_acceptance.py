@@ -13,21 +13,21 @@ from fractions import Fraction
 from math import factorial
 
 from ckforms.catalog import (
+    NO_OBSTRUCTION,
     ahyp_of,
     attributes,
     completeness_mismatches,
     enumerate_simple_forms,
     in_table1_families,
+    necessary_conditions,
     parse_descriptor,
     parse_simple,
     scan_real_forms,
     table1_rows,
 )
 from ckforms.criteria import (
-    NO_OBSTRUCTION,
     Subspace,
     check_proper_embedded,
-    necessary_conditions,
     subspace_from_text,
 )
 from ckforms.linalg import (

@@ -6,15 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ckforms import criteria, weyl
-from ckforms.catalog import parse_descriptor
+from ckforms.catalog import NO_OBSTRUCTION, necessary_conditions, parse_descriptor
 from ckforms.criteria import (
-    NO_OBSTRUCTION,
-    OBSTRUCTION_FOUND,
     Subspace,
     antipodal_orbit_check,
     check_proper_embedded,
-    cocompact_dimension_check,
-    necessary_conditions,
     subspace_from_text,
 )
 from ckforms.errors import CapExceeded, DimensionMismatch, NotInSpan, ParseError
@@ -33,47 +29,6 @@ A4 = build_root_system("A", 4)
 
 def _load(name, system):
     return subspace_from_text((FIXTURES / name).read_text(), system)
-
-
-def test_necessary_conditions_examples():
-    g = parse_descriptor("sl(11,R)")
-    h = parse_descriptor("so(4,7)")
-    rep = necessary_conditions(g, h, parse_descriptor("e6(-26)"))
-    by_name = {c.name: c for c in rep.checks}
-    assert by_name["real_rank"].lhs == 2 + 4 and by_name["real_rank"].rhs == 10
-    assert by_name["ahyp_rank"].lhs == 1 + 4 and by_name["ahyp_rank"].rhs == 5
-    assert rep.overall == NO_OBSTRUCTION
-
-    rep2 = necessary_conditions(g, h, parse_descriptor("so(5,5)"))
-    assert {c.name: c.lhs for c in rep2.checks}["ahyp_rank"] == 8
-    assert rep2.overall == OBSTRUCTION_FOUND
-
-    rep3 = necessary_conditions(parse_descriptor("sl(3,R)"), parse_descriptor(""),
-                                parse_descriptor("sl(3,R)"))
-    assert [(c.lhs, c.rhs, c.passed) for c in rep3.checks] == [(2, 2, True), (1, 1, True)]
-    assert rep3.overall == NO_OBSTRUCTION
-
-
-def test_overall_iff_some_check_failed():
-    pool = ["sl(3,R)", "so(2,3)", "sp(2,R)", "su(1,2)", "so(4,7)", "sl(11,R)", ""]
-    for gt in pool:
-        for ht in pool:
-            for lt in pool:
-                rep = necessary_conditions(*(parse_descriptor(t) for t in (gt, ht, lt)))
-                assert (rep.overall == OBSTRUCTION_FOUND) == any(
-                    not c.passed for c in rep.checks)
-
-
-def test_cocompact_examples():
-    r = cocompact_dimension_check(parse_descriptor("sl(3,R)"), parse_descriptor("so(3)"),
-                                  parse_descriptor("sl(3,R)"))
-    assert (r.d_g, r.d_h, r.d_l, r.equal) == (5, 0, 5, True)
-    r2 = cocompact_dimension_check(parse_descriptor("sl(11,R)"), parse_descriptor("so(4,7)"),
-                                   parse_descriptor("e6(-26)"))
-    assert (r2.d_g, r2.d_h, r2.d_l, r2.equal) == (65, 28, 26, False)
-    r3 = cocompact_dimension_check(parse_descriptor("sl(11,R)"), parse_descriptor("sp(4,R)"),
-                                   parse_descriptor(""))
-    assert r3.required_d == 65 - 20 == 45
 
 
 def test_subspace_reduction_and_errors():

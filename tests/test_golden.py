@@ -1,6 +1,7 @@
 """Golden corpus: the `--json` report of every CLI example in README.md and
 docs/cli.md, one `info` call whose descriptor touches every term kind of
-the grammar, three more embedded NotProper reports (F4, BC3 with its
+the grammar, one catalog-mode `check-proper` whose a-hyperbolic rank test
+fails, three more embedded NotProper reports (F4, BC3 with its
 doubled roots, and E6 with a matrix of quarters) and one embedded Proper
 report from a full scan of A4's group, and two large-rank rank-level reports
 (`table1 63`, the largest KMAX accepted, and `standard-form` on rank-128
@@ -35,6 +36,7 @@ CASES = {
     "info-all-terms": ["info", ALL_TERMS],
     "table1-8": ["table1", "8"],
     "check-proper-catalog": ["check-proper", "sl(11,R)", "so(4,7)", "e6(-26)"],
+    "check-proper-catalog-obstruction": ["check-proper", "sl(11,R)", "so(4,7)", "so(5,5)"],
     "check-proper-embedded": ["check-proper", "--system", "A,4",
                               "--ah", "tests/fixtures/a4_ah.vec",
                               "--al", "tests/fixtures/a4_al_meets.vec"],

@@ -79,19 +79,32 @@ def _bench_names() -> set[str]:
     return out
 
 
+def _defined(node) -> list[str]:
+    """The names a module-level statement binds: a function or class, or
+    the plain names assigned (records built as `X = namedtuple(...)` and
+    constants)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 @pytest.mark.parametrize("module", sorted(m for m in TREES if m != "__init__"))
 def test_every_public_name_is_used(module):
-    """A public module-level function or class is referenced elsewhere in
-    the package, exported in `ckforms.__all__`, or used under bench/; a
-    name that only tests use belongs in the tests."""
+    """A public module-level function, class, record or constant is
+    referenced elsewhere in the package, exported in `ckforms.__all__`, or
+    used under bench/; a name that only tests use belongs in the tests."""
     kept = set(ckforms.__all__) | _bench_names()
     others = [tree for name, tree in TREES.items() if name != "__init__"]
     unused = []
     for node in TREES[module].body:
-        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_") and node.name not in kept):
-            if not any(node.name in _names(tree, skip=node) for tree in others):
-                unused.append(node.name)
+        for name in _defined(node):
+            if not name.startswith("_") and name not in kept and not any(
+                    name in _names(tree, skip=node) for tree in others):
+                unused.append(name)
     assert unused == []
 
 
@@ -125,6 +138,18 @@ def test_only_rootspace_reads_the_ambient_root_lists(module):
     reads = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(TREES[module])
              if isinstance(node, ast.Attribute) and node.attr in ("roots", "positive_roots")]
     assert reads == []
+
+
+def test_criteria_imports_no_rank_level_layer():
+    """The embedded criterion runs on the realization alone: `criteria`
+    imports neither `catalog` nor `obstruction`.  Its `__getattr__` is left
+    out: it keeps the two catalog tests readable as `criteria.*` names,
+    which the benchmark's tracer wraps, and loads `catalog` only when one
+    of them is read."""
+    body = [node for node in TREES["criteria"].body
+            if not (isinstance(node, ast.FunctionDef) and node.name == "__getattr__")]
+    assert _imported_modules(ast.Module(body=body, type_ignores=[])) & {
+        "catalog", "obstruction"} == set()
 
 
 # code-generating or source-reading modules: `dataclasses` pulls in `inspect`,
@@ -285,6 +310,21 @@ def test_embedded_check_proper_loads_only_the_layers_it_runs():
                                "--al", str(fixtures / "a4_al_meets.vec")]) == [
         "ckforms.cartan", "ckforms.cli", "ckforms.criteria", "ckforms.errors",
         "ckforms.linalg", "ckforms.rootspace", "ckforms.weyl"]
+
+
+def test_catalog_check_proper_loads_only_what_info_loads():
+    """Catalog-mode `check-proper` reads only catalog invariants: neither
+    `criteria`, the rational linear algebra (nor `fractions` and the
+    `decimal` it imports) nor the realization loads."""
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from ckforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['check-proper', 'sl(11,R)', 'so(4,7)', 'so(5,5)']) == 0\n"
+    )
+    assert {"fractions", "decimal"} & set(loaded) == set()
+    assert [m for m in loaded if m.startswith("ckforms.")] == [
+        "ckforms.cartan", "ckforms.catalog", "ckforms.cli", "ckforms.errors"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,14 +4,15 @@ import pytest
 
 from ckforms import catalog, obstruction
 from ckforms.catalog import (
+    NO_OBSTRUCTION,
     ahyp_of,
     attributes,
     enumerate_simple_forms,
+    necessary_conditions,
     parse_descriptor,
     parse_simple,
     table1_rows,
 )
-from ckforms.criteria import NO_OBSTRUCTION, necessary_conditions
 from ckforms.errors import SpaceObstruction
 from ckforms.obstruction import (
     INCONCLUSIVE,

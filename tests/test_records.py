@@ -13,18 +13,14 @@ import pytest
 import ckforms
 from ckforms import cartan, weyl
 from ckforms.catalog import (
+    cocompact_dimension_check,
     derived_invariants,
+    necessary_conditions,
     parse_descriptor,
     parse_simple,
     table1_rows,
 )
-from ckforms.criteria import (
-    Subspace,
-    antipodal_orbit_check,
-    check_proper_embedded,
-    cocompact_dimension_check,
-    necessary_conditions,
-)
+from ckforms.criteria import Subspace, antipodal_orbit_check, check_proper_embedded
 from ckforms.obstruction import standard_form_verdict
 from ckforms.rootspace import build_root_system
 
