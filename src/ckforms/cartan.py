@@ -89,15 +89,15 @@ def w0_length(type_letter: str, rank: int) -> int:
     return _COUNTS["B" if type_letter == "BC" else type_letter](rank) // 2
 
 
-def _columns(cartan: CartanMatrix):
-    """For each j, the pairs (k, a[k][j]) with a[k][j] != 0: what s_j reads."""
-    n = len(cartan)
-    return [tuple((k, cartan[k][j]) for k in range(n) if cartan[k][j]) for j in range(n)]
+def _sparse(matrix) -> list[list[tuple[int, int]]]:
+    """For each row, the pairs (k, x) of its nonzero entries x at column k."""
+    return [[(k, x) for k, x in enumerate(row) if x] for row in matrix]
 
 
 def roots_of(cartan: CartanMatrix, count: int) -> list[tuple[int, ...]]:
     """The roots of the reduced system of a Cartan matrix, in simple-root
-    coordinates, in breadth-first order from the simple roots.
+    coordinates, in breadth-first order from the simple roots: the root
+    order of every system `rootspace` builds, on which no result depends.
 
     Every root is W-conjugate to a simple root (Humphreys, Cor. 1.5), so
     the roots are the orbit of the simple roots under the simple
@@ -106,7 +106,7 @@ def roots_of(cartan: CartanMatrix, count: int) -> list[tuple[int, ...]]:
     or when the orbit does not have exactly `count` roots (the search stops
     as soon as it has more).
     """
-    cols = _columns(cartan)
+    cols = _sparse(zip(*cartan))   # column i: the pairs (k, a[k][i]) that s_i reads
     n = len(cartan)
     roots = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     seen = set(roots)
@@ -172,7 +172,7 @@ def dominant_chain(cartan: CartanMatrix, labels, limit: int):
     vector is v - sum shift_i alpha_i.  Raises InternalInconsistency when
     more than `limit` reflections would be needed.
     """
-    rows = [[(k, x) for k, x in enumerate(row) if x] for row in cartan]
+    rows = _sparse(cartan)
     labels = list(labels)
     shift = [0] * len(labels)
     word: list[int] = []
@@ -227,7 +227,7 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
     if any(cartan[sigma[i]][sigma[j]] != x
            for i, row in enumerate(cartan) for j, x in enumerate(row)):
         raise InternalInconsistency(f"-w0 = {sigma} does not preserve the Cartan matrix {cartan}")
-    rows = [[(k, x) for k, x in enumerate(row) if x] for row in cartan]
+    rows = _sparse(cartan)
     back = list(labels)
     for i in reversed(chain):
         c = back[i]

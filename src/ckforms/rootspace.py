@@ -14,12 +14,13 @@ docs/cli.md for the bit-exact statement):
   even-lattice realization
 
 The roots follow from them through the integer Cartan core (`cartan`): the
-orbit of the simple roots under the simple reflections, mapped to ambient
-coordinates, plus twice each short root for BC_n.  A system keeps the
-core's integer Cartan matrix (`cartan`) and each root in simple-root
-coordinates (`root_coords`, aligned with `roots`), on which the Weyl layer
-runs.  The span and dominance tests pair a vector, scaled to integers,
-with integer rows of the span's complement and of the simple roots.
+orbit of the simple roots under the simple reflections, plus twice each
+short root for BC_n.  A system keeps the core's integer Cartan matrix
+(`cartan`) and each root in simple-root coordinates (`root_coords`, in the
+core's breadth-first order), on which the Weyl layer runs; no ambient root
+list is built.  The span and dominance tests pair a vector, scaled to
+integers, with integer rows of the span's complement and of the simple
+roots.
 
 All coordinates are exact rationals and every constructed system is
 immutable, so values can be shared freely across threads.
@@ -34,27 +35,25 @@ from .cartan import cartan_matrix, roots_of, w0_length
 from .errors import DimensionMismatch, InternalInconsistency, NotInSpan
 from .linalg import Vector, integer_row, integer_rows, kernel_basis
 
-Q = Fraction
 
-
-class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank roots simple_roots "
-                            "positive_roots cartan root_coords")):
+class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank simple_roots "
+                            "cartan root_coords")):
     """A restricted root system in a fixed exact coordinate realization,
     with its integer Cartan matrix and its roots in simple-root coordinates;
     `_cache` holds derived data outside the tuple, so == and hash ignore it.
 
     `label` (str), `blocks` (the (type letter, rank) of each irreducible
-    block), `ambient_dim` and `rank` (int), `roots`, `simple_roots` and
-    `positive_roots` (tuples of Vector), `cartan` (the CartanMatrix) and
-    `root_coords` (each root in simple-root coordinates, aligned with
-    `roots`)."""
+    block), `ambient_dim` and `rank` (int), `simple_roots` (a tuple of
+    Vector), `cartan` (the CartanMatrix) and `root_coords` (each root in
+    simple-root coordinates, in `cartan.roots_of`'s order, block by block
+    for a direct sum; the order is no part of any result)."""
 
     @cached_property
     def _cache(self) -> dict:
         return {}
 
     def __repr__(self):  # pragma: no cover
-        return f"RootSystem({self.label}, {len(self.roots)} roots)"
+        return f"RootSystem({self.label}, {len(self.root_coords)} roots)"
 
 
 def _chain(n: int, dim: int) -> list[tuple[int, ...]]:
@@ -104,37 +103,21 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
             f"closed-form Cartan matrix of {type_letter}{rank} does not match "
             f"its simple roots"
         )
-    sparse = [[(k, x) for k, x in enumerate(v) if x] for v in simples]
-    dim = len(simples[0])
-    coords: dict[tuple[int, ...], tuple[int, ...]] = {}   # root over den -> b
-    for b in roots_of(a, 2 * w0_length(type_letter, rank)):
-        v = [0] * dim
-        for c, terms in zip(b, sparse):
-            if c:
-                for k, x in terms:
-                    v[k] += c * x
-        coords[tuple(v)] = b
-    if type_letter == "BC":
-        short = min(sum(x * x for x in v) for v in coords)
-        coords.update({tuple(2 * x for x in v): tuple(2 * c for c in b)
-                       for v, b in list(coords.items()) if sum(x * x for x in v) == short})
-    order = sorted(coords)
-    frac = {x: Q(x, den) for x in set().union(*order)}
-    roots = tuple(tuple(frac[x] for x in v) for v in order)
+    coords = roots_of(a, 2 * w0_length(type_letter, rank))
+    if type_letter == "BC":   # the short roots +-e_i of B_n have an odd last coordinate
+        coords += [tuple(2 * c for c in b) for b in coords if b[-1] % 2]
     return RootSystem(
         label=f"{type_letter}{rank}",
         blocks=((type_letter, rank),),
-        ambient_dim=dim,
+        ambient_dim=len(simples[0]),
         rank=rank,
-        roots=roots,
-        simple_roots=tuple(tuple(frac[x] for x in v) for v in simples),
-        positive_roots=tuple(r for r, v in zip(roots, order) if max(coords[v]) > 0),
+        simple_roots=tuple(tuple(Fraction(x, den) for x in v) for v in simples),
         cartan=a,
-        root_coords=tuple(coords[v] for v in order),
+        root_coords=tuple(coords),
     )
 
 
-def _embed(v: tuple, offset: int, total: int, zero=Q(0)) -> tuple:
+def _embed(v: tuple, offset: int, total: int, zero=Fraction(0)) -> tuple:
     return (zero,) * offset + v + (zero,) * (total - offset - len(v))
 
 
@@ -147,16 +130,12 @@ def direct_sum(*systems: RootSystem) -> RootSystem:
         return systems[0]
     total = sum(s.ambient_dim for s in systems)
     rank = sum(s.rank for s in systems)
-    roots: list[Vector] = []
     simples: list[Vector] = []
-    positives: list[Vector] = []
     matrix: list[tuple[int, ...]] = []
     coords: list[tuple[int, ...]] = []
     offset = first = 0   # ambient and simple-root offsets of the block
     for s in systems:
-        roots.extend(_embed(r, offset, total) for r in s.roots)
         simples.extend(_embed(r, offset, total) for r in s.simple_roots)
-        positives.extend(_embed(r, offset, total) for r in s.positive_roots)
         matrix.extend(_embed(row, first, rank, 0) for row in s.cartan)
         coords.extend(_embed(b, first, rank, 0) for b in s.root_coords)
         offset += s.ambient_dim
@@ -166,9 +145,7 @@ def direct_sum(*systems: RootSystem) -> RootSystem:
         blocks=tuple(b for s in systems for b in s.blocks),
         ambient_dim=total,
         rank=rank,
-        roots=tuple(roots),
         simple_roots=tuple(simples),
-        positive_roots=tuple(positives),
         cartan=tuple(matrix),
         root_coords=tuple(coords),
     )

@@ -1,14 +1,15 @@
 """Shared test utilities: seeded random rational vectors, brute-force
 orbit oracles, exact vectors, the dot product and the matrix, reflection
 and elimination formulas that stay independent of the code paths they
-check, the Fraction coweight construction and the argparse parser that
-faster code replaced."""
+check, the ambient root lists, the Fraction coweight construction and the
+argparse parser that faster code replaced."""
 
 from __future__ import annotations
 
 import argparse
 import random
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from ckforms import catalog
@@ -165,6 +166,23 @@ def random_span_vector(system: RootSystem, rng: random.Random) -> Vector:
     for a in system.simple_roots:
         v = vadd(v, vscale(rand_fraction(rng), a))
     return v
+
+
+@lru_cache(maxsize=None)
+def ambient_roots(system: RootSystem) -> tuple[Vector, ...]:
+    """The roots in the ambient realization, aligned with `root_coords`:
+    each sum_j b_j a_j over the simple roots a_j, in Fractions, apart from
+    the integer recombination `weyl.to_ambient` that tests check with it."""
+    return tuple(
+        tuple(sum((c * a[k] for c, a in zip(b, system.simple_roots)), Fraction(0))
+              for k in range(system.ambient_dim))
+        for b in system.root_coords)
+
+
+@lru_cache(maxsize=None)
+def positive_ambient_roots(system: RootSystem) -> tuple[Vector, ...]:
+    """The ambient roots whose simple-root coordinates have a positive entry."""
+    return tuple(r for r, b in zip(ambient_roots(system), system.root_coords) if max(b) > 0)
 
 
 def brute_orbit(system: RootSystem, v: Vector) -> set[Vector]:

@@ -78,7 +78,7 @@ def test_check_proper_fixtures():
     self_hit = check_proper_embedded(A4, a_h, a_h)
     assert not self_hit.proper
     assert self_hit.w_index == 0
-    assert self_hit.element.root_permutation() == tuple(range(len(A4.roots)))
+    assert self_hit.element.root_permutation() == tuple(range(len(A4.root_coords)))
     assert self_hit.witness == a_h.basis[0]
 
     a1a1 = direct_sum(build_root_system("A", 1), build_root_system("A", 1))
@@ -355,3 +355,23 @@ def test_integer_columns_match_the_fraction_basis_scan_on_random_pairs(pair):
     a_h, a_l = (Subspace(system, tuple(_combine(system, c, system.simple_roots)))
                 for c in coords)
     assert _scan(system, a_h, a_l) == _fraction_basis_scan(system, a_h, a_l)
+
+
+@pytest.mark.parametrize("system,h,l", [
+    (A4, "a4_ah.vec", "a4_al_meets.vec"),
+    (A4, "a4_ah.vec", "a4_al_clear.vec"),
+    (E6, "e6_ah.vec", "e6_al.vec"),
+    (F4, "f4_h.vec", "f4_l.vec"),
+    (build_root_system("BC", 3), "bc3_h.vec", "bc3_l.vec"),
+], ids=["A4-meets", "A4-clear", "E6", "F4", "BC3"])
+def test_root_order_is_invisible(system, h, l):
+    # the same system with its root list reversed gives the same verdict,
+    # element, witness, longest element and -w0
+    reversed_ = system._replace(root_coords=system.root_coords[::-1])
+    results = []
+    for s in (system, reversed_):
+        r = check_proper_embedded(s, _load(h, s), _load(l, s))
+        element = r.element and (r.element.word, r.element.matrix)
+        results.append((r.proper, r.w_index, element, r.witness,
+                        weyl.longest_element(s).word, weyl.minus_w0(s)))
+    assert results[0] == results[1]

@@ -131,10 +131,11 @@ def test_rank_level_layers_import_no_realization(module):
     assert _imported_modules(TREES[module]) & {"linalg", "rootspace", "weyl", "criteria"} == set()
 
 
-@pytest.mark.parametrize("module", sorted(m for m in TREES if m != "rootspace"))
-def test_only_rootspace_reads_the_ambient_root_lists(module):
-    """The Weyl layer and everything above it run on the Cartan matrix and
-    the simple-root coordinates; the ambient root lists stay in rootspace."""
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_reads_ambient_root_lists(module):
+    """Every layer runs on the Cartan matrix and the simple-root
+    coordinates; no system carries an ambient root list, and no module
+    asks for one."""
     reads = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(TREES[module])
              if isinstance(node, ast.Attribute) and node.attr in ("roots", "positive_roots")]
     assert reads == []

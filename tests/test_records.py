@@ -65,8 +65,8 @@ def _instances():
         "CandidateReport": (candidate, ("derived_parts", "d_interval", "budgets")),
         "StandardFormVerdict": (verdict, ("required_d", "verdict", "max_achievable",
                                           "witnesses", "top_candidates")),
-        "RootSystem": (A4, ("label", "blocks", "ambient_dim", "rank", "roots",
-                            "simple_roots", "positive_roots", "cartan", "root_coords")),
+        "RootSystem": (A4, ("label", "blocks", "ambient_dim", "rank", "simple_roots",
+                            "cartan", "root_coords")),
         "FixedCone": (weyl.fixed_cone(A4), ("b_basis", "system")),
     }
 

@@ -16,12 +16,15 @@ from ckforms.rootspace import (
     build_root_system,
     direct_sum,
     is_dominant,
+    simple_root_rows,
 )
-from ckforms.weyl import enumerate_weyl
+from ckforms.weyl import enumerate_weyl, to_ambient
 
 from helpers import (
+    ambient_roots,
     dot,
     in_root_span,
+    positive_ambient_roots,
     random_span_vector,
     reflect,
     rref,
@@ -42,14 +45,14 @@ ALL_SMALL = [
 
 def test_a2_basic():
     s = build_root_system("A", 2)
-    assert len(s.roots) == 6
+    assert len(s.root_coords) == 6
     assert s.ambient_dim == 3
     assert s.rank == 2
 
 
 def test_bc1_roots():
     s = build_root_system("BC", 1)
-    assert set(s.roots) == {vector([1]), vector([-1]), vector([2]), vector([-2])}
+    assert set(ambient_roots(s)) == {vector([1]), vector([-1]), vector([2]), vector([-2])}
 
 
 @pytest.mark.parametrize("letter,rank", [("D", 2), ("E", 5), ("B", 1), ("C", 0),
@@ -66,10 +69,10 @@ def test_root_counts_match_formulas():
     for letter, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3), ("BC", 1)):
         for n in range(lo, 9):
             s = build_root_system(letter, n)
-            assert len(s.roots) == counts[letter](n)
+            assert len(s.root_coords) == counts[letter](n)
     for letter, rank, expected in (("G", 2, 12), ("F", 4, 48),
                                    ("E", 6, 72), ("E", 7, 126), ("E", 8, 240)):
-        assert len(build_root_system(letter, rank).roots) == expected
+        assert len(build_root_system(letter, rank).root_coords) == expected
 
 
 @pytest.mark.parametrize("letter,rank", ALL_SMALL)
@@ -77,15 +80,15 @@ def test_structural_invariants(letter, rank):
     s = build_root_system(letter, rank)
     # simple roots: independent, spanning, and actual roots
     assert rank_of(s.simple_roots) == s.rank == len(s.simple_roots)
-    assert rank_of(s.roots) == s.rank
-    assert all(a in set(s.roots) for a in s.simple_roots)
+    assert rank_of(ambient_roots(s)) == s.rank
+    assert all(a in set(ambient_roots(s)) for a in s.simple_roots)
     # roots = positives and their negatives
-    positives = set(s.positive_roots)
-    assert positives | {vneg(r) for r in positives} == set(s.roots)
+    positives = set(positive_ambient_roots(s))
+    assert positives | {vneg(r) for r in positives} == set(ambient_roots(s))
     assert positives & {vneg(r) for r in positives} == set()
     # every positive root is a nonnegative integer combination of simples
     simple_cols = [tuple(a[i] for a in s.simple_roots) for i in range(s.ambient_dim)]
-    for r in s.positive_roots:
+    for r in positive_ambient_roots(s):
         coeffs = solve(simple_cols, r)
         assert coeffs is not None
         assert all(c.denominator == 1 and c >= 0 for c in coeffs)
@@ -94,20 +97,20 @@ def test_structural_invariants(letter, rank):
 @pytest.mark.parametrize("letter,rank", ALL_SMALL + [("E", 7), ("E", 8)])
 def test_closed_under_reflection(letter, rank):
     s = build_root_system(letter, rank)
-    roots = set(s.roots)
-    for a in s.roots:
-        images = {reflect(r, a) for r in s.roots}
+    roots = set(ambient_roots(s))
+    for a in ambient_roots(s):
+        images = {reflect(r, a) for r in ambient_roots(s)}
         assert images == roots
 
 
 def test_bc_proportional_pairs_only():
     s = build_root_system("BC", 3)
-    roots = set(s.roots)
+    roots = set(ambient_roots(s))
     for i in range(3):
         e = vector([1 if j == i else 0 for j in range(3)])
         assert e in roots and vector([2 if j == i else 0 for j in range(3)]) in roots
     # proportional pairs are exactly {e_i, 2e_i} and negatives
-    for r in s.roots:
+    for r in ambient_roots(s):
         multiples = [u for u in roots if rank_of([r, u]) == 1]
         norms = sorted(dot(u, u) for u in multiples)
         if dot(r, r) in (Fraction(1), Fraction(4)):
@@ -155,7 +158,7 @@ def test_unique_dominant_in_regular_orbit(letter, rank):
     rng = random.Random(rank * 101 + ord(letter[0]))
     for _ in range(5):
         v = random_span_vector(s, rng)
-        if any(dot(v, r) == 0 for r in s.roots):
+        if any(dot(v, r) == 0 for r in ambient_roots(s)):
             continue
         dominants = [u for w in enumerate_weyl(s, 10_000)
                      if is_dominant(s, (u := w.apply(v)))]
@@ -167,7 +170,7 @@ def test_direct_sum_layout():
     s = direct_sum(a1, a1)
     assert s.ambient_dim == 4
     assert s.rank == 2
-    assert len(s.roots) == 4
+    assert len(s.root_coords) == 4
     assert s.label == "A1+A1"
     assert s.blocks == (("A", 1), ("A", 1))
     assert in_root_span(s, vector([1, -1, 0, 0]))
@@ -207,7 +210,7 @@ def test_in_root_span_matches_elimination_oracle(letter, rank):
     s = build_root_system(letter, rank)
     member = _oracle_in_span(s.simple_roots)
     rng = random.Random(rank)
-    vectors = [random_span_vector(s, rng) for _ in range(10)] + list(s.roots)
+    vectors = [random_span_vector(s, rng) for _ in range(10)] + list(ambient_roots(s))
     vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                       for _ in range(s.ambient_dim)) for _ in range(10)]
     for v in vectors:
@@ -229,8 +232,8 @@ def test_in_root_span_matches_oracle_on_direct_sums():
 def test_e6_e7_roots_match_elimination_filter(rank):
     e8 = build_root_system("E", 8)
     member = _oracle_in_span(e8.simple_roots[:rank])
-    expected = [r for r in e8.roots if member(r)]
-    assert list(build_root_system("E", rank).roots) == expected
+    expected = sorted(r for r in ambient_roots(e8) if member(r))
+    assert sorted(ambient_roots(build_root_system("E", rank))) == expected
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 4), ("E", 6)])
@@ -340,17 +343,18 @@ GENERATED_CASES = [((t, n),) for t, n in supported_types(12)] + [
 @pytest.mark.parametrize("blocks", GENERATED_CASES,
                          ids=lambda b: "+".join(f"{t}{n}" for t, n in b))
 def test_generated_roots_match_per_type_enumeration(blocks):
+    # the root order is the core's, not the oracle's: compare sorted lists
     s = direct_sum(*(build_root_system(t, n) for t, n in blocks))
     roots, simples, positives = _embedded([_oracle_system(t, n) for t, n in blocks])
-    assert list(s.roots) == roots
+    assert all(min(b) >= 0 or max(b) <= 0 for b in s.root_coords)
+    assert sorted(ambient_roots(s)) == sorted(roots)
     assert list(s.simple_roots) == simples
-    assert list(s.positive_roots) == positives
+    assert sorted(positive_ambient_roots(s)) == sorted(positives)
     assert s.blocks == blocks
 
 
 # ---------------------------------------------------------------------------
-# the Cartan matrix and simple-root coordinates a system carries, against
-# the ambient realization
+# the Cartan matrix a system carries, against the ambient realization
 
 @pytest.mark.parametrize("blocks", GENERATED_CASES,
                          ids=lambda b: "+".join(f"{t}{n}" for t, n in b))
@@ -365,16 +369,12 @@ def test_cartan_matrix_matches_the_simple_roots(blocks):
 @pytest.mark.parametrize("blocks", GENERATED_CASES,
                          ids=lambda b: "+".join(f"{t}{n}" for t, n in b))
 def test_root_coords_recombine_to_the_roots(blocks):
+    # the integer recombination of the Weyl layer against the Fraction one
     s = direct_sum(*(build_root_system(t, n) for t, n in blocks))
-    assert len(s.root_coords) == len(s.roots)
-    for r, b in zip(s.roots, s.root_coords):
-        assert len(b) == s.rank and all(type(x) is int for x in b)
-        v = [Fraction(0)] * s.ambient_dim
-        for c, a in zip(b, s.simple_roots):
-            v = [x + c * y for x, y in zip(v, a)]
-        assert tuple(v) == r
-    nonnegative = {r for r, b in zip(s.roots, s.root_coords) if min(b) >= 0}
-    assert nonnegative == set(s.positive_roots)
+    den = simple_root_rows(s)[1]
+    assert all(len(b) == s.rank and all(type(x) is int for x in b) for b in s.root_coords)
+    recombined = [tuple(Fraction(x, den) for x in to_ambient(s, b)) for b in s.root_coords]
+    assert recombined == list(ambient_roots(s))
 
 
 @pytest.mark.parametrize("letter,rank", [("B", 3), ("C", 4)])

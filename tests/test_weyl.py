@@ -30,11 +30,13 @@ from ckforms.weyl import (
 )
 
 from helpers import (
+    ambient_roots,
     brute_dominant,
     dot,
     fraction_coweight_rows,
     mat_mul,
     mat_vec,
+    positive_ambient_roots,
     random_span_vector,
     reflect,
     supported_types,
@@ -67,7 +69,7 @@ def test_enumeration_orders(letter, rank, order):
     els = enumerate_weyl(s, cap=2000)
     assert len(els) == order == weyl_order(s)
     first = next(iter(els))
-    assert first.root_permutation() == tuple(range(len(s.roots)))
+    assert first.root_permutation() == tuple(range(len(s.root_coords)))
     assert first.word == ()
 
 
@@ -97,10 +99,10 @@ def test_enumeration_is_canonical():
 def test_elements_permute_roots_and_preserve_inner_product():
     for letter, rank in (("A", 3), ("B", 2), ("G", 2)):
         s = build_root_system(letter, rank)
-        roots = set(s.roots)
+        roots = set(ambient_roots(s))
         for w in enumerate_weyl(s):
             m = w.matrix
-            assert {mat_vec(m, r) for r in s.roots} == roots
+            assert {mat_vec(m, r) for r in ambient_roots(s)} == roots
             assert mat_mul(tuple(zip(*m)), m) == identity_matrix(s.ambient_dim)
 
 
@@ -311,10 +313,10 @@ def _bfs_oracle(system):
     """(word, root permutation) of every element, by the list-building
     search: frontier by frontier, each element composed with s_0, s_1, ...
     in turn, keeping the first word that reaches a new permutation."""
-    index = {r: i for i, r in enumerate(system.roots)}
-    gens = [itemgetter(*[index[reflect(r, a)] for r in system.roots])
+    index = {r: i for i, r in enumerate(ambient_roots(system))}
+    gens = [itemgetter(*[index[reflect(r, a)] for r in ambient_roots(system)])
             for a in system.simple_roots]
-    ident = tuple(range(len(system.roots)))
+    ident = tuple(range(len(system.root_coords)))
     seen = {ident}
     out = [((), ident)]
     frontier = out
@@ -484,12 +486,12 @@ def _oracle_matrices(system):
     [simple roots | complement]."""
     complement = list(kernel_basis(system.simple_roots))
     inv = invert(_columns_matrix(list(system.simple_roots) + complement))
-    index = {r: i for i, r in enumerate(system.roots)}
+    index = {r: i for i, r in enumerate(ambient_roots(system))}
     simple = [index[a] for a in system.simple_roots]
 
     def matrix(w):
         perm = w.root_permutation()
-        images = [system.roots[perm[i]] for i in simple]
+        images = [ambient_roots(system)[perm[i]] for i in simple]
         return mat_mul(_columns_matrix(images + complement), inv)
 
     return matrix
@@ -500,10 +502,10 @@ def _oracle_reflections(system):
     permutations by the ambient construction: the roots scaled to integers,
     s_a(r) = r - <r, a^v> a with <r, a^v> = 2(r, a)/(a, a) from integer dot
     products, which must divide evenly."""
-    den = lcm(*(x.denominator for r in system.roots for x in r))
-    roots = [tuple(int(x * den) for x in r) for r in system.roots]
+    den = lcm(*(x.denominator for r in ambient_roots(system) for x in r))
+    roots = [tuple(int(x * den) for x in r) for r in ambient_roots(system)]
     index = {r: i for i, r in enumerate(roots)}
-    simple = tuple(system.roots.index(a) for a in system.simple_roots)
+    simple = tuple(ambient_roots(system).index(a) for a in system.simple_roots)
     gens = []
     for s in simple:
         a = roots[s]
@@ -520,7 +522,7 @@ def _oracle_reflections(system):
 @pytest.mark.parametrize("system", _supported(10) + [A2G2, B2A1], ids=lambda s: s.label)
 def test_reflections_on_root_coords_match_ambient_oracle(system):
     ident, gens, simple = weyl._perm_data(system)
-    n = len(system.roots)
+    n = len(system.root_coords)
     assert tuple(ident[:n]) == tuple(range(n))
     assert (simple, [tuple(g[:n]) for g in gens]) == _oracle_reflections(system)
 
@@ -582,7 +584,7 @@ def _oracle_dominant_chain(system, v):
     sparse = [(tuple((i, x) for i, x in enumerate(a) if x), dot(a, a))
               for a in system.simple_roots]
     word = []
-    for _ in range(len(system.positive_roots) + 1):
+    for _ in range(len(positive_ambient_roots(system)) + 1):
         for i, (entries, norm) in enumerate(sparse):
             p = sum(x * v[k] for k, x in entries)
             if p < 0:
@@ -600,7 +602,7 @@ def _oracle_dominant_chain(system, v):
 @pytest.mark.parametrize("system", _supported(10) + [A2G2, B2A1],
                          ids=lambda s: s.label)
 def test_dominant_chain_matches_fraction_oracle(system):
-    rng = random.Random(len(system.roots))
+    rng = random.Random(len(system.root_coords))
     vectors = [random_span_vector(system, rng) for _ in range(4)]
     vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                       for _ in range(system.ambient_dim)) for _ in range(4)]
@@ -609,7 +611,7 @@ def test_dominant_chain_matches_fraction_oracle(system):
     for v in vectors:
         expected, word = _oracle_dominant_chain(system, v)
         labels = [dot(v, a) / h for a, h in zip(system.simple_roots, half)]
-        final, chain, _ = cartan.dominant_chain(matrix, labels, len(system.positive_roots))
+        final, chain, _ = cartan.dominant_chain(matrix, labels, len(positive_ambient_roots(system)))
         assert chain == word
         assert final == [dot(expected, a) / h for a, h in zip(system.simple_roots, half)]
         assert dominant_representative(system, v) == expected
