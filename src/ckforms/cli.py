@@ -5,9 +5,12 @@ changes the exit code), 2 on usage/parse/input errors, 3 when a Weyl
 enumeration cap is exceeded, 4 when a runtime cross-check of a computed
 result fails (a fault in the package, not in the input).  `--json` emits a
 report conforming to docs/report-schema.json; rationals are serialized as
-'p/q' strings.
+'p/q' strings.  `run()` is the process entry: it flushes the output and
+ends the process without interpreter teardown, so `atexit` handlers do not
+run; `main(argv)` returns the exit code to in-process callers.
 """
 
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -16,18 +19,9 @@ from .errors import (
     DEFAULT_CAP,
     MAX_RESTRICTED_RANK,
     CapExceeded,
-    DimensionMismatch,
+    CkformsError,
     InternalInconsistency,
-    NotInSpan,
-    NotSemisimple,
     ParseError,
-    SpaceObstruction,
-    UnsupportedSystem,
-)
-
-_USAGE_ERRORS = (
-    ParseError, NotSemisimple, UnsupportedSystem, DimensionMismatch,
-    NotInSpan, SpaceObstruction, OSError,
 )
 
 
@@ -476,12 +470,24 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except _USAGE_ERRORS as exc:
+    except (CkformsError, OSError) as exc:     # any other package error is the input's
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(_to_json(report) if args.json else _COMMANDS[report["command"]][1](report))
     return 0
 
 
+def run():
+    """The process entry (`python -m ckforms.cli` and the `ckforms` script):
+    runs main(), flushes the output and exits without interpreter teardown."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:     # a closed pipe: the interpreter reports it, as before
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -461,3 +461,128 @@ def test_parser_agrees_with_argparse(argv):
     assert {expected, got} == {"help", "error"}
     assert set(HELP_TOKENS) & set(argv)
     assert _oracle_outcome([t for t in argv if t not in HELP_TOKENS]) == "error"
+
+
+# ---------------------------------------------------------------------------
+# the process entry: `run()` flushes and ends the process without teardown
+
+def _python(*args, stdout=subprocess.PIPE, unbuffered=False) -> subprocess.CompletedProcess:
+    """A fresh interpreter; its stdout is block-buffered, as when a user pipes
+    the output, unless `unbuffered`, so a report not flushed would be lost."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+def _in_process(argv) -> tuple[int, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+F4_CAPPED = ["check-proper", "--system", "F,4", "--cap", "100",
+             "--ah", "tests/fixtures/f4_h.vec", "--al", "tests/fixtures/f4_l.vec"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["info", "sl(7,R)"], 0),
+    (["info", "sl(7,R)", "--json"], 0),
+    (["standard-form", "sl(11,R)", "so(4,7)"], 0),
+    (["--help"], 0),
+    (["table1", "63", "--json"], 0),    # larger than a 64 KiB pipe buffer
+    (["info", "so(1,1)"], 2),
+    (["info", "so(1,1)", "--json"], 2),
+    (["table1", "x"], 2),
+    (F4_CAPPED, 3),
+    ([*F4_CAPPED, "--json"], 3),
+], ids=["info", "info-json", "standard-form", "help", "table1-63-json", "parse-error",
+        "parse-error-json", "usage-error", "cap", "cap-json"])
+def test_fresh_process_matches_main(argv, code, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    result = _python("-m", "ckforms.cli", *argv)
+    assert (result.returncode, result.stdout, result.stderr) == _in_process(argv)
+    assert result.returncode == code
+
+
+def test_fresh_process_writes_the_golden_reports():
+    from test_golden import CASES, GOLDEN
+
+    for stem, argv in CASES.items():
+        result = _python("-m", "ckforms.cli", *argv, "--json")
+        assert (result.returncode, result.stderr) == (0, b""), stem
+        assert result.stdout == (GOLDEN / f"{stem}.json").read_bytes(), stem
+
+
+def _entry(call: str, argv, prelude: str = "", **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter that sets sys.argv, runs `prelude` and then
+    `call` (`cli.run()`, or `sys.exit(cli.main())` as the entry did before)."""
+    code = (f"import atexit, sys\nfrom ckforms import cli\nsys.argv = {['ckforms', *argv]!r}\n"
+            f"{prelude}\n{call}\n")
+    return _python("-c", code, **kwargs)
+
+
+RUN, MAIN = "cli.run()", "sys.exit(cli.main())"
+
+
+def test_run_skips_atexit_handlers():
+    prelude = "atexit.register(print, 'atexit handler ran')"
+    ran = _entry(RUN, ["info", "sl(3,R)"], prelude)
+    returned = _entry(MAIN, ["info", "sl(3,R)"], prelude)
+    assert ran.returncode == returned.returncode == 0
+    assert ran.stdout + b"atexit handler ran\n" == returned.stdout
+
+
+def test_exception_in_main_still_prints_a_traceback():
+    prelude = ("def boom(args):\n    raise RuntimeError('boom')\n"
+               "cli._COMMANDS['info'] = (boom, *cli._COMMANDS['info'][1:])")
+    result = _entry(RUN, ["info", "sl(3,R)"], prelude)
+    lines = result.stderr.decode().splitlines()
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert lines[0] == "Traceback (most recent call last):"
+    assert lines[-1] == "RuntimeError: boom"
+
+
+@pytest.mark.parametrize("argv,unbuffered,expected", [
+    # block-buffered, a short report fails at the interpreter's own last flush
+    (["info", "e8(8)", "--json"], False, 120),
+    (["table1", "63", "--json"], False, 1),
+    (["info", "e8(8)", "--json"], True, 1),
+    (["table1", "63", "--json"], True, 1),
+], ids=["short-buffered", "large-buffered", "short-unbuffered", "large-unbuffered"])
+def test_closed_stdout_fails_as_before(argv, unbuffered, expected):
+    def closed_pipe(call):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = _entry(call, argv, stdout=write, unbuffered=unbuffered)
+        finally:
+            os.close(write)
+        return result.returncode, result.stderr.decode().splitlines()[-1]
+
+    assert closed_pipe(RUN) == closed_pipe(MAIN) == (expected,
+                                                      "BrokenPipeError: [Errno 32] Broken pipe")
+
+
+def test_failed_flush_falls_back_to_sys_exit(monkeypatch):
+    class Closed(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def no_exit(code):
+        raise AssertionError("os._exit reached after a failed flush")
+
+    monkeypatch.setattr(sys, "argv", ["ckforms", "--help"])
+    monkeypatch.setattr(sys, "stdout", Closed())
+    monkeypatch.setattr(os, "_exit", no_exit)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 0
+
+
+def test_console_script_is_run():
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1]
+    assert scripts.split("\n\n", 1)[0] == 'ckforms = "ckforms.cli:run"'
