@@ -96,8 +96,8 @@ def _sparse(matrix) -> list[list[tuple[int, int]]]:
 
 def roots_of(cartan: CartanMatrix, count: int) -> list[tuple[int, ...]]:
     """The roots of the reduced system of a Cartan matrix, in simple-root
-    coordinates, in breadth-first order from the simple roots: the root
-    order of every system `rootspace` builds, on which no result depends.
+    coordinates, in breadth-first order from the simple roots: the order of
+    the Weyl layer's root list, on which no result depends.
 
     Every root is W-conjugate to a simple root (Humphreys, Cor. 1.5), so
     the roots are the orbit of the simple roots under the simple

@@ -13,14 +13,10 @@ docs/cli.md for the bit-exact statement):
 * E_6, E_7, E_8 in R^8: the first 6 / 7 / 8 simple roots of E_8's
   even-lattice realization
 
-The roots follow from them through the integer Cartan core (`cartan`): the
-orbit of the simple roots under the simple reflections, plus twice each
-short root for BC_n.  A system keeps the core's integer Cartan matrix
-(`cartan`) and each root in simple-root coordinates (`root_coords`, in the
-core's breadth-first order), on which the Weyl layer runs; no ambient root
-list is built.  The span and dominance tests pair a vector, scaled to
-integers, with integer rows of the span's complement and of the simple
-roots.
+A system keeps them and the core's integer Cartan matrix (`cartan`),
+checked against them, and no other root: `weyl` builds the root list.
+The span and dominance tests pair a vector, scaled to integers, with
+integer rows of the span's complement and of the simple roots.
 
 All coordinates are exact rationals and every constructed system is
 immutable, so values can be shared freely across threads.
@@ -31,29 +27,24 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .cartan import cartan_matrix, roots_of, w0_length
+from .cartan import cartan_matrix
 from .errors import DimensionMismatch, InternalInconsistency, NotInSpan
 from .linalg import Vector, integer_row, integer_rows, kernel_basis
 
 
-class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank simple_roots "
-                            "cartan root_coords")):
-    """A restricted root system in a fixed exact coordinate realization,
-    with its integer Cartan matrix and its roots in simple-root coordinates;
-    `_cache` holds derived data outside the tuple, so == and hash ignore it.
-
+class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank simple_roots cartan")):
+    """A restricted root system in a fixed exact coordinate realization:
     `label` (str), `blocks` (the (type letter, rank) of each irreducible
     block), `ambient_dim` and `rank` (int), `simple_roots` (a tuple of
-    Vector), `cartan` (the CartanMatrix) and `root_coords` (each root in
-    simple-root coordinates, in `cartan.roots_of`'s order, block by block
-    for a direct sum; the order is no part of any result)."""
+    Vector) and `cartan` (the CartanMatrix).  `_cache` holds derived data
+    (`weyl`'s root list among it) outside the tuple: == and hash ignore it."""
 
     @cached_property
     def _cache(self) -> dict:
         return {}
 
     def __repr__(self):  # pragma: no cover
-        return f"RootSystem({self.label}, {len(self.root_coords)} roots)"
+        return f"RootSystem({self.label}, rank {self.rank})"
 
 
 def _chain(n: int, dim: int) -> list[tuple[int, ...]]:
@@ -92,20 +83,18 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     Raises UnsupportedSystem for any (type, rank) outside the supported
     list, including D_2 and E_5.  Raises InternalInconsistency when the
     closed-form Cartan matrix is not 2(a_i, a_j)/(a_j, a_j) of the written
-    simple roots, or when the generated roots fail the core's checks.
+    simple roots (paired over their nonzero entries only).
     """
     a = cartan_matrix(type_letter, rank)
     simples, den = _simple_roots(type_letter, rank)
-    gram = [[sum(x * y for x, y in zip(u, v)) for v in simples] for u in simples]
+    sparse = [[(k, x) for k, x in enumerate(u) if x] for u in simples]
+    gram = [[sum(x * v[k] for k, x in u) for v in simples] for u in sparse]
     if any(a[i][j] * gram[j][j] != 2 * gram[i][j]
            for i in range(rank) for j in range(rank)):
         raise InternalInconsistency(
             f"closed-form Cartan matrix of {type_letter}{rank} does not match "
             f"its simple roots"
         )
-    coords = roots_of(a, 2 * w0_length(type_letter, rank))
-    if type_letter == "BC":   # the short roots +-e_i of B_n have an odd last coordinate
-        coords += [tuple(2 * c for c in b) for b in coords if b[-1] % 2]
     return RootSystem(
         label=f"{type_letter}{rank}",
         blocks=((type_letter, rank),),
@@ -113,7 +102,6 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
         rank=rank,
         simple_roots=tuple(tuple(Fraction(x, den) for x in v) for v in simples),
         cartan=a,
-        root_coords=tuple(coords),
     )
 
 
@@ -124,20 +112,18 @@ def _embed(v: tuple, offset: int, total: int, zero=Fraction(0)) -> tuple:
 @lru_cache(maxsize=None)
 def direct_sum(*systems: RootSystem) -> RootSystem:
     """Formal direct sum: blocks embedded side by side in a common ambient
-    space, simple roots ordered block by block, the Cartan matrix and the
-    simple-root coordinates assembled block-diagonally."""
+    space, simple roots ordered block by block, the Cartan matrix assembled
+    block-diagonally."""
     if len(systems) == 1:
         return systems[0]
     total = sum(s.ambient_dim for s in systems)
     rank = sum(s.rank for s in systems)
     simples: list[Vector] = []
     matrix: list[tuple[int, ...]] = []
-    coords: list[tuple[int, ...]] = []
     offset = first = 0   # ambient and simple-root offsets of the block
     for s in systems:
         simples.extend(_embed(r, offset, total) for r in s.simple_roots)
         matrix.extend(_embed(row, first, rank, 0) for row in s.cartan)
-        coords.extend(_embed(b, first, rank, 0) for b in s.root_coords)
         offset += s.ambient_dim
         first += s.rank
     return RootSystem(
@@ -147,7 +133,6 @@ def direct_sum(*systems: RootSystem) -> RootSystem:
         rank=rank,
         simple_roots=tuple(simples),
         cartan=tuple(matrix),
-        root_coords=tuple(coords),
     )
 
 

@@ -2,24 +2,20 @@
 representatives, the longest element, the involution -w0 and its fixed
 cone, the a-hyperbolic dimension, and the antipodal orbit test.
 
-The layer runs in simple-root coordinates.  Every element is stored as a
-permutation of the root list (the group acts faithfully on the roots),
-composed from the simple reflections on the system's `root_coords`, where
-s_i changes only coordinate i, by -sum_k b_k a[k][i].  It acts in integers
-through one conversion and one accumulation: `_coordinates` writes a
-vector over a denominator together with its pairings (omega_i, v) with the
-fundamental coweights, and `_combine` sums c_i w(a_i) in simple-root
-coordinates, reading each image w(a_i) from the permutation.  `span_action`
-returns those sums; only `WeylElement.apply`, its matrix and
-`dominant_representative` map them back, through `to_ambient`.
-Enumeration is breadth-first by word length with ties broken
-lexicographically by word, so indices are reproducible across runs; it is
-a stream, so a scan that stops early generates only the elements it read,
-and a full pass holds two length layers, never the whole group.
-The longest element, -w0 on the simple roots, the a-hyperbolic dimension
-and dominant representatives come from the integer Cartan core (`cartan`),
-never from enumeration, which keeps rank-level invariants cheap for every
-supported system including E_8.
+The layer runs in simple-root coordinates.  An element is a permutation of
+the root list, which only this layer builds (`_roots`, from the Cartan
+matrix, with the first element), composed from the simple reflections;
+s_i changes coordinate i only, by -sum_k b_k a[k][i].  It acts in integers:
+`_coordinates` pairs a vector, over a denominator, with the fundamental
+coweights, and `_combine` sums (omega_i, v) w(a_i) in simple-root
+coordinates, reading w(a_i) from the permutation.  `span_action` returns
+those sums; `WeylElement.apply`, its matrix and `dominant_representative`
+map them back (`to_ambient`).  Enumeration is breadth-first by length, ties
+broken lexicographically by word, so indices are reproducible; it is a
+stream, so a scan that stops early generates only the elements it read, and
+a full pass holds two length layers, never the whole group.  Dominant
+representatives, w0's word, -w0 on the simple roots and ahyp come from the
+Cartan core (`cartan`), with no root list, so they stay cheap up to E_8.
 """
 
 from collections import namedtuple
@@ -56,15 +52,35 @@ def weyl_order(system: RootSystem) -> int:
 # ---------------------------------------------------------------------------
 # cached per-system data (each piece built only when first needed)
 
+def _w0_length(system: RootSystem) -> int:
+    """Length of w0, summed over the irreducible blocks."""
+    return sum(cartan.w0_length(letter, rank) for letter, rank in system.blocks)
+
+
+def _roots(system: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """The roots in simple-root coordinates: the core's orbit on the whole
+    Cartan matrix, then twice the short roots (odd last entry) of each BC_n."""
+    c = system._cache
+    if "roots" not in c:
+        roots = cartan.roots_of(system.cartan, 2 * _w0_length(system))
+        end = 0
+        for letter, rank in system.blocks:
+            end += rank
+            if letter == "BC":
+                roots += [tuple(2 * x for x in b) for b in roots if b[end - 1] % 2]
+        c["roots"] = tuple(roots)
+    return c["roots"]
+
+
 def _perm_data(system: RootSystem):
     """Identity permutation and simple-reflection permutations of the root
-    list, from which every element's permutation is composed; and the root
-    indices of the simple roots.  Computed on `root_coords`: s_i changes
-    only coordinate i, by -sum_k b_k a[k][i].  A coordinate tuple missing
+    list (`_roots`), from which every element's permutation is composed;
+    and the root indices of the simple roots.  A coordinate tuple missing
     from the list raises InternalInconsistency."""
     c = system._cache
     if "perms" not in c:
-        coords, rank, n = system.root_coords, system.rank, len(system.root_coords)
+        coords = _roots(system)
+        rank, n = system.rank, len(coords)
         index = {b: i for i, b in enumerate(coords)}
         try:
             simple = tuple(index[tuple(int(k == i) for k in range(rank))] for i in range(rank))
@@ -152,7 +168,7 @@ def _sum_rows(pairs, width: int) -> list:
 def _combine(system: RootSystem, perm, terms) -> list[int]:
     """sum c_i w(a_i) in simple-root coordinates, for the terms (i, c_i) and
     the element w with root permutation `perm`."""
-    coords, simple = system.root_coords, _perm_data(system)[2]
+    coords, simple = _roots(system), _perm_data(system)[2]
     return _sum_rows([(c, coords[perm[simple[i]]]) for i, c in terms], system.rank)
 
 
@@ -196,7 +212,7 @@ class WeylElement:
         return tuple(Fraction(x + y, den) for x, y in zip(ints, to_ambient(system, moved)))
 
     def root_permutation(self) -> tuple[int, ...]:
-        return tuple(self._perm[: len(self.system.root_coords)])
+        return tuple(self._perm[: len(_roots(self.system))])
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
@@ -227,7 +243,7 @@ class WeylEnumeration:
         self._order = order
         self._ident, gens, simple = _perm_data(system)
         self._steps = tuple(zip(range(system.rank), simple, gens))
-        self._positive = [max(b) > 0 for b in system.root_coords]
+        self._positive = [max(b) > 0 for b in _roots(system)]
         self.generated = 0
 
     def __len__(self) -> int:
@@ -301,8 +317,8 @@ def dominant_representative(system: RootSystem, v: Vector) -> Vector:
     den, ints, terms = _coordinates(system, v)
     matrix = system.cartan
     labels = _sum_rows([(c, matrix[i]) for i, c in terms], system.rank)
-    # the chain is at most as long as there are positive roots
-    _, _, shift = cartan.dominant_chain(matrix, labels, len(system.root_coords) // 2)
+    # a dominant chain is a reduced word, at most as long as w0
+    _, _, shift = cartan.dominant_chain(matrix, labels, _w0_length(system))
     if not any(shift):
         return v
     return tuple(Fraction(x - y, den) for x, y in zip(ints, to_ambient(system, shift)))
@@ -312,8 +328,7 @@ def _w0(system: RootSystem) -> cartan.W0:
     """The integer core's w0 for an explicit system (a direct sum included)."""
     c = system._cache
     if "w0_core" not in c:
-        length = sum(cartan.w0_length(letter, rank) for letter, rank in system.blocks)
-        c["w0_core"] = cartan.w0_of(system.cartan, length)
+        c["w0_core"] = cartan.w0_of(system.cartan, _w0_length(system))
     return c["w0_core"]
 
 

@@ -1,8 +1,8 @@
 """Shared test utilities: seeded random rational vectors, brute-force
 orbit oracles, exact vectors, the dot product and the matrix, reflection
 and elimination formulas that stay independent of the code paths they
-check, the ambient root lists, the Fraction coweight construction and the
-argparse parser that faster code replaced."""
+check, the ambient root lists, the block-by-block root list, the Fraction
+coweight construction and the argparse parser that faster code replaced."""
 
 from __future__ import annotations
 
@@ -13,12 +13,13 @@ from functools import lru_cache
 from pathlib import Path
 
 from ckforms import catalog
+from ckforms.cartan import cartan_matrix, roots_of, w0_length
 from ckforms.catalog import SimpleRealForm
 from ckforms.cli import cmd_check_proper, cmd_info, cmd_standard_form, cmd_table1
 from ckforms.errors import DEFAULT_CAP, NotInSpan
 from ckforms.linalg import Matrix, Vector, integer_rows, invert, solve, vadd
 from ckforms.rootspace import RootSystem, is_dominant, require_in_span, simple_root_rows
-from ckforms.weyl import enumerate_weyl
+from ckforms.weyl import _roots, enumerate_weyl
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -170,19 +171,37 @@ def random_span_vector(system: RootSystem, rng: random.Random) -> Vector:
 
 @lru_cache(maxsize=None)
 def ambient_roots(system: RootSystem) -> tuple[Vector, ...]:
-    """The roots in the ambient realization, aligned with `root_coords`:
-    each sum_j b_j a_j over the simple roots a_j, in Fractions, apart from
-    the integer recombination `weyl.to_ambient` that tests check with it."""
+    """The roots in the ambient realization, aligned with the Weyl layer's
+    root list (`weyl._roots`): each sum_j b_j a_j over the simple roots a_j,
+    in Fractions, apart from the integer recombination `weyl.to_ambient`
+    that tests check with it."""
     return tuple(
         tuple(sum((c * a[k] for c, a in zip(b, system.simple_roots)), Fraction(0))
               for k in range(system.ambient_dim))
-        for b in system.root_coords)
+        for b in _roots(system))
 
 
 @lru_cache(maxsize=None)
 def positive_ambient_roots(system: RootSystem) -> tuple[Vector, ...]:
     """The ambient roots whose simple-root coordinates have a positive entry."""
-    return tuple(r for r, b in zip(ambient_roots(system), system.root_coords) if max(b) > 0)
+    return tuple(r for r, b in zip(ambient_roots(system), _roots(system)) if max(b) > 0)
+
+
+def block_root_coords(system: RootSystem) -> list[tuple[int, ...]]:
+    """The root list as it was built block by block before the Weyl layer
+    built it on the whole Cartan matrix: `roots_of` on each block's own
+    matrix, twice each short root (odd last coordinate) of a BC_n block,
+    and each block's roots padded with zeros into the system's simple-root
+    coordinates."""
+    out = []
+    first = 0   # simple-root offset of the block
+    for letter, rank in system.blocks:
+        coords = roots_of(cartan_matrix(letter, rank), 2 * w0_length(letter, rank))
+        if letter == "BC":
+            coords += [tuple(2 * c for c in b) for b in coords if b[-1] % 2]
+        out += [(0,) * first + b + (0,) * (system.rank - first - rank) for b in coords]
+        first += rank
+    return out
 
 
 def brute_orbit(system: RootSystem, v: Vector) -> set[Vector]:

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ckforms import catalog, cli, rootspace, weyl
+from ckforms import cartan, catalog, cli, rootspace, weyl
 from ckforms.cli import main
 from ckforms.rootspace import build_root_system
 from ckforms.errors import DEFAULT_CAP, InternalInconsistency
+from ckforms.linalg import vneg
 
 from helpers import FIXTURES, build_parser
 
@@ -210,6 +211,31 @@ def test_default_cap_refuses_a9(capsys, tmp_path):
     line.write_text("1 -1 0 0 0 0 0 0 0 0\n")
     assert main(["check-proper", "--system", "A,9", "--ah", str(line), "--al", str(line)]) == 3
     assert "3628800" in capsys.readouterr().err
+
+
+def _unbuilt_roots(matrix, count):
+    raise AssertionError(f"a root list of {count} roots was built")
+
+
+def test_paths_that_never_enumerate_build_no_roots(capsys, monkeypatch, tmp_path):
+    # the core's root orbit gets a body that raises, on the function object
+    # itself, so every name bound to it raises: a wrong-length file, the cap
+    # pre-flight, dominant representatives and the antipodal test answer on
+    # A128 without it
+    monkeypatch.setattr(cartan.roots_of, "__code__", _unbuilt_roots.__code__)
+    short, line = tmp_path / "short.vec", tmp_path / "line.vec"
+    short.write_text("1 -1 0\n")
+    line.write_text(" ".join(["1", "-1"] + ["0"] * 127) + "\n")
+    for path, code in ((short, 2), (line, 3)):
+        assert main(["check-proper", "--system", "A,128", "--ah", str(path),
+                     "--al", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "realized in dimension 129" in err and "exceeding the cap" in err
+    s = build_root_system("A", 128)
+    rho = tuple(map(sum, zip(*weyl.fundamental_coweights(s))))
+    assert weyl.dominant_representative(s, vneg(rho)) == rho
+    assert weyl.is_antipodal(s, tuple(Fraction(x) for x in [1, -1] + [0] * 127))
+    assert not weyl.is_antipodal(s, tuple(Fraction(x) for x in [128] + [-1] * 128))
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

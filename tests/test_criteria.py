@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ckforms import criteria, weyl
+from ckforms import cartan, criteria, weyl
 from ckforms.catalog import NO_OBSTRUCTION, necessary_conditions, parse_descriptor
 from ckforms.criteria import (
     Subspace,
@@ -20,7 +20,7 @@ from ckforms.linalg import (
     vadd,
     vneg,
 )
-from ckforms.rootspace import build_root_system, direct_sum
+from ckforms.rootspace import RootSystem, build_root_system, direct_sum
 
 from helpers import FIXTURES, rand_fraction, vector, vscale, zero_vector
 
@@ -78,7 +78,7 @@ def test_check_proper_fixtures():
     self_hit = check_proper_embedded(A4, a_h, a_h)
     assert not self_hit.proper
     assert self_hit.w_index == 0
-    assert self_hit.element.root_permutation() == tuple(range(len(A4.root_coords)))
+    assert self_hit.element.root_permutation() == tuple(range(len(weyl._roots(A4))))
     assert self_hit.witness == a_h.basis[0]
 
     a1a1 = direct_sum(build_root_system("A", 1), build_root_system("A", 1))
@@ -364,14 +364,20 @@ def test_integer_columns_match_the_fraction_basis_scan_on_random_pairs(pair):
     (F4, "f4_h.vec", "f4_l.vec"),
     (build_root_system("BC", 3), "bc3_h.vec", "bc3_l.vec"),
 ], ids=["A4-meets", "A4-clear", "E6", "F4", "BC3"])
-def test_root_order_is_invisible(system, h, l):
+def test_root_order_is_invisible(monkeypatch, system, h, l):
     # the same system with its root list reversed gives the same verdict,
-    # element, witness, longest element and -w0
-    reversed_ = system._replace(root_coords=system.root_coords[::-1])
-    results = []
-    for s in (system, reversed_):
+    # element, witness, longest element and -w0; the copy starts with an
+    # empty cache, so the Weyl layer builds its list through the wrapped core
+    def results(s):
         r = check_proper_embedded(s, _load(h, s), _load(l, s))
         element = r.element and (r.element.word, r.element.matrix)
-        results.append((r.proper, r.w_index, element, r.witness,
-                        weyl.longest_element(s).word, weyl.minus_w0(s)))
-    assert results[0] == results[1]
+        return (r.proper, r.w_index, element, r.witness,
+                weyl.longest_element(s).word, weyl.minus_w0(s))
+
+    expected = results(system)
+    core = cartan.roots_of
+    monkeypatch.setattr(cartan, "roots_of", lambda *args: core(*args)[::-1])
+    reversed_ = RootSystem(*system)
+    assert results(reversed_) == expected
+    assert weyl._roots(reversed_) != weyl._roots(system)
+    assert sorted(weyl._roots(reversed_)) == sorted(weyl._roots(system))

@@ -134,11 +134,21 @@ def test_rank_level_layers_import_no_realization(module):
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_no_module_reads_ambient_root_lists(module):
     """Every layer runs on the Cartan matrix and the simple-root
-    coordinates; no system carries an ambient root list, and no module
-    asks for one."""
+    coordinates; no system carries a root list, ambient or in simple-root
+    coordinates, and no module asks for one."""
     reads = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(TREES[module])
-             if isinstance(node, ast.Attribute) and node.attr in ("roots", "positive_roots")]
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("roots", "positive_roots", "root_coords")]
     assert reads == []
+
+
+def test_only_the_weyl_layer_builds_the_root_list():
+    """The core's root orbit is named only where it is defined (`cartan`)
+    and in the one layer that builds the root list from it (`weyl`)."""
+    defined = {name for name, tree in TREES.items()
+               for node in tree.body if "roots_of" in _defined(node)}
+    referenced = {name for name, tree in TREES.items() if "roots_of" in _names(tree)}
+    assert (defined, referenced) == ({"cartan"}, {"weyl"})
 
 
 def test_criteria_imports_no_rank_level_layer():

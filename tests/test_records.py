@@ -66,7 +66,7 @@ def _instances():
         "StandardFormVerdict": (verdict, ("required_d", "verdict", "max_achievable",
                                           "witnesses", "top_candidates")),
         "RootSystem": (A4, ("label", "blocks", "ambient_dim", "rank", "simple_roots",
-                            "cartan", "root_coords")),
+                            "cartan")),
         "FixedCone": (weyl.fixed_cone(A4), ("b_basis", "system")),
     }
 

@@ -18,7 +18,7 @@ from ckforms.rootspace import (
     is_dominant,
     simple_root_rows,
 )
-from ckforms.weyl import enumerate_weyl, to_ambient
+from ckforms.weyl import _roots, enumerate_weyl, to_ambient
 
 from helpers import (
     ambient_roots,
@@ -45,7 +45,7 @@ ALL_SMALL = [
 
 def test_a2_basic():
     s = build_root_system("A", 2)
-    assert len(s.root_coords) == 6
+    assert len(_roots(s)) == 6
     assert s.ambient_dim == 3
     assert s.rank == 2
 
@@ -69,10 +69,10 @@ def test_root_counts_match_formulas():
     for letter, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3), ("BC", 1)):
         for n in range(lo, 9):
             s = build_root_system(letter, n)
-            assert len(s.root_coords) == counts[letter](n)
+            assert len(_roots(s)) == counts[letter](n)
     for letter, rank, expected in (("G", 2, 12), ("F", 4, 48),
                                    ("E", 6, 72), ("E", 7, 126), ("E", 8, 240)):
-        assert len(build_root_system(letter, rank).root_coords) == expected
+        assert len(_roots(build_root_system(letter, rank))) == expected
 
 
 @pytest.mark.parametrize("letter,rank", ALL_SMALL)
@@ -170,7 +170,7 @@ def test_direct_sum_layout():
     s = direct_sum(a1, a1)
     assert s.ambient_dim == 4
     assert s.rank == 2
-    assert len(s.root_coords) == 4
+    assert len(_roots(s)) == 4
     assert s.label == "A1+A1"
     assert s.blocks == (("A", 1), ("A", 1))
     assert in_root_span(s, vector([1, -1, 0, 0]))
@@ -346,7 +346,7 @@ def test_generated_roots_match_per_type_enumeration(blocks):
     # the root order is the core's, not the oracle's: compare sorted lists
     s = direct_sum(*(build_root_system(t, n) for t, n in blocks))
     roots, simples, positives = _embedded([_oracle_system(t, n) for t, n in blocks])
-    assert all(min(b) >= 0 or max(b) <= 0 for b in s.root_coords)
+    assert all(min(b) >= 0 or max(b) <= 0 for b in _roots(s))
     assert sorted(ambient_roots(s)) == sorted(roots)
     assert list(s.simple_roots) == simples
     assert sorted(positive_ambient_roots(s)) == sorted(positives)
@@ -372,8 +372,8 @@ def test_root_coords_recombine_to_the_roots(blocks):
     # the integer recombination of the Weyl layer against the Fraction one
     s = direct_sum(*(build_root_system(t, n) for t, n in blocks))
     den = simple_root_rows(s)[1]
-    assert all(len(b) == s.rank and all(type(x) is int for x in b) for b in s.root_coords)
-    recombined = [tuple(Fraction(x, den) for x in to_ambient(s, b)) for b in s.root_coords]
+    assert all(len(b) == s.rank and all(type(x) is int for x in b) for b in _roots(s))
+    recombined = [tuple(Fraction(x, den) for x in to_ambient(s, b)) for b in _roots(s)]
     assert recombined == list(ambient_roots(s))
 
 

@@ -15,7 +15,7 @@ import ckforms
 from ckforms import cartan, weyl
 from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency, NotInSpan
 from ckforms.linalg import identity_matrix, invert, kernel_basis, vneg
-from ckforms.rootspace import build_root_system, direct_sum, is_dominant
+from ckforms.rootspace import RootSystem, build_root_system, direct_sum, is_dominant
 from ckforms.weyl import (
     WeylEnumeration,
     ahyp_dimension,
@@ -31,6 +31,7 @@ from ckforms.weyl import (
 
 from helpers import (
     ambient_roots,
+    block_root_coords,
     brute_dominant,
     dot,
     fraction_coweight_rows,
@@ -69,7 +70,7 @@ def test_enumeration_orders(letter, rank, order):
     els = enumerate_weyl(s, cap=2000)
     assert len(els) == order == weyl_order(s)
     first = next(iter(els))
-    assert first.root_permutation() == tuple(range(len(s.root_coords)))
+    assert first.root_permutation() == tuple(range(len(weyl._roots(s))))
     assert first.word == ()
 
 
@@ -271,6 +272,25 @@ def test_dominant_representative_is_orbit_invariant():
                 assert dominant_representative(s, w.apply(v)) == rep
 
 
+def _system(label):
+    return direct_sum(*(build_root_system(t.rstrip("0123456789"), int(t.lstrip("ABCDEFG")))
+                        for t in label.split("+")))
+
+
+@pytest.mark.parametrize("label", ["BC1", "BC6", "B6", "C6", "G2", "F4", "E6", "E7", "E8",
+                                   "BC2+A1"])
+def test_dominant_chain_from_minus_rho_takes_exactly_w0_length(label):
+    # -rho is strictly antidominant: its chain is a reduced word of w0, as
+    # long as the bound the dominant representative allows, and no root
+    # list is built on the way (a fresh copy starts with an empty cache)
+    s = RootSystem(*_system(label))
+    rho = tuple(map(sum, zip(*weyl.fundamental_coweights(s))))
+    assert dominant_representative(s, vneg(rho)) == rho
+    _, chain, _ = cartan.dominant_chain(s.cartan, [-1] * s.rank, weyl._w0_length(s))
+    assert len(chain) == weyl._w0_length(s) == len(weyl._w0(s).chain)
+    assert "roots" not in s._cache
+
+
 def test_w0_sends_dominant_to_antidominant():
     rng = random.Random(11)
     for letter, rank in (("A", 4), ("B", 4), ("D", 5), ("E", 6), ("E", 7)):
@@ -316,7 +336,7 @@ def _bfs_oracle(system):
     index = {r: i for i, r in enumerate(ambient_roots(system))}
     gens = [itemgetter(*[index[reflect(r, a)] for r in ambient_roots(system)])
             for a in system.simple_roots]
-    ident = tuple(range(len(system.root_coords)))
+    ident = tuple(range(len(weyl._roots(system))))
     seen = {ident}
     out = [((), ident)]
     frontier = out
@@ -340,6 +360,7 @@ _STREAMED = [("A", n) for n in range(1, 8)] + [(t, n) for t in "BC" for n in ran
 def test_streamed_order_matches_list_building_search():
     systems = [build_root_system(t, n) for t, n in _STREAMED]
     systems.append(direct_sum(build_root_system("A", 2), build_root_system("G", 2)))
+    systems.append(direct_sum(build_root_system("BC", 2), build_root_system("A", 1)))
     for s in systems:
         assert weyl_order(s) <= 5 * 10**4
         expected = _bfs_oracle(s)
@@ -522,7 +543,7 @@ def _oracle_reflections(system):
 @pytest.mark.parametrize("system", _supported(10) + [A2G2, B2A1], ids=lambda s: s.label)
 def test_reflections_on_root_coords_match_ambient_oracle(system):
     ident, gens, simple = weyl._perm_data(system)
-    n = len(system.root_coords)
+    n = len(weyl._roots(system))
     assert tuple(ident[:n]) == tuple(range(n))
     assert (simple, [tuple(g[:n]) for g in gens]) == _oracle_reflections(system)
 
@@ -535,22 +556,38 @@ def test_coweight_rows_match_fraction_oracle(system):
     assert weyl._coweight_rows(fresh) == fraction_coweight_rows(fresh)
 
 
+@pytest.mark.parametrize("label", ["BC1", "BC3", "BC1+A1", "A2+BC3", "A1+BC2+BC1", "B3+BC3",
+                                   "A2+G2"])
+def test_root_list_matches_block_by_block_construction(label):
+    # one core orbit on the whole Cartan matrix plus the BC doubling, against
+    # each block's own orbit and doubling embedded block-diagonally
+    s = _system(label)
+    expected = block_root_coords(s)
+    assert len(weyl._roots(s)) == len(expected)
+    assert set(weyl._roots(s)) == set(expected)
+
+
 def test_corrupted_root_coords_are_an_internal_inconsistency_under_optimize():
     # a root whose coordinates were doubled is missing as the image of the
-    # roots that reflect onto it: an InternalInconsistency, not a KeyError
+    # roots that reflect onto it: an InternalInconsistency, not a KeyError;
+    # the core's list is corrupted after its own checks, before the Weyl
+    # layer of this fresh process first builds it
     code = (
         "import sys\n"
         "from itertools import islice\n"
-        "from ckforms import weyl\n"
+        "from ckforms import cartan, weyl\n"
         "from ckforms.errors import InternalInconsistency\n"
         "from ckforms.rootspace import build_root_system\n"
         "print('optimize', sys.flags.optimize)\n"
-        "s = build_root_system('B', 3)\n"
-        "coords = list(s.root_coords)\n"
-        "i = next(i for i, b in enumerate(coords) if sum(map(abs, b)) > 1)\n"
-        "coords[i] = tuple(2 * x for x in coords[i])\n"
+        "core = cartan.roots_of\n"
+        "def corrupted(*args):\n"
+        "    coords = core(*args)\n"
+        "    i = next(i for i, b in enumerate(coords) if sum(map(abs, b)) > 1)\n"
+        "    coords[i] = tuple(2 * x for x in coords[i])\n"
+        "    return coords\n"
+        "cartan.roots_of = corrupted\n"
         "try:\n"
-        "    next(islice(weyl.enumerate_weyl(s._replace(root_coords=tuple(coords))), 1, None))\n"
+        "    next(islice(weyl.enumerate_weyl(build_root_system('B', 3)), 1, None))\n"
         "except InternalInconsistency as e:\n"
         "    print(e)\n"
     )
@@ -602,7 +639,7 @@ def _oracle_dominant_chain(system, v):
 @pytest.mark.parametrize("system", _supported(10) + [A2G2, B2A1],
                          ids=lambda s: s.label)
 def test_dominant_chain_matches_fraction_oracle(system):
-    rng = random.Random(len(system.root_coords))
+    rng = random.Random(len(weyl._roots(system)))
     vectors = [random_span_vector(system, rng) for _ in range(4)]
     vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                       for _ in range(system.ambient_dim)) for _ in range(4)]
