@@ -1,9 +1,9 @@
 """Integer Cartan-matrix core: the closed-form Cartan matrices, the roots
-in simple-root coordinates, the dominant chain in Dynkin labels, the
-longest element w0 of a Weyl group, the involution -w0 on the simple roots
-and the a-hyperbolic rank, computed in Dynkin-label and simple-root
-coordinates (Humphreys, *Reflection Groups and Coxeter Groups*, sections
-1-2) without any explicit root realization.
+and the simple reflections on them in one pass, the dominant chain in
+Dynkin labels, the longest element w0 of a Weyl group, the involution -w0
+on the simple roots and the a-hyperbolic rank, computed in Dynkin-label
+and simple-root coordinates (Humphreys, *Reflection Groups and Coxeter
+Groups*, sections 1-2) without any explicit root realization.
 
 The Cartan matrix is a[i][j] = <alpha_i, alpha_j^vee>
 = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j).  The simple reflection s_i acts
@@ -94,32 +94,35 @@ def _sparse(matrix) -> list[list[tuple[int, int]]]:
     return [[(k, x) for k, x in enumerate(row) if x] for row in matrix]
 
 
-def roots_of(cartan: CartanMatrix, count: int) -> list[tuple[int, ...]]:
-    """The roots of the reduced system of a Cartan matrix, in simple-root
-    coordinates, in breadth-first order from the simple roots: the order of
-    the Weyl layer's root list, on which no result depends.
+def roots_of(cartan: CartanMatrix, count: int):
+    """The roots of the reduced system of a Cartan matrix in simple-root
+    coordinates, and the simple reflections on them, in one pass:
+    `(roots, images)` with images[i][k] the index of s_i(roots[k]).  The
+    order is breadth-first from the simple roots, so root i is alpha_i for
+    i below the rank; no result depends on the rest of it.
 
     Every root is W-conjugate to a simple root (Humphreys, Cor. 1.5), so
     the roots are the orbit of the simple roots under the simple
     reflections; s_i changes only coordinate i, by -sum_k b_k a[k][i].
     Raises InternalInconsistency when a root has coefficients of both signs
     or when the orbit does not have exactly `count` roots (the search stops
-    as soon as it has more).
+    as soon as it has more), so a returned table is closed.
     """
     cols = _sparse(zip(*cartan))   # column i: the pairs (k, a[k][i]) that s_i reads
     n = len(cartan)
     roots = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    seen = set(roots)
-    for b in roots:   # the list grows while it is read: a breadth-first queue
+    index = {b: k for k, b in enumerate(roots)}
+    images: list[list[int]] = [[] for _ in range(n)]
+    for k, b in enumerate(roots):   # the list grows while it is read: a breadth-first queue
         if min(b) < 0 < max(b):
             raise InternalInconsistency(f"root {b} of Cartan matrix {cartan} "
                                         f"has coefficients of both signs")
         for i, col in enumerate(cols):
-            if c := sum(b[k] * x for k, x in col):
+            if c := sum(b[h] * x for h, x in col):
                 r = b[:i] + (b[i] - c,) + b[i + 1:]
-                if r not in seen:
-                    seen.add(r)
+                if (j := index.setdefault(r, len(roots))) == len(roots):
                     roots.append(r)
+            images[i].append(j if c else k)   # s_i fixes b when c is 0
         if len(roots) > count:
             break
     if len(roots) != count:
@@ -127,7 +130,7 @@ def roots_of(cartan: CartanMatrix, count: int) -> list[tuple[int, ...]]:
         raise InternalInconsistency(
             f"Cartan matrix {cartan} has {len(roots)}{more} roots, expected {count}"
         )
-    return roots
+    return roots, images
 
 
 class W0(namedtuple("W0", "chain minus_w0 ahyp")):

@@ -1,5 +1,5 @@
-"""Exact coordinate realizations of (possibly non-reduced) restricted root
-systems, with chamber geometry predicates.
+"""Exact coordinate realizations of restricted root systems, with chamber
+geometry predicates; BC_n is realized as B_n, whose Weyl group it has.
 
 Only the simple roots are written down, in these fixed realizations (see
 docs/cli.md for the bit-exact statement):

@@ -3,19 +3,17 @@ representatives, the longest element, the involution -w0 and its fixed
 cone, the a-hyperbolic dimension, and the antipodal orbit test.
 
 The layer runs in simple-root coordinates.  An element is a permutation of
-the root list, which only this layer builds (`_roots`, from the Cartan
-matrix, with the first element), composed from the simple reflections;
-s_i changes coordinate i only, by -sum_k b_k a[k][i].  It acts in integers:
-`_coordinates` pairs a vector, over a denominator, with the fundamental
-coweights, and `_combine` sums (omega_i, v) w(a_i) in simple-root
-coordinates, reading w(a_i) from the permutation.  `span_action` returns
-those sums; `WeylElement.apply`, its matrix and `dominant_representative`
-map them back (`to_ambient`).  Enumeration is breadth-first by length, ties
-broken lexicographically by word, so indices are reproducible; it is a
-stream, so a scan that stops early generates only the elements it read, and
-a full pass holds two length layers, never the whole group.  Dominant
-representatives, w0's word, -w0 on the simple roots and ahyp come from the
-Cartan core (`cartan`), with no root list, so they stay cheap up to E_8.
+the root list, composed from the simple reflections; only this layer builds
+that list, with the first element, from the Cartan core's one pass that
+returns the roots and the reflections on them (`_perm_data`).  It acts in
+integers: `_coordinates` pairs a vector, over a denominator, with the
+fundamental coweights, and `_combine` sums (omega_i, v) w(a_i) over the
+images of the simple roots.  `span_action` returns those sums; `_apply` and
+`dominant_representative` map them back (`to_ambient`).  Enumeration is
+breadth-first by length, ties broken lexicographically by word so indices
+are reproducible, and a stream: a scan that stops early generates only the
+elements it read, and a full pass holds two length layers.  Dominant
+representatives, w0's word, -w0 and ahyp read only the Cartan core.
 """
 
 from collections import namedtuple
@@ -57,43 +55,22 @@ def _w0_length(system: RootSystem) -> int:
     return sum(cartan.w0_length(letter, rank) for letter, rank in system.blocks)
 
 
-def _roots(system: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """The roots in simple-root coordinates: the core's orbit on the whole
-    Cartan matrix, then twice the short roots (odd last entry) of each BC_n."""
-    c = system._cache
-    if "roots" not in c:
-        roots = cartan.roots_of(system.cartan, 2 * _w0_length(system))
-        end = 0
-        for letter, rank in system.blocks:
-            end += rank
-            if letter == "BC":
-                roots += [tuple(2 * x for x in b) for b in roots if b[end - 1] % 2]
-        c["roots"] = tuple(roots)
-    return c["roots"]
-
-
 def _perm_data(system: RootSystem):
-    """Identity permutation and simple-reflection permutations of the root
-    list (`_roots`), from which every element's permutation is composed;
-    and the root indices of the simple roots.  A coordinate tuple missing
-    from the list raises InternalInconsistency."""
+    """The core's root list on the whole Cartan matrix (root i is a_i below
+    the rank), its identity and its simple-reflection permutations.  BC_n's
+    roots 2e_i are not built: they reflect as e_i, so W(BC_n) = W(B_n)."""
     c = system._cache
     if "perms" not in c:
-        coords = _roots(system)
-        rank, n = system.rank, len(coords)
-        index = {b: i for i, b in enumerate(coords)}
-        try:
-            simple = tuple(index[tuple(int(k == i) for k in range(rank))] for i in range(rank))
-            gens = []
-            for i, col in enumerate(zip(*system.cartan)):   # col[k] = a[k][i]
-                images = [index[b[:i] + (b[i] - sum(map(mul, b, col)),) + b[i + 1:]]
-                          for b in coords]
-                gens.append(_make_perm(n, images))
-        except KeyError as missing:
-            raise InternalInconsistency(f"{missing} is not a root of {system.label} "
-                                        f"in simple-root coordinates") from None
-        c["perms"] = (_make_perm(n, range(n)), tuple(gens), simple)
+        roots, images = cartan.roots_of(system.cartan, 2 * _w0_length(system))
+        n = len(roots)
+        c["perms"] = (tuple(roots), _make_perm(n, range(n)),
+                      tuple(_make_perm(n, row) for row in images))
     return c["perms"]
+
+
+def _roots(system: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """The root list in simple-root coordinates (`_perm_data`)."""
+    return _perm_data(system)[0]
 
 
 def _make_perm(n: int, images):
@@ -165,11 +142,20 @@ def _sum_rows(pairs, width: int) -> list:
     return acc
 
 
-def _combine(system: RootSystem, perm, terms) -> list[int]:
+def _combine(system: RootSystem, images, terms) -> list[int]:
     """sum c_i w(a_i) in simple-root coordinates, for the terms (i, c_i) and
-    the element w with root permutation `perm`."""
-    coords, simple = _roots(system), _perm_data(system)[2]
-    return _sum_rows([(c, coords[perm[simple[i]]]) for i, c in terms], system.rank)
+    the images w(a_i) of the simple roots."""
+    return _sum_rows([(c, images[i]) for i, c in terms], system.rank)
+
+
+def _apply(system: RootSystem, images, v: Vector) -> Vector:
+    """w.v = v + sum_i (omega_i, v) (w(a_i) - a_i), from the images w(a_i)
+    of the simple roots; the complement of the root span stays fixed."""
+    den, ints, terms = _coordinates(system, v)
+    moved = _combine(system, images, terms)
+    for i, c in terms:
+        moved[i] -= c
+    return tuple(Fraction(x + y, den) for x, y in zip(ints, to_ambient(system, moved)))
 
 
 def to_ambient(system: RootSystem, coords) -> list:
@@ -196,20 +182,19 @@ class WeylElement:
         self.word = word
         self._perm = perm
 
+    def _images(self) -> list[tuple[int, ...]]:
+        """w(a_i) for the simple roots a_i, in simple-root coordinates."""
+        roots = _roots(self.system)
+        return [roots[j] for j in self._perm[: self.system.rank]]
+
     @property
     def matrix(self) -> Matrix:
         """The exact matrix, column by column the images of the unit vectors."""
         return tuple(zip(*map(self.apply, identity_matrix(self.system.ambient_dim))))
 
     def apply(self, v: Vector) -> Vector:
-        """w.v = v + sum_i (omega_i, v) (w(a_i) - a_i); the complement of the
-        root span stays fixed."""
-        system = self.system
-        den, ints, terms = _coordinates(system, v)
-        moved = _combine(system, self._perm, terms)
-        for i, c in terms:
-            moved[i] -= c
-        return tuple(Fraction(x + y, den) for x, y in zip(ints, to_ambient(system, moved)))
+        """w.v, the complement of the root span fixed (`_apply`)."""
+        return _apply(self.system, self._images(), v)
 
     def root_permutation(self) -> tuple[int, ...]:
         return tuple(self._perm[: len(_roots(self.system))])
@@ -220,7 +205,7 @@ class WeylElement:
         return self.system == other.system and self._perm == other._perm
 
     def __hash__(self):
-        return hash((self.system.label, self.root_permutation()))
+        return hash(self._perm)
 
     def __repr__(self):
         return f"WeylElement(word={self.word})"
@@ -241,9 +226,9 @@ class WeylEnumeration:
     def __init__(self, system: RootSystem, order: int):
         self.system = system
         self._order = order
-        self._ident, gens, simple = _perm_data(system)
-        self._steps = tuple(zip(range(system.rank), simple, gens))
-        self._positive = [max(b) > 0 for b in _roots(system)]
+        roots, self._ident, gens = _perm_data(system)
+        self._steps = tuple(enumerate(gens))
+        self._positive = [max(b) > 0 for b in roots]
         self.generated = 0
 
     def __len__(self) -> int:
@@ -258,8 +243,8 @@ class WeylEnumeration:
             nxt = {}   # the next layer, keyed by permutation
             for w in layer:
                 perm = w._perm
-                for i, simple, gen in steps:
-                    if positive[perm[simple]] and (q := _compose(perm, gen)) not in nxt:
+                for i, gen in steps:
+                    if positive[perm[i]] and (q := _compose(perm, gen)) not in nxt:
                         nxt[q] = u = WeylElement(system, w.word + (i,), q)
                         self.generated = count = count + 1
                         yield u
@@ -301,7 +286,8 @@ def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[lis
     combos = [_terms(system, require_in_span(system, v)) for v in vectors]
 
     def act(w: WeylElement) -> list[list[int]]:
-        return [_combine(system, w._perm, terms) for terms in combos]
+        images = w._images()
+        return [_combine(system, images, terms) for terms in combos]
 
     return act
 
@@ -343,7 +329,7 @@ def longest_element(system: RootSystem) -> WeylElement:
     c = system._cache
     if "w0" not in c:
         chain = _w0(system).chain
-        perm, gens, _ = _perm_data(system)
+        _, perm, gens = _perm_data(system)
         for i in chain:
             perm = _compose(perm, gens[i])
         w0 = WeylElement(system, chain, perm)
@@ -356,8 +342,12 @@ def longest_element(system: RootSystem) -> WeylElement:
 
 def minus_w0(system: RootSystem) -> Matrix:
     """The involution -w0 as an exact matrix; it preserves the dominant
-    chamber and permutes the simple roots."""
-    return tuple(map(vneg, longest_element(system).matrix))
+    chamber and permutes the simple roots.  Read from the Cartan core's -w0
+    on the simple roots, w0(a_i) = -a_sigma(i), with no root list; -w0
+    negates the complement of the root span."""
+    images = [tuple(-int(k == j) for k in range(system.rank)) for j in _w0(system).minus_w0]
+    columns = (_apply(system, images, e) for e in identity_matrix(system.ambient_dim))
+    return tuple(map(vneg, zip(*columns)))
 
 
 def ahyp_dimension(system: RootSystem) -> int:

@@ -190,15 +190,12 @@ def positive_ambient_roots(system: RootSystem) -> tuple[Vector, ...]:
 def block_root_coords(system: RootSystem) -> list[tuple[int, ...]]:
     """The root list as it was built block by block before the Weyl layer
     built it on the whole Cartan matrix: `roots_of` on each block's own
-    matrix, twice each short root (odd last coordinate) of a BC_n block,
-    and each block's roots padded with zeros into the system's simple-root
-    coordinates."""
+    matrix (B_n's roots for BC_n, which has its matrix), padded with zeros
+    into the system's simple-root coordinates."""
     out = []
     first = 0   # simple-root offset of the block
     for letter, rank in system.blocks:
-        coords = roots_of(cartan_matrix(letter, rank), 2 * w0_length(letter, rank))
-        if letter == "BC":
-            coords += [tuple(2 * c for c in b) for b in coords if b[-1] % 2]
+        coords = roots_of(cartan_matrix(letter, rank), 2 * w0_length(letter, rank))[0]
         out += [(0,) * first + b + (0,) * (system.rank - first - rank) for b in coords]
         first += rank
     return out

@@ -240,22 +240,30 @@ def test_root_orbit_rejects_inconsistent_input(matrix, count):
 
 
 def test_core_checks_survive_optimize():
+    # w0_of's chain bound, and both checks of the root orbit: coefficients of
+    # both signs and the wrong count
     code = (
         "import sys\n"
-        "from ckforms.cartan import w0_of\n"
+        "from ckforms.cartan import roots_of, w0_of\n"
         "from ckforms.errors import InternalInconsistency\n"
         "print('optimize', sys.flags.optimize)\n"
-        "try:\n"
-        "    w0_of(((2, -2), (-2, 2)), 3)\n"
-        "except InternalInconsistency:\n"
-        "    print('raised')\n"
+        "for check, args in ((w0_of, (((2, -2), (-2, 2)), 3)),\n"
+        "                    (roots_of, (((2, 1), (1, 2)), 6)),\n"
+        "                    (roots_of, (((2, -1), (-1, 2)), 8))):\n"
+        "    try:\n"
+        "        check(*args)\n"
+        "    except InternalInconsistency as e:\n"
+        "        print('raised', e)\n"
     )
     src = str(Path(ckforms.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:2] == ["optimize 1", "raised"]
+    lines = result.stdout.splitlines()
+    assert lines[0] == "optimize 1" and len(lines) == 4
+    assert all(line.startswith("raised") for line in lines[1:])
+    assert "both signs" in lines[2] and "has 6 roots, expected 8" in lines[3]
 
 
 def test_corrupted_chain_is_caught_under_optimize():

@@ -20,7 +20,7 @@ from ckforms.rootspace import build_root_system
 from ckforms.errors import DEFAULT_CAP, InternalInconsistency
 from ckforms.linalg import vneg
 
-from helpers import FIXTURES, build_parser
+from helpers import FIXTURES, build_parser, mat_vec
 
 ROOT = Path(__file__).parents[1]
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
@@ -220,8 +220,8 @@ def _unbuilt_roots(matrix, count):
 def test_paths_that_never_enumerate_build_no_roots(capsys, monkeypatch, tmp_path):
     # the core's root orbit gets a body that raises, on the function object
     # itself, so every name bound to it raises: a wrong-length file, the cap
-    # pre-flight, dominant representatives and the antipodal test answer on
-    # A128 without it
+    # pre-flight, dominant representatives, the antipodal test and -w0 answer
+    # on A128 without it
     monkeypatch.setattr(cartan.roots_of, "__code__", _unbuilt_roots.__code__)
     short, line = tmp_path / "short.vec", tmp_path / "line.vec"
     short.write_text("1 -1 0\n")
@@ -236,6 +236,9 @@ def test_paths_that_never_enumerate_build_no_roots(capsys, monkeypatch, tmp_path
     assert weyl.dominant_representative(s, vneg(rho)) == rho
     assert weyl.is_antipodal(s, tuple(Fraction(x) for x in [1, -1] + [0] * 127))
     assert not weyl.is_antipodal(s, tuple(Fraction(x) for x in [128] + [-1] * 128))
+    m = weyl.minus_w0(s)   # -w0 reverses A128's simple roots
+    assert mat_vec(m, (Fraction(1), Fraction(-1)) + (Fraction(0),) * 127) == (
+        (Fraction(0),) * 127 + (Fraction(1), Fraction(-1)))
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

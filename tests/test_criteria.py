@@ -365,7 +365,8 @@ def test_integer_columns_match_the_fraction_basis_scan_on_random_pairs(pair):
     (build_root_system("BC", 3), "bc3_h.vec", "bc3_l.vec"),
 ], ids=["A4-meets", "A4-clear", "E6", "F4", "BC3"])
 def test_root_order_is_invisible(monkeypatch, system, h, l):
-    # the same system with its root list reversed gives the same verdict,
+    # the same system with its root list reversed past the simple roots, and
+    # the reflection table renumbered to match, gives the same verdict,
     # element, witness, longest element and -w0; the copy starts with an
     # empty cache, so the Weyl layer builds its list through the wrapped core
     def results(s):
@@ -376,7 +377,14 @@ def test_root_order_is_invisible(monkeypatch, system, h, l):
 
     expected = results(system)
     core = cartan.roots_of
-    monkeypatch.setattr(cartan, "roots_of", lambda *args: core(*args)[::-1])
+
+    def reversed_roots(matrix, count):
+        roots, images = core(matrix, count)
+        order = [*range(len(matrix)), *range(count - 1, len(matrix) - 1, -1)]
+        new = {k: p for p, k in enumerate(order)}   # old index -> new index
+        return [roots[k] for k in order], [[new[row[k]] for k in order] for row in images]
+
+    monkeypatch.setattr(cartan, "roots_of", reversed_roots)
     reversed_ = RootSystem(*system)
     assert results(reversed_) == expected
     assert weyl._roots(reversed_) != weyl._roots(system)

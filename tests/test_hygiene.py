@@ -144,11 +144,24 @@ def test_no_module_reads_ambient_root_lists(module):
 
 def test_only_the_weyl_layer_builds_the_root_list():
     """The core's root orbit is named only where it is defined (`cartan`)
-    and in the one layer that builds the root list from it (`weyl`)."""
+    and in the one function that builds the root list and its permutations
+    from it (`weyl._perm_data`)."""
     defined = {name for name, tree in TREES.items()
                for node in tree.body if "roots_of" in _defined(node)}
-    referenced = {name for name, tree in TREES.items() if "roots_of" in _names(tree)}
-    assert (defined, referenced) == ({"cartan"}, {"weyl"})
+    referenced = {(name, node.name) for name, tree in TREES.items() for node in tree.body
+                  if "roots_of" in _names(node) and "roots_of" not in _defined(node)}
+    assert (defined, referenced) == ({"cartan"}, {("weyl", "_perm_data")})
+
+
+def test_weyl_treats_bc_as_b():
+    """W(BC_n) = W(B_n), so the Weyl layer builds no doubled root and
+    compares no type letter with "BC"; it names BC_n only as a key of the
+    closed-form group orders."""
+    compared = [f"line {node.lineno}" for node in ast.walk(TREES["weyl"])
+                if isinstance(node, ast.Compare)
+                and any(isinstance(x, ast.Constant) and x.value == "BC"
+                        for x in ast.walk(node))]
+    assert compared == []
 
 
 def test_criteria_imports_no_rank_level_layer():

