@@ -154,7 +154,7 @@ def so_pq(p: int, q: int) -> SimpleRealForm:
     n = p + q
     return _form(f"so({p},{q})", "so(p,q)", (p, q), rtype, p,
                  n * (n - 1) // 2, p * (p - 1) // 2 + q * (q - 1) // 2,
-                 p // 2 + q // 2)
+                 p // 2 + q // 2, complex_=(p, q) == (1, 3))   # so(1,3) = sl(2,C)
 
 
 def so_C(n: int) -> SimpleRealForm:

@@ -18,10 +18,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 

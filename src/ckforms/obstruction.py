@@ -121,11 +121,11 @@ def standard_form_verdict(g: SimpleRealForm, h: ReductiveDescriptor) -> Standard
     combos = candidate_combinations(g, h)
     witnesses = tuple(c for c in combos if c.d_interval[0] <= required <= c.d_interval[1])
     max_achievable = max(c.d_interval[1] for c in combos)
-    ranked = sorted(enumerate(combos), key=lambda t: (-t[1].d_interval[1], t[0]))
     return StandardFormVerdict(
         required_d=required,
         verdict=INCONCLUSIVE if witnesses else NO_STANDARD_FORM,
         max_achievable=max_achievable,
         witnesses=witnesses,
-        top_candidates=tuple(c for _, c in ranked[:TOP_CANDIDATES]),
+        # a stable sort: ties keep the search order
+        top_candidates=tuple(sorted(combos, key=lambda c: -c.d_interval[1])[:TOP_CANDIDATES]),
     )

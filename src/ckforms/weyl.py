@@ -24,7 +24,7 @@ from operator import mul
 
 from . import cartan
 from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
-from .linalg import Matrix, Vector, identity_matrix, integer_row, integer_rows, invert, vadd, vneg
+from .linalg import Matrix, Vector, identity_matrix, integer_row, integer_rows, invert, vneg
 from .rootspace import RootSystem, check_dimension, require_in_span, simple_root_rows
 
 _ORDERS = {
@@ -57,14 +57,17 @@ def _w0_length(system: RootSystem) -> int:
 
 def _perm_data(system: RootSystem):
     """The core's root list on the whole Cartan matrix (root i is a_i below
-    the rank), its identity and its simple-reflection permutations.  BC_n's
-    roots 2e_i are not built: they reflect as e_i, so W(BC_n) = W(B_n)."""
+    the rank), its identity, its simple-reflection permutations and the
+    terms (j, c_j) of 2 rho, the sum of the positive roots, in simple-root
+    coordinates.  BC_n's roots 2e_i are not built: they reflect as e_i, so
+    W(BC_n) = W(B_n)."""
     c = system._cache
     if "perms" not in c:
         roots, images = cartan.roots_of(system.cartan, 2 * _w0_length(system))
         n = len(roots)
+        rho2 = map(sum, zip(*(b for b in roots if max(b) > 0)))
         c["perms"] = (tuple(roots), _make_perm(n, range(n)),
-                      tuple(_make_perm(n, row) for row in images))
+                      tuple(_make_perm(n, row) for row in images), tuple(enumerate(rho2)))
     return c["perms"]
 
 
@@ -169,23 +172,31 @@ class WeylElement:
     """Group element, acting as an exact orthogonal transformation of the
     ambient coordinates.
 
-    `word` lists simple-reflection indices; the action equals the
-    composition of those reflections applied right to left.  An element is
-    its induced root permutation (padded by `_make_perm`) and nothing else:
-    `apply` and `matrix` read the images of the simple roots from it.
+    An element is its induced root permutation (padded by `_make_perm`) and
+    nothing else: `apply`, `matrix` and `word` read the images of the simple
+    roots from it.
     """
 
-    __slots__ = ("system", "word", "_perm")
+    __slots__ = ("system", "_perm")
 
-    def __init__(self, system: RootSystem, word: tuple[int, ...], perm):
+    def __init__(self, system: RootSystem, perm):
         self.system = system
-        self.word = word
         self._perm = perm
 
     def _images(self) -> list[tuple[int, ...]]:
         """w(a_i) for the simple roots a_i, in simple-root coordinates."""
         roots = _roots(self.system)
         return [roots[j] for j in self._perm[: self.system.rank]]
+
+    @property
+    def word(self) -> tuple[int, ...]:
+        """The least reduced word, w = s_word[0] ... s_word[-1]: the core's
+        dominant chain from w(2 rho), 2 rho regular dominant, reflects in
+        the least i with w^-1(a_i) < 0 (Humphreys 1.6-1.8) at each step."""
+        system = self.system
+        moved = _combine(system, self._images(), _perm_data(system)[3])
+        labels = _sum_rows(zip(moved, system.cartan), system.rank)
+        return cartan.dominant_chain(system.cartan, labels, _w0_length(system))[1]
 
     @property
     def matrix(self) -> Matrix:
@@ -218,15 +229,16 @@ class WeylEnumeration:
     latest pass has yielded.  A pass is breadth-first by length and keeps
     only the current layer and the next: each element w of the layer, in
     order, is composed with s_0, s_1, ... in turn, skipping s_i when
-    w(a_i) < 0, since then l(w s_i) < l(w) (Humphreys 1.6-1.7); the first
-    word reaching a permutation is kept.  An exhausted pass checks its
-    count against the order.
+    w(a_i) < 0, since then l(w s_i) < l(w) (Humphreys 1.6-1.7).  A layer
+    holds bare permutations in the order first reached, which within a
+    length is that of their least reduced words (`WeylElement.word`); an
+    exhausted pass checks its count against the order.
     """
 
     def __init__(self, system: RootSystem, order: int):
         self.system = system
         self._order = order
-        roots, self._ident, gens = _perm_data(system)
+        roots, self._ident, gens, _ = _perm_data(system)
         self._steps = tuple(enumerate(gens))
         self._positive = [max(b) > 0 for b in roots]
         self.generated = 0
@@ -236,19 +248,18 @@ class WeylEnumeration:
 
     def __iter__(self) -> Iterator[WeylElement]:
         system, steps, positive = self.system, self._steps, self._positive
-        layer = [WeylElement(system, (), self._ident)]
+        layer = [self._ident]
         self.generated = count = 1
-        yield layer[0]
+        yield WeylElement(system, self._ident)
         while layer:
-            nxt = {}   # the next layer, keyed by permutation
-            for w in layer:
-                perm = w._perm
+            nxt = {}   # the next layer, its permutations in insertion order
+            for perm in layer:
                 for i, gen in steps:
                     if positive[perm[i]] and (q := _compose(perm, gen)) not in nxt:
-                        nxt[q] = u = WeylElement(system, w.word + (i,), q)
+                        nxt[q] = None
                         self.generated = count = count + 1
-                        yield u
-            layer = nxt.values()
+                        yield WeylElement(system, q)
+            layer = nxt
         if count != self._order:
             raise InternalInconsistency(
                 f"enumerated {count} elements of {system.label}, expected {self._order}")
@@ -311,33 +322,25 @@ def dominant_representative(system: RootSystem, v: Vector) -> Vector:
 
 
 def _w0(system: RootSystem) -> cartan.W0:
-    """The integer core's w0 for an explicit system (a direct sum included)."""
-    c = system._cache
-    if "w0_core" not in c:
-        c["w0_core"] = cartan.w0_of(system.cartan, _w0_length(system))
-    return c["w0_core"]
+    """The core's (cached) w0 for an explicit system (a direct sum included)."""
+    return cartan.w0_of(system.cartan, _w0_length(system))
 
 
 def longest_element(system: RootSystem) -> WeylElement:
     """The element mapping the dominant chamber onto its negative.
 
-    Computed without enumeration: its word is the integer Cartan core's
-    reflection chain, its root permutation the product of that chain's
-    simple reflections.  Raises InternalInconsistency unless it negates
-    rho = sum of the fundamental coweights.
+    Computed without enumeration: the product of the simple reflections
+    along the integer Cartan core's chain.  Raises InternalInconsistency
+    unless it negates rho = sum of the fundamental coweights.
     """
-    c = system._cache
-    if "w0" not in c:
-        chain = _w0(system).chain
-        _, perm, gens = _perm_data(system)
-        for i in chain:
-            perm = _compose(perm, gens[i])
-        w0 = WeylElement(system, chain, perm)
-        rho = tuple(map(sum, zip(*fundamental_coweights(system))))
-        if w0.apply(rho) != vneg(rho):
-            raise InternalInconsistency(f"w0 of {system.label} does not negate rho")
-        c["w0"] = w0
-    return c["w0"]
+    _, perm, gens, _ = _perm_data(system)
+    for i in _w0(system).chain:
+        perm = _compose(perm, gens[i])
+    w0 = WeylElement(system, perm)
+    rho = tuple(map(sum, zip(*fundamental_coweights(system))))
+    if w0.apply(rho) != vneg(rho):
+        raise InternalInconsistency(f"w0 of {system.label} does not negate rho")
+    return w0
 
 
 def minus_w0(system: RootSystem) -> Matrix:
@@ -382,12 +385,8 @@ def fixed_cone(system: RootSystem) -> FixedCone:
     """Dominant basis of the -w0 fixed subspace: one orbit sum of
     fundamental coweights per orbit of -w0 on the simple roots."""
     coweights = fundamental_coweights(system)
-    basis = []
-    for orbit in cartan.orbits(_w0(system).minus_w0):
-        v = coweights[orbit[0]]
-        for i in orbit[1:]:
-            v = vadd(v, coweights[i])
-        basis.append(v)
+    basis = [tuple(map(sum, zip(*(coweights[i] for i in orbit))))
+             for orbit in cartan.orbits(_w0(system).minus_w0)]
     if len(basis) != ahyp_dimension(system):
         raise InternalInconsistency(f"fixed cone of {system.label} has the wrong dimension")
     return FixedCone(b_basis=tuple(basis), system=system)

@@ -1,7 +1,7 @@
 """Shared test utilities: seeded random rational vectors, brute-force
-orbit oracles, exact vectors, the dot product and the matrix, reflection
-and elimination formulas that stay independent of the code paths they
-check, the ambient root lists, the block-by-block root list, the Fraction
+orbit oracles, exact vectors, their sum and dot product, the matrix,
+reflection and elimination formulas that stay independent of the code paths
+they check, the ambient root lists, the block-by-block root list, the Fraction
 coweight construction and the argparse parser that faster code replaced."""
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from ckforms.cartan import cartan_matrix, roots_of, w0_length
 from ckforms.catalog import SimpleRealForm
 from ckforms.cli import cmd_check_proper, cmd_info, cmd_standard_form, cmd_table1
 from ckforms.errors import DEFAULT_CAP, NotInSpan
-from ckforms.linalg import Matrix, Vector, integer_rows, invert, solve, vadd
+from ckforms.linalg import Matrix, Vector, integer_rows, invert, solve
 from ckforms.rootspace import RootSystem, is_dominant, require_in_span, simple_root_rows
 from ckforms.weyl import _roots, enumerate_weyl
 
@@ -47,6 +47,10 @@ def form_order_key(form: SimpleRealForm) -> tuple:
 
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
+
+
+def vadd(u: Vector, v: Vector) -> Vector:
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def vscale(c: Fraction, u: Vector) -> Vector:

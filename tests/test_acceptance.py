@@ -30,10 +30,7 @@ from ckforms.criteria import (
     check_proper_embedded,
     subspace_from_text,
 )
-from ckforms.linalg import (
-    identity_matrix,
-    vadd,
-)
+from ckforms.linalg import identity_matrix
 from ckforms.obstruction import (
     INCONCLUSIVE,
     NO_STANDARD_FORM,
@@ -58,6 +55,7 @@ from helpers import (
     mat_vec,
     rand_fraction,
     random_span_vector,
+    vadd,
     vector,
     vscale,
     zero_vector,

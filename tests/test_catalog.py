@@ -304,8 +304,6 @@ def test_dim_k_plus_dim_p_equals_dim_g():
 # The catalog keeps each low-rank isomorphism under every name it has, so
 # each name must carry the same numeric invariants.  Only the restricted-type
 # label may differ, between names of one Dynkin diagram (B2 = C2, A3 = D3).
-# `is_complex_as_real` records how a family is built, so so(1,3) reads False
-# beside sl(2,C); it is not an invariant here.
 ISOMORPHIC = [
     ("so(1,3)", "sl(2,C)"),
     ("so(2,3)", "sp(2,R)"),
@@ -325,8 +323,8 @@ SAME_DIAGRAM = {"C2": "B2", "D3": "A3"}
 @pytest.mark.parametrize("names", ISOMORPHIC, ids="=".join)
 def test_isomorphic_forms_share_every_invariant(names):
     forms = [parse_simple(name) for name in names]
-    invariants = {(f.real_rank, f.ahyp, f.dim_g, f.dim_k, f.dim_p, f.rank_maxcompact)
-                  for f in forms}
+    invariants = {(f.real_rank, f.ahyp, f.dim_g, f.dim_k, f.dim_p, f.rank_maxcompact,
+                   f.is_complex_as_real) for f in forms}
     assert len(invariants) == 1, {f.name: f._asdict() for f in forms}
     labels = {SAME_DIAGRAM.get(f.restricted_label, f.restricted_label) for f in forms}
     assert len(labels) == 1, [f.restricted_label for f in forms]

@@ -17,12 +17,11 @@ from ckforms.errors import CapExceeded, DimensionMismatch, NotInSpan, ParseError
 from ckforms.linalg import (
     kernel_basis,
     primitive,
-    vadd,
     vneg,
 )
 from ckforms.rootspace import RootSystem, build_root_system, direct_sum
 
-from helpers import FIXTURES, rand_fraction, vector, vscale, zero_vector
+from helpers import FIXTURES, rand_fraction, vadd, vector, vscale, zero_vector
 
 A4 = build_root_system("A", 4)
 

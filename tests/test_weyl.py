@@ -13,6 +13,7 @@ import pytest
 
 import ckforms
 from ckforms import cartan, weyl
+from ckforms.criteria import antipodal_orbit_check
 from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency, NotInSpan
 from ckforms.linalg import identity_matrix, invert, kernel_basis, vneg
 from ckforms.rootspace import RootSystem, build_root_system, direct_sum, is_dominant
@@ -247,6 +248,19 @@ def test_is_antipodal_examples():
         assert is_antipodal(c2, v)
 
 
+def test_is_antipodal_off_the_root_span():
+    # the complement of the root span is fixed by W, so v = (1,1,1) and
+    # (3,1,-1) = (2,0,-2) + (1,1,1) are not antipodal although their span
+    # parts are: -v differs from v off the span
+    a2 = build_root_system("A", 2)
+    assert dominant_representative(a2, vector([1, 1, 1])) == vector([1, 1, 1])
+    assert dominant_representative(a2, vector([-1, 1, 3])) == vector([3, 1, -1])
+    for v in (vector([1, 1, 1]), vector([3, 1, -1]), vector([-1, 1, 3])):
+        assert not is_antipodal(a2, v)
+        assert not antipodal_orbit_check(a2, v).antipodal
+    assert is_antipodal(a2, vector([2, 0, -2]))
+
+
 def test_antipodal_iff_dominant_rep_in_fixed_cone():
     rng = random.Random(23)
     for letter, rank in (("A", 2), ("A", 3), ("A", 4), ("B", 3),
@@ -414,6 +428,47 @@ def test_count_check_runs_when_generation_completes():
         list(wrong)
 
 
+def _word_round_trip(s, w):
+    """The derived word spells w, and its length is the number of positive
+    roots w sends to negative roots."""
+    roots, perm, gens, _ = weyl._perm_data(s)
+    for i in w.word:
+        perm = weyl._compose(perm, gens[i])
+    assert perm == w._perm
+    inversions = sum(1 for b, k in zip(roots, w._perm) if max(b) > 0 > min(roots[k]))
+    assert len(w.word) == inversions
+
+
+@pytest.mark.parametrize("label,size", [("E7", 2000), ("E8", 2000), ("A10", 2000), ("A16", 1000)])
+def test_derived_words_spell_a_stream_prefix_in_order(label, size):
+    # A16 has 272 roots, so its permutations are tuples, not bytes
+    s = _system(label)
+    prefix = list(islice(enumerate_weyl(s, cap=10**20), size))
+    for w in prefix:
+        _word_round_trip(s, w)
+    keys = [(len(w.word), w.word) for w in prefix]
+    assert keys == sorted(keys) and len(set(keys)) == size
+
+
+@pytest.mark.parametrize("letter,rank", supported_types(12))
+def test_derived_word_of_w0_spells_it(letter, rank):
+    s = build_root_system(letter, rank)
+    w0 = longest_element(s)
+    _word_round_trip(s, w0)
+    assert w0.word == weyl._w0(s).chain
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_longest_element_past_256_roots(n):
+    # A16 (272 roots) and A20 compose tuple permutations; w0 reverses the
+    # coordinates e_1, ..., e_{n+1}
+    s = build_root_system("A", n)
+    w0 = longest_element(s)
+    assert len(weyl._roots(s)) > 256 and isinstance(w0._perm, tuple)
+    assert w0.word == weyl._w0(s).chain
+    assert w0.matrix == tuple(reversed(identity_matrix(n + 1)))
+
+
 @pytest.mark.parametrize("letter,rank", [("A", 4), ("B", 3), ("G", 2), ("F", 4)])
 def test_span_action_equals_matrix_action(letter, rank):
     s = build_root_system(letter, rank)
@@ -544,7 +599,7 @@ def _oracle_reflections(system):
 def test_reflections_on_root_coords_match_ambient_oracle(system):
     # the core's reflection table, read straight into permutations: simple
     # root i at index i, and each simple reflection an involution
-    roots, ident, gens = weyl._perm_data(system)
+    roots, ident, gens, _ = weyl._perm_data(system)
     n = len(roots)
     assert tuple(ident[:n]) == tuple(range(n))
     simple, oracle = _oracle_reflections(system)
