@@ -24,7 +24,7 @@ from operator import mul
 
 from . import cartan
 from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
-from .linalg import Matrix, Vector, identity_matrix, integer_row, integer_rows, invert, vneg
+from .linalg import Matrix, Vector, _eliminate, identity_matrix, integer_row, vneg
 from .rootspace import RootSystem, check_dimension, require_in_span, simple_root_rows
 
 _ORDERS = {
@@ -94,22 +94,19 @@ def _compose(outer, inner):
 def _coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The fundamental coweights omega_i ((omega_i, a_j) = delta_ij,
     omega_i in the root span) as integer rows over one denominator E, the
-    least one.  A singular Gram matrix is a fault in the package, not in the
-    input."""
+    least one: den G^-1 S, S the integer simple roots den a_j and G their
+    Gram matrix, from one fraction-free elimination of [G | S] to
+    [e I | e G^-1 S].  A singular G is a fault in the package, not the input."""
     c = system._cache
     if "coweights" not in c:
         simples, den = simple_root_rows(system)
-        gram = [[sum(map(mul, a, b)) for b in simples] for a in simples]
-        try:
-            ginv = invert(gram)
-        except ValueError:
+        n = system.rank
+        m, pivots, e = _eliminate([[sum(map(mul, a, b)) for b in simples] + list(a)
+                                   for a in simples])
+        if pivots != list(range(n)):
             raise InternalInconsistency(f"Gram matrix of the simple roots of {system.label} "
-                                        f"is singular") from None
-        # ginv = G / e inverts the Gram matrix of the integer simple roots S_j = den * a_j,
-        # which is den^2 times that of the a_j: omega_i = den * sum_j G[j][i] S_j / e
-        g, e = integer_rows(ginv)
-        rows = [[den * x for x in _sum_rows(zip(col, simples), system.ambient_dim)]
-                for col in zip(*g)]
+                                        f"is singular")
+        rows = [[den * x for x in row[n:]] for row in m]
         common = gcd(e, *(x for row in rows for x in row))
         c["coweights"] = tuple(tuple(x // common for x in row) for row in rows), e // common
     return c["coweights"]
@@ -307,17 +304,15 @@ def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[lis
 # dominant representatives and the longest element
 
 def dominant_representative(system: RootSystem, v: Vector) -> Vector:
-    """The unique dominant vector in the orbit of v, found by repeatedly
-    reflecting in the first simple root pairing negatively: the Cartan
-    core's dominant chain on the labels 2(v, a_k)/(a_k, a_k), which are
-    sum_i (omega_i, v) a[i][k] up to the positive denominator."""
+    """The unique dominant vector in the orbit of v, always a tuple of
+    Fractions: the Cartan core's dominant chain, reflecting in the first
+    simple root pairing negatively, on the labels 2(v, a_k)/(a_k, a_k), which
+    are sum_i (omega_i, v) a[i][k] up to the positive denominator."""
     den, ints, terms = _coordinates(system, v)
     matrix = system.cartan
     labels = _sum_rows([(c, matrix[i]) for i, c in terms], system.rank)
     # a dominant chain is a reduced word, at most as long as w0
     _, _, shift = cartan.dominant_chain(matrix, labels, _w0_length(system))
-    if not any(shift):
-        return v
     return tuple(Fraction(x - y, den) for x, y in zip(ints, to_ambient(system, shift)))
 
 
@@ -331,15 +326,15 @@ def longest_element(system: RootSystem) -> WeylElement:
 
     Computed without enumeration: the product of the simple reflections
     along the integer Cartan core's chain.  Raises InternalInconsistency
-    unless it negates rho = sum of the fundamental coweights.
+    unless the word derived from it (`WeylElement.word`) is that chain: both
+    are w0's least reduced word, so this ties the permutations to the core.
     """
     _, perm, gens, _ = _perm_data(system)
     for i in _w0(system).chain:
         perm = _compose(perm, gens[i])
     w0 = WeylElement(system, perm)
-    rho = tuple(map(sum, zip(*fundamental_coweights(system))))
-    if w0.apply(rho) != vneg(rho):
-        raise InternalInconsistency(f"w0 of {system.label} does not negate rho")
+    if w0.word != _w0(system).chain:
+        raise InternalInconsistency(f"w0 of {system.label} does not spell the core's chain")
     return w0
 
 
@@ -387,8 +382,6 @@ def fixed_cone(system: RootSystem) -> FixedCone:
     coweights = fundamental_coweights(system)
     basis = [tuple(map(sum, zip(*(coweights[i] for i in orbit))))
              for orbit in cartan.orbits(_w0(system).minus_w0)]
-    if len(basis) != ahyp_dimension(system):
-        raise InternalInconsistency(f"fixed cone of {system.label} has the wrong dimension")
     return FixedCone(b_basis=tuple(basis), system=system)
 
 

@@ -1,4 +1,6 @@
 import re
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,7 @@ from ckforms.catalog import (
 from ckforms.errors import MAX_RESTRICTED_RANK, NotSemisimple, ParseError
 from ckforms.rootspace import build_root_system
 
-from helpers import form_order_key
+from helpers import form_order_key, positive_ambient_roots
 
 
 def test_parse_single_simple():
@@ -328,6 +330,87 @@ def test_isomorphic_forms_share_every_invariant(names):
     assert len(invariants) == 1, {f.name: f._asdict() for f in forms}
     labels = {SAME_DIAGRAM.get(f.restricted_label, f.restricted_label) for f in forms}
     assert len(labels) == 1, [f.restricted_label for f in forms]
+
+
+# Restricted-root multiplicities (Helgason, Ch. X, Table VI; Knapp, App. C),
+# by the class of the root: e_i +- e_j ("ee"), e_i ("e"), 2e_i ("2e"), or the
+# long and short roots of F4 and G2; an int is one multiplicity for every root.
+def _multiplicities(form):
+    p, q = (*form.params, 0, 0)[:2]
+    return {
+        "sl(n,R)": 1, "sp(n,R)": 1, "g2(2)": 1, "f4(4)": 1, "e6(6)": 1, "e7(7)": 1, "e8(8)": 1,
+        "sl(n,C)": 2, "so(n,C)": 2, "sp(n,C)": 2,
+        "g2(C)": 2, "f4(C)": 2, "e6(C)": 2, "e7(C)": 2, "e8(C)": 2,
+        "su*(2n)": 4,
+        "so(p,q)": {"ee": 1, "e": q - p},
+        "su(p,q)": {"ee": 2, "e": 2 * (q - p), "2e": 1},
+        "sp(p,q)": {"ee": 4, "e": 4 * (q - p), "2e": 3},
+        "so*(2n)": {"ee": 4, "e": 4, "2e": 1},
+        "f4(-20)": {"e": 8, "2e": 7},
+        "e6(2)": {"long": 1, "short": 2},
+        "e6(-14)": {"ee": 6, "e": 8, "2e": 1},
+        "e6(-26)": 8,
+        "e7(-5)": {"long": 1, "short": 4},
+        "e7(-25)": {"ee": 8, "2e": 1},
+        "e8(-24)": {"long": 1, "short": 8},
+    }[form.family]
+
+
+# the classes of a restricted type's root lengths, shortest first (BC_n as
+# built, without its doubled roots 2e_i); a simply laced type has one class
+LENGTH_CLASSES = {"B": ("e", "ee"), "BC": ("e", "ee"), "C": ("ee", "2e"),
+                  "F": ("short", "long"), "G": ("short", "long")}
+# the catalog names rank-one B and C A1: its one root is e_1 in so(1,q) and
+# so(3,C), and 2e_1 in the families of type C
+RANK_ONE = {"so(p,q)": "e", "so(n,C)": "e", "su(p,q)": "2e", "sp(n,R)": "2e",
+            "sp(n,C)": "2e", "sp(p,q)": "2e"}
+
+
+@lru_cache(maxsize=None)
+def _root_class_counts(rtype: str, rank: int) -> Counter:
+    """How many positive restricted roots of the type fall in each length
+    class, BC_n's doubled roots included."""
+    roots = positive_ambient_roots(build_root_system(rtype, rank))
+    lengths = sorted({sum(x * x for x in r) for r in roots})
+    names = LENGTH_CLASSES.get(rtype, ("ee",))
+    assert len(names) == len(lengths) or rank == 1, (rtype, rank)
+    counts = Counter(names[lengths.index(sum(x * x for x in r))] for r in roots)
+    if rtype == "BC":
+        counts["2e"] = rank
+    return counts
+
+
+def _multiplicity_sum(form) -> int:
+    """rank_R + sum of m_lambda over the positive restricted roots."""
+    rtype, rank = form.restricted_type, form.restricted_rank
+    if rank == 1 and rtype == "A":
+        counts = {RANK_ONE.get(form.family, "ee"): 1}
+    else:
+        counts = _root_class_counts(rtype, rank)
+    m = _multiplicities(form)
+    return rank + sum(n * (m if isinstance(m, int) else m[c]) for c, n in counts.items())
+
+
+def test_dim_p_is_rank_plus_root_multiplicities():
+    forms = scan_real_forms(8)
+    assert {f.family for f in forms} == ({label for label, _, _ in catalog._FAMILIES}
+                                         | set(catalog._EXCEPTIONAL))
+    assert [(f.name, f.dim_p) for f in forms if f.dim_p != _multiplicity_sum(f)] == []
+
+
+@pytest.mark.parametrize("family", [label for label, _, _ in catalog._FAMILIES]
+                         + ["f4(-20)", "e6(-14)", "e7(-25)"])
+def test_multiplicity_identity_catches_a_wrong_dim_k(family, monkeypatch):
+    form = catalog._form
+
+    def wrong(name, fam, params, rtype, rrank, dim_g, dim_k, *rest, **kwargs):
+        return form(name, fam, params, rtype, rrank, dim_g, dim_k - (fam == family),
+                    *rest, **kwargs)
+
+    monkeypatch.setattr(catalog, "_form", wrong)
+    forms = scan_real_forms(8)
+    failing = {f.family for f in forms if f.dim_p != _multiplicity_sum(f)}
+    assert failing == {family}
 
 
 def test_table1_values():

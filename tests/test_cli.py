@@ -18,7 +18,7 @@ from ckforms import cartan, catalog, cli, rootspace, weyl
 from ckforms.cli import main
 from ckforms.rootspace import build_root_system
 from ckforms.errors import DEFAULT_CAP, InternalInconsistency
-from ckforms.linalg import vneg
+from ckforms.linalg import _eliminate, vneg
 
 from helpers import FIXTURES, build_parser, mat_vec
 
@@ -250,10 +250,12 @@ def test_check_proper_cap_below_one_exit_2(capsys, cap):
 
 
 def test_singular_internal_inverse_exit_4(capsys, monkeypatch):
-    def singular(m):
-        raise ValueError("matrix is singular")
+    def singular(rows):
+        # the pivots of the Gram matrix stop short of its last column
+        m, pivots, d = _eliminate(rows)
+        return m, pivots[:-1], d
 
-    monkeypatch.setattr(weyl, "invert", singular)
+    monkeypatch.setattr(weyl, "_eliminate", singular)
     monkeypatch.delitem(build_root_system("A", 4)._cache, "coweights", raising=False)
     # the NotProper report builds the offending element's matrix
     assert main(["check-proper", "--system", "A,4", "--ah", str(FIXTURES / "a4_ah.vec"),

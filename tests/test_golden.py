@@ -5,8 +5,10 @@ fails, three more embedded NotProper reports (F4, BC3 with its
 doubled roots, and E6 with a matrix of quarters) and one embedded Proper
 report from a full scan of A4's group, and two large-rank rank-level reports
 (`table1 63`, the largest KMAX accepted, and `standard-form` on rank-128
-`sl(129,R)`), compared byte for byte with the files in tests/golden/, on
-cold caches and again on warm ones.
+`sl(129,R)`), and `standard-form "sl(15,R)" "sl(2,R)"`, whose candidate
+search is exponential in n, recorded before that search is rewritten, all
+compared byte for byte with the files in tests/golden/, on cold caches and
+again on warm ones.
 
 Re-record (only when a report is meant to change):
     PYTHONPATH=src python tests/test_golden.py
@@ -56,6 +58,7 @@ CASES = {
     "standard-form-sl9R-so36": ["standard-form", "sl(9,R)", "so(3,6)"],
     "table1-63": ["table1", "63"],
     "standard-form-sl129R-so6465": ["standard-form", "sl(129,R)", "so(64,65)"],
+    "standard-form-sl15R-sl2R": ["standard-form", "sl(15,R)", "sl(2,R)"],
 }
 
 

@@ -153,6 +153,19 @@ def test_only_the_weyl_layer_builds_the_root_list():
     assert (defined, referenced) == ({"cartan"}, {("weyl", "_perm_data")})
 
 
+# public names that no package code calls: the benchmark's tracer wraps them
+# by name and the tests use them, so they can go when the tracer drops them
+TRACER_ONLY = {"linalg": {"invert", "solve", "rank_of"}, "catalog": {"attributes"}}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_calls_the_tracer_only_names(module):
+    """No module but the defining one imports or reads them, so the set
+    above is the whole of what keeps them alive."""
+    names = set().union(*(v for home, v in TRACER_ONLY.items() if home != module))
+    assert sorted(_names(TREES[module]) & names) == []
+
+
 def test_weyl_treats_bc_as_b():
     """W(BC_n) = W(B_n), so the Weyl layer builds no doubled root and
     compares no type letter with "BC"; it names BC_n only as a key of the

@@ -15,7 +15,7 @@ import ckforms
 from ckforms import cartan, weyl
 from ckforms.criteria import antipodal_orbit_check
 from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency, NotInSpan
-from ckforms.linalg import identity_matrix, invert, kernel_basis, vneg
+from ckforms.linalg import _eliminate, identity_matrix, invert, kernel_basis, vneg
 from ckforms.rootspace import RootSystem, build_root_system, direct_sum, is_dominant
 from ckforms.weyl import (
     WeylEnumeration,
@@ -55,6 +55,14 @@ def test_dominant_representative_examples():
     assert dominant_representative(b2, vector([-1, -2])) == vector([2, 1])
     v = vector([3, 1, 0, -4])
     assert dominant_representative(build_root_system("A", 3), v) == v
+
+
+@pytest.mark.parametrize("v", [[1, 0, -1], (1, 0, -1)], ids=["list", "int-tuple"])
+def test_dominant_representative_of_a_dominant_input_is_a_fraction_tuple(v):
+    # one return for every input: a dominant v does not come back as itself
+    rep = dominant_representative(build_root_system("A", 2), v)
+    assert type(rep) is tuple and all(type(x) is Fraction for x in rep)
+    assert rep == tuple(v)
 
 
 def test_dominant_representative_dimension_error():
@@ -503,9 +511,9 @@ def test_span_action_rejects_vectors_off_the_span():
         span_action(a3, [a3.simple_roots[0], vector([1, 0, 0, 0])])
 
 
-def test_rho_check_survives_optimize():
-    # a w0 whose chain composes to the identity must fail the rho check,
-    # which runs through `apply`, also under python -O
+def test_w0_check_survives_optimize():
+    # a w0 whose chain composes to the identity must fail the check of its
+    # derived word against the core's chain, also under python -O
     code = (
         "import sys\n"
         "from ckforms import weyl\n"
@@ -523,14 +531,17 @@ def test_rho_check_survives_optimize():
     result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:2] == ["optimize 1", "w0 of A3 does not negate rho"]
+    assert result.stdout.split("\n")[:2] == ["optimize 1",
+                                            "w0 of A3 does not spell the core's chain"]
 
 
 def test_singular_internal_inverse_is_internal_inconsistency(monkeypatch):
-    def singular(m):
-        raise ValueError("matrix is singular")
+    def singular(rows):
+        # the pivots of the Gram matrix stop short of its last column
+        m, pivots, d = _eliminate(rows)
+        return m, pivots[:-1], d
 
-    monkeypatch.setattr(weyl, "invert", singular)
+    monkeypatch.setattr(weyl, "_eliminate", singular)
     s = build_root_system("A", 3)
     monkeypatch.delitem(s._cache, "coweights", raising=False)   # computed by earlier tests
     with pytest.raises(InternalInconsistency, match="Gram matrix of the simple roots of A3 is singular"):
