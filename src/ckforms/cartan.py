@@ -1,9 +1,10 @@
-"""Integer Cartan-matrix core: the closed-form Cartan matrices, the roots
-and the simple reflections on them in one pass, the dominant chain in
-Dynkin labels, the longest element w0 of a Weyl group, the involution -w0
-on the simple roots and the a-hyperbolic rank, computed in Dynkin-label
-and simple-root coordinates (Humphreys, *Reflection Groups and Coxeter
-Groups*, sections 1-2) without any explicit root realization.
+"""Integer Cartan-matrix core: the closed-form Cartan matrices, root counts
+and Weyl group orders, the roots and the simple reflections on them in one
+pass, the dominant chain in Dynkin labels, the longest element w0 of a Weyl
+group, the involution -w0 on the simple roots and the a-hyperbolic rank,
+computed in Dynkin-label and simple-root coordinates (Humphreys,
+*Reflection Groups and Coxeter Groups*, sections 1-2) without any explicit
+root realization.
 
 The Cartan matrix is a[i][j] = <alpha_i, alpha_j^vee>
 = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j).  The simple reflection s_i acts
@@ -19,38 +20,35 @@ nothing of it.
 from collections import namedtuple
 from functools import lru_cache
 from heapq import heappop, heappush
+from math import factorial
 
 from .errors import InternalInconsistency, UnsupportedSystem
 
 CartanMatrix = tuple[tuple[int, ...], ...]
 
-# number of roots of each reduced type
-_COUNTS = {
-    "A": lambda n: n * (n + 1),
-    "B": lambda n: 2 * n * n,
-    "C": lambda n: 2 * n * n,
-    "D": lambda n: 2 * n * (n - 1),
-    "G": lambda n: 12,
-    "F": lambda n: 48,
-    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
+# the number of roots and the Weyl group order of each reduced type
+_SIZES = {
+    "A": lambda n: (n * (n + 1), factorial(n + 1)),
+    "B": lambda n: (2 * n * n, 2**n * factorial(n)),
+    "C": lambda n: (2 * n * n, 2**n * factorial(n)),
+    "D": lambda n: (2 * n * (n - 1), 2 ** (n - 1) * factorial(n)),
+    "G": lambda n: (12, 12),
+    "F": lambda n: (48, 1152),
+    "E": lambda n: {6: (72, 51840), 7: (126, 2903040), 8: (240, 696729600)}[n],
 }
 
 
-def _validate(type_letter: str, rank: int) -> None:
-    ok = (
-        (type_letter == "A" and rank >= 1)
-        or (type_letter in ("B", "C") and rank >= 2)
-        or (type_letter == "D" and rank >= 3)
-        or (type_letter == "BC" and rank >= 1)
-        or (type_letter == "G" and rank == 2)
-        or (type_letter == "F" and rank == 4)
-        or (type_letter == "E" and rank in (6, 7, 8))
-    )
-    if not ok:
+def _reduced(type_letter: str, rank: int) -> str:
+    """The letter of a supported (type, rank), BC_n read as B_n, whose Weyl
+    group and simple roots it has; UnsupportedSystem for any other."""
+    least = {"A": 1, "BC": 1, "B": 2, "C": 2, "D": 3}.get(type_letter)
+    if not (least is not None and rank >= least
+            or (type_letter, rank) in (("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8))):
         raise UnsupportedSystem(
             f"no root system of type {type_letter}_{rank}; supported: A_n (n>=1), "
             f"B_n/C_n (n>=2), D_n (n>=3), BC_n (n>=1), G_2, F_4, E_6, E_7, E_8"
         )
+    return "B" if type_letter == "BC" else type_letter
 
 
 @lru_cache(maxsize=None)
@@ -59,34 +57,38 @@ def cartan_matrix(type_letter: str, rank: int) -> CartanMatrix:
     simple roots in the order docs/cli.md numbers them.  BC_n has the Weyl
     group of B_n and shares its simple roots, hence its matrix.  Raises
     UnsupportedSystem for any other (type, rank), including D_2 and E_5."""
-    _validate(type_letter, rank)
+    letter = _reduced(type_letter, rank)
     n = rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    if type_letter == "E":
+    if letter == "E":
         bonds = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
-    elif type_letter == "D":
+    elif letter == "D":
         bonds = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
     else:
         bonds = [(i, i + 1) for i in range(n - 1)]
     for i, j in bonds:
         a[i][j] = a[j][i] = -1
     # a multiple bond: a[i][j] = -2 or -3 where alpha_j is the short root
-    if type_letter in ("B", "BC") and n >= 2:
+    if letter == "B" and n >= 2:
         a[n - 2][n - 1] = -2
-    elif type_letter == "C":
+    elif letter == "C":
         a[n - 1][n - 2] = -2
-    elif type_letter == "F":
+    elif letter == "F":
         a[1][2] = -2
-    elif type_letter == "G":
+    elif letter == "G":
         a[1][0] = -3
     return tuple(map(tuple, a))
 
 
+def _sizes(type_letter: str, rank: int) -> tuple[int, int]:
+    """The number of roots and the Weyl group order of a supported (type,
+    rank), from the closed forms of the reduced type with its Weyl group."""
+    return _SIZES[_reduced(type_letter, rank)](rank)
+
+
 def w0_length(type_letter: str, rank: int) -> int:
-    """Length of w0: the number of positive roots of the reduced system
-    with the same Weyl group (B_n for BC_n)."""
-    _validate(type_letter, rank)
-    return _COUNTS["B" if type_letter == "BC" else type_letter](rank) // 2
+    """Length of w0: the number of positive roots (`_sizes`)."""
+    return _sizes(type_letter, rank)[0] // 2
 
 
 def _sparse(matrix) -> list[list[tuple[int, int]]]:
@@ -136,10 +138,11 @@ def roots_of(cartan: CartanMatrix, count: int):
 class W0(namedtuple("W0", "chain minus_w0 ahyp")):
     """w0 of the Weyl group of a Cartan matrix.
 
-    `chain` (tuple of int) is the reduced word of w0
-    (w0 = s_chain[0] ... s_chain[-1]) and `minus_w0` (tuple of int) is the
-    permutation with -w0(alpha_j) = alpha_minus_w0[j].  `ahyp` (int) is the
-    dimension of the fixed space of -w0.
+    `chain` (tuple of int) is the reduced word of w0 that `w0_of`'s sweep
+    takes (w0 = s_chain[0] ... s_chain[-1]; not the least one) and
+    `minus_w0` (tuple of int) is the permutation with
+    -w0(alpha_j) = alpha_minus_w0[j].  `ahyp` (int) is the dimension of the
+    fixed space of -w0.
     """
 
     __slots__ = ()
@@ -173,7 +176,9 @@ def dominant_chain(cartan: CartanMatrix, labels, limit: int):
     Returns the final labels, the word of reflections taken (in order) and,
     for each i, the multiple of alpha_i subtracted in total, so the dominant
     vector is v - sum shift_i alpha_i.  Raises InternalInconsistency when
-    more than `limit` reflections would be needed.
+    more than `limit` reflections would be needed.  The least index first
+    makes the word the least reduced one of the element it undoes, which
+    `weyl` derives an element's word from; `w0_of` needs no such order.
     """
     rows = _sparse(cartan)
     labels = list(labels)
@@ -205,38 +210,38 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
     """w0 of a Cartan matrix whose Weyl group has a longest element of the
     given length (`w0_length`, summed over the irreducible blocks).
 
-    Along a dominant chain the signs of the labels depend only on the
-    element reached, so every strictly dominant lambda gives the word of
-    the chain from -rho (Humphreys, sections 1.6-1.8).  One chain from
-    -lambda, lambda = (1, 2, ..., n) in Dynkin labels, therefore spells w0
-    and ends at -w0(lambda), whose label k is lambda at -w0(alpha_k): the
-    permutation -w0 on the simple roots is labels[k] - 1.  Raises
-    InternalInconsistency when the chain does not stop within `length`
-    reflections or has another length, when its final labels are not a
-    permutation of lambda, when that permutation does not preserve the
-    Cartan matrix, or when the chain, run backwards on its final labels,
-    does not return to -lambda.  -lambda is regular, so only w0 maps the
-    final labels to it, and a word of the right length that does is a
-    reduced word of w0.
+    Sweeps i = 0, 1, ..., n-1 over the Dynkin labels of the regular dominant
+    lambda = (1, 2, ..., n), reflecting in s_i wherever label i is positive,
+    until every label is negative.  The labels are those of w(lambda), and
+    label i positive means w^-1(alpha_i) > 0, so each reflection lengthens
+    w by one (Humphreys, sections 1.6-1.7): the word is reduced, and it
+    stops at the one element mapping the dominant chamber onto its
+    negative, w0.  Label k of w0(lambda) is minus lambda at -w0(alpha_k), so
+    the permutation -w0 on the simple roots is -labels[k] - 1.  Raises
+    InternalInconsistency when the word grows past `length` or has another
+    length, when the final labels are not minus a permutation of lambda, or
+    when that permutation does not carry each nonzero entry of the sparse
+    rows the sweep read to the same entry of the Cartan matrix.
     """
     n = len(cartan)
-    labels, chain, _ = dominant_chain(cartan, range(-1, -n - 1, -1), length)
+    rows = _sparse(cartan)
+    labels = list(range(1, n + 1))
+    chain: list[int] = []
+    while max(labels) > 0:
+        if len(chain) > length:
+            raise InternalInconsistency(f"the sweep on Cartan matrix {cartan} did not stop "
+                                        f"within {length} reflections")
+        for i, row in enumerate(rows):
+            if (c := labels[i]) > 0:
+                for k, x in row:
+                    labels[k] -= c * x
+                chain.append(i)
     if len(chain) != length:
         raise InternalInconsistency(f"longest element has length {len(chain)}, expected {length}")
-    if sorted(labels) != list(range(1, n + 1)):
-        raise InternalInconsistency(f"dominant chain ends at {labels}, not at a permutation "
+    if sorted(labels) != list(range(-n, 0)):
+        raise InternalInconsistency(f"the sweep ends at {labels}, not minus a permutation "
                                     f"of 1..{n}")
-    sigma = tuple(x - 1 for x in labels)
-    if any(cartan[sigma[i]][sigma[j]] != x
-           for i, row in enumerate(cartan) for j, x in enumerate(row)):
+    sigma = tuple(-x - 1 for x in labels)
+    if any(cartan[sigma[i]][sigma[k]] != x for i, row in enumerate(rows) for k, x in row):
         raise InternalInconsistency(f"-w0 = {sigma} does not preserve the Cartan matrix {cartan}")
-    rows = _sparse(cartan)
-    back = list(labels)
-    for i in reversed(chain):
-        c = back[i]
-        for k, x in rows[i]:
-            back[k] -= c * x
-    if back != list(range(-1, -n - 1, -1)):
-        raise InternalInconsistency(f"the chain run backwards maps {labels} to {back}, "
-                                    f"not to -(1, ..., {n})")
-    return W0(chain, sigma, len(orbits(sigma)))
+    return W0(tuple(chain), sigma, len(orbits(sigma)))

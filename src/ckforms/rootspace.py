@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .cartan import cartan_matrix
+from .cartan import _sparse, cartan_matrix
 from .errors import DimensionMismatch, InternalInconsistency, NotInSpan
 from .linalg import Vector, integer_row, integer_rows, kernel_basis
 
@@ -87,8 +87,7 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     """
     a = cartan_matrix(type_letter, rank)
     simples, den = _simple_roots(type_letter, rank)
-    sparse = [[(k, x) for k, x in enumerate(u) if x] for u in simples]
-    gram = [[sum(x * v[k] for k, x in u) for v in simples] for u in sparse]
+    gram = [[sum(x * v[k] for k, x in u) for v in simples] for u in _sparse(simples)]
     if any(a[i][j] * gram[j][j] != 2 * gram[i][j]
            for i in range(rank) for j in range(rank)):
         raise InternalInconsistency(

@@ -19,7 +19,7 @@ representatives, w0's word, -w0 and ahyp read only the Cartan core.
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 from operator import mul
 
 from . import cartan
@@ -27,23 +27,12 @@ from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
 from .linalg import Matrix, Vector, _eliminate, identity_matrix, integer_row, vneg
 from .rootspace import RootSystem, check_dimension, require_in_span, simple_root_rows
 
-_ORDERS = {
-    "A": lambda n: factorial(n + 1),
-    "B": lambda n: 2**n * factorial(n),
-    "C": lambda n: 2**n * factorial(n),
-    "BC": lambda n: 2**n * factorial(n),
-    "D": lambda n: 2 ** (n - 1) * factorial(n),
-    "G": lambda n: 12,
-    "F": lambda n: 1152,
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-}
-
-
 def weyl_order(system: RootSystem) -> int:
-    """Exact group order from the closed formulas, multiplied over blocks."""
+    """Exact group order: the core's closed-form order of each block,
+    multiplied."""
     order = 1
     for letter, rank in system.blocks:
-        order *= _ORDERS[letter](rank)
+        order *= cartan._sizes(letter, rank)[1]
     return order
 
 
@@ -325,16 +314,18 @@ def longest_element(system: RootSystem) -> WeylElement:
     """The element mapping the dominant chamber onto its negative.
 
     Computed without enumeration: the product of the simple reflections
-    along the integer Cartan core's chain.  Raises InternalInconsistency
-    unless the word derived from it (`WeylElement.word`) is that chain: both
-    are w0's least reduced word, so this ties the permutations to the core.
+    along the integer Cartan core's word of w0.  Raises
+    InternalInconsistency unless the least word derived from the product
+    (`WeylElement.word`) has the length of w0, which no other element has,
+    so this ties the permutations to the core.
     """
     _, perm, gens, _ = _perm_data(system)
     for i in _w0(system).chain:
         perm = _compose(perm, gens[i])
     w0 = WeylElement(system, perm)
-    if w0.word != _w0(system).chain:
-        raise InternalInconsistency(f"w0 of {system.label} does not spell the core's chain")
+    if (k := len(w0.word)) != _w0_length(system):
+        raise InternalInconsistency(f"w0 of {system.label} composes to an element of length "
+                                    f"{k}, not {_w0_length(system)}")
     return w0
 
 
@@ -353,9 +344,9 @@ def ahyp_dimension(system: RootSystem) -> int:
 
     Read from the integer Cartan core: the number of orbits of the
     permutation -w0 induces on the simple roots, one fixed direction per
-    orbit.  The core checks that permutation and the word of w0 it comes
-    from (`cartan.w0_of`); the tests compare it with the kernel rank of
-    (w0 + identity).
+    orbit.  The core reads that permutation off the final labels of its
+    sweep to w0 and checks it (`cartan.w0_of`); the tests compare it with
+    the kernel rank of (w0 + identity).
     """
     return _w0(system).ahyp
 

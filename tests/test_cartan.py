@@ -6,7 +6,8 @@ chain on -rho over the realized simple roots, the exact w0 matrix composed
 from reflections, and the a-hyperbolic rank as the kernel rank of w0 + 1.
 The second is the core's earlier integer path: the dominant chain that
 rescans every label, every simple root pushed through the chain from -rho,
-and the same kernel rank.
+and the same kernel rank.  The third is the w0 the sweep replaced: the
+least-index heap chain from -(1, ..., n), checked densely and run backwards.
 """
 
 import os
@@ -119,13 +120,11 @@ def _linear_chain(matrix, labels, limit):
     return labels, tuple(word), shift
 
 
-def _image_loop_w0(matrix, length):
-    """w0 as the core computed it before one chain gave -w0: the chain from
-    -rho, each simple root pushed through it, and the a-hyperbolic rank as
-    the kernel rank of w0 + 1, checked against the orbits of -w0."""
+def _image_loop(matrix, chain):
+    """-w0 and the a-hyperbolic rank as the core computed them before one
+    chain gave -w0: each simple root pushed through a word of w0, and the
+    kernel rank of w0 + 1, checked against the orbits of -w0."""
     n = len(matrix)
-    labels, chain, _ = _linear_chain(matrix, [-1] * n, length)
-    assert labels == [1] * n and len(chain) == length
     images = []
     for j in range(n):
         b = [int(k == j) for k in range(n)]
@@ -139,7 +138,7 @@ def _image_loop_w0(matrix, length):
         perm.append(k)
     ahyp = n - rank_of([[images[j][i] + (i == j) for j in range(n)] for i in range(n)])
     assert ahyp == len(orbits(tuple(perm)))
-    return chain, tuple(perm), ahyp
+    return tuple(perm), ahyp
 
 
 IMAGE_LOOP_CASES = (
@@ -154,10 +153,16 @@ IMAGE_LOOP_CASES = (
 @pytest.mark.parametrize("blocks", IMAGE_LOOP_CASES,
                          ids=lambda b: "+".join(f"{t}{n}" for t, n in b))
 def test_one_chain_matches_image_loop(blocks):
+    # the chain from -rho gives the oracle's -w0; the core's own word, pushed
+    # through the same loop, must give it too, at the length of w0
     matrix = _block_diagonal([cartan_matrix(t, n) for t, n in blocks])
     length = sum(w0_length(t, n) for t, n in blocks)
+    labels, chain, _ = _linear_chain(matrix, [-1] * len(matrix), length)
+    assert labels == [1] * len(matrix) and len(chain) == length
     core = w0_of(matrix, length)
-    assert (core.chain, core.minus_w0, core.ahyp) == _image_loop_w0(matrix, length)
+    assert (core.minus_w0, core.ahyp) == _image_loop(matrix, chain)
+    assert _image_loop(matrix, core.chain) == _image_loop(matrix, chain)
+    assert len(core.chain) == length
 
 
 _BLOCKS = st.lists(st.sampled_from(supported_types(8)), min_size=1, max_size=3)
@@ -173,6 +178,44 @@ def test_heap_chain_matches_linear_scan(data):
     # any chain in a finite Weyl group is at most as long as w0
     limit = sum(w0_length(t, n) for t, n in blocks)
     assert dominant_chain(matrix, labels, limit) == _linear_chain(matrix, labels, limit)
+
+
+def _heap_chain_w0(matrix, length):
+    """w0 as the core computed it before the sweep: the least-index heap
+    chain from -(1, ..., n), whose final labels give -w0 on the simple
+    roots, checked over the dense Cartan matrix and by running the chain
+    backwards to -(1, ..., n)."""
+    n = len(matrix)
+    labels, chain, _ = dominant_chain(matrix, range(-1, -n - 1, -1), length)
+    assert len(chain) == length and sorted(labels) == list(range(1, n + 1))
+    sigma = tuple(x - 1 for x in labels)
+    assert all(matrix[sigma[i]][sigma[j]] == x
+               for i, row in enumerate(matrix) for j, x in enumerate(row))
+    back = list(labels)
+    for i in reversed(chain):
+        c = back[i]
+        for k, x in enumerate(matrix[i]):
+            back[k] -= c * x
+    assert back == list(range(-1, -n - 1, -1))
+    return sigma, len(orbits(sigma)), len(chain)
+
+
+def _assert_sweep_matches_heap_chain(matrix, length):
+    core = w0_of(matrix, length)
+    assert (core.minus_w0, core.ahyp, len(core.chain)) == _heap_chain_w0(matrix, length)
+
+
+@pytest.mark.parametrize("letter,n", [(t, n) for t in ("A", "B", "C", "BC", "D")
+                                      for n in range(120, 129)])
+def test_sweep_matches_heap_chain_at_high_rank(letter, n):
+    _assert_sweep_matches_heap_chain(cartan_matrix(letter, n), w0_length(letter, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BLOCKS)
+def test_sweep_matches_heap_chain_on_direct_sums(blocks):
+    matrix = _block_diagonal([cartan_matrix(t, n) for t, n in blocks])
+    _assert_sweep_matches_heap_chain(matrix, sum(w0_length(t, n) for t, n in blocks))
 
 
 def _minus_w0_rule(letter, n):
@@ -267,30 +310,45 @@ def test_core_checks_survive_optimize():
 
 
 def test_corrupted_chain_is_caught_under_optimize():
-    # each corruption of the chain's word or final labels trips one check
+    # each corruption of the core's word or of the labels its sweep reads
+    # trips one check: a wrong word fails `longest_element`'s check of the
+    # product's length, and wrong rows fail each check of `w0_of` in turn
     code = (
-        "from ckforms import cartan\n"
+        "from ckforms import cartan, weyl\n"
         "from ckforms.errors import InternalInconsistency\n"
-        "real = cartan.dominant_chain\n"
-        "def swap_ends(labels):\n"
-        "    return [labels[-1]] + labels[1:-1] + [labels[0]]\n"
-        "cases = [\n"
-        "    ('A', 3, lambda labels, word: (labels, word[:-1])),\n"
-        "    ('A', 3, lambda labels, word: (labels[:-1] + [labels[-1] + 1], word)),\n"
-        "    ('B', 3, lambda labels, word: (swap_ends(labels), word)),\n"
-        "    ('A', 3, lambda labels, word: (labels, word[1:] + word[:1])),\n"
-        "    ('A', 3, lambda labels, word: (labels, (0, 0, 0, 1, 0, 2))),\n"
+        "from ckforms.rootspace import build_root_system\n"
+        "real_w0, real_sparse = cartan.w0_of, cartan._sparse\n"
+        "def set_row(matrix, i, row):\n"
+        "    return [list(r) if k != i else row for k, r in enumerate(matrix)]\n"
+        "words = [\n"
+        "    lambda word: word[:-1],\n"
+        "    lambda word: word[1:] + word[:1],\n"
+        "    lambda word: (0, 0, 0, 1, 0, 2),\n"
         "]\n"
-        "for letter, n, corrupt in cases:\n"
-        "    def chain(matrix, labels, limit, corrupt=corrupt):\n"
-        "        labels, word, shift = real(matrix, labels, limit)\n"
-        "        return (*corrupt(labels, word), shift)\n"
-        "    cartan.dominant_chain = chain\n"
+        "for corrupt in words:\n"
+        "    def w0_of(matrix, length, corrupt=corrupt):\n"
+        "        w0 = real_w0(matrix, length)\n"
+        "        return w0._replace(chain=corrupt(w0.chain))\n"
+        "    cartan.w0_of = w0_of\n"
+        "    try:\n"
+        "        weyl.longest_element(build_root_system('A', 3))\n"
+        "        print('not raised')\n"
+        "    except InternalInconsistency as exc:\n"
+        "        print(exc)\n"
+        "cartan.w0_of = real_w0\n"
+        "rows = [\n"
+        "    ('A', 2, lambda m: set_row(m, 0, [1, -1])),\n"
+        "    ('B', 3, lambda m: cartan.cartan_matrix('C', 3)),\n"
+        "    ('A', 4, lambda m: set_row(m, 1, [-1, 3, -1, 0])),\n"
+        "    ('A', 2, lambda m: ((2, -2), (-2, 2))),\n"
+        "]\n"
+        "for letter, n, corrupt in rows:\n"
+        "    cartan._sparse = lambda matrix, corrupt=corrupt: real_sparse(corrupt(matrix))\n"
         "    try:\n"
         "        cartan.w0_of(cartan.cartan_matrix(letter, n), cartan.w0_length(letter, n))\n"
         "        print('not raised')\n"
         "    except InternalInconsistency as exc:\n"
-        "        print(str(exc)[:30])\n"
+        "        print(exc)\n"
     )
     src = str(Path(ckforms.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -298,11 +356,14 @@ def test_corrupted_chain_is_caught_under_optimize():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
-        "longest element has length 5, ",
-        "dominant chain ends at [3, 2, ",
-        "-w0 = (2, 1, 0) does not prese",
-        "the chain run backwards maps [",
-        "the chain run backwards maps [",
+        "w0 of A3 composes to an element of length 5, not 6",
+        "w0 of A3 composes to an element of length 4, not 6",
+        "w0 of A3 composes to an element of length 4, not 6",
+        "the sweep ends at [0, 0], not minus a permutation of 1..2",
+        "-w0 = (0, 1, 2) does not preserve the Cartan matrix "
+        "((2, -1, 0), (-1, 2, -2), (0, -1, 2))",
+        "longest element has length 9, expected 10",
+        "the sweep on Cartan matrix ((2, -1), (-1, 2)) did not stop within 3 reflections",
     ]
 
 

@@ -167,14 +167,11 @@ def test_no_module_calls_the_tracer_only_names(module):
 
 
 def test_weyl_treats_bc_as_b():
-    """W(BC_n) = W(B_n), so the Weyl layer builds no doubled root and
-    compares no type letter with "BC"; it names BC_n only as a key of the
-    closed-form group orders."""
-    compared = [f"line {node.lineno}" for node in ast.walk(TREES["weyl"])
-                if isinstance(node, ast.Compare)
-                and any(isinstance(x, ast.Constant) and x.value == "BC"
-                        for x in ast.walk(node))]
-    assert compared == []
+    """W(BC_n) = W(B_n), so the Weyl layer builds no doubled root and never
+    names BC_n: the core reads BC_n as B_n, for the group orders too."""
+    named = [f"line {node.lineno}" for node in ast.walk(TREES["weyl"])
+             if isinstance(node, ast.Constant) and node.value == "BC"]
+    assert named == []
 
 
 def test_criteria_imports_no_rank_level_layer():
