@@ -19,7 +19,6 @@ nothing of it.
 
 from collections import namedtuple
 from functools import lru_cache
-from heapq import heappop, heappush
 from math import factorial
 
 from .errors import InternalInconsistency, UnsupportedSystem
@@ -180,6 +179,7 @@ def dominant_chain(cartan: CartanMatrix, labels, limit: int):
     makes the word the least reduced one of the element it undoes, which
     `weyl` derives an element's word from; `w0_of` needs no such order.
     """
+    from heapq import heappop, heappush   # loaded only when a chain runs
     rows = _sparse(cartan)
     labels = list(labels)
     shift = [0] * len(labels)

@@ -37,14 +37,6 @@ def integer_row(row) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
-def integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The (non-empty) rows times one common denominator d of all their
-    entries, and d."""
-    flat, den = integer_row([x for r in rows for x in r])
-    n = len(rows[0])
-    return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), den
-
-
 def _eliminate(rows) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
     1968) of the rows, each scaled to integers unless it is all ints already.

@@ -13,35 +13,46 @@ docs/cli.md for the bit-exact statement):
 * E_6, E_7, E_8 in R^8: the first 6 / 7 / 8 simple roots of E_8's
   even-lattice realization
 
-A system keeps them and the core's integer Cartan matrix (`cartan`),
-checked against them, and no other root: `weyl` builds the root list.
-The span and dominance tests pair a vector, scaled to integers, with
-integer rows of the span's complement and of the simple roots.
+A system keeps them as integer rows over one common denominator, as they
+are written, with the core's integer Cartan matrix (`cartan`), checked
+against them, and no other root: `weyl` builds the root list.  The span
+and dominance tests pair a vector, scaled to integers, with integer rows
+of the span's complement and of the simple roots.  The Fraction simple
+roots are built only when `simple_roots` is read, at the API edge.
 
-All coordinates are exact rationals and every constructed system is
-immutable, so values can be shared freely across threads.
+Every constructed system is immutable, so values can be shared freely
+across threads.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import mul
 
 from .cartan import _sparse, cartan_matrix
 from .errors import DimensionMismatch, InternalInconsistency, NotInSpan
-from .linalg import Vector, integer_row, integer_rows, kernel_basis
+from .linalg import Vector, integer_row, kernel_basis
 
 
-class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank simple_roots cartan")):
+class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank simple_rows den cartan")):
     """A restricted root system in a fixed exact coordinate realization:
     `label` (str), `blocks` (the (type letter, rank) of each irreducible
-    block), `ambient_dim` and `rank` (int), `simple_roots` (a tuple of
-    Vector) and `cartan` (the CartanMatrix).  `_cache` holds derived data
-    (`weyl`'s root list among it) outside the tuple: == and hash ignore it."""
+    block), `ambient_dim`, `rank` and `den` (int), `simple_rows` (the simple
+    roots times their least common denominator `den`, as int tuples) and
+    `cartan` (the CartanMatrix).  `_cache` holds derived data (`weyl`'s root
+    list, the Fraction `simple_roots`) outside the tuple: == and hash ignore it."""
 
     @cached_property
     def _cache(self) -> dict:
         return {}
+
+    @property
+    def simple_roots(self) -> tuple[Vector, ...]:
+        den, c = self.den, self._cache
+        if "simple_roots" not in c:
+            c["simple_roots"] = tuple(tuple(Fraction(x, den) for x in r) for r in self.simple_rows)
+        return c["simple_roots"]
 
     def __repr__(self):  # pragma: no cover
         return f"RootSystem({self.label}, rank {self.rank})"
@@ -99,30 +110,33 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
         blocks=((type_letter, rank),),
         ambient_dim=len(simples[0]),
         rank=rank,
-        simple_roots=tuple(tuple(Fraction(x, den) for x in v) for v in simples),
+        simple_rows=tuple(simples),
+        den=den,
         cartan=a,
     )
 
 
-def _embed(v: tuple, offset: int, total: int, zero=Fraction(0)) -> tuple:
-    return (zero,) * offset + v + (zero,) * (total - offset - len(v))
+def _embed(v: tuple, offset: int, total: int) -> tuple:
+    return (0,) * offset + v + (0,) * (total - offset - len(v))
 
 
 @lru_cache(maxsize=None)
 def direct_sum(*systems: RootSystem) -> RootSystem:
     """Formal direct sum: blocks embedded side by side in a common ambient
-    space, simple roots ordered block by block, the Cartan matrix assembled
-    block-diagonally."""
+    space, simple roots ordered block by block over the lcm of the blocks'
+    denominators, the Cartan matrix assembled block-diagonally."""
     if len(systems) == 1:
         return systems[0]
     total = sum(s.ambient_dim for s in systems)
     rank = sum(s.rank for s in systems)
-    simples: list[Vector] = []
+    den = lcm(*(s.den for s in systems))
+    simples: list[tuple[int, ...]] = []
     matrix: list[tuple[int, ...]] = []
     offset = first = 0   # ambient and simple-root offsets of the block
     for s in systems:
-        simples.extend(_embed(r, offset, total) for r in s.simple_roots)
-        matrix.extend(_embed(row, first, rank, 0) for row in s.cartan)
+        k = den // s.den
+        simples.extend(_embed(tuple(k * x for x in r), offset, total) for r in s.simple_rows)
+        matrix.extend(_embed(row, first, rank) for row in s.cartan)
         offset += s.ambient_dim
         first += s.rank
     return RootSystem(
@@ -130,7 +144,8 @@ def direct_sum(*systems: RootSystem) -> RootSystem:
         blocks=tuple(b for s in systems for b in s.blocks),
         ambient_dim=total,
         rank=rank,
-        simple_roots=tuple(simples),
+        simple_rows=tuple(simples),
+        den=den,
         cartan=tuple(matrix),
     )
 
@@ -143,15 +158,6 @@ def check_dimension(system: RootSystem, v: Vector) -> None:
         )
 
 
-def simple_root_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The simple roots as integer rows over one common denominator, and
-    that denominator (computed once per system)."""
-    c = system._cache
-    if "simple_rows" not in c:
-        c["simple_rows"] = integer_rows(system.simple_roots)
-    return c["simple_rows"]
-
-
 def require_in_span(system: RootSystem, v: Vector) -> list[int]:
     """v scaled to integers (a positive multiple, so every sign and zero of
     its pairings is kept); raises NotInSpan when it pairs nonzero with an
@@ -161,7 +167,7 @@ def require_in_span(system: RootSystem, v: Vector) -> list[int]:
     ints = integer_row(v)[0]
     c = system._cache
     if "complement" not in c:
-        c["complement"] = tuple(integer_row(u)[0] for u in kernel_basis(system.simple_roots))
+        c["complement"] = tuple(integer_row(u)[0] for u in kernel_basis(system.simple_rows))
     if any(sum(map(mul, u, ints)) for u in c["complement"]):
         raise NotInSpan(
             f"vector {tuple(str(x) for x in v)} is not in the root span of "
@@ -174,4 +180,4 @@ def is_dominant(system: RootSystem, v: Vector) -> bool:
     """Whether v pairs non-negatively with every simple (hence positive)
     root, in integers."""
     ints = require_in_span(system, v)
-    return all(sum(map(mul, a, ints)) >= 0 for a in simple_root_rows(system)[0])
+    return all(sum(map(mul, a, ints)) >= 0 for a in system.simple_rows)

@@ -25,7 +25,7 @@ from operator import mul
 from . import cartan
 from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
 from .linalg import Matrix, Vector, _eliminate, identity_matrix, integer_row, vneg
-from .rootspace import RootSystem, check_dimension, require_in_span, simple_root_rows
+from .rootspace import RootSystem, check_dimension, require_in_span
 
 def weyl_order(system: RootSystem) -> int:
     """Exact group order: the core's closed-form order of each block,
@@ -88,7 +88,7 @@ def _coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int
     [e I | e G^-1 S].  A singular G is a fault in the package, not the input."""
     c = system._cache
     if "coweights" not in c:
-        simples, den = simple_root_rows(system)
+        simples, den = system.simple_rows, system.den
         n = system.rank
         m, pivots, e = _eliminate([[sum(map(mul, a, b)) for b in simples] + list(a)
                                    for a in simples])
@@ -109,7 +109,7 @@ def _coordinates(system: RootSystem, v: Vector) -> tuple[int, list[int], list[tu
     integer simple roots."""
     check_dimension(system, v)
     ints, d = integer_row(v)
-    scale = _coweight_rows(system)[1] * simple_root_rows(system)[1]
+    scale = _coweight_rows(system)[1] * system.den
     return d * scale, [x * scale for x in ints], _terms(system, ints)
 
 
@@ -149,9 +149,9 @@ def _apply(system: RootSystem, images, v: Vector) -> Vector:
 
 def to_ambient(system: RootSystem, coords) -> list:
     """sum_j b_j (den a_j) for simple-root coordinates b, over the integer
-    simple roots den a_j (`rootspace.simple_root_rows`): den times the
-    ambient vector sum_j b_j a_j."""
-    return _sum_rows(zip(coords, simple_root_rows(system)[0]), system.ambient_dim)
+    simple roots den a_j (`RootSystem.simple_rows`): den times the ambient
+    vector sum_j b_j a_j."""
+    return _sum_rows(zip(coords, system.simple_rows), system.ambient_dim)
 
 
 class WeylElement:

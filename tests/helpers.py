@@ -2,7 +2,9 @@
 orbit oracles, exact vectors, their sum and dot product, the matrix,
 reflection and elimination formulas that stay independent of the code paths
 they check, the ambient root lists, the block-by-block root list, the Fraction
-coweight construction and the argparse parser that faster code replaced."""
+constructions of the simple roots and the coweights, the split Cartan
+subspaces of the standard subgroups of sl(n,R) and the argparse parser that
+faster code replaced."""
 
 from __future__ import annotations
 
@@ -12,13 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from ckforms import catalog
+from ckforms import catalog, rootspace
 from ckforms.cartan import cartan_matrix, roots_of, w0_length
 from ckforms.catalog import SimpleRealForm
 from ckforms.cli import cmd_check_proper, cmd_info, cmd_standard_form, cmd_table1
 from ckforms.errors import DEFAULT_CAP, NotInSpan
-from ckforms.linalg import Matrix, Vector, integer_rows, invert, solve
-from ckforms.rootspace import RootSystem, is_dominant, require_in_span, simple_root_rows
+from ckforms.linalg import Matrix, Vector, integer_row, invert, solve
+from ckforms.rootspace import RootSystem, is_dominant, require_in_span
 from ckforms.weyl import _roots, enumerate_weyl
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -216,17 +218,83 @@ def brute_dominant(system: RootSystem, v: Vector) -> Vector:
     return next(iter(dominants))
 
 
+def integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The (non-empty) rows times one common denominator d of all their
+    entries, the least one, and d."""
+    flat, den = integer_row([x for r in rows for x in r])
+    n = len(rows[0])
+    return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), den
+
+
+def fraction_simple_roots(blocks) -> tuple[Vector, ...]:
+    """The simple roots of the direct sum of the (type letter, rank) blocks
+    by the Fraction construction the stored integer rows replaced: each
+    block's written rows over its denominator as Fractions, padded with
+    Fraction zeros into the blocks' common ambient space."""
+    parts = []
+    for letter, rank in blocks:
+        rows, den = rootspace._simple_roots(letter, rank)
+        parts.append([tuple(Fraction(x, den) for x in r) for r in rows])
+    total = sum(len(part[0]) for part in parts)
+    out, offset = [], 0
+    for part in parts:
+        width = len(part[0])
+        out += [(Fraction(0),) * offset + r + (Fraction(0),) * (total - offset - width)
+                for r in part]
+        offset += width
+    return tuple(out)
+
+
 def fraction_coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The fundamental coweights as integer rows over their least common
     denominator, by the Fraction construction the integer sum replaced:
     den * sum_j ginv[j][i] S_j for the integer simple roots S_j = den * a_j
     and the Fraction inverse ginv of their Gram matrix."""
-    simples, den = simple_root_rows(system)
+    simples, den = system.simple_rows, system.den
     gram = [[sum(x * y for x, y in zip(a, b)) for b in simples] for a in simples]
     ginv = invert(gram)
     omegas = [[den * sum(ginv[j][i] * a[k] for j, a in enumerate(simples))
                for k in range(system.ambient_dim)] for i in range(len(simples))]
     return integer_rows(omegas)
+
+
+def _split_lines(pairs, width: int, n: int) -> tuple[Vector, ...]:
+    """For each index pair (i, j), the vector of R^n with +1 on the `width`
+    coordinates of slot i and -1 on those of slot j."""
+    out = []
+    for i, j in pairs:
+        v = [0] * n
+        for k in range(width):
+            v[width * i + k], v[width * j + k] = 1, -1
+        out.append(vector(v))
+    return tuple(out)
+
+
+def standard_subgroups(n: int) -> list[tuple[str, tuple[Vector, ...]]]:
+    """The standard subgroups H of sl(n,R), each with the spanning vectors
+    of its split Cartan subspace a_h in the `A,n-1` realization, as diagonal
+    patterns: sl(k,R) as e_i - e_(i+1), i < k; so(p,q) and sp(k,R) as
+    e_i - e_(m+1-i), i <= min(p,q) or k, with m = p+q or 2k; sl(k,C) and
+    su(p,q) as the sl(k,R) and so(p,q) patterns with each coordinate
+    doubled.  so(1,1) and so(2,2) are left out: the catalog takes them only
+    as R^1 and sl(2,R)+sl(2,R)."""
+    out = []
+    for k in range(2, n + 1):
+        out.append((f"sl({k},R)", _split_lines([(i, i + 1) for i in range(k - 1)], 1, n)))
+    for p in range(1, n // 2 + 1):
+        for q in range(p, n - p + 1):
+            if (p, q) not in ((1, 1), (2, 2)):
+                m = p + q
+                out.append((f"so({p},{q})", _split_lines([(i, m - 1 - i) for i in range(p)], 1, n)))
+    for k in range(1, n // 2 + 1):
+        out.append((f"sp({k},R)", _split_lines([(i, 2 * k - 1 - i) for i in range(k)], 1, n)))
+    for k in range(2, n // 2 + 1):
+        out.append((f"sl({k},C)", _split_lines([(i, i + 1) for i in range(k - 1)], 2, n)))
+    for p in range(1, n // 4 + 1):
+        for q in range(p, n // 2 - p + 1):
+            m = p + q
+            out.append((f"su({p},{q})", _split_lines([(i, m - 1 - i) for i in range(p)], 2, n)))
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

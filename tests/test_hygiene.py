@@ -142,6 +142,16 @@ def test_no_module_reads_ambient_root_lists(module):
     assert reads == []
 
 
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_reads_the_fraction_simple_roots(module):
+    """The realization's Fraction simple roots are built only for the API
+    edge (tests, tools): every layer reads the integer rows
+    `RootSystem.simple_rows` over `RootSystem.den` instead."""
+    reads = [f"line {node.lineno}" for node in ast.walk(TREES[module])
+             if isinstance(node, ast.Attribute) and node.attr == "simple_roots"]
+    assert reads == []
+
+
 def test_only_the_weyl_layer_builds_the_root_list():
     """The core's root orbit is named only where it is defined (`cartan`)
     and in the one function that builds the root list and its permutations
@@ -269,7 +279,8 @@ def test_bare_import_loads_no_submodule():
 def test_rank_level_commands_load_only_the_cartan_core():
     """`info`, `table1` and `standard-form` run on the integer Cartan core:
     neither the rational linear algebra (nor `fractions` and the `decimal`
-    it imports) nor the explicit realization and the layers on it load."""
+    it imports) nor the explicit realization and the layers on it load, nor
+    the `heapq` that only the dominant chain uses."""
     loaded = _loaded_after(
         "import contextlib, io\n"
         "from ckforms.cli import main\n"
@@ -278,7 +289,7 @@ def test_rank_level_commands_load_only_the_cartan_core():
         "    assert main(['table1', '2']) == 0\n"
         "    assert main(['standard-form', 'sl(9,R)', 'so(3,6)']) == 0\n"
     )
-    forbidden = {"fractions", "decimal", "ckforms.linalg", "ckforms.rootspace",
+    forbidden = {"fractions", "decimal", "heapq", "ckforms.linalg", "ckforms.rootspace",
                  "ckforms.weyl", "ckforms.criteria"}
     assert forbidden & set(loaded) == set()
     assert [m for m in loaded if m.startswith("ckforms.")] == [
@@ -344,6 +355,20 @@ def test_embedded_check_proper_loads_only_the_layers_it_runs():
                                "--al", str(fixtures / "a4_al_meets.vec")]) == [
         "ckforms.cartan", "ckforms.cli", "ckforms.criteria", "ckforms.errors",
         "ckforms.linalg", "ckforms.rootspace", "ckforms.weyl"]
+
+
+def test_embedded_proper_check_runs_no_dominant_chain():
+    """A Proper scan derives no element's word, so the `heapq` of the
+    dominant chain does not load."""
+    fixtures = ROOT / "tests" / "fixtures"
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from ckforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['check-proper', '--system', 'A,4', '--ah', {str(fixtures / 'a4_ah.vec')!r},\n"
+        f"                 '--al', {str(fixtures / 'a4_al_clear.vec')!r}, '--json']) == 0\n"
+    )
+    assert "ckforms.criteria" in loaded and "heapq" not in loaded
 
 
 def test_catalog_check_proper_loads_only_what_info_loads():

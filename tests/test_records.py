@@ -1,6 +1,6 @@
 """Semantics of the package's result records: every stored field is
-read-only, derived state (`RootSystem._cache`, `Subspace.basis` / `dim`)
-stays out of equality and hashing, and construction-time validation holds
+read-only, derived state (`RootSystem._cache` / `simple_roots`,
+`Subspace.basis` / `dim`) stays out of equality and hashing, and construction-time validation holds
 under `python -O`."""
 
 import os
@@ -65,8 +65,8 @@ def _instances():
         "CandidateReport": (candidate, ("derived_parts", "d_interval", "budgets")),
         "StandardFormVerdict": (verdict, ("required_d", "verdict", "max_achievable",
                                           "witnesses", "top_candidates")),
-        "RootSystem": (A4, ("label", "blocks", "ambient_dim", "rank", "simple_roots",
-                            "cartan")),
+        "RootSystem": (A4, ("label", "blocks", "ambient_dim", "rank", "simple_rows", "den",
+                            "cartan", "simple_roots")),
         "FixedCone": (weyl.fixed_cone(A4), ("b_basis", "system")),
     }
 

@@ -7,23 +7,22 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ckforms import linalg, rootspace
 from ckforms.cartan import cartan_matrix
 from ckforms.errors import DimensionMismatch, InternalInconsistency, NotInSpan, UnsupportedSystem
 from ckforms.linalg import kernel_basis, rank_of, solve, vneg
-from ckforms.rootspace import (
-    build_root_system,
-    direct_sum,
-    is_dominant,
-    simple_root_rows,
-)
+from ckforms.rootspace import build_root_system, direct_sum, is_dominant
 from ckforms.weyl import _roots, enumerate_weyl, to_ambient
 
 from helpers import (
     ambient_roots,
     dot,
+    fraction_simple_roots,
     in_root_span,
+    integer_rows,
     positive_ambient_roots,
     random_span_vector,
     reflect,
@@ -357,10 +356,39 @@ def test_cartan_matrix_matches_the_simple_roots(blocks):
 def test_root_coords_recombine_to_the_roots(blocks):
     # the integer recombination of the Weyl layer against the Fraction one
     s = direct_sum(*(build_root_system(t, n) for t, n in blocks))
-    den = simple_root_rows(s)[1]
     assert all(len(b) == s.rank and all(type(x) is int for x in b) for b in _roots(s))
-    recombined = [tuple(Fraction(x, den) for x in to_ambient(s, b)) for b in _roots(s)]
+    recombined = [tuple(Fraction(x, s.den) for x in to_ambient(s, b)) for b in _roots(s)]
     assert recombined == list(ambient_roots(s))
+
+
+# ---------------------------------------------------------------------------
+# the stored integer rows against the Fraction construction they replaced
+
+def _assert_matches_fraction_construction(blocks):
+    s = direct_sum(*(build_root_system(t, n) for t, n in blocks))
+    oracle = fraction_simple_roots(blocks)
+    assert (s.simple_rows, s.den) == integer_rows(oracle)
+    assert all(type(x) is int for row in s.simple_rows for x in row)
+    assert s.simple_roots == oracle
+    assert s.simple_roots is s.simple_roots
+
+
+@pytest.mark.parametrize("letter,rank", supported_types(8))
+def test_simple_rows_match_the_fraction_construction(letter, rank):
+    _assert_matches_fraction_construction(((letter, rank),))
+
+
+# blocks over denominator 2 and over denominator 1
+_HALVES = [("E", 6), ("E", 7), ("E", 8), ("F", 4)]
+_WHOLES = [("A", 1), ("A", 3), ("B", 2), ("BC", 2), ("C", 3), ("D", 4), ("G", 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_HALVES + _WHOLES), min_size=1, max_size=3))
+@example([("A", 1), ("E", 6), ("B", 2)])
+@example([("F", 4), ("E", 7), ("D", 4)])
+def test_direct_sum_rows_match_the_fraction_construction(blocks):
+    _assert_matches_fraction_construction(tuple(blocks))
 
 
 @pytest.mark.parametrize("letter,rank", [("B", 3), ("C", 4)])
