@@ -6,10 +6,11 @@ computed in Dynkin-label and simple-root coordinates (Humphreys,
 *Reflection Groups and Coxeter Groups*, sections 1-2) without any explicit
 root realization.
 
-The Cartan matrix is a[i][j] = <alpha_i, alpha_j^vee>
-= 2 (alpha_i, alpha_j) / (alpha_j, alpha_j).  The simple reflection s_i acts
-on Dynkin labels by lambda_k -= lambda_i a[i][k] and on simple-root
-coordinates by b_i -= sum_k b_k a[k][i].
+The Cartan matrix a[i][j] = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j) is
+kept as its rows, each the pairs (k, a[i][k]) of its nonzero entries.  The
+simple reflection s_i acts on Dynkin labels by lambda_k -= lambda_i a[i][k]
+and on simple-root coordinates by b_i -= lambda_i, the labels lambda of b
+being sum_k b_k row_k (`dynkin_labels`).
 
 Every result is cross-checked when it is computed; a failed check raises
 InternalInconsistency, so the checks also run under `python -O`.  The
@@ -23,7 +24,8 @@ from math import factorial
 
 from .errors import InternalInconsistency, UnsupportedSystem
 
-CartanMatrix = tuple[tuple[int, ...], ...]
+# row i: the pairs (k, a[i][k]) of its nonzero entries, k ascending
+CartanMatrix = tuple[tuple[tuple[int, int], ...], ...]
 
 # the number of roots and the Weyl group order of each reduced type
 _SIZES = {
@@ -54,11 +56,11 @@ def _reduced(type_letter: str, rank: int) -> str:
 def cartan_matrix(type_letter: str, rank: int) -> CartanMatrix:
     """Closed-form Cartan matrix of a supported (type, rank), with the
     simple roots in the order docs/cli.md numbers them.  BC_n has the Weyl
-    group of B_n and shares its simple roots, hence its matrix.  Raises
+    group of B_n and shares its simple roots, hence its rows.  Raises
     UnsupportedSystem for any other (type, rank), including D_2 and E_5."""
     letter = _reduced(type_letter, rank)
     n = rank
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    a = [{i: 2} for i in range(n)]   # row i: column -> nonzero entry
     if letter == "E":
         bonds = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
     elif letter == "D":
@@ -76,7 +78,7 @@ def cartan_matrix(type_letter: str, rank: int) -> CartanMatrix:
         a[1][2] = -2
     elif letter == "G":
         a[1][0] = -3
-    return tuple(map(tuple, a))
+    return tuple(tuple(sorted(row.items())) for row in a)
 
 
 def _sizes(type_letter: str, rank: int) -> tuple[int, int]:
@@ -90,9 +92,14 @@ def w0_length(type_letter: str, rank: int) -> int:
     return _sizes(type_letter, rank)[0] // 2
 
 
-def _sparse(matrix) -> list[list[tuple[int, int]]]:
-    """For each row, the pairs (k, x) of its nonzero entries x at column k."""
-    return [[(k, x) for k, x in enumerate(row) if x] for row in matrix]
+def dynkin_labels(cartan: CartanMatrix, terms) -> list:
+    """sum c_i row_i over the terms (i, c_i): the Dynkin labels of
+    sum_i c_i alpha_i."""
+    labels = [0] * len(cartan)
+    for i, c in terms:
+        for k, x in cartan[i]:
+            labels[k] += c * x
+    return labels
 
 
 def roots_of(cartan: CartanMatrix, count: int):
@@ -104,12 +111,11 @@ def roots_of(cartan: CartanMatrix, count: int):
 
     Every root is W-conjugate to a simple root (Humphreys, Cor. 1.5), so
     the roots are the orbit of the simple roots under the simple
-    reflections; s_i changes only coordinate i, by -sum_k b_k a[k][i].
+    reflections; s_i changes only coordinate i, by minus label i of b.
     Raises InternalInconsistency when a root has coefficients of both signs
     or when the orbit does not have exactly `count` roots (the search stops
     as soon as it has more), so a returned table is closed.
     """
-    cols = _sparse(zip(*cartan))   # column i: the pairs (k, a[k][i]) that s_i reads
     n = len(cartan)
     roots = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     index = {b: k for k, b in enumerate(roots)}
@@ -118,8 +124,8 @@ def roots_of(cartan: CartanMatrix, count: int):
         if min(b) < 0 < max(b):
             raise InternalInconsistency(f"root {b} of Cartan matrix {cartan} "
                                         f"has coefficients of both signs")
-        for i, col in enumerate(cols):
-            if c := sum(b[h] * x for h, x in col):
+        for i, c in enumerate(dynkin_labels(cartan, enumerate(b))):
+            if c:
                 r = b[:i] + (b[i] - c,) + b[i + 1:]
                 if (j := index.setdefault(r, len(roots))) == len(roots):
                     roots.append(r)
@@ -169,9 +175,9 @@ def dominant_chain(cartan: CartanMatrix, labels, limit: int):
 
     Reflects in the smallest index whose label is negative until none is:
     s_i adds -labels[i] * alpha_i to the vector, which moves label k by
-    -labels[i] * a[i][k].  The negative indices wait in a min-heap (an entry
-    whose label has turned non-negative is dropped when popped) and s_i
-    reads only the nonzero entries of row i, so a step costs O(deg + log n).
+    -labels[i] * a[i][k], so only the labels of row i move.  Every label
+    below i was non-negative, so the next index is the least k < i in row i
+    whose label turned negative, or else the scan goes on from i.
     Returns the final labels, the word of reflections taken (in order) and,
     for each i, the multiple of alpha_i subtracted in total, so the dominant
     vector is v - sum shift_i alpha_i.  Raises InternalInconsistency when
@@ -179,29 +185,24 @@ def dominant_chain(cartan: CartanMatrix, labels, limit: int):
     makes the word the least reduced one of the element it undoes, which
     `weyl` derives an element's word from; `w0_of` needs no such order.
     """
-    from heapq import heappop, heappush   # loaded only when a chain runs
-    rows = _sparse(cartan)
     labels = list(labels)
     shift = [0] * len(labels)
     word: list[int] = []
-    heap = [i for i, x in enumerate(labels) if x < 0]   # ascending, so a heap
-    while heap:
-        i = heappop(heap)
-        c = labels[i]
-        if c >= 0:
+    i = 0
+    while i < len(labels):
+        if (c := labels[i]) >= 0:
+            i += 1
             continue
         if len(word) == limit:
             raise InternalInconsistency(
                 f"dominant chain on Cartan matrix {cartan} did not stop within "
                 f"{limit} reflections"
             )
-        for k, x in rows[i]:
-            old = labels[k]
-            labels[k] = old - c * x
-            if labels[k] < 0 <= old:
-                heappush(heap, k)
+        for k, x in cartan[i]:
+            labels[k] -= c * x
         shift[i] += c
         word.append(i)
+        i = next((k for k, _ in cartan[i] if k < i and labels[k] < 0), i)
     return labels, tuple(word), shift
 
 
@@ -220,18 +221,17 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
     the permutation -w0 on the simple roots is -labels[k] - 1.  Raises
     InternalInconsistency when the word grows past `length` or has another
     length, when the final labels are not minus a permutation of lambda, or
-    when that permutation does not carry each nonzero entry of the sparse
-    rows the sweep read to the same entry of the Cartan matrix.
+    when that permutation sigma does not carry each row i, its columns
+    mapped, to row sigma(i), zero entries included.
     """
     n = len(cartan)
-    rows = _sparse(cartan)
     labels = list(range(1, n + 1))
     chain: list[int] = []
     while max(labels) > 0:
         if len(chain) > length:
             raise InternalInconsistency(f"the sweep on Cartan matrix {cartan} did not stop "
                                         f"within {length} reflections")
-        for i, row in enumerate(rows):
+        for i, row in enumerate(cartan):
             if (c := labels[i]) > 0:
                 for k, x in row:
                     labels[k] -= c * x
@@ -242,6 +242,7 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
         raise InternalInconsistency(f"the sweep ends at {labels}, not minus a permutation "
                                     f"of 1..{n}")
     sigma = tuple(-x - 1 for x in labels)
-    if any(cartan[sigma[i]][sigma[k]] != x for i, row in enumerate(rows) for k, x in row):
+    if any(sorted((sigma[k], x) for k, x in row) != list(cartan[sigma[i]])
+           for i, row in enumerate(cartan)):
         raise InternalInconsistency(f"-w0 = {sigma} does not preserve the Cartan matrix {cartan}")
     return W0(tuple(chain), sigma, len(orbits(sigma)))

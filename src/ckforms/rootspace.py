@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 
-from .cartan import _sparse, cartan_matrix
+from .cartan import cartan_matrix
 from .errors import DimensionMismatch, InternalInconsistency, NotInSpan
 from .linalg import Vector, integer_row, kernel_basis
 
@@ -40,8 +40,8 @@ class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank simple_
     `label` (str), `blocks` (the (type letter, rank) of each irreducible
     block), `ambient_dim`, `rank` and `den` (int), `simple_rows` (the simple
     roots times their least common denominator `den`, as int tuples) and
-    `cartan` (the CartanMatrix).  `_cache` holds derived data (`weyl`'s root
-    list, the Fraction `simple_roots`) outside the tuple: == and hash ignore it."""
+    `cartan` (the sparse CartanMatrix).  `_cache` holds derived data (`weyl`'s
+    root list, the Fraction `simple_roots`) outside the tuple: == and hash ignore it."""
 
     @cached_property
     def _cache(self) -> dict:
@@ -92,15 +92,16 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     """Construct the root system of the given type in its fixed realization.
 
     Raises UnsupportedSystem for any (type, rank) outside the supported
-    list, including D_2 and E_5.  Raises InternalInconsistency when the
-    closed-form Cartan matrix is not 2(a_i, a_j)/(a_j, a_j) of the written
-    simple roots (paired over their nonzero entries only).
+    list, including D_2 and E_5.  Raises InternalInconsistency when a sparse
+    Cartan row i, times (a_j, a_j) at each column j, is not the nonzero part
+    of row i of twice the Gram matrix of the written simple roots.
     """
     a = cartan_matrix(type_letter, rank)
     simples, den = _simple_roots(type_letter, rank)
-    gram = [[sum(x * v[k] for k, x in u) for v in simples] for u in _sparse(simples)]
-    if any(a[i][j] * gram[j][j] != 2 * gram[i][j]
-           for i in range(rank) for j in range(rank)):
+    nonzero = [[(k, x) for k, x in enumerate(u) if x] for u in simples]
+    gram = [[sum(x * v[k] for k, x in u) for v in simples] for u in nonzero]
+    if any([(j, x * gram[j][j]) for j, x in row] != [(j, 2 * g) for j, g in enumerate(u) if g]
+           for row, u in zip(a, gram)):
         raise InternalInconsistency(
             f"closed-form Cartan matrix of {type_letter}{rank} does not match "
             f"its simple roots"
@@ -116,15 +117,11 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     )
 
 
-def _embed(v: tuple, offset: int, total: int) -> tuple:
-    return (0,) * offset + v + (0,) * (total - offset - len(v))
-
-
 @lru_cache(maxsize=None)
 def direct_sum(*systems: RootSystem) -> RootSystem:
     """Formal direct sum: blocks embedded side by side in a common ambient
     space, simple roots ordered block by block over the lcm of the blocks'
-    denominators, the Cartan matrix assembled block-diagonally."""
+    denominators, the Cartan rows of each block shifted by its offset."""
     if len(systems) == 1:
         return systems[0]
     total = sum(s.ambient_dim for s in systems)
@@ -135,8 +132,9 @@ def direct_sum(*systems: RootSystem) -> RootSystem:
     offset = first = 0   # ambient and simple-root offsets of the block
     for s in systems:
         k = den // s.den
-        simples.extend(_embed(tuple(k * x for x in r), offset, total) for r in s.simple_rows)
-        matrix.extend(_embed(row, first, rank) for row in s.cartan)
+        left, right = (0,) * offset, (0,) * (total - offset - s.ambient_dim)
+        simples.extend(left + tuple(k * x for x in r) + right for r in s.simple_rows)
+        matrix.extend(tuple((k + first, x) for k, x in row) for row in s.cartan)
         offset += s.ambient_dim
         first += s.rank
     return RootSystem(

@@ -181,7 +181,7 @@ class WeylElement:
         the least i with w^-1(a_i) < 0 (Humphreys 1.6-1.8) at each step."""
         system = self.system
         moved = _combine(system, self._images(), _perm_data(system)[3])
-        labels = _sum_rows(zip(moved, system.cartan), system.rank)
+        labels = cartan.dynkin_labels(system.cartan, enumerate(moved))
         return cartan.dominant_chain(system.cartan, labels, _w0_length(system))[1]
 
     @property
@@ -298,10 +298,9 @@ def dominant_representative(system: RootSystem, v: Vector) -> Vector:
     simple root pairing negatively, on the labels 2(v, a_k)/(a_k, a_k), which
     are sum_i (omega_i, v) a[i][k] up to the positive denominator."""
     den, ints, terms = _coordinates(system, v)
-    matrix = system.cartan
-    labels = _sum_rows([(c, matrix[i]) for i, c in terms], system.rank)
+    labels = cartan.dynkin_labels(system.cartan, terms)
     # a dominant chain is a reduced word, at most as long as w0
-    _, _, shift = cartan.dominant_chain(matrix, labels, _w0_length(system))
+    _, _, shift = cartan.dominant_chain(system.cartan, labels, _w0_length(system))
     return tuple(Fraction(x - y, den) for x, y in zip(ints, to_ambient(system, shift)))
 
 

@@ -1,5 +1,6 @@
 """Shared test utilities: seeded random rational vectors, brute-force
-orbit oracles, exact vectors, their sum and dot product, the matrix,
+orbit oracles, exact vectors, their sum and dot product, the dense
+closed-form Cartan matrices and their sparse rows, the matrix,
 reflection and elimination formulas that stay independent of the code paths
 they check, the ambient root lists, the block-by-block root list, the Fraction
 constructions of the simple roots and the coweights, the split Cartan
@@ -205,6 +206,46 @@ def block_root_coords(system: RootSystem) -> list[tuple[int, ...]]:
         out += [(0,) * first + b + (0,) * (system.rank - first - rank) for b in coords]
         first += rank
     return out
+
+
+def dense_cartan_matrix(type_letter: str, rank: int) -> Matrix:
+    """The closed-form Cartan matrix as a dense n x n tuple, a[i][j] = -2
+    or -3 on a multiple bond where alpha_j is the short root: the one form
+    the core kept before it stored only the sparse rows.  BC_n has B_n's."""
+    letter, n = {"BC": "B"}.get(type_letter, type_letter), rank
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    if letter == "E":
+        bonds = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    elif letter == "D":
+        bonds = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    else:
+        bonds = [(i, i + 1) for i in range(n - 1)]
+    for i, j in bonds:
+        a[i][j] = a[j][i] = -1
+    if letter == "B" and n >= 2:
+        a[n - 2][n - 1] = -2
+    elif letter == "C":
+        a[n - 1][n - 2] = -2
+    elif letter == "F":
+        a[1][2] = -2
+    elif letter == "G":
+        a[1][0] = -3
+    return tuple(map(tuple, a))
+
+
+def sparse(matrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows of a dense matrix as the core keeps them: for each row, the
+    pairs (k, x) of its nonzero entries x, k ascending."""
+    return tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in matrix)
+
+
+def dense(rows) -> Matrix:
+    """The dense square matrix of sparse rows."""
+    out = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for k, x in row:
+            out[i][k] = x
+    return tuple(map(tuple, out))
 
 
 def brute_orbit(system: RootSystem, v: Vector) -> set[Vector]:

@@ -7,13 +7,16 @@ from reflections, and the a-hyperbolic rank as the kernel rank of w0 + 1.
 The second is the core's earlier integer path: the dominant chain that
 rescans every label, every simple root pushed through the chain from -rho,
 and the same kernel rank.  The third is the w0 the sweep replaced: the
-least-index heap chain from -(1, ..., n), checked densely and run backwards.
+least-index chain from -(1, ..., n), checked densely and run backwards.
+The dominant chain is also checked against the min-heap walk it replaced,
+and the sparse Cartan rows against the dense closed-form matrices.
 """
 
 import os
 import random
 import subprocess
 import sys
+from heapq import heappop, heappush
 from pathlib import Path
 
 import pytest
@@ -28,11 +31,23 @@ from ckforms.linalg import identity_matrix, rank_of, vneg
 from ckforms.rootspace import build_root_system, direct_sum
 from ckforms.weyl import ahyp_dimension, fixed_cone, longest_element
 
-from helpers import dot, integer_rank, mat_add, reflect, strictly_dominant_seed, supported_types
+from helpers import (dense, dense_cartan_matrix, dot, integer_rank, mat_add, reflect, sparse,
+                     strictly_dominant_seed, supported_types)
 
 
 def _system(blocks):
     return direct_sum(*(build_root_system(t, n) for t, n in blocks))
+
+
+def test_cartan_rows_match_dense_oracle():
+    for letter, n in supported_types(128):
+        rows = cartan_matrix(letter, n)
+        assert rows == sparse(dense_cartan_matrix(letter, n)), (letter, n)
+        assert all([k for k, _ in row] == sorted({k for k, _ in row}) for row in rows)
+        assert all(x != 0 for row in rows for _, x in row)
+        assert all(dict(row)[i] == 2 for i, row in enumerate(rows))
+    # A_128: 128 diagonal entries and 2 * 127 off-diagonal ones
+    assert sum(map(len, cartan_matrix("A", 128))) == 382
 
 
 def _block_diagonal(matrices):
@@ -86,7 +101,7 @@ DIFFERENTIAL_CASES = [((t, n),) for t, n in supported_types(10)] + [
                          ids=lambda b: "+".join(f"{t}{n}" for t, n in b))
 def test_core_matches_explicit_oracle(blocks):
     s = _system(blocks)
-    closed = _block_diagonal([cartan_matrix(t, n) for t, n in blocks])
+    closed = _block_diagonal([dense(cartan_matrix(t, n)) for t, n in blocks])
     assert _oracle_cartan(s) == closed
 
     chain = _oracle_chain(s)
@@ -96,7 +111,7 @@ def test_core_matches_explicit_oracle(blocks):
     assert longest_element(s).matrix == m
     index = {a: i for i, a in enumerate(s.simple_roots)}
     perm = tuple(index[vneg(_apply(m, a))] for a in s.simple_roots)
-    core = w0_of(closed, sum(w0_length(t, n) for t, n in blocks))
+    core = w0_of(sparse(closed), sum(w0_length(t, n) for t, n in blocks))
     assert core.minus_w0 == perm
 
     by_kernel = s.ambient_dim - rank_of(mat_add(m, identity_matrix(s.ambient_dim)))
@@ -155,38 +170,76 @@ IMAGE_LOOP_CASES = (
 def test_one_chain_matches_image_loop(blocks):
     # the chain from -rho gives the oracle's -w0; the core's own word, pushed
     # through the same loop, must give it too, at the length of w0
-    matrix = _block_diagonal([cartan_matrix(t, n) for t, n in blocks])
+    matrix = _block_diagonal([dense(cartan_matrix(t, n)) for t, n in blocks])
     length = sum(w0_length(t, n) for t, n in blocks)
     labels, chain, _ = _linear_chain(matrix, [-1] * len(matrix), length)
     assert labels == [1] * len(matrix) and len(chain) == length
-    core = w0_of(matrix, length)
+    core = w0_of(sparse(matrix), length)
     assert (core.minus_w0, core.ahyp) == _image_loop(matrix, chain)
     assert _image_loop(matrix, core.chain) == _image_loop(matrix, chain)
     assert len(core.chain) == length
 
 
+def _heap_chain(rows, labels, limit):
+    """The dominant chain as the core ran it before the pointer walk: the
+    negative indices wait in a min-heap, an entry whose label has turned
+    non-negative dropped when popped."""
+    labels = list(labels)
+    shift = [0] * len(labels)
+    word = []
+    heap = [i for i, x in enumerate(labels) if x < 0]
+    while heap:
+        i = heappop(heap)
+        c = labels[i]
+        if c >= 0:
+            continue
+        if len(word) == limit:
+            raise InternalInconsistency("chain did not stop")
+        for k, x in rows[i]:
+            old = labels[k]
+            labels[k] = old - c * x
+            if labels[k] < 0 <= old:
+                heappush(heap, k)
+        shift[i] += c
+        word.append(i)
+    return labels, tuple(word), shift
+
+
 _BLOCKS = st.lists(st.sampled_from(supported_types(8)), min_size=1, max_size=3)
+
+_CLASSICAL_TO_128 = st.one_of(
+    st.tuples(st.just("A"), st.integers(1, 128)),
+    st.tuples(st.sampled_from(["B", "C"]), st.integers(2, 128)),
+    st.tuples(st.just("D"), st.integers(3, 128)),
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_heap_chain_matches_linear_scan(data):
-    blocks = data.draw(_BLOCKS)
-    matrix = _block_diagonal([cartan_matrix(t, n) for t, n in blocks])
+def test_dominant_chain_matches_both_oracles(data):
+    blocks = data.draw(st.lists(st.one_of(_CLASSICAL_TO_128, st.sampled_from(supported_types(8))),
+                                min_size=1, max_size=3))
+    matrix = _block_diagonal([dense(cartan_matrix(t, n)) for t, n in blocks])
+    rows = sparse(matrix)
     labels = data.draw(st.lists(st.integers(-20, 20), min_size=len(matrix),
                                 max_size=len(matrix)))
     # any chain in a finite Weyl group is at most as long as w0
     limit = sum(w0_length(t, n) for t, n in blocks)
-    assert dominant_chain(matrix, labels, limit) == _linear_chain(matrix, labels, limit)
+    chain = dominant_chain(rows, labels, limit)
+    assert chain == _linear_chain(matrix, labels, limit) == _heap_chain(rows, labels, limit)
+    if chain[1]:
+        # a limit one short of the chain's length must raise
+        with pytest.raises(InternalInconsistency, match="did not stop within"):
+            dominant_chain(rows, labels, len(chain[1]) - 1)
 
 
 def _heap_chain_w0(matrix, length):
-    """w0 as the core computed it before the sweep: the least-index heap
-    chain from -(1, ..., n), whose final labels give -w0 on the simple
-    roots, checked over the dense Cartan matrix and by running the chain
-    backwards to -(1, ..., n)."""
+    """w0 as the core computed it before the sweep: the least-index chain
+    (then kept in a min-heap) from -(1, ..., n), whose final labels give
+    -w0 on the simple roots, checked over the dense Cartan matrix and by
+    running the chain backwards to -(1, ..., n)."""
     n = len(matrix)
-    labels, chain, _ = dominant_chain(matrix, range(-1, -n - 1, -1), length)
+    labels, chain, _ = dominant_chain(sparse(matrix), range(-1, -n - 1, -1), length)
     assert len(chain) == length and sorted(labels) == list(range(1, n + 1))
     sigma = tuple(x - 1 for x in labels)
     assert all(matrix[sigma[i]][sigma[j]] == x
@@ -201,20 +254,20 @@ def _heap_chain_w0(matrix, length):
 
 
 def _assert_sweep_matches_heap_chain(matrix, length):
-    core = w0_of(matrix, length)
+    core = w0_of(sparse(matrix), length)
     assert (core.minus_w0, core.ahyp, len(core.chain)) == _heap_chain_w0(matrix, length)
 
 
 @pytest.mark.parametrize("letter,n", [(t, n) for t in ("A", "B", "C", "BC", "D")
                                       for n in range(120, 129)])
 def test_sweep_matches_heap_chain_at_high_rank(letter, n):
-    _assert_sweep_matches_heap_chain(cartan_matrix(letter, n), w0_length(letter, n))
+    _assert_sweep_matches_heap_chain(dense(cartan_matrix(letter, n)), w0_length(letter, n))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_BLOCKS)
 def test_sweep_matches_heap_chain_on_direct_sums(blocks):
-    matrix = _block_diagonal([cartan_matrix(t, n) for t, n in blocks])
+    matrix = _block_diagonal([dense(cartan_matrix(t, n)) for t, n in blocks])
     _assert_sweep_matches_heap_chain(matrix, sum(w0_length(t, n) for t, n in blocks))
 
 
@@ -268,7 +321,7 @@ def test_rank_level_commands_build_no_explicit_system():
 ])
 def test_core_rejects_inconsistent_input(matrix, length):
     with pytest.raises(InternalInconsistency):
-        w0_of(matrix, length)
+        w0_of(sparse(matrix), length)
 
 
 @pytest.mark.parametrize("matrix,count", [
@@ -279,7 +332,7 @@ def test_core_rejects_inconsistent_input(matrix, length):
 ])
 def test_root_orbit_rejects_inconsistent_input(matrix, count):
     with pytest.raises(InternalInconsistency):
-        roots_of(matrix, count)
+        roots_of(sparse(matrix), count)
 
 
 def test_core_checks_survive_optimize():
@@ -290,9 +343,9 @@ def test_core_checks_survive_optimize():
         "from ckforms.cartan import roots_of, w0_of\n"
         "from ckforms.errors import InternalInconsistency\n"
         "print('optimize', sys.flags.optimize)\n"
-        "for check, args in ((w0_of, (((2, -2), (-2, 2)), 3)),\n"
-        "                    (roots_of, (((2, 1), (1, 2)), 6)),\n"
-        "                    (roots_of, (((2, -1), (-1, 2)), 8))):\n"
+        "for check, args in ((w0_of, ((((0, 2), (1, -2)), ((0, -2), (1, 2))), 3)),\n"
+        "                    (roots_of, ((((0, 2), (1, 1)), ((0, 1), (1, 2))), 6)),\n"
+        "                    (roots_of, ((((0, 2), (1, -1)), ((0, -1), (1, 2))), 8))):\n"
         "    try:\n"
         "        check(*args)\n"
         "    except InternalInconsistency as e:\n"
@@ -310,16 +363,15 @@ def test_core_checks_survive_optimize():
 
 
 def test_corrupted_chain_is_caught_under_optimize():
-    # each corruption of the core's word or of the labels its sweep reads
+    # each corruption of the core's word or of the rows its sweep reads
     # trips one check: a wrong word fails `longest_element`'s check of the
     # product's length, and wrong rows fail each check of `w0_of` in turn
     code = (
         "from ckforms import cartan, weyl\n"
         "from ckforms.errors import InternalInconsistency\n"
         "from ckforms.rootspace import build_root_system\n"
-        "real_w0, real_sparse = cartan.w0_of, cartan._sparse\n"
-        "def set_row(matrix, i, row):\n"
-        "    return [list(r) if k != i else row for k, r in enumerate(matrix)]\n"
+        "real_w0 = cartan.w0_of\n"
+        "a4 = cartan.cartan_matrix('A', 4)\n"
         "words = [\n"
         "    lambda word: word[:-1],\n"
         "    lambda word: word[1:] + word[:1],\n"
@@ -337,15 +389,14 @@ def test_corrupted_chain_is_caught_under_optimize():
         "        print(exc)\n"
         "cartan.w0_of = real_w0\n"
         "rows = [\n"
-        "    ('A', 2, lambda m: set_row(m, 0, [1, -1])),\n"
-        "    ('B', 3, lambda m: cartan.cartan_matrix('C', 3)),\n"
-        "    ('A', 4, lambda m: set_row(m, 1, [-1, 3, -1, 0])),\n"
-        "    ('A', 2, lambda m: ((2, -2), (-2, 2))),\n"
+        "    ((((0, 1), (1, -1)), ((0, -1), (1, 2))), 3),\n"
+        "    ((((0, 2), (1, -3), (2, -3)), ((1, 2), (2, 1)), ((0, 1), (1, -2), (2, 2))), 3),\n"
+        "    ((a4[0], ((0, -1), (1, 3), (2, -1)), a4[2], a4[3]), 10),\n"
+        "    ((((0, 2), (1, -2)), ((0, -2), (1, 2))), 3),\n"
         "]\n"
-        "for letter, n, corrupt in rows:\n"
-        "    cartan._sparse = lambda matrix, corrupt=corrupt: real_sparse(corrupt(matrix))\n"
+        "for matrix, length in rows:\n"
         "    try:\n"
-        "        cartan.w0_of(cartan.cartan_matrix(letter, n), cartan.w0_length(letter, n))\n"
+        "        cartan.w0_of(matrix, length)\n"
         "        print('not raised')\n"
         "    except InternalInconsistency as exc:\n"
         "        print(exc)\n"
@@ -360,10 +411,11 @@ def test_corrupted_chain_is_caught_under_optimize():
         "w0 of A3 composes to an element of length 4, not 6",
         "w0 of A3 composes to an element of length 4, not 6",
         "the sweep ends at [0, 0], not minus a permutation of 1..2",
-        "-w0 = (0, 1, 2) does not preserve the Cartan matrix "
-        "((2, -1, 0), (-1, 2, -2), (0, -1, 2))",
+        "-w0 = (1, 2, 0) does not preserve the Cartan matrix "
+        "(((0, 2), (1, -3), (2, -3)), ((1, 2), (2, 1)), ((0, 1), (1, -2), (2, 2)))",
         "longest element has length 9, expected 10",
-        "the sweep on Cartan matrix ((2, -1), (-1, 2)) did not stop within 3 reflections",
+        "the sweep on Cartan matrix (((0, 2), (1, -2)), ((0, -2), (1, 2))) "
+        "did not stop within 3 reflections",
     ]
 
 

@@ -272,6 +272,18 @@ def _loaded_after(code: str) -> list[str]:
     return ast.literal_eval(result.stdout.splitlines()[-1])
 
 
+# wraps the core's dominant chain so a fresh process records each call in
+# `chains`; the wrapper is looked up at call time, as `weyl` reads it
+_COUNT_CHAINS = (
+    "from ckforms import cartan\n"
+    "chains, real_chain = [], cartan.dominant_chain\n"
+    "def counted(*args):\n"
+    "    chains.append(args[2])\n"
+    "    return real_chain(*args)\n"
+    "cartan.dominant_chain = counted\n"
+)
+
+
 def test_bare_import_loads_no_submodule():
     assert [m for m in _loaded_after("import ckforms") if m.startswith("ckforms.")] == []
 
@@ -279,15 +291,17 @@ def test_bare_import_loads_no_submodule():
 def test_rank_level_commands_load_only_the_cartan_core():
     """`info`, `table1` and `standard-form` run on the integer Cartan core:
     neither the rational linear algebra (nor `fractions` and the `decimal`
-    it imports) nor the explicit realization and the layers on it load, nor
-    the `heapq` that only the dominant chain uses."""
+    it imports) nor the explicit realization and the layers on it load, no
+    `heapq`, and no dominant chain runs."""
     loaded = _loaded_after(
         "import contextlib, io\n"
+        + _COUNT_CHAINS +
         "from ckforms.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['info', 'sl(7,R)+so(2,3)']) == 0\n"
         "    assert main(['table1', '2']) == 0\n"
         "    assert main(['standard-form', 'sl(9,R)', 'so(3,6)']) == 0\n"
+        "assert chains == [], chains\n"
     )
     forbidden = {"fractions", "decimal", "heapq", "ckforms.linalg", "ckforms.rootspace",
                  "ckforms.weyl", "ckforms.criteria"}
@@ -358,15 +372,17 @@ def test_embedded_check_proper_loads_only_the_layers_it_runs():
 
 
 def test_embedded_proper_check_runs_no_dominant_chain():
-    """A Proper scan derives no element's word, so the `heapq` of the
-    dominant chain does not load."""
+    """A Proper scan derives no element's word, so the dominant chain never
+    runs (and no `heapq` loads)."""
     fixtures = ROOT / "tests" / "fixtures"
     loaded = _loaded_after(
         "import contextlib, io\n"
+        + _COUNT_CHAINS +
         "from ckforms.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['check-proper', '--system', 'A,4', '--ah', {str(fixtures / 'a4_ah.vec')!r},\n"
         f"                 '--al', {str(fixtures / 'a4_al_clear.vec')!r}, '--json']) == 0\n"
+        "assert chains == [], chains\n"
     )
     assert "ckforms.criteria" in loaded and "heapq" not in loaded
 
