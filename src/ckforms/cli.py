@@ -205,7 +205,7 @@ def _read_subspace(path: str, system):
     from .criteria import subspace_from_text
 
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not a UTF-8 text file") from None

@@ -14,9 +14,10 @@ simple-root coordinates.
 import re
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, InternalInconsistency, ParseError
-from .linalg import Vector, is_zero, kernel_basis, primitive, reduced_basis
+from .linalg import Vector, _eliminate, integer_row, kernel_basis, primitive, reduced_basis
 from .rootspace import RootSystem, require_in_span
 from .weyl import (
     DEFAULT_CAP,
@@ -33,24 +34,27 @@ class Subspace(namedtuple("Subspace", "system spanning_vectors")):
     RootSystem), inside the root span, spanned by `spanning_vectors` (a
     tuple of Vector).
 
-    A reduced basis is computed once by exact elimination at construction;
-    `dim` is its size.  Both are read-only and left out of equality.
+    Construction scales and checks each vector once (`require_in_span`) and
+    keeps `_rows`, the RREF with each row a primitive integer vector with
+    positive pivot; `dim` is their number, and the Fraction RREF `basis` is
+    built from them on first read.  All three are left out of equality.
     """
 
     def __new__(cls, system: RootSystem, spanning_vectors: tuple[Vector, ...]):
-        for v in spanning_vectors:
-            require_in_span(system, v)
         self = super().__new__(cls, system, spanning_vectors)
-        self._basis = reduced_basis(spanning_vectors)
+        m, pivots, _ = _eliminate([require_in_span(system, v) for v in spanning_vectors])
+        self._rows = tuple(map(primitive, m[:len(pivots)]))
         return self
 
     @property
     def basis(self) -> tuple[Vector, ...]:
+        if "_basis" not in self.__dict__:
+            self._basis = reduced_basis(self._rows)
         return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self._basis)
+        return len(self._rows)
 
 
 _ENTRY = r"[+-]?[0-9]+(/[0-9]+)?"
@@ -113,13 +117,13 @@ def check_proper_embedded(
 
     The group is streamed (`enumerate_weyl`), so a NotProper scan
     stops generating at the offending element and a Proper scan holds
-    two length layers of the group, never all of it.  Both bases are stacked
-    in integer simple-root coordinates (`span_action`; a_h's once, at the
-    identity), `rank` rows.  Each column is a positive multiple of its
-    vector's coordinates, which are injective on the root span: the pivots
-    are those of the ambient stack, and the witness mapped back by
-    `to_ambient` differs from the ambient one by a positive factor that
-    `primitive` removes.  No element's `apply` or matrix runs here.
+    two length layers of the group, never all of it.  Both subspaces'
+    integer `_rows` are stacked in integer simple-root coordinates
+    (`span_action`; a_h's once, at the identity), `rank` rows.  Each column
+    is a positive multiple of its row's coordinates, which are injective on
+    the root span: the pivots are those of the ambient stack, and the
+    witness, summed in integers and mapped back by `to_ambient`, is a
+    positive multiple of the ambient one.  No `apply` or matrix runs here.
     """
     for sub, name in ((a_h, "a_h"), (a_l, "a_l")):
         if sub.system != system_g:
@@ -128,18 +132,17 @@ def check_proper_embedded(
     if a_h.dim == 0 or a_l.dim == 0:
         return ProperCheck(proper=True)
     elements = enumerate_weyl(system_g, cap)
-    move = span_action(system_g, a_l.basis)
-    h_cols = span_action(system_g, a_h.basis)(next(iter(elements)))
+    move = span_action(system_g, a_l._rows)
+    h_cols = span_action(system_g, a_h._rows)(next(iter(elements)))
     for idx, w in enumerate(elements):
         kernel = kernel_basis(list(zip(*h_cols, *move(w))))
         if kernel:
-            coords = [sum(c * b[k] for c, b in zip(kernel[0], h_cols))
-                      for k in range(system_g.rank)]
-            witness = to_ambient(system_g, coords)
-            if is_zero(witness):
+            ints = integer_row(kernel[0])[0]
+            witness = to_ambient(system_g, [sum(map(mul, ints, col)) for col in zip(*h_cols)])
+            if not any(witness):
                 raise InternalInconsistency(f"zero witness at element {idx}")
             return ProperCheck(proper=False, w_index=idx, element=w,
-                               witness=primitive(witness))
+                               witness=tuple(map(Fraction, primitive(witness))))
     return ProperCheck(proper=True)
 
 

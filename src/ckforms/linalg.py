@@ -1,9 +1,9 @@
-"""Exact rational linear algebra over tuples of Fraction.
+"""Exact rational linear algebra on rows of ints or Fractions.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.  Rank,
-kernel, solve, inverse and reduced basis all run on one fraction-free
-elimination, `_eliminate`, over rows scaled to integers; Fractions are
-built only for the entries a result returns.  Its fixed pivoting rule
+Matrices are sequences of rows.  Rank, kernel, solve, inverse and reduced
+basis all run on one fraction-free elimination, `_eliminate`, over rows
+scaled to integers; Fractions are built only for the entries those results
+return, and `primitive` returns ints.  Its fixed pivoting rule
 (leftmost column, topmost nonzero row) makes every result deterministic;
 no floating point appears anywhere.
 """
@@ -20,10 +20,6 @@ ONE = Fraction(1)
 
 def vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
-
-
-def is_zero(u: Vector) -> bool:
-    return all(a == 0 for a in u)
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -133,12 +129,11 @@ def reduced_basis(vectors) -> tuple[Vector, ...]:
     return tuple(tuple(Fraction(x, d) for x in m[i]) for i in range(len(pivots)))
 
 
-def primitive(v: Vector) -> Vector:
-    """Scale v to a primitive integer vector with positive leading entry."""
-    if is_zero(v):
-        return v
+def primitive(v) -> tuple[int, ...]:
+    """A nonzero v scaled to a primitive integer vector with positive
+    leading entry."""
     ints = integer_row(v)[0]
     g = gcd(*ints)
     if next(a for a in ints if a) < 0:
         g = -g
-    return tuple(Fraction(a // g) for a in ints)
+    return tuple(a // g for a in ints)

@@ -169,6 +169,27 @@ def test_check_proper_binary_file_exit_2(capsys, tmp_path):
     assert capsys.readouterr().err == f"error: {binary}: not a UTF-8 text file\n"
 
 
+def test_subspace_file_is_read_as_utf8_in_an_ascii_locale(tmp_path, capsys):
+    """Under the C locale with UTF-8 mode off the locale's encoding is ASCII;
+    a fresh process still reads a UTF-8 comment and reports what `main`
+    reports for the same vectors without it."""
+    ah = tmp_path / "ah.vec"
+    ah.write_text("# café — so(1,4)\n" + (FIXTURES / "a4_ah.vec").read_text(), encoding="utf-8")
+    argv = ["check-proper", "--system", "A,4", "--al", str(FIXTURES / "a4_al_meets.vec")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), LC_ALL="C", PYTHONUTF8="0")
+
+    def fresh(*args):
+        return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    encoding = fresh("-c", "import locale; print(locale.getpreferredencoding(False))")
+    assert encoding.stdout.strip().lower() in ("ascii", "ansi_x3.4-1968")
+    result = fresh("-m", "ckforms.cli", *argv, "--ah", str(ah))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert main([*argv, "--ah", str(FIXTURES / "a4_ah.vec")]) == 0
+    assert result.stdout == capsys.readouterr().out
+
+
 def test_overlong_number_exit_2(capsys):
     assert main(["info", f"sl({'1' * 5000},R)"]) == 2
     assert capsys.readouterr().err == "error: number with 5000 digits is too large\n"

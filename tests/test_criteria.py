@@ -15,8 +15,10 @@ from ckforms.criteria import (
 )
 from ckforms.errors import CapExceeded, DimensionMismatch, NotInSpan, ParseError
 from ckforms.linalg import (
+    integer_row,
     kernel_basis,
     primitive,
+    reduced_basis,
     vneg,
 )
 from ckforms.rootspace import RootSystem, build_root_system, direct_sum
@@ -354,6 +356,78 @@ def test_integer_columns_match_the_fraction_basis_scan_on_random_pairs(pair):
     a_h, a_l = (Subspace(system, tuple(_combine(system, c, system.simple_roots)))
                 for c in coords)
     assert _scan(system, a_h, a_l) == _fraction_basis_scan(system, a_h, a_l)
+
+
+# ---------------------------------------------------------------------------
+# a subspace's canonical integer rows, against the Fraction RREF
+
+_KEY_SYSTEMS = [
+    *(build_root_system("A", n) for n in range(1, 5)),
+    *(build_root_system(t, n) for t in ("B", "C") for n in range(2, 5)),
+    *(build_root_system("BC", n) for n in range(1, 5)),
+    build_root_system("D", 4), build_root_system("G", 2),
+    direct_sum(build_root_system("A", 1), build_root_system("B", 2)),
+    direct_sum(build_root_system("A", 2), build_root_system("G", 2)),
+]
+
+# every fixture, with each system it is read in
+_FIXTURE_SYSTEMS = {
+    **dict.fromkeys(["a4_ah.vec", "a4_al_clear.vec", "a4_al_meets.vec", "so23_in_sl5.vec"],
+                    [("A", 4)]),
+    "so47_in_sl11.vec": [("A", 10)],
+    **dict.fromkeys(["bc3_h.vec", "bc3_l.vec"], [("BC", 3)]),
+    **dict.fromkeys(["e6_ah.vec", "e6_al.vec"], [("E", 6)]),
+    **dict.fromkeys(["f4_h.vec", "f4_l.vec"], [("F", 4)]),
+    **dict.fromkeys(["so22n_u1n.vec", "so22n_so12n.vec"], [("B", 2)]),
+    **dict.fromkeys(["su22n_u12n.vec", "su22n_sp1n.vec"], [("BC", 2), ("C", 2)]),
+    **dict.fromkeys(["so44n_so34n.vec", "so44n_sp1n.vec", "so44n_control.vec"],
+                    [("B", 4), ("D", 4)]),
+}
+
+_RATIOS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+def _check_canonical_key(data, system, vectors):
+    """`_rows` is `integer_row` of each row of the Fraction RREF of the
+    spanning vectors, `basis` is that RREF, and `_rows` does not change when
+    the vectors are rescaled by nonzero rationals, reordered, or extended by
+    rational combinations of themselves."""
+    sub = Subspace(system, vectors)
+    rref = reduced_basis(vectors)
+    assert sub._rows == tuple(tuple(integer_row(r)[0]) for r in rref)
+    assert (sub.basis, sub.dim) == (rref, len(rref))
+    n = len(vectors)
+    scales = data.draw(st.lists(_RATIOS.filter(bool), min_size=n, max_size=n))
+    order = data.draw(st.permutations(range(n)))
+    mixes = data.draw(st.lists(st.lists(_RATIOS, min_size=n, max_size=n), max_size=3))
+    for other in (tuple(vscale(c, v) for c, v in zip(scales, vectors)),
+                  tuple(vectors[i] for i in order),
+                  vectors + tuple(_combine(system, mixes, vectors))):
+        assert Subspace(system, other)._rows == sub._rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_canonical_rows_on_random_subspaces(data):
+    system = data.draw(st.sampled_from(_KEY_SYSTEMS))
+    coords = st.lists(_RATIOS, min_size=system.rank, max_size=system.rank)
+    vectors = _combine(system, data.draw(st.lists(coords, max_size=system.rank + 1)),
+                       system.simple_roots)
+    _check_canonical_key(data, system, tuple(vectors))
+
+
+def test_canonical_key_systems_are_small_and_cover_every_fixture():
+    assert max(map(weyl.weyl_order, _KEY_SYSTEMS)) == 384
+    assert sorted(_FIXTURE_SYSTEMS) == sorted(p.name for p in FIXTURES.glob("*.vec"))
+
+
+@pytest.mark.parametrize("name,system", [
+    (name, build_root_system(*blocks)) for name, systems in sorted(_FIXTURE_SYSTEMS.items())
+    for blocks in systems], ids=str)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_canonical_rows_on_every_fixture(name, system, data):
+    _check_canonical_key(data, system, _load(name, system).spanning_vectors)
 
 
 @pytest.mark.parametrize("system,h,l", [

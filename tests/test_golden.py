@@ -3,7 +3,11 @@ docs/cli.md, one `info` call whose descriptor touches every term kind of
 the grammar, one catalog-mode `check-proper` whose a-hyperbolic rank test
 fails, three more embedded NotProper reports (F4, BC3 with its
 doubled roots, and E6 with a matrix of quarters) and one embedded Proper
-report from a full scan of A4's group, and two large-rank rank-level reports
+report from a full scan of A4's group, six embedded reports on compact
+Clifford-Klein forms from the literature (Kulkarni 1981; Kobayashi 1989):
+so(2,2n)/u(1,n) in B2, su(2,2n)/u(1,2n) in BC2 and C2 and so(4,4n)/so(3,4n)
+in B4 and D4, all Proper, and a NotProper control in B4 that meets a_h at
+the identity, and two large-rank rank-level reports
 (`table1 63`, the largest KMAX accepted, and `standard-form` on rank-128
 `sl(129,R)`), and `standard-form "sl(15,R)" "sl(2,R)"`, whose candidate
 search is exponential in n, recorded before that search is rewritten, all
@@ -54,6 +58,24 @@ CASES = {
     "check-proper-embedded-e6": ["check-proper", "--system", "E,6",
                                  "--ah", "tests/fixtures/e6_ah.vec",
                                  "--al", "tests/fixtures/e6_al.vec"],
+    "check-proper-embedded-so22n-b2": ["check-proper", "--system", "B,2",
+                                       "--ah", "tests/fixtures/so22n_u1n.vec",
+                                       "--al", "tests/fixtures/so22n_so12n.vec"],
+    "check-proper-embedded-su22n-bc2": ["check-proper", "--system", "BC,2",
+                                        "--ah", "tests/fixtures/su22n_u12n.vec",
+                                        "--al", "tests/fixtures/su22n_sp1n.vec"],
+    "check-proper-embedded-su22-c2": ["check-proper", "--system", "C,2",
+                                      "--ah", "tests/fixtures/su22n_u12n.vec",
+                                      "--al", "tests/fixtures/su22n_sp1n.vec"],
+    "check-proper-embedded-so44n-b4": ["check-proper", "--system", "B,4",
+                                       "--ah", "tests/fixtures/so44n_so34n.vec",
+                                       "--al", "tests/fixtures/so44n_sp1n.vec"],
+    "check-proper-embedded-so44-d4": ["check-proper", "--system", "D,4",
+                                      "--ah", "tests/fixtures/so44n_so34n.vec",
+                                      "--al", "tests/fixtures/so44n_sp1n.vec"],
+    "check-proper-embedded-so44n-b4-control": ["check-proper", "--system", "B,4",
+                                               "--ah", "tests/fixtures/so44n_so34n.vec",
+                                               "--al", "tests/fixtures/so44n_control.vec"],
     "standard-form-sl11R-so47": ["standard-form", "sl(11,R)", "so(4,7)"],
     "standard-form-sl9R-so36": ["standard-form", "sl(9,R)", "so(3,6)"],
     "table1-63": ["table1", "63"],

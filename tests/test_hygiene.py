@@ -387,6 +387,42 @@ def test_embedded_proper_check_runs_no_dominant_chain():
     assert "ckforms.criteria" in loaded and "heapq" not in loaded
 
 
+# wraps the Fraction RREF of a subspace so a fresh process records each
+# call in `rrefs`; the wrapper is looked up at call time, as
+# `Subspace.basis` reads it
+_COUNT_RREFS = (
+    "from ckforms import criteria\n"
+    "rrefs, real_rref = [], criteria.reduced_basis\n"
+    "def counted(rows):\n"
+    "    rrefs.append(rows)\n"
+    "    return real_rref(rows)\n"
+    "criteria.reduced_basis = counted\n"
+)
+
+
+def test_embedded_check_proper_builds_no_fraction_basis():
+    """The embedded scan and its report read a subspace's integer rows and
+    its dimension only: no Fraction RREF is built, for a Proper pair or a
+    NotProper one, with or without --json, until `basis` is read."""
+    fixtures = ROOT / "tests" / "fixtures"
+    runs = [["check-proper", "--system", "A,4", "--ah", str(fixtures / "a4_ah.vec"),
+             "--al", str(fixtures / al), *json] for al in ("a4_al_clear.vec", "a4_al_meets.vec")
+            for json in ([], ["--json"])]
+    _loaded_after(
+        "import contextlib, io\n"
+        + _COUNT_RREFS +
+        "from ckforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    for argv in {runs!r}:\n"
+        "        assert main(argv) == 0\n"
+        "assert out.getvalue().count('verdict') == 4, out.getvalue()\n"
+        "assert rrefs == [], rrefs\n"
+        "from ckforms.rootspace import build_root_system\n"
+        "criteria.subspace_from_text('1 0 0 0 -1', build_root_system('A', 4)).basis\n"
+        "assert len(rrefs) == 1, rrefs\n"
+    )
+
+
 def test_catalog_check_proper_loads_only_what_info_loads():
     """Catalog-mode `check-proper` reads only catalog invariants: neither
     `criteria`, the rational linear algebra (nor `fractions` and the

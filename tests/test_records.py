@@ -1,7 +1,8 @@
 """Semantics of the package's result records: every stored field is
-read-only, derived state (`RootSystem._cache` / `simple_roots`,
-`Subspace.basis` / `dim`) stays out of equality and hashing, and construction-time validation holds
-under `python -O`."""
+read-only, derived state (`RootSystem._cache` / `simple_roots`, and
+`Subspace._rows` / `dim` from construction and `basis`, built from `_rows`
+on first read) stays out of equality and hashing, and construction-time
+validation holds under `python -O`."""
 
 import os
 import subprocess
