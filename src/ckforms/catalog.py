@@ -301,7 +301,7 @@ _ALIASES = {"e6(I)": "e6(6)", "e6(IV)": "e6(-26)"}
 # every parameterized term: a classical family or compact name with one or
 # two parameters, R^k or u(1)^k; compiled (and cached by `re`) on first
 # use, not at import
-_TERM = r"(sl|su\*?|so\*?|sp)\((\d+)(?:,(\d+|R|C))?\)|(R|u\(1\))\^(\d+)"
+_TERM = r"(sl|su\*?|so\*?|sp)\(([0-9]+)(?:,([0-9]+|R|C))?\)|(R|u\(1\))\^([0-9]+)"
 
 
 def _int(digits: str) -> int:

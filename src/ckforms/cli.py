@@ -192,6 +192,8 @@ def _parse_system(text: str):
 
     try:
         letter, rank = text.split(",")
+        if not re.fullmatch(r"\s*[0-9]+\s*", rank):
+            raise ValueError(rank)
         rank = int(rank)
     except ValueError as exc:
         raise ParseError(f"bad --system designation {text!r}; expected TYPE,RANK") from exc

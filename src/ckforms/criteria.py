@@ -17,16 +17,10 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DimensionMismatch, InternalInconsistency, ParseError
-from .linalg import Vector, _eliminate, integer_row, kernel_basis, primitive, reduced_basis
+from .linalg import Vector, _eliminate, kernel_basis, primitive, reduced_basis
 from .rootspace import RootSystem, require_in_span
-from .weyl import (
-    DEFAULT_CAP,
-    dominant_representative,
-    enumerate_weyl,
-    is_antipodal,
-    span_action,
-    to_ambient,
-)
+from .weyl import (DEFAULT_CAP, _combine, _coweight_rows, _terms, dominant_representative,
+                   enumerate_weyl, is_antipodal, to_ambient)
 
 
 class Subspace(namedtuple("Subspace", "system spanning_vectors")):
@@ -107,23 +101,23 @@ def check_proper_embedded(
     a_l: Subspace,
     cap: int = DEFAULT_CAP,
 ) -> ProperCheck:
-    """Exact orbit test over the whole Weyl group.
+    """Exact orbit test over the whole Weyl group (Kobayashi, Math. Ann.
+    285, 1989): proper iff every group element w keeps w.(a_l) meeting a_h
+    only in zero.  On failure, reports the first offending w in canonical
+    enumeration order together with a nonzero witness vector in the
+    intersection, normalized to a primitive integer vector with positive
+    leading entry.
 
-    Proper iff every group element w keeps w.(a_l) intersecting a_h only
-    in zero, decided by an exact kernel computation on the stacked bases.
-    On failure, reports the first offending w in canonical enumeration
-    order together with a nonzero witness vector in the intersection,
-    normalized to a primitive integer vector with positive leading entry.
-
-    The group is streamed (`enumerate_weyl`), so a NotProper scan
-    stops generating at the offending element and a Proper scan holds
-    two length layers of the group, never all of it.  Both subspaces'
-    integer `_rows` are stacked in integer simple-root coordinates
-    (`span_action`; a_h's once, at the identity), `rank` rows.  Each column
-    is a positive multiple of its row's coordinates, which are injective on
-    the root span: the pivots are those of the ambient stack, and the
-    witness, summed in integers and mapped back by `to_ambient`, is a
-    positive multiple of the ambient one.  No `apply` or matrix runs here.
+    The group is streamed (`enumerate_weyl`): a NotProper scan stops
+    generating at the offending element, a Proper scan holds two length
+    layers of it.  The scan runs in integer simple-root coordinates,
+    injective on the root span.  a_h becomes integer equations once, the
+    kernel of its rows' coordinates (one zero row when a_h is the whole
+    span), and w.(a_l) meets a_h iff those equations on the images of
+    a_l's rows have a nonzero kernel.  Its first vector y has the first free
+    column of the stacked [a_h | w.(a_l)], so sum_j y_j w.(b_j), mapped back
+    by `to_ambient`, lies on the stacked witness's line.  No `apply` or
+    matrix runs here.
     """
     for sub, name in ((a_h, "a_h"), (a_l, "a_l")):
         if sub.system != system_g:
@@ -132,13 +126,16 @@ def check_proper_embedded(
     if a_h.dim == 0 or a_l.dim == 0:
         return ProperCheck(proper=True)
     elements = enumerate_weyl(system_g, cap)
-    move = span_action(system_g, a_l._rows)
-    h_cols = span_action(system_g, a_h._rows)(next(iter(elements)))
+    coweights = _coweight_rows(system_g)[0]
+    equations = kernel_basis([[sum(map(mul, c, row)) for c in coweights] for row in a_h._rows])
+    equations = equations or [(0,) * system_g.rank]
+    combos = [_terms(system_g, row) for row in a_l._rows]
     for idx, w in enumerate(elements):
-        kernel = kernel_basis(list(zip(*h_cols, *move(w))))
+        images = w._images()
+        moved = [_combine(system_g, images, terms) for terms in combos]
+        kernel = kernel_basis([[sum(map(mul, e, u)) for u in moved] for e in equations])
         if kernel:
-            ints = integer_row(kernel[0])[0]
-            witness = to_ambient(system_g, [sum(map(mul, ints, col)) for col in zip(*h_cols)])
+            witness = to_ambient(system_g, _combine(system_g, moved, enumerate(kernel[0])))
             if not any(witness):
                 raise InternalInconsistency(f"zero witness at element {idx}")
             return ProperCheck(proper=False, w_index=idx, element=w,

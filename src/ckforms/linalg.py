@@ -2,10 +2,10 @@
 
 Matrices are sequences of rows.  Rank, kernel, solve, inverse and reduced
 basis all run on one fraction-free elimination, `_eliminate`, over rows
-scaled to integers; Fractions are built only for the entries those results
-return, and `primitive` returns ints.  Its fixed pivoting rule
-(leftmost column, topmost nonzero row) makes every result deterministic;
-no floating point appears anywhere.
+scaled to integers; the kernel is read off it in integers, and Fractions
+are built only for the entries solve, inverse and reduced basis return.
+Its fixed pivoting rule (leftmost column, topmost nonzero row) makes every
+result deterministic; no floating point appears anywhere.
 """
 
 from fractions import Fraction
@@ -84,19 +84,21 @@ def rank_of(rows) -> int:
     return len(_eliminate(rows)[1])
 
 
-def kernel_basis(rows) -> tuple[Vector, ...]:
-    """Basis of {x : M x = 0}, one vector per free column, in ascending
-    free-column order (free variable set to 1)."""
+def kernel_basis(rows) -> tuple[tuple[int, ...], ...]:
+    """Integer basis of {x : M x = 0}, one vector per free column in
+    ascending order: the RREF's vector with that free entry 1, times the
+    |d| of `_eliminate`, so the free entry is positive."""
     if not rows:
         return ()
     m, pivots, d = _eliminate(rows)
+    s = 1 if d > 0 else -1
     ncols = len(rows[0])
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
-        x = [ZERO] * ncols
-        x[free] = ONE
+        x = [0] * ncols
+        x[free] = s * d
         for r, pc in enumerate(pivots):
-            x[pc] = Fraction(-m[r][free], d)
+            x[pc] = -s * m[r][free]
         basis.append(tuple(x))
     return tuple(basis)
 
@@ -129,10 +131,9 @@ def reduced_basis(vectors) -> tuple[Vector, ...]:
     return tuple(tuple(Fraction(x, d) for x in m[i]) for i in range(len(pivots)))
 
 
-def primitive(v) -> tuple[int, ...]:
-    """A nonzero v scaled to a primitive integer vector with positive
-    leading entry."""
-    ints = integer_row(v)[0]
+def primitive(ints) -> tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries, with the
+    sign that makes its leading nonzero entry positive."""
     g = gcd(*ints)
     if next(a for a in ints if a) < 0:
         g = -g

@@ -165,7 +165,7 @@ def require_in_span(system: RootSystem, v: Vector) -> list[int]:
     ints = integer_row(v)[0]
     c = system._cache
     if "complement" not in c:
-        c["complement"] = tuple(integer_row(u)[0] for u in kernel_basis(system.simple_rows))
+        c["complement"] = kernel_basis(system.simple_rows)
     if any(sum(map(mul, u, ints)) for u in c["complement"]):
         raise NotInSpan(
             f"vector {tuple(str(x) for x in v)} is not in the root span of "

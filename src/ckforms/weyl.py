@@ -8,16 +8,17 @@ that list, with the first element, from the Cartan core's one pass that
 returns the roots and the reflections on them (`_perm_data`).  It acts in
 integers: `_coordinates` pairs a vector, over a denominator, with the
 fundamental coweights, and `_combine` sums (omega_i, v) w(a_i) over the
-images of the simple roots.  `span_action` returns those sums; `_apply` and
-`dominant_representative` map them back (`to_ambient`).  Enumeration is
-breadth-first by length, ties broken lexicographically by word so indices
-are reproducible, and a stream: a scan that stops early generates only the
-elements it read, and a full pass holds two length layers.  Dominant
-representatives, w0's word, -w0 and ahyp read only the Cartan core.
+images of the simple roots.  The embedded scan in `criteria` keeps those
+sums in simple-root coordinates; `_apply` and `dominant_representative` map
+them back (`to_ambient`).  Enumeration is breadth-first by length, ties
+broken lexicographically by word so indices are reproducible, and a stream:
+a scan that stops early generates only the elements it read, and a full
+pass holds two length layers.  Dominant representatives, w0's word, -w0 and
+ahyp read only the Cartan core.
 """
 
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -25,7 +26,7 @@ from operator import mul
 from . import cartan
 from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
 from .linalg import Matrix, Vector, _eliminate, identity_matrix, integer_row, vneg
-from .rootspace import RootSystem, check_dimension, require_in_span
+from .rootspace import RootSystem, check_dimension
 
 def weyl_order(system: RootSystem) -> int:
     """Exact group order: the core's closed-form order of each block,
@@ -268,25 +269,6 @@ def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> WeylEnumeratio
     if order > cap:
         raise CapExceeded(order=order, cap=cap)
     return WeylEnumeration(system, order)
-
-
-def span_action(system: RootSystem, vectors) -> Callable[[WeylElement], list[list[int]]]:
-    """Map a group element w to the images of the vectors in integer
-    simple-root coordinates: for each v, a positive multiple of the
-    coordinates (omega_i, w.v), the same multiple for every w.
-
-    Every v must lie in the root span, so v = sum_i (omega_i, v) a_i and
-    w.v = sum_i (omega_i, v) w(a_i): `_combine` on the coweight pairings
-    (`_terms`) of the integers `require_in_span` scales v to, so each v is
-    checked and scaled once.
-    """
-    combos = [_terms(system, require_in_span(system, v)) for v in vectors]
-
-    def act(w: WeylElement) -> list[list[int]]:
-        images = w._images()
-        return [_combine(system, images, terms) for terms in combos]
-
-    return act
 
 
 # ---------------------------------------------------------------------------

@@ -117,13 +117,22 @@ def test_parse_errors(text):
         parse_descriptor(text)
 
 
+@pytest.mark.parametrize("text", ["sl(\u0665,R)", "so(\u0663,4)", "su(\uff14)", "R^\u0662",
+                                  "u(1)^\u0661", "sp(1_0,R)"])
+def test_parameters_are_ascii_digits(text):
+    # `int` would read these as 5, 3, 4, 2, 1 and 10
+    with pytest.raises(ParseError, match="cannot parse descriptor term"):
+        parse_descriptor(text)
+
+
 # the descriptor grammar as one pattern per classical family (in family
 # order) and per kind of term, tried in the order the parser once tried
 # them; the oracle of the single pattern that replaced them
 OLD_FAMILY_PATTERNS = (
-    r"^sl\((\d+),R\)$", r"^sl\((\d+),C\)$", r"^su\*\((\d+)\)$", r"^su\((\d+),(\d+)\)$",
-    r"^so\((\d+),(\d+)\)$", r"^so\((\d+),C\)$", r"^so\*\((\d+)\)$", r"^sp\((\d+),R\)$",
-    r"^sp\((\d+),C\)$", r"^sp\((\d+),(\d+)\)$",
+    r"^sl\(([0-9]+),R\)$", r"^sl\(([0-9]+),C\)$", r"^su\*\(([0-9]+)\)$",
+    r"^su\(([0-9]+),([0-9]+)\)$", r"^so\(([0-9]+),([0-9]+)\)$", r"^so\(([0-9]+),C\)$",
+    r"^so\*\(([0-9]+)\)$", r"^sp\(([0-9]+),R\)$", r"^sp\(([0-9]+),C\)$",
+    r"^sp\(([0-9]+),([0-9]+)\)$",
 )
 
 
@@ -136,9 +145,9 @@ def _old_parse(text):
         if not term:
             raise ParseError(f"empty term in descriptor {text!r}")
         term = catalog._ALIASES.get(term, term)
-        if (m := re.match(r"^R\^(\d+)$", term)):
+        if (m := re.match(r"^R\^([0-9]+)$", term)):
             center[0] += catalog._int(m.group(1))
-        elif (m := re.match(r"^u\(1\)\^(\d+)$", term)):
+        elif (m := re.match(r"^u\(1\)\^([0-9]+)$", term)):
             center[1] += catalog._int(m.group(1))
         elif (m := next(filter(None, (re.match(p, term) for p in OLD_FAMILY_PATTERNS)), None)):
             build = catalog._FAMILIES[OLD_FAMILY_PATTERNS.index(m.re.pattern)][2]
@@ -149,7 +158,7 @@ def _old_parse(text):
             noncompact.append(form)
         elif term in catalog._EXCEPTIONAL:
             noncompact.append(catalog.exceptional(term))
-        elif (m := re.match(r"^(su|so|sp)\((\d+)\)$", term)):
+        elif (m := re.match(r"^(su|so|sp)\(([0-9]+)\)$", term)):
             compact.append(catalog.compact_part(m.group(1), catalog._int(m.group(2))))
         elif term in ("g2", "f4", "e6", "e7", "e8"):
             compact.append(catalog.compact_part(term))

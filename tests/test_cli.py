@@ -227,6 +227,21 @@ def test_system_rank_limit_exit_2(capsys, monkeypatch, system, limited):
     assert ("A128 built" in err) != limited
 
 
+@pytest.mark.parametrize("system,code", [("A,1_0", 2), ("A,\u0664", 2), ("E,\u0666", 2),
+                                         ("A,+4", 2), ("A,\uff14", 2), (" A , 4\t", 0)])
+def test_system_rank_is_ascii_digits(capsys, system, code):
+    # `int` would read the refused ranks as 10, 4, 6, 4 and 4; surrounding
+    # whitespace is still stripped
+    fixture = str(FIXTURES / "a4_ah.vec")
+    assert main(["check-proper", "--system", system, "--ah", fixture, "--al", fixture]) == code
+    assert (f"bad --system designation {system!r}" in capsys.readouterr().err) == (code == 2)
+
+
+def test_info_refuses_non_ascii_digits(capsys):
+    assert main(["info", "sl(\u0665,R)"]) == 2
+    assert "cannot parse descriptor term 'sl(\u0665,R)'" in capsys.readouterr().err
+
+
 def test_default_cap_refuses_a9(capsys, tmp_path):
     line = tmp_path / "line.vec"
     line.write_text("1 -1 0 0 0 0 0 0 0 0\n")

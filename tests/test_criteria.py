@@ -18,6 +18,7 @@ from ckforms.linalg import (
     integer_row,
     kernel_basis,
     primitive,
+    rank_of,
     reduced_basis,
     vneg,
 )
@@ -244,19 +245,21 @@ def test_proper_scan_visits_the_whole_group_without_matrices(monkeypatch):
 
 
 def test_scan_hands_integer_images_to_the_kernel(monkeypatch):
-    # the a_l images reach the elimination as ints, never as Fractions
+    # a_h's coordinates, then each element's equations on the a_l images,
+    # reach the elimination as ints, never as Fractions: one call for a_h
+    # and one per tested element
     seen = []
     kernel = criteria.kernel_basis
 
     def record(rows):
-        seen.append([x for row in rows for x in row[1:]])
+        seen.append([x for row in rows for x in row])
         return kernel(rows)
 
     monkeypatch.setattr(criteria, "kernel_basis", record)
     a_h = Subspace(E6, (E6.simple_roots[0],))
     a_l = Subspace(E6, (E6.simple_roots[5], E6.simple_roots[3]))
     r = check_proper_embedded(E6, a_h, a_l)
-    assert len(seen) == r.w_index + 1
+    assert len(seen) == r.w_index + 2
     assert all(type(x) is int for entries in seen for x in entries)
 
 
@@ -320,7 +323,7 @@ def _fraction_basis_scan(system, a_h, a_l):
             witness = zero_vector(system.ambient_dim)
             for c, b in zip(kernel[0], a_h.basis):
                 witness = vadd(witness, vscale(c, b))
-            return idx, w.word, primitive(witness)
+            return idx, w.word, primitive(integer_row(witness)[0])
     return None
 
 
@@ -356,6 +359,34 @@ def test_integer_columns_match_the_fraction_basis_scan_on_random_pairs(pair):
     a_h, a_l = (Subspace(system, tuple(_combine(system, c, system.simple_roots)))
                 for c in coords)
     assert _scan(system, a_h, a_l) == _fraction_basis_scan(system, a_h, a_l)
+
+
+# meets of dimension 2 and 3, and a_h the whole root span.  A first hit
+# whose meet has dimension >= 2 is the identity: if w.(a_l) meets a_h in a
+# plane P and l(s_a w) < l(w) for a reflection s_a, then s_a w, which
+# comes earlier, keeps the line where P meets a^perp.  Each expected report
+# is the one the stacked elimination of [a_h | w.(a_l)] gave.
+B4 = build_root_system("B", 4)
+_WIDE_MEETS = {
+    "A4-3x3": (A4, [[1, "-1/2", 0, 0, "-1/2"], [0, 1, 2, -1, -2], [3, 0, -1, -1, -1]],
+               [[0, 0, 1, 1, -2], [2, -1, 0, -1, 0], [1, 1, "1/3", "-7/3", 0]],
+               2, (50, -61, 0, 27, -16)),
+    "B4-3x3": (B4, [[1, 2, 0, -1], [0, 1, 1, "1/2"], [2, 0, -1, 3]],
+               [[1, 0, 0, 0], [0, 1, -1, 0], [1, 1, 1, 1]], 2, (7, 8, 0, 4)),
+    "A4-whole": (A4, A4.simple_roots, [[1, 1, 0, -1, -1], ["1/2", 0, "-1/2", 0, 0]],
+                 2, (1, 0, -1, 0, 0)),
+    "F4-whole": (F4, F4.simple_roots, [[1, 0, 0, 0], [0, "1/2", "1/2", 1], [2, 1, 0, 0]],
+                 3, (1, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WIDE_MEETS))
+def test_wide_meets_match_the_fraction_basis_scan(case):
+    system, h, l, meet, witness = _WIDE_MEETS[case]
+    a_h, a_l = (Subspace(system, tuple(map(vector, rows))) for rows in (h, l))
+    assert a_h.dim + a_l.dim - rank_of(a_h.basis + a_l.basis) == meet
+    for x, y in ((a_h, a_l), (a_l, a_h)):
+        assert _scan(system, x, y) == _fraction_basis_scan(system, x, y) == (0, (), witness)
 
 
 # ---------------------------------------------------------------------------

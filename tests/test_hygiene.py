@@ -108,6 +108,17 @@ def test_every_public_name_is_used(module):
     assert unused == []
 
 
+# `cat src/ckforms/*.py | wc -l` after the latest change that shrank the
+# package; a change that shrinks it further lowers this bound
+PACKAGE_LINES = 2399
+
+
+def test_package_does_not_grow():
+    """No change leaves the package longer than the bound."""
+    lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
+    assert lines <= PACKAGE_LINES
+
+
 def _imported_modules(tree) -> set[str]:
     """Last components of the modules a module imports from, including the
     submodules named in `from . import x`."""
