@@ -12,7 +12,8 @@ the identity, and two large-rank rank-level reports
 `sl(129,R)`), and `standard-form "sl(15,R)" "sl(2,R)"`, whose candidate
 search is exponential in n, recorded before that search is rewritten, all
 compared byte for byte with the files in tests/golden/, on cold caches and
-again on warm ones.
+again on warm ones.  Each case's text report, without `--json`, is
+compared the same way with its `.txt` file.
 
 Re-record (only when a report is meant to change):
     PYTHONPATH=src python tests/test_golden.py
@@ -84,26 +85,37 @@ CASES = {
 }
 
 
-def _report(argv) -> str:
+def _report(argv, suffix=".json") -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv + ["--json"])
+        code = main(argv + ["--json"] if suffix == ".json" else argv)
     assert code == 0, argv
     return out.getvalue()
+
+
+def _check(stem, suffix):
+    expected = (GOLDEN / f"{stem}{suffix}").read_text()
+    assert _report(CASES[stem], suffix) == expected
+    # a second run in the same process reads every cache warm
+    assert _report(CASES[stem], suffix) == expected
 
 
 @pytest.mark.parametrize("stem", sorted(CASES))
 def test_golden_report(stem, monkeypatch):
     monkeypatch.chdir(ROOT)
-    expected = (GOLDEN / f"{stem}.json").read_text()
-    assert _report(CASES[stem]) == expected
-    # a second run in the same process reads every cache warm
-    assert _report(CASES[stem]) == expected
+    _check(stem, ".json")
+
+
+@pytest.mark.parametrize("stem", sorted(CASES))
+def test_golden_text_report(stem, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    _check(stem, ".txt")
 
 
 if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
     for stem, argv in CASES.items():
-        (GOLDEN / f"{stem}.json").write_text(_report(argv))
+        for suffix in (".json", ".txt"):
+            (GOLDEN / f"{stem}{suffix}").write_text(_report(argv, suffix))
         print(f"recorded {stem}", file=sys.stderr)
