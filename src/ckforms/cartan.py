@@ -92,12 +92,12 @@ def w0_length(type_letter: str, rank: int) -> int:
     return _sizes(type_letter, rank)[0] // 2
 
 
-def dynkin_labels(cartan: CartanMatrix, terms) -> list:
-    """sum c_i row_i over the terms (i, c_i): the Dynkin labels of
-    sum_i c_i alpha_i."""
+def dynkin_labels(cartan: CartanMatrix, coords) -> list:
+    """sum b_i row_i over the simple-root coordinates b: the Dynkin labels
+    of sum_i b_i alpha_i."""
     labels = [0] * len(cartan)
-    for i, c in terms:
-        for k, x in cartan[i]:
+    for row, c in zip(cartan, coords):
+        for k, x in row:
             labels[k] += c * x
     return labels
 
@@ -124,7 +124,7 @@ def roots_of(cartan: CartanMatrix, count: int):
         if min(b) < 0 < max(b):
             raise InternalInconsistency(f"root {b} of Cartan matrix {cartan} "
                                         f"has coefficients of both signs")
-        for i, c in enumerate(dynkin_labels(cartan, enumerate(b))):
+        for i, c in enumerate(dynkin_labels(cartan, b)):
             if c:
                 r = b[:i] + (b[i] - c,) + b[i + 1:]
                 if (j := index.setdefault(r, len(roots))) == len(roots):

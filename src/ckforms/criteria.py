@@ -19,8 +19,8 @@ from operator import mul
 from .errors import DimensionMismatch, InternalInconsistency, ParseError
 from .linalg import Vector, _eliminate, kernel_basis, primitive, reduced_basis
 from .rootspace import RootSystem, require_in_span
-from .weyl import (DEFAULT_CAP, _combine, _coweight_rows, _terms, dominant_representative,
-                   enumerate_weyl, is_antipodal, to_ambient)
+from .weyl import (DEFAULT_CAP, _combine, _pairings, dominant_representative, enumerate_weyl,
+                   is_antipodal, to_ambient)
 
 
 class Subspace(namedtuple("Subspace", "system spanning_vectors")):
@@ -61,7 +61,8 @@ def _entry(token: str, lineno: int) -> Fraction:
         if re.fullmatch(_ENTRY, token):
             return Fraction(token)
     except ValueError:   # more digits than int() converts
-        pass
+        raise ParseError(f"line {lineno}: entry with {sum(map(str.isdigit, token))} digits "
+                         f"is too large") from None
     except ZeroDivisionError:
         raise ParseError(f"line {lineno}: entry {token!r} has a zero denominator") from None
     raise ParseError(f"line {lineno}: entry {token!r} is not an integer or a rational p/q")
@@ -126,16 +127,15 @@ def check_proper_embedded(
     if a_h.dim == 0 or a_l.dim == 0:
         return ProperCheck(proper=True)
     elements = enumerate_weyl(system_g, cap)
-    coweights = _coweight_rows(system_g)[0]
-    equations = kernel_basis([[sum(map(mul, c, row)) for c in coweights] for row in a_h._rows])
+    equations = kernel_basis([_pairings(system_g, row) for row in a_h._rows])
     equations = equations or [(0,) * system_g.rank]
-    combos = [_terms(system_g, row) for row in a_l._rows]
+    coords = [_pairings(system_g, row) for row in a_l._rows]
     for idx, w in enumerate(elements):
         images = w._images()
-        moved = [_combine(system_g, images, terms) for terms in combos]
+        moved = [_combine(system_g, images, c) for c in coords]
         kernel = kernel_basis([[sum(map(mul, e, u)) for u in moved] for e in equations])
         if kernel:
-            witness = to_ambient(system_g, _combine(system_g, moved, enumerate(kernel[0])))
+            witness = to_ambient(system_g, _combine(system_g, moved, kernel[0]))
             if not any(witness):
                 raise InternalInconsistency(f"zero witness at element {idx}")
             return ProperCheck(proper=False, w_index=idx, element=w,

@@ -6,15 +6,15 @@ The layer runs in simple-root coordinates.  An element is a permutation of
 the root list, composed from the simple reflections; only this layer builds
 that list, with the first element, from the Cartan core's one pass that
 returns the roots and the reflections on them (`_perm_data`).  It acts in
-integers: `_coordinates` pairs a vector, over a denominator, with the
-fundamental coweights, and `_combine` sums (omega_i, v) w(a_i) over the
-images of the simple roots.  The embedded scan in `criteria` keeps those
-sums in simple-root coordinates; `_apply` and `dominant_representative` map
-them back (`to_ambient`).  Enumeration is breadth-first by length, ties
-broken lexicographically by word so indices are reproducible, and a stream:
-a scan that stops early generates only the elements it read, and a full
-pass holds two length layers.  Dominant representatives, w0's word, -w0 and
-ahyp read only the Cartan core.
+integers, each simple-root vector a dense row of ints: `_pairings`, the one
+pairing with the fundamental coweights, gives a vector's coordinates, and
+`_combine` sums c_i w(a_i) over the images of the simple roots.  The
+embedded scan in `criteria` stays in these coordinates; `_apply` and
+`dominant_representative` map them back (`to_ambient`).  Enumeration is
+breadth-first by length, ties broken lexicographically by word so indices
+are reproducible, and a stream: a scan that stops early generates only the
+elements it read, and a full pass holds two length layers.  Dominant
+representatives, w0's word, -w0 and ahyp read only the Cartan core.
 """
 
 from collections import namedtuple
@@ -47,17 +47,16 @@ def _w0_length(system: RootSystem) -> int:
 
 def _perm_data(system: RootSystem):
     """The core's root list on the whole Cartan matrix (root i is a_i below
-    the rank), its identity, its simple-reflection permutations and the
-    terms (j, c_j) of 2 rho, the sum of the positive roots, in simple-root
-    coordinates.  BC_n's roots 2e_i are not built: they reflect as e_i, so
-    W(BC_n) = W(B_n)."""
+    the rank), its identity, its simple-reflection permutations and 2 rho,
+    the sum of the positive roots, in simple-root coordinates.  BC_n's roots
+    2e_i are not built: they reflect as e_i, so W(BC_n) = W(B_n)."""
     c = system._cache
     if "perms" not in c:
         roots, images = cartan.roots_of(system.cartan, 2 * _w0_length(system))
         n = len(roots)
-        rho2 = map(sum, zip(*(b for b in roots if max(b) > 0)))
+        rho2 = tuple(map(sum, zip(*(b for b in roots if max(b) > 0))))
         c["perms"] = (tuple(roots), _make_perm(n, range(n)),
-                      tuple(_make_perm(n, row) for row in images), tuple(enumerate(rho2)))
+                      tuple(_make_perm(n, row) for row in images), rho2)
     return c["perms"]
 
 
@@ -102,23 +101,21 @@ def _coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int
     return c["coweights"]
 
 
-def _coordinates(system: RootSystem, v: Vector) -> tuple[int, list[int], list[tuple[int, int]]]:
-    """v as integers over a denominator D, and the nonzero terms (i, c_i) of
-    its pairings with the coweights, scaled so that `to_ambient` of the
-    simple-root coordinates c, divided by D, is the projection of v onto the
-    root span: c_i / D = (omega_i, v) / den, with den the denominator of the
-    integer simple roots."""
+def _coordinates(system: RootSystem, v: Vector) -> tuple[int, list[int], list[int]]:
+    """v as integers over a denominator D, and its simple-root coordinates
+    c (`_pairings`), scaled so that `to_ambient` of c, divided by D, is the
+    projection of v onto the root span: c_i / D = (omega_i, v) / den, with
+    den the denominator of the integer simple roots."""
     check_dimension(system, v)
     ints, d = integer_row(v)
     scale = _coweight_rows(system)[1] * system.den
-    return d * scale, [x * scale for x in ints], _terms(system, ints)
+    return d * scale, [x * scale for x in ints], _pairings(system, ints)
 
 
-def _terms(system: RootSystem, ints) -> list[tuple[int, int]]:
-    """The nonzero pairings (i, c_i) of an integer vector with the integer
-    coweight rows."""
-    rows = _coweight_rows(system)[0]
-    return [(i, c) for i, row in enumerate(rows) if (c := sum(map(mul, row, ints)))]
+def _pairings(system: RootSystem, ints) -> list[int]:
+    """An integer vector's simple-root coordinates, scaled to integers: its
+    pairings with the integer coweight rows."""
+    return [sum(map(mul, row, ints)) for row in _coweight_rows(system)[0]]
 
 
 def _sum_rows(pairs, width: int) -> list:
@@ -132,19 +129,17 @@ def _sum_rows(pairs, width: int) -> list:
     return acc
 
 
-def _combine(system: RootSystem, images, terms) -> list[int]:
-    """sum c_i w(a_i) in simple-root coordinates, for the terms (i, c_i) and
+def _combine(system: RootSystem, images, coords) -> list[int]:
+    """sum c_i w(a_i) in simple-root coordinates, for the coordinates c and
     the images w(a_i) of the simple roots."""
-    return _sum_rows([(c, images[i]) for i, c in terms], system.rank)
+    return _sum_rows(zip(coords, images), system.rank)
 
 
 def _apply(system: RootSystem, images, v: Vector) -> Vector:
     """w.v = v + sum_i (omega_i, v) (w(a_i) - a_i), from the images w(a_i)
     of the simple roots; the complement of the root span stays fixed."""
-    den, ints, terms = _coordinates(system, v)
-    moved = _combine(system, images, terms)
-    for i, c in terms:
-        moved[i] -= c
+    den, ints, coords = _coordinates(system, v)
+    moved = [x - c for x, c in zip(_combine(system, images, coords), coords)]
     return tuple(Fraction(x + y, den) for x, y in zip(ints, to_ambient(system, moved)))
 
 
@@ -182,7 +177,7 @@ class WeylElement:
         the least i with w^-1(a_i) < 0 (Humphreys 1.6-1.8) at each step."""
         system = self.system
         moved = _combine(system, self._images(), _perm_data(system)[3])
-        labels = cartan.dynkin_labels(system.cartan, enumerate(moved))
+        labels = cartan.dynkin_labels(system.cartan, moved)
         return cartan.dominant_chain(system.cartan, labels, _w0_length(system))[1]
 
     @property
@@ -279,8 +274,8 @@ def dominant_representative(system: RootSystem, v: Vector) -> Vector:
     Fractions: the Cartan core's dominant chain, reflecting in the first
     simple root pairing negatively, on the labels 2(v, a_k)/(a_k, a_k), which
     are sum_i (omega_i, v) a[i][k] up to the positive denominator."""
-    den, ints, terms = _coordinates(system, v)
-    labels = cartan.dynkin_labels(system.cartan, terms)
+    den, ints, coords = _coordinates(system, v)
+    labels = cartan.dynkin_labels(system.cartan, coords)
     # a dominant chain is a reduced word, at most as long as w0
     _, _, shift = cartan.dominant_chain(system.cartan, labels, _w0_length(system))
     return tuple(Fraction(x - y, den) for x, y in zip(ints, to_ambient(system, shift)))

@@ -4,8 +4,9 @@ closed-form Cartan matrices and their sparse rows, the matrix,
 reflection and elimination formulas that stay independent of the code paths
 they check, the ambient root lists, the block-by-block root list, the Fraction
 constructions of the simple roots and the coweights, the split Cartan
-subspaces of the standard subgroups of sl(n,R) and the argparse parser that
-faster code replaced."""
+subspaces of the standard subgroups of sl(n,R), the orbit walk of a
+subspace under the simple reflections and the argparse parser that faster
+code replaced."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import argparse
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import mul
 from pathlib import Path
 
 from ckforms import catalog, rootspace
@@ -336,6 +339,65 @@ def standard_subgroups(n: int) -> list[tuple[str, tuple[Vector, ...]]]:
             m = p + q
             out.append((f"su({p},{q})", _split_lines([(i, m - 1 - i) for i in range(p)], 2, n)))
     return out
+
+
+def simple_root_coords(system: RootSystem, v: Vector) -> tuple[int, ...]:
+    """A vector of the root span in simple-root coordinates, scaled to a
+    primitive integer row: the last column of the Fraction RREF of the
+    matrix whose columns are the simple roots and then v."""
+    m, pivots = rref([(*col, x) for *col, x in zip(*system.simple_roots, v)])
+    assert pivots == list(range(system.rank)), "v is not in the root span"
+    return integer_row([m[i][-1] for i in range(system.rank)])[0]
+
+
+def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """The subspace spanned by integer rows as one key: its reduced row
+    echelon form by fraction-free Gauss-Jordan elimination, each row
+    primitive with a positive pivot."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        pr = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        top = m[rank]
+        for i, row in enumerate(m):
+            if i != rank and (f := row[c]):
+                row[:] = [top[c] * x - f * y for x, y in zip(row, top)]
+                if (g := gcd(*row)) > 1:
+                    row[:] = [x // g for x in row]
+        pivots.append(c)
+    scales = [gcd(*row) if row[c] > 0 else -gcd(*row) for row, c in zip(m, pivots)]
+    return tuple(tuple(x // g for x in row) for row, g in zip(m, scales))
+
+
+def subspace_orbit(matrix: Matrix, rows) -> list[tuple[tuple[int, ...], ...]]:
+    """The W-orbit of the span of integer rows in simple-root coordinates,
+    each point its `canonical_rows`, the span of `rows` first: a
+    breadth-first walk under the simple reflections of the dense Cartan
+    matrix a, s_j lowering coordinate j of b by sum_k b_k a[k][j].  Reads
+    neither the Weyl layer nor the Cartan core."""
+    columns = list(zip(*matrix))
+    orbit = [canonical_rows(rows)]
+    seen = set(orbit)
+    for point in orbit:   # the list grows while it is read: a breadth-first queue
+        for j, col in enumerate(columns):
+            labels = [sum(map(mul, col, b)) for b in point]
+            if any(labels):
+                moved = canonical_rows([b[:j] + (b[j] - c,) + b[j + 1:]
+                                        for b, c in zip(point, labels)])
+                if moved not in seen:
+                    seen.add(moved)
+                    orbit.append(moved)
+    return orbit
+
+
+def orbit_meets(orbit, rows) -> bool:
+    """Whether some point of an orbit (`subspace_orbit`) meets the span of
+    the linearly independent integer rows `rows` in more than zero."""
+    return any(integer_rank(point + tuple(rows)) < len(point) + len(rows) for point in orbit)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -63,6 +63,11 @@ def test_zero_dimensional_so_star_exit_2(capsys):
     assert "so*(0) is zero-dimensional" in capsys.readouterr().err
 
 
+def test_compact_so_0q_names_the_compact_form_exit_2(capsys):
+    assert main(["info", "so(0,5)"]) == 2
+    assert capsys.readouterr().err == "error: so(0,5) is the compact so(5); enter so(5)\n"
+
+
 def test_internal_inconsistency_exit_4(capsys, monkeypatch):
     def broken(form):
         raise InternalInconsistency("cross-check failed")
@@ -159,6 +164,17 @@ def test_check_proper_bad_entry_exit_2(capsys, tmp_path, entry, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {bad}: line 2: entry {entry!r} {reason}\n"
+
+
+def test_check_proper_overlong_entry_exit_2(capsys, tmp_path):
+    """An entry past int()'s digit limit is named by its digit count, as
+    an overlong descriptor number is, not echoed digit by digit."""
+    bad = tmp_path / "bad.vec"
+    bad.write_text(f"# split vector\n1 {'1' * 5000} -1\n")
+    assert main(["check-proper", "--system", "A,2", "--ah", str(bad), "--al", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 2: entry with 5000 digits is too large\n"
 
 
 def test_check_proper_binary_file_exit_2(capsys, tmp_path):
@@ -321,6 +337,16 @@ def test_standard_form_verdicts(capsys):
 
 def test_standard_form_degenerate_exit_2(capsys):
     assert main(["standard-form", "sl(3,R)", "so(4,7)"]) == 2
+
+
+def test_standard_form_refuses_a_sum_exit_2(capsys):
+    """A descriptor with a center is not a single simple algebra, even with
+    one noncompact part (`catalog.parse_simple`)."""
+    assert main(["standard-form", "sl(3,R)+R^1", "so(1,2)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 'sl(3,R)+R^1' must name a single noncompact "
+                            "simple algebra\n")
 
 
 def test_verdict_never_changes_exit_code(capsys):

@@ -66,6 +66,16 @@ def test_subspace_bad_entry_names_line_and_token(entry, reason):
     assert str(exc.value) == f"line 4: entry {entry!r} {reason}"
 
 
+@pytest.mark.parametrize("entry,digits", [
+    ("1" * 5000, 5000), ("-" + "7" * 4301, 4301), ("1/" + "3" * 5000, 5001),
+])
+def test_subspace_overlong_entry_is_too_large(entry, digits):
+    text = f"# comment\n1 0 0 0 -1\n\n1 {entry} 0 0 -1\n"
+    with pytest.raises(ParseError) as exc:
+        subspace_from_text(text, A4)
+    assert str(exc.value) == f"line 4: entry with {digits} digits is too large"
+
+
 def test_check_proper_fixtures():
     a_h = _load("a4_ah.vec", A4)
     meets = _load("a4_al_meets.vec", A4)

@@ -90,6 +90,12 @@ def test_enumeration_cap():
     assert len(enumerate_weyl(build_root_system("B", 3), cap=100)) == 48
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_enumeration_cap_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match="^cap must be a positive integer$"):
+        enumerate_weyl(build_root_system("A", 1), cap=cap)
+
+
 def test_enumeration_is_canonical():
     s = build_root_system("B", 3)
     first = [(w.word, w.root_permutation()) for w in enumerate_weyl(s)]
@@ -493,11 +499,11 @@ def test_longest_element_past_256_roots(n):
 @pytest.mark.parametrize("letter,rank", [("A", 4), ("B", 3), ("G", 2), ("F", 4)])
 def test_span_action_equals_matrix_action(letter, rank):
     # the embedded scan's action on the root span: `_combine` on the
-    # coweight pairings (`_terms`) of a vector scaled to integers
+    # coweight pairings (`_pairings`) of a vector scaled to integers
     s = build_root_system(letter, rank)
     rng = random.Random(7 + rank)
     vectors = [random_span_vector(s, rng) for _ in range(2)] + [s.simple_roots[-1]]
-    combos = [weyl._terms(s, integer_row(v)[0]) for v in vectors]
+    combos = [weyl._pairings(s, integer_row(v)[0]) for v in vectors]
     coweights = weyl.fundamental_coweights(s)
     scales = [None] * len(vectors)
 
