@@ -20,19 +20,17 @@ from .errors import (
     MAX_RESTRICTED_RANK,
     CapExceeded,
     CkformsError,
+    DimensionMismatch,
     InternalInconsistency,
+    NotInSpan,
     ParseError,
 )
 
 
 def _report(command, inputs, verdict, details, checks=(), witnesses=()) -> dict:
-    """The top level of a report (docs/report-schema.json)."""
-    return {"command": command, "inputs": inputs, "verdict": verdict,
-            "checks": list(checks), "witnesses": list(witnesses), "details": details}
-
-
-def _check(name, lhs, rhs, passed) -> dict:
-    return {"name": name, "lhs": lhs, "rhs": rhs, "passed": passed}
+    """The top level of a report (docs/report-schema.json); `checks` are catalog.Check."""
+    return {"command": command, "inputs": inputs, "verdict": verdict, "details": details,
+            "checks": [c._asdict() for c in checks], "witnesses": list(witnesses)}
 
 
 def _candidate_payload(c) -> dict:
@@ -155,12 +153,12 @@ def cmd_table1(args) -> dict:
     checks = []
     for row in rows:
         form = row.form
-        checks.append(_check(f"{form.name}.ahyp", form.ahyp, row.expected_ahyp,
-                             form.ahyp == row.expected_ahyp))
-        checks.append(_check(f"{form.name}.real_rank", form.real_rank, row.expected_rank,
-                             form.real_rank == row.expected_rank))
-    checks.append(_check("completeness", len(extras), 0, not extras))
-    verdict = "Complete" if all(c["passed"] for c in checks) else "ExtraMismatches"
+        checks.append(catalog.Check(f"{form.name}.ahyp", form.ahyp, row.expected_ahyp,
+                                    form.ahyp == row.expected_ahyp))
+        checks.append(catalog.Check(f"{form.name}.real_rank", form.real_rank,
+                                    row.expected_rank, form.real_rank == row.expected_rank))
+    checks.append(catalog.Check("completeness", len(extras), 0, not extras))
+    verdict = "Complete" if all(c.passed for c in checks) else "ExtraMismatches"
     details = {
         "rows": [{"family": r.family, "k": r.k, "algebra": r.form.name,
                   "ahyp_rank": r.form.ahyp, "real_rank": r.form.real_rank} for r in rows],
@@ -207,14 +205,14 @@ def _read_subspace(path: str, system):
     from .criteria import subspace_from_text
 
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:     # a byte-order mark is dropped
             text = f.read()
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not a UTF-8 text file") from None
     try:
         return subspace_from_text(text, system)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    except (ParseError, DimensionMismatch, NotInSpan) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def cmd_check_proper(args) -> dict:
@@ -252,8 +250,7 @@ def cmd_check_proper(args) -> dict:
     report = catalog.necessary_conditions(g, h, l)
     cocompact = catalog.cocompact_dimension_check(g, h, l)
     return _report("check-proper", dict(zip("ghl", args.descriptors)), report.overall,
-                   {"cocompactness": cocompact._asdict()},
-                   [c._asdict() for c in report.checks])
+                   {"cocompactness": cocompact._asdict()}, report.checks)
 
 
 def _render_check_proper(report) -> str:
@@ -293,10 +290,10 @@ def cmd_standard_form(args) -> dict:
     verdict = obstruction.standard_form_verdict(g, h)
     hi = catalog.derived_invariants(h)
     checks = [
-        _check("space_real_rank", hi.rank_R, g.real_rank, hi.rank_R <= g.real_rank),
-        _check("space_ahyp_rank", hi.ahyp, g.ahyp, hi.ahyp <= g.ahyp),
-        _check("required_d_reachable", verdict.required_d, verdict.max_achievable,
-               verdict.verdict == obstruction.INCONCLUSIVE),
+        catalog.Check("space_real_rank", hi.rank_R, g.real_rank, hi.rank_R <= g.real_rank),
+        catalog.Check("space_ahyp_rank", hi.ahyp, g.ahyp, hi.ahyp <= g.ahyp),
+        catalog.Check("required_d_reachable", verdict.required_d, verdict.max_achievable,
+                      verdict.verdict == obstruction.INCONCLUSIVE),
     ]
     details = {
         "required_d": verdict.required_d,

@@ -86,8 +86,8 @@ def subspace_from_text(text: str, system: RootSystem) -> Subspace:
 class ProperCheck(namedtuple("ProperCheck", "proper w_index element witness",
                              defaults=(None, None, None))):
     """`proper` (bool); on NotProper, the index `w_index` (int) and the
-    `element` (WeylElement) of the first offending element and a `witness`
-    Vector, else None."""
+    `element` (WeylElement) of the first offending element and the
+    primitive integer `witness` (tuple of int), else None."""
 
     __slots__ = ()
 
@@ -138,8 +138,7 @@ def check_proper_embedded(
             witness = to_ambient(system_g, _combine(system_g, moved, kernel[0]))
             if not any(witness):
                 raise InternalInconsistency(f"zero witness at element {idx}")
-            return ProperCheck(proper=False, w_index=idx, element=w,
-                               witness=tuple(map(Fraction, primitive(witness))))
+            return ProperCheck(proper=False, w_index=idx, element=w, witness=primitive(witness))
     return ProperCheck(proper=True)
 
 

@@ -185,6 +185,39 @@ def test_check_proper_binary_file_exit_2(capsys, tmp_path):
     assert capsys.readouterr().err == f"error: {binary}: not a UTF-8 text file\n"
 
 
+@pytest.mark.parametrize("option,text,reason", [
+    ("--ah", "1 -1\n", "vector has 2 entries, system A2 is realized in dimension 3"),
+    ("--al", "1 1 1\n", "vector ('1', '1', '1') is not in the root span of A2 (type-A "
+                        "blocks require coordinates summing to zero)"),
+], ids=["wrong-length", "off-span"])
+def test_check_proper_vector_error_names_the_file_exit_2(capsys, tmp_path, option, text, reason):
+    """A vector of the wrong length or outside the root span is reported
+    with the file it came from, as a bad entry is."""
+    bad, good = tmp_path / "bad.vec", tmp_path / "good.vec"
+    bad.write_text(text)
+    good.write_text("1 -1 0\n")
+    files = {"--ah": str(good), "--al": str(good), option: str(bad)}
+    assert main(["check-proper", "--system", "A,2", *(t for kv in files.items() for t in kv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {reason}\n"
+
+
+def test_subspace_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    """A UTF-8 byte-order mark, as some editors save one, is not part of
+    the first entry."""
+    plain, marked = tmp_path / "plain.vec", tmp_path / "marked.vec"
+    plain.write_bytes((FIXTURES / "a4_ah.vec").read_bytes())
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    argv = ["check-proper", "--system", "A,4", "--al", str(FIXTURES / "a4_al_meets.vec"), "--ah"]
+    reports = []
+    for ah in (plain, marked):
+        code, report = run_json(capsys, *argv, str(ah))
+        assert code == 0
+        reports.append({**report, "inputs": {**report["inputs"], "ah": None}})
+    assert reports[0] == reports[1] and reports[0]["verdict"] == "NotProper"
+
+
 def test_subspace_file_is_read_as_utf8_in_an_ascii_locale(tmp_path, capsys):
     """Under the C locale with UTF-8 mode off the locale's encoding is ASCII;
     a fresh process still reads a UTF-8 comment and reports what `main`

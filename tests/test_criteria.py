@@ -99,6 +99,21 @@ def test_check_proper_fixtures():
     assert check_proper_embedded(a1a1, s_h, s_l).proper
 
 
+@pytest.mark.parametrize("letter,rank,h,l", [
+    ("A", 4, "a4_ah.vec", "a4_al_meets.vec"),
+    ("A", 4, "a4_ah.vec", "a4_ah.vec"),
+    ("BC", 3, "bc3_h.vec", "bc3_l.vec"),
+    ("F", 4, "f4_h.vec", "f4_l.vec"),
+], ids=["a4-meets", "a4-self", "bc3", "f4"])
+def test_not_proper_witness_is_a_tuple_of_int(letter, rank, h, l):
+    """A NotProper witness is the primitive integer vector the scan
+    computes, not Fractions of it."""
+    system = build_root_system(letter, rank)
+    r = check_proper_embedded(system, _load(h, system), _load(l, system))
+    assert not r.proper
+    assert type(r.witness) is tuple and {type(x) for x in r.witness} == {int}
+
+
 def test_check_proper_brute_force_oracle():
     # independent scan over all 120 permutation matrices
     from ckforms.weyl import enumerate_weyl

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -98,10 +99,20 @@ def test_structural_invariants(letter, rank):
 
 @pytest.mark.parametrize("letter,rank", ALL_SMALL + [("E", 7), ("E", 8)])
 def test_closed_under_reflection(letter, rank):
+    """In integers: each root is den times its ambient vector, the sum of
+    `simple_rows` over its simple-root coordinates, and each coefficient
+    2(v, a)/(a, a) of a reflection divides exactly."""
     s = build_root_system(letter, rank)
-    roots = set(ambient_roots(s))
-    for a in ambient_roots(s):
-        images = {reflect(r, a) for r in ambient_roots(s)}
+    rows = [tuple(sum(c * a[k] for c, a in zip(b, s.simple_rows)) for k in range(s.ambient_dim))
+            for b in _roots(s)]
+    roots = set(rows)
+    for a in rows:
+        aa = sum(map(mul, a, a))
+        images = set()
+        for r in rows:
+            c, rest = divmod(2 * sum(map(mul, r, a)), aa)
+            assert rest == 0
+            images.add(tuple(x - c * y for x, y in zip(r, a)))
         assert images == roots
 
 
