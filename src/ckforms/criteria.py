@@ -13,11 +13,10 @@ simple-root coordinates.
 
 import re
 from collections import namedtuple
-from fractions import Fraction
 from operator import mul
 
-from .errors import DimensionMismatch, InternalInconsistency, ParseError
-from .linalg import Vector, _eliminate, kernel_basis, primitive, reduced_basis
+from .errors import DimensionMismatch, InternalInconsistency, NotInSpan, ParseError
+from .linalg import Vector, _eliminate, as_fractions, kernel_basis, primitive, reduced_basis
 from .rootspace import RootSystem, require_in_span
 from .weyl import (DEFAULT_CAP, _combine, _pairings, dominant_representative, enumerate_weyl,
                    is_antipodal, to_ambient)
@@ -51,36 +50,38 @@ class Subspace(namedtuple("Subspace", "system spanning_vectors")):
         return len(self._rows)
 
 
-_ENTRY = r"[+-]?[0-9]+(/[0-9]+)?"
-
-
-def _entry(token: str, lineno: int) -> Fraction:
-    """An entry of the documented grammar [+-]?[0-9]+(/[0-9]+)?; `Fraction`
-    alone would also take decimals, exponents, '_' and non-ASCII digits."""
+def _entry(token: str):
+    """An entry of the grammar [+-]?[0-9]+(/[0-9]+)?: an int, or for p/q a
+    Fraction; `int` and `Fraction` alone would take more, such as '_'."""
+    if not (match := re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", token)):
+        raise ParseError(f"entry {token!r} is not an integer or a rational p/q")
+    num, den = match.groups()
     try:
-        if re.fullmatch(_ENTRY, token):
-            return Fraction(token)
+        return int(num) if den is None else as_fractions((int(num),), int(den))[0]
     except ValueError:   # more digits than int() converts
-        raise ParseError(f"line {lineno}: entry with {sum(map(str.isdigit, token))} digits "
-                         f"is too large") from None
+        raise ParseError(f"entry with {sum(map(str.isdigit, token))} digits is too large") from None
     except ZeroDivisionError:
-        raise ParseError(f"line {lineno}: entry {token!r} has a zero denominator") from None
-    raise ParseError(f"line {lineno}: entry {token!r} is not an integer or a rational p/q")
+        raise ParseError(f"entry {token!r} has a zero denominator") from None
 
 
 def subspace_from_text(text: str, system: RootSystem) -> Subspace:
     """Parse the plain-text subspace format: '#' comment lines, one
     spanning vector per non-comment line, entries integers or 'p/q'.
 
-    A bad entry raises ParseError naming its line (counted from 1, comments
-    included) and the token."""
+    The first line with a bad entry, or with a vector of the wrong length or
+    off the root span, raises ParseError, DimensionMismatch or NotInSpan
+    naming the line (counted from 1, comments included).  Each vector is
+    checked here for that, and again by `Subspace`, which scales it."""
     vectors = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        vectors.append(tuple(_entry(tok, lineno) for tok in line.split()))
-    return Subspace(system=system, spanning_vectors=tuple(vectors))
+        if line and not line.startswith("#"):
+            try:
+                vectors.append(tuple(map(_entry, line.split())))
+                require_in_span(system, vectors[-1])
+            except (ParseError, DimensionMismatch, NotInSpan) as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
+    return Subspace(system, tuple(vectors))
 
 
 class ProperCheck(namedtuple("ProperCheck", "proper w_index element witness",

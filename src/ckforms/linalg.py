@@ -3,19 +3,23 @@
 Matrices are sequences of rows.  Rank, kernel, solve, inverse and reduced
 basis all run on one fraction-free elimination, `_eliminate`, over rows
 scaled to integers; the kernel is read off it in integers, and Fractions
-are built only for the entries solve, inverse and reduced basis return.
-Its fixed pivoting rule (leftmost column, topmost nonzero row) makes every
-result deterministic; no floating point appears anywhere.
+are built (`as_fractions`) only for what solve, inverse and reduced basis
+return.  Its fixed pivoting rule (leftmost column, topmost nonzero row)
+makes every result deterministic; no floating point appears anywhere.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
-Vector = tuple[Fraction, ...]
+Vector = tuple   # of Fractions or ints; `tuple[Fraction, ...]` would load `fractions`
 Matrix = tuple[Vector, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def as_fractions(ints, den: int) -> Vector:
+    """The entries x / den as Fractions: the package builds every Fraction
+    here, and loads `fractions` (and `decimal`) only when it does."""
+    from fractions import Fraction
+
+    return tuple(Fraction(x, den) for x in ints)
 
 
 def vneg(u: Vector) -> Vector:
@@ -23,7 +27,7 @@ def vneg(u: Vector) -> Vector:
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+    return tuple(as_fractions([int(i == j) for j in range(n)], 1) for i in range(n))
 
 
 def integer_row(row) -> tuple[list[int], int]:
@@ -110,10 +114,10 @@ def solve(rows, rhs: Vector) -> Vector | None:
     ncols = len(rows[0])
     if ncols in pivots:
         return None
-    x = [ZERO] * ncols
+    x = [0] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = Fraction(m[r][ncols], d)
-    return tuple(x)
+        x[pc] = m[r][ncols]
+    return as_fractions(x, d)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -122,13 +126,13 @@ def invert(m: Matrix) -> Matrix:
     red, pivots, d = _eliminate(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(Fraction(x, d) for x in red[i][n:]) for i in range(n))
+    return tuple(as_fractions(red[i][n:], d) for i in range(n))
 
 
 def reduced_basis(vectors) -> tuple[Vector, ...]:
     """Canonical (RREF) basis of the span of the given vectors."""
     m, pivots, d = _eliminate(vectors)
-    return tuple(tuple(Fraction(x, d) for x in m[i]) for i in range(len(pivots)))
+    return tuple(as_fractions(m[i], d) for i in range(len(pivots)))
 
 
 def primitive(ints) -> tuple[int, ...]:

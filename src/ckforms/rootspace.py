@@ -25,14 +25,13 @@ across threads.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 
 from .cartan import cartan_matrix
 from .errors import DimensionMismatch, InternalInconsistency, NotInSpan
-from .linalg import Vector, integer_row, kernel_basis
+from .linalg import Vector, as_fractions, integer_row, kernel_basis
 
 
 class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank simple_rows den cartan")):
@@ -51,7 +50,7 @@ class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank simple_
     def simple_roots(self) -> tuple[Vector, ...]:
         den, c = self.den, self._cache
         if "simple_roots" not in c:
-            c["simple_roots"] = tuple(tuple(Fraction(x, den) for x in r) for r in self.simple_rows)
+            c["simple_roots"] = tuple(as_fractions(r, den) for r in self.simple_rows)
         return c["simple_roots"]
 
     def __repr__(self):  # pragma: no cover

@@ -19,13 +19,12 @@ representatives, w0's word, -w0 and ahyp read only the Cartan core.
 
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
 from . import cartan
 from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
-from .linalg import Matrix, Vector, _eliminate, identity_matrix, integer_row, vneg
+from .linalg import Matrix, Vector, _eliminate, as_fractions, identity_matrix, integer_row, vneg
 from .rootspace import RootSystem, check_dimension
 
 def weyl_order(system: RootSystem) -> int:
@@ -140,7 +139,7 @@ def _apply(system: RootSystem, images, v: Vector) -> Vector:
     of the simple roots; the complement of the root span stays fixed."""
     den, ints, coords = _coordinates(system, v)
     moved = [x - c for x, c in zip(_combine(system, images, coords), coords)]
-    return tuple(Fraction(x + y, den) for x, y in zip(ints, to_ambient(system, moved)))
+    return as_fractions([x + y for x, y in zip(ints, to_ambient(system, moved))], den)
 
 
 def to_ambient(system: RootSystem, coords) -> list:
@@ -188,9 +187,6 @@ class WeylElement:
     def apply(self, v: Vector) -> Vector:
         """w.v, the complement of the root span fixed (`_apply`)."""
         return _apply(self.system, self._images(), v)
-
-    def root_permutation(self) -> tuple[int, ...]:
-        return tuple(self._perm[: len(_roots(self.system))])
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
@@ -278,7 +274,7 @@ def dominant_representative(system: RootSystem, v: Vector) -> Vector:
     labels = cartan.dynkin_labels(system.cartan, coords)
     # a dominant chain is a reduced word, at most as long as w0
     _, _, shift = cartan.dominant_chain(system.cartan, labels, _w0_length(system))
-    return tuple(Fraction(x - y, den) for x, y in zip(ints, to_ambient(system, shift)))
+    return as_fractions([x - y for x, y in zip(ints, to_ambient(system, shift))], den)
 
 
 def _w0(system: RootSystem) -> cartan.W0:
@@ -340,7 +336,7 @@ class FixedCone(namedtuple("FixedCone", "b_basis system")):
 def fundamental_coweights(system: RootSystem) -> tuple[Vector, ...]:
     """Vectors in the root span pairing as Kronecker delta with the simples."""
     rows, e = _coweight_rows(system)
-    return tuple(tuple(Fraction(x, e) for x in row) for row in rows)
+    return tuple(as_fractions(row, e) for row in rows)
 
 
 def fixed_cone(system: RootSystem) -> FixedCone:

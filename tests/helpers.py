@@ -5,13 +5,17 @@ reflection and elimination formulas that stay independent of the code paths
 they check, the ambient root lists, the block-by-block root list, the Fraction
 constructions of the simple roots and the coweights, the split Cartan
 subspaces of the standard subgroups of sl(n,R), the orbit walk of a
-subspace under the simple reflections and the argparse parser that faster
-code replaced."""
+subspace under the simple reflections, the permutation of the root list a
+Weyl element induces, the subspace file reader with Fraction entries, the
+closed-form rule for proper SL(2,R)-actions on sl(n,R) and the argparse
+parser that faster code replaced."""
 
 from __future__ import annotations
 
 import argparse
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -22,7 +26,8 @@ from ckforms import catalog, rootspace
 from ckforms.cartan import cartan_matrix, roots_of, w0_length
 from ckforms.catalog import SimpleRealForm
 from ckforms.cli import cmd_check_proper, cmd_info, cmd_standard_form, cmd_table1
-from ckforms.errors import DEFAULT_CAP, NotInSpan
+from ckforms.criteria import Subspace
+from ckforms.errors import DEFAULT_CAP, DimensionMismatch, NotInSpan, ParseError
 from ckforms.linalg import Matrix, Vector, integer_row, invert, solve
 from ckforms.rootspace import RootSystem, is_dominant, require_in_span
 from ckforms.weyl import _roots, enumerate_weyl
@@ -394,10 +399,80 @@ def subspace_orbit(matrix: Matrix, rows) -> list[tuple[tuple[int, ...], ...]]:
     return orbit
 
 
+def root_permutation(w) -> tuple[int, ...]:
+    """The permutation of the root list (`weyl._roots`) a Weyl element
+    induces, without the identity padding `weyl._make_perm` adds."""
+    return tuple(w._perm[: len(_roots(w.system))])
+
+
 def orbit_meets(orbit, rows) -> bool:
     """Whether some point of an orbit (`subspace_orbit`) meets the span of
     the linearly independent integer rows `rows` in more than zero."""
     return any(integer_rank(point + tuple(rows)) < len(point) + len(rows) for point in orbit)
+
+
+def fraction_subspace_from_text(text: str, system: RootSystem) -> Subspace:
+    """The subspace file reader with every entry a `Fraction(token)`, as it
+    read them before integer entries became ints: the grammar checked by its
+    pattern first, then each non-comment line's entries and vector in file
+    order, an error naming its line as `criteria.subspace_from_text` does."""
+    vectors = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        v = []
+        try:
+            for token in line.split():
+                if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", token):
+                    raise ParseError(f"entry {token!r} is not an integer or a rational p/q")
+                try:
+                    v.append(Fraction(token))
+                except ValueError:
+                    digits = sum(map(str.isdigit, token))
+                    raise ParseError(f"entry with {digits} digits is too large") from None
+                except ZeroDivisionError:
+                    raise ParseError(f"entry {token!r} has a zero denominator") from None
+            require_in_span(system, tuple(v))
+        except (ParseError, DimensionMismatch, NotInSpan) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+        vectors.append(tuple(v))
+    return Subspace(system, tuple(vectors))
+
+
+def partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    """The partitions of n, parts non-increasing, in decreasing
+    lexicographic order: (n) first, (1, ..., 1) last."""
+    if n == 0:
+        return [()]
+    largest = n if largest is None else largest
+    return [(k, *rest) for k in range(min(n, largest), 0, -1) for rest in partitions(n - k, k)]
+
+
+def neutral_element(partition) -> tuple[int, ...]:
+    """The diagonal of h in an sl2-triple (h, e, f) of sl(n,R) whose
+    nilpotent e has Jordan blocks of the given sizes: for each part l the
+    string l - 1, l - 3, ..., 1 - l (Collingwood and McGovern 1993, 3.6)."""
+    return tuple(l - 1 - 2 * i for l in partition for i in range(l))
+
+
+def sl2_meets(name: str, h) -> bool:
+    """Whether some Weyl image of the line R h, that is some permutation of
+    h's entries, lies in the split Cartan subspace of the standard subgroup
+    `name` of sl(n,R) (`standard_subgroups`), by the closed-form rule: with
+    c the number of nonzero entries of h, c <= k for sl(k,R), c <= 2p for
+    so(p,q) and sp(p,R), and for sl(k,C) and su(p,q) every nonzero entry of
+    even multiplicity and c <= 2k or c <= 4p.  h's entries come in pairs
+    t, -t, which is all the so, sp and su patterns ask of their sign."""
+    family, k, second = re.fullmatch(r"(\w+)\(([0-9]+),(\w+)\)", name).groups()
+    k = int(k)
+    nonzero = Counter(x for x in h if x)
+    c = sum(nonzero.values())
+    if second == "C" or family == "su":
+        if any(m % 2 for m in nonzero.values()):
+            return False
+        return c <= (2 * k if second == "C" else 4 * k)
+    return c <= (k if family == "sl" else 2 * k)
 
 
 def build_parser() -> argparse.ArgumentParser:

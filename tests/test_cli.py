@@ -186,13 +186,18 @@ def test_check_proper_binary_file_exit_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("option,text,reason", [
-    ("--ah", "1 -1\n", "vector has 2 entries, system A2 is realized in dimension 3"),
-    ("--al", "1 1 1\n", "vector ('1', '1', '1') is not in the root span of A2 (type-A "
+    ("--ah", "1 -1\n", "line 1: vector has 2 entries, system A2 is realized in dimension 3"),
+    ("--al", "1 1 1\n", "line 1: vector ('1', '1', '1') is not in the root span of A2 (type-A "
                         "blocks require coordinates summing to zero)"),
-], ids=["wrong-length", "off-span"])
+    ("--ah", "# c\n1 -1\n", "line 2: vector has 2 entries, system A2 is realized in "
+                             "dimension 3"),
+    ("--al", "1 -1 0\n\n1/2 1 -1/3\n", "line 3: vector ('1/2', '1', '-1/3') is not in the "
+                                       "root span of A2 (type-A blocks require coordinates "
+                                       "summing to zero)"),
+], ids=["wrong-length", "off-span", "wrong-length-line-2", "off-span-line-3"])
 def test_check_proper_vector_error_names_the_file_exit_2(capsys, tmp_path, option, text, reason):
     """A vector of the wrong length or outside the root span is reported
-    with the file it came from, as a bad entry is."""
+    with the file it came from and its line, as a bad entry is."""
     bad, good = tmp_path / "bad.vec", tmp_path / "good.vec"
     bad.write_text(text)
     good.write_text("1 -1 0\n")

@@ -13,7 +13,7 @@ from ckforms.criteria import (
     check_proper_embedded,
     subspace_from_text,
 )
-from ckforms.errors import CapExceeded, DimensionMismatch, NotInSpan, ParseError
+from ckforms.errors import CapExceeded, CkformsError, DimensionMismatch, NotInSpan, ParseError
 from ckforms.linalg import (
     integer_row,
     kernel_basis,
@@ -24,7 +24,8 @@ from ckforms.linalg import (
 )
 from ckforms.rootspace import RootSystem, build_root_system, direct_sum
 
-from helpers import FIXTURES, rand_fraction, vadd, vector, vscale, zero_vector
+from helpers import (FIXTURES, fraction_subspace_from_text, rand_fraction, vadd, vector, vscale,
+                     zero_vector)
 
 A4 = build_root_system("A", 4)
 
@@ -76,6 +77,77 @@ def test_subspace_overlong_entry_is_too_large(entry, digits):
     assert str(exc.value) == f"line 4: entry with {digits} digits is too large"
 
 
+# systems realized in a proper subspace of R^n (A3, G2, A1+A1), where
+# off-span vectors arise, and in all of it (C2)
+READER_SYSTEMS = (build_root_system("A", 3), build_root_system("C", 2), build_root_system("G", 2),
+                  direct_sum(build_root_system("A", 1), build_root_system("A", 1)))
+BAD_TOKENS = ("1/0", "-3/00", "0.5", "1_0", "\u0663", "1e3", "+-1", "2/", "/2", "1" * 4400,
+              "1/" + "7" * 4400)
+
+
+@st.composite
+def _entry_text(draw, value: Fraction) -> str:
+    """value as an entry: an integer, p/q with a common factor, a sign or
+    leading zeros."""
+    if value.denominator == 1 and draw(st.booleans()):
+        text = str(abs(value.numerator)).zfill(draw(st.integers(1, 3)))
+    else:
+        k = draw(st.integers(1, 3))
+        text = f"{abs(value.numerator) * k}/{value.denominator * k}"
+    return ("-" if value < 0 else draw(st.sampled_from(["", "+"]))) + text
+
+
+@st.composite
+def _subspace_files(draw):
+    """A system and a subspace file for it: comment and blank lines, vectors
+    of the ambient length or one off, most of them combinations of the
+    simple roots, and now and then a token outside the grammar or too long
+    for int()."""
+    system = draw(st.sampled_from(READER_SYSTEMS))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["vector"] * 4 + ["comment", "blank"]))
+        if kind != "vector":
+            lines.append("# a comment 1/0" if kind == "comment" else "  ")
+            continue
+        coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                               min_size=system.rank, max_size=system.rank))
+        values = [sum(c * a[k] for c, a in zip(coeffs, system.simple_roots))
+                  for k in range(system.ambient_dim)]
+        if not draw(st.integers(0, 4)):   # mostly off the root span
+            values[draw(st.integers(0, len(values) - 1))] += 1
+        length = draw(st.sampled_from([0] * 8 + [-1, 1]))
+        values = values[:length] if length < 0 else values + [Fraction(length)] * length
+        tokens = [draw(_entry_text(v)) for v in values]
+        if tokens and not draw(st.integers(0, 9)):
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        lines.append(" ".join(tokens))
+    return system, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subspace_files())
+def test_reader_matches_the_fraction_reader(case):
+    """Integer entries read as ints and p/q entries as Fractions give the
+    values, the integer rows and the errors of reading every entry with
+    `Fraction(token)`."""
+    system, text = case
+    try:
+        expected = fraction_subspace_from_text(text, system)
+    except CkformsError as exc:
+        with pytest.raises(CkformsError) as got:
+            subspace_from_text(text, system)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    got = subspace_from_text(text, system)
+    assert got.spanning_vectors == expected.spanning_vectors
+    assert got._rows == expected._rows
+    tokens = [t for line in text.splitlines() if not line.strip().startswith("#")
+              for t in line.split()]
+    assert [type(x) for v in got.spanning_vectors for x in v] == [
+        Fraction if "/" in t else int for t in tokens]
+
+
 def test_check_proper_fixtures():
     a_h = _load("a4_ah.vec", A4)
     meets = _load("a4_al_meets.vec", A4)
@@ -90,7 +162,7 @@ def test_check_proper_fixtures():
     self_hit = check_proper_embedded(A4, a_h, a_h)
     assert not self_hit.proper
     assert self_hit.w_index == 0
-    assert self_hit.element.root_permutation() == tuple(range(len(weyl._roots(A4))))
+    assert self_hit.element.word == ()
     assert self_hit.witness == a_h.basis[0]
 
     a1a1 = direct_sum(build_root_system("A", 1), build_root_system("A", 1))

@@ -452,6 +452,44 @@ def test_embedded_check_proper_builds_no_fraction_basis():
     )
 
 
+def test_embedded_proper_check_loads_no_fractions():
+    """An embedded Proper check on integer subspace files builds no
+    Fraction, with --json or without, so neither `fractions` nor the
+    `decimal` it imports loads."""
+    fixtures = ROOT / "tests" / "fixtures"
+    argv = ["check-proper", "--system", "A,4", "--ah", str(fixtures / "a4_ah.vec"),
+            "--al", str(fixtures / "a4_al_clear.vec")]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from ckforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    assert main({argv!r}) == 0 and main({argv + ['--json']!r}) == 0\n"
+        "text = out.getvalue()\n"
+        "assert text.count('Proper') == 2 and 'NotProper' not in text, text\n"
+    )
+    assert "ckforms.criteria" in loaded
+    assert {"fractions", "decimal"} & set(loaded) == set()
+
+
+def _imports_fractions(node) -> list[int]:
+    """Lines of the imports of `fractions` under node."""
+    return [n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Import) and any(a.name == "fractions" for a in n.names)
+            or isinstance(n, ast.ImportFrom) and n.module == "fractions"]
+
+
+def test_only_the_fraction_constructor_imports_fractions():
+    """Every Fraction the package returns is built by `linalg.as_fractions`:
+    no other module imports `fractions`, and `linalg` imports it only in
+    that function's body, so a process that builds no Fraction never
+    loads it."""
+    importing = sorted(name for name, tree in TREES.items() if _imports_fractions(tree))
+    constructor = next(node for node in TREES["linalg"].body
+                       if isinstance(node, ast.FunctionDef) and node.name == "as_fractions")
+    assert importing == ["linalg"]
+    assert _imports_fractions(TREES["linalg"]) == _imports_fractions(constructor)
+
+
 def test_catalog_check_proper_loads_only_what_info_loads():
     """Catalog-mode `check-proper` reads only catalog invariants: neither
     `criteria`, the rational linear algebra (nor `fractions` and the
