@@ -153,21 +153,10 @@ class W0(namedtuple("W0", "chain minus_w0 ahyp")):
     __slots__ = ()
 
 
-def orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Cycles of a permutation, each starting at its smallest entry."""
-    seen = set()
-    out = []
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        orbit = []
-        i = start
-        while i not in seen:
-            seen.add(i)
-            orbit.append(i)
-            i = perm[i]
-        out.append(tuple(orbit))
-    return out
+def orbits(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The orbits of an involution: its fixed points (i,) and 2-cycles
+    (i, j), each at its smaller entry i."""
+    return [(i,) if i == j else (i, j) for i, j in enumerate(sigma) if i <= j]
 
 
 def dominant_chain(cartan: CartanMatrix, labels, limit: int):
@@ -220,9 +209,10 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
     negative, w0.  Label k of w0(lambda) is minus lambda at -w0(alpha_k), so
     the permutation -w0 on the simple roots is -labels[k] - 1.  Raises
     InternalInconsistency when the word grows past `length` or has another
-    length, when the final labels are not minus a permutation of lambda, or
+    length, when the final labels are not minus a permutation of lambda,
     when that permutation sigma does not carry each row i, its columns
-    mapped, to row sigma(i), zero entries included.
+    mapped, to row sigma(i), zero entries included, or when sigma is not an
+    involution, as -w0 is (w0 squares to 1) and `orbits` needs.
     """
     n = len(cartan)
     labels = list(range(1, n + 1))
@@ -245,4 +235,6 @@ def w0_of(cartan: CartanMatrix, length: int) -> W0:
     if any(sorted((sigma[k], x) for k, x in row) != list(cartan[sigma[i]])
            for i, row in enumerate(cartan)):
         raise InternalInconsistency(f"-w0 = {sigma} does not preserve the Cartan matrix {cartan}")
+    if any(sigma[j] != i for i, j in enumerate(sigma)):
+        raise InternalInconsistency(f"-w0 = {sigma} is not an involution")
     return W0(tuple(chain), sigma, len(orbits(sigma)))

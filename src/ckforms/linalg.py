@@ -22,10 +22,6 @@ def as_fractions(ints, den: int) -> Vector:
     return tuple(Fraction(x, den) for x in ints)
 
 
-def vneg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(as_fractions([int(i == j) for j in range(n)], 1) for i in range(n))
 

@@ -24,7 +24,7 @@ from operator import mul
 
 from . import cartan
 from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
-from .linalg import Matrix, Vector, _eliminate, as_fractions, identity_matrix, integer_row, vneg
+from .linalg import Matrix, Vector, _eliminate, as_fractions, identity_matrix, integer_row
 from .rootspace import RootSystem, check_dimension
 
 def weyl_order(system: RootSystem) -> int:
@@ -308,7 +308,7 @@ def minus_w0(system: RootSystem) -> Matrix:
     negates the complement of the root span."""
     images = [tuple(-int(k == j) for k in range(system.rank)) for j in _w0(system).minus_w0]
     columns = (_apply(system, images, e) for e in identity_matrix(system.ambient_dim))
-    return tuple(map(vneg, zip(*columns)))
+    return tuple(tuple(-x for x in row) for row in zip(*columns))
 
 
 def ahyp_dimension(system: RootSystem) -> int:
@@ -333,22 +333,22 @@ class FixedCone(namedtuple("FixedCone", "b_basis system")):
     __slots__ = ()
 
 
-def fundamental_coweights(system: RootSystem) -> tuple[Vector, ...]:
-    """Vectors in the root span pairing as Kronecker delta with the simples."""
-    rows, e = _coweight_rows(system)
-    return tuple(as_fractions(row, e) for row in rows)
-
-
 def fixed_cone(system: RootSystem) -> FixedCone:
-    """Dominant basis of the -w0 fixed subspace: one orbit sum of
-    fundamental coweights per orbit of -w0 on the simple roots."""
-    coweights = fundamental_coweights(system)
-    basis = [tuple(map(sum, zip(*(coweights[i] for i in orbit))))
+    """Dominant basis of the -w0 fixed subspace: one sum of fundamental
+    coweights (`_coweight_rows`) per orbit of -w0 on the simple roots."""
+    rows, e = _coweight_rows(system)
+    basis = [as_fractions(map(sum, zip(*(rows[i] for i in orbit))), e)
              for orbit in cartan.orbits(_w0(system).minus_w0)]
     return FixedCone(b_basis=tuple(basis), system=system)
 
 
 def is_antipodal(system: RootSystem, v: Vector) -> bool:
-    """Whether the orbit of v contains -v (equivalently, whether the
-    dominant representative of v lies in the fixed cone)."""
-    return dominant_representative(system, v) == dominant_representative(system, vneg(v))
+    """Whether the orbit of v contains -v, from one dominant chain: v lies
+    in the root span (W fixes its complement, which -v negates) and -w0,
+    which maps the dominant representative of v to that of -v, fixes the
+    Dynkin labels of the first."""
+    _, ints, coords = _coordinates(system, v)
+    labels = cartan.dynkin_labels(system.cartan, coords)
+    labels = cartan.dominant_chain(system.cartan, labels, _w0_length(system))[0]
+    return (to_ambient(system, coords) == ints
+            and all(labels[j] == labels[k] for k, j in enumerate(_w0(system).minus_w0)))

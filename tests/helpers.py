@@ -1,14 +1,15 @@
 """Shared test utilities: seeded random rational vectors, brute-force
-orbit oracles, exact vectors, their sum and dot product, the dense
-closed-form Cartan matrices and their sparse rows, the matrix,
+orbit oracles, exact vectors, their negation, sum and dot product, the
+dense closed-form Cartan matrices and their sparse rows, the matrix,
 reflection and elimination formulas that stay independent of the code paths
 they check, the ambient root lists, the block-by-block root list, the Fraction
-constructions of the simple roots and the coweights, the split Cartan
-subspaces of the standard subgroups of sl(n,R), the orbit walk of a
-subspace under the simple reflections, the permutation of the root list a
-Weyl element induces, the subspace file reader with Fraction entries, the
-closed-form rule for proper SL(2,R)-actions on sl(n,R) and the argparse
-parser that faster code replaced."""
+constructions of the simple roots and the coweights, the fundamental
+coweights as Fractions, the split Cartan subspaces of the standard
+subgroups of sl(n,R), the orbit walk of a subspace under the simple
+reflections, the cycles of a permutation, the permutation of the root list
+a Weyl element induces, the subspace file reader with Fraction entries, the
+closed-form rule for proper SL(2,R)-actions on sl(n,R), and the two-chain
+antipodal test and the argparse parser that faster code replaced."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from ckforms.criteria import Subspace
 from ckforms.errors import DEFAULT_CAP, DimensionMismatch, NotInSpan, ParseError
 from ckforms.linalg import Matrix, Vector, integer_row, invert, solve
 from ckforms.rootspace import RootSystem, is_dominant, require_in_span
-from ckforms.weyl import _roots, enumerate_weyl
+from ckforms.weyl import _coweight_rows, _roots, dominant_representative, enumerate_weyl
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -58,6 +59,10 @@ def form_order_key(form: SimpleRealForm) -> tuple:
 
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
+
+
+def vneg(u: Vector) -> Vector:
+    return tuple(-a for a in u)
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -294,6 +299,21 @@ def fraction_simple_roots(blocks) -> tuple[Vector, ...]:
     return tuple(out)
 
 
+def fundamental_coweights(system: RootSystem) -> tuple[Vector, ...]:
+    """The vectors of the root span pairing as Kronecker delta with the
+    simple roots, as Fractions: the integer coweight rows of the Weyl layer
+    (`weyl._coweight_rows`) over their denominator."""
+    rows, e = _coweight_rows(system)
+    return tuple(tuple(Fraction(x, e) for x in row) for row in rows)
+
+
+def two_chain_antipodal(system: RootSystem, v: Vector) -> bool:
+    """Whether the orbit of v contains -v, by the two dominant chains that
+    `weyl.is_antipodal` replaced: v and -v have one dominant
+    representative."""
+    return dominant_representative(system, v) == dominant_representative(system, vneg(v))
+
+
 def fraction_coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The fundamental coweights as integer rows over their least common
     denominator, by the Fraction construction the integer sum replaced:
@@ -378,25 +398,43 @@ def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(x // g for x in row) for row, g in zip(m, scales))
 
 
-def subspace_orbit(matrix: Matrix, rows) -> list[tuple[tuple[int, ...], ...]]:
+def subspace_orbit(matrix: Matrix, rows, key=None) -> list[tuple[tuple[int, ...], ...]]:
     """The W-orbit of the span of integer rows in simple-root coordinates,
     each point its `canonical_rows`, the span of `rows` first: a
     breadth-first walk under the simple reflections of the dense Cartan
     matrix a, s_j lowering coordinate j of b by sum_k b_k a[k][j].  Reads
-    neither the Weyl layer nor the Cartan core."""
+    neither the Weyl layer nor the Cartan core.  The walk tells points
+    apart by `key(point)`, the point itself by default; a key that merges
+    two points loses one, as a faulty key would."""
+    key = key or (lambda point: point)
     columns = list(zip(*matrix))
     orbit = [canonical_rows(rows)]
-    seen = set(orbit)
+    seen = {key(orbit[0])}
     for point in orbit:   # the list grows while it is read: a breadth-first queue
         for j, col in enumerate(columns):
             labels = [sum(map(mul, col, b)) for b in point]
             if any(labels):
                 moved = canonical_rows([b[:j] + (b[j] - c,) + b[j + 1:]
                                         for b, c in zip(point, labels)])
-                if moved not in seen:
-                    seen.add(moved)
+                if (k := key(moved)) not in seen:
+                    seen.add(k)
                     orbit.append(moved)
     return orbit
+
+
+def cycles(perm) -> list[tuple[int, ...]]:
+    """The cycles of a permutation, each from its smallest entry: the walk
+    `cartan.orbits` replaced, which reads -w0 as an involution instead."""
+    seen, out = set(), []
+    for start in range(len(perm)):
+        i, cycle = start, []
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = perm[i]
+        if cycle:
+            out.append(tuple(cycle))
+    return out
 
 
 def root_permutation(w) -> tuple[int, ...]:

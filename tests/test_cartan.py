@@ -17,6 +17,7 @@ import random
 import subprocess
 import sys
 from heapq import heappop, heappush
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -27,12 +28,12 @@ import ckforms
 from ckforms import catalog, obstruction
 from ckforms.cartan import cartan_matrix, dominant_chain, orbits, roots_of, w0_length, w0_of
 from ckforms.errors import InternalInconsistency
-from ckforms.linalg import identity_matrix, rank_of, vneg
+from ckforms.linalg import identity_matrix, rank_of
 from ckforms.rootspace import build_root_system, direct_sum
 from ckforms.weyl import ahyp_dimension, fixed_cone, longest_element
 
-from helpers import (dense, dense_cartan_matrix, dot, integer_rank, mat_add, reflect, sparse,
-                     strictly_dominant_seed, supported_types)
+from helpers import (cycles, dense, dense_cartan_matrix, dot, integer_rank, mat_add, reflect,
+                     sparse, strictly_dominant_seed, supported_types, vneg)
 
 
 def _system(blocks):
@@ -152,7 +153,7 @@ def _image_loop(matrix, chain):
         assert b[k] == -1
         perm.append(k)
     ahyp = n - rank_of([[images[j][i] + (i == j) for j in range(n)] for i in range(n)])
-    assert ahyp == len(orbits(tuple(perm)))
+    assert ahyp == len(cycles(perm))
     return tuple(perm), ahyp
 
 
@@ -233,6 +234,14 @@ def test_dominant_chain_matches_both_oracles(data):
             dominant_chain(rows, labels, len(chain[1]) - 1)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_orbits_match_the_cycle_walk_on_every_involution(n):
+    involutions = [p for p in permutations(range(n)) if all(p[j] == i for i, j in enumerate(p))]
+    assert len(involutions) == (1, 2, 4, 10, 26, 76, 232)[n - 1]
+    for sigma in involutions:
+        assert orbits(sigma) == cycles(sigma)
+
+
 def _heap_chain_w0(matrix, length):
     """w0 as the core computed it before the sweep: the least-index chain
     (then kept in a min-heap) from -(1, ..., n), whose final labels give
@@ -250,7 +259,7 @@ def _heap_chain_w0(matrix, length):
         for k, x in enumerate(matrix[i]):
             back[k] -= c * x
     assert back == list(range(-1, -n - 1, -1))
-    return sigma, len(orbits(sigma)), len(chain)
+    return sigma, len(cycles(sigma)), len(chain)
 
 
 def _assert_sweep_matches_heap_chain(matrix, length):
@@ -365,7 +374,8 @@ def test_core_checks_survive_optimize():
 def test_corrupted_chain_is_caught_under_optimize():
     # each corruption of the core's word or of the rows its sweep reads
     # trips one check: a wrong word fails `longest_element`'s check of the
-    # product's length, and wrong rows fail each check of `w0_of` in turn
+    # product's length, and wrong rows fail each check of `w0_of` in turn,
+    # the last a 3-cycle that preserves its rows but is no involution
     code = (
         "from ckforms import cartan, weyl\n"
         "from ckforms.errors import InternalInconsistency\n"
@@ -393,6 +403,7 @@ def test_corrupted_chain_is_caught_under_optimize():
         "    ((((0, 2), (1, -3), (2, -3)), ((1, 2), (2, 1)), ((0, 1), (1, -2), (2, 2))), 3),\n"
         "    ((a4[0], ((0, -1), (1, 3), (2, -1)), a4[2], a4[3]), 10),\n"
         "    ((((0, 2), (1, -2)), ((0, -2), (1, 2))), 3),\n"
+        "    ((((0, 2), (1, 1)), ((1, 2), (2, 1)), ((0, 1), (2, 2))), 3),\n"
         "]\n"
         "for matrix, length in rows:\n"
         "    try:\n"
@@ -416,6 +427,7 @@ def test_corrupted_chain_is_caught_under_optimize():
         "longest element has length 9, expected 10",
         "the sweep on Cartan matrix (((0, 2), (1, -2)), ((0, -2), (1, 2))) "
         "did not stop within 3 reflections",
+        "-w0 = (2, 0, 1) is not an involution",
     ]
 
 

@@ -18,9 +18,9 @@ from ckforms import cartan, catalog, cli, rootspace, weyl
 from ckforms.cli import main
 from ckforms.rootspace import build_root_system
 from ckforms.errors import DEFAULT_CAP, InternalInconsistency
-from ckforms.linalg import _eliminate, vneg
+from ckforms.linalg import _eliminate
 
-from helpers import FIXTURES, build_parser, mat_vec
+from helpers import FIXTURES, build_parser, fundamental_coweights, mat_vec, vneg
 
 ROOT = Path(__file__).parents[1]
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
@@ -322,7 +322,7 @@ def test_paths_that_never_enumerate_build_no_roots(capsys, monkeypatch, tmp_path
     err = capsys.readouterr().err
     assert "realized in dimension 129" in err and "exceeding the cap" in err
     s = build_root_system("A", 128)
-    rho = tuple(map(sum, zip(*weyl.fundamental_coweights(s))))
+    rho = tuple(map(sum, zip(*fundamental_coweights(s))))
     assert weyl.dominant_representative(s, vneg(rho)) == rho
     assert weyl.is_antipodal(s, tuple(Fraction(x) for x in [1, -1] + [0] * 127))
     assert not weyl.is_antipodal(s, tuple(Fraction(x) for x in [128] + [-1] * 128))

@@ -20,12 +20,11 @@ from ckforms.linalg import (
     primitive,
     rank_of,
     reduced_basis,
-    vneg,
 )
 from ckforms.rootspace import RootSystem, build_root_system, direct_sum
 
-from helpers import (FIXTURES, fraction_subspace_from_text, rand_fraction, vadd, vector, vscale,
-                     zero_vector)
+from helpers import (FIXTURES, fraction_subspace_from_text, rand_fraction, vadd, vector, vneg,
+                     vscale, zero_vector)
 
 A4 = build_root_system("A", 4)
 

@@ -25,7 +25,7 @@ from ckforms.criteria import Subspace, antipodal_orbit_check, check_proper_embed
 from ckforms.obstruction import standard_form_verdict
 from ckforms.rootspace import build_root_system
 
-from helpers import in_root_span, vector
+from helpers import fundamental_coweights, in_root_span, vector
 
 A4 = build_root_system("A", 4)
 
@@ -88,7 +88,7 @@ def test_every_stored_field_is_read_only(name):
 
 def test_root_system_equality_and_hash_ignore_the_cache():
     cached = build_root_system("E", 6)
-    weyl.fundamental_coweights(cached)
+    fundamental_coweights(cached)
     assert in_root_span(cached, cached.simple_roots[0])
     fresh = build_root_system.__wrapped__("E", 6)
     assert fresh is not cached

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ckforms import linalg, rootspace
 from ckforms.cartan import cartan_matrix
 from ckforms.errors import DimensionMismatch, InternalInconsistency, NotInSpan, UnsupportedSystem
-from ckforms.linalg import kernel_basis, rank_of, solve, vneg
+from ckforms.linalg import kernel_basis, rank_of, solve
 from ckforms.rootspace import build_root_system, direct_sum, is_dominant
 from ckforms.weyl import _roots, enumerate_weyl, to_ambient
 
@@ -33,6 +33,7 @@ from helpers import (
     strictly_dominant_seed,
     supported_types,
     vector,
+    vneg,
 )
 
 ALL_SMALL = [

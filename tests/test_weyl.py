@@ -15,7 +15,7 @@ import ckforms
 from ckforms import cartan, weyl
 from ckforms.criteria import antipodal_orbit_check
 from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency
-from ckforms.linalg import _eliminate, identity_matrix, integer_row, invert, kernel_basis, vneg
+from ckforms.linalg import _eliminate, identity_matrix, integer_row, invert, kernel_basis
 from ckforms.rootspace import RootSystem, build_root_system, direct_sum, is_dominant
 from ckforms.weyl import (
     WeylEnumeration,
@@ -35,6 +35,7 @@ from helpers import (
     brute_dominant,
     dot,
     fraction_coweight_rows,
+    fundamental_coweights,
     mat_mul,
     mat_vec,
     positive_ambient_roots,
@@ -42,7 +43,10 @@ from helpers import (
     reflect,
     root_permutation,
     supported_types,
+    two_chain_antipodal,
+    vadd,
     vector,
+    vneg,
 )
 
 
@@ -312,7 +316,7 @@ def test_dominant_chain_from_minus_rho_takes_exactly_w0_length(label):
     # long as the bound the dominant representative allows, and no root
     # list is built on the way (a fresh copy starts with an empty cache)
     s = RootSystem(*_system(label))
-    rho = tuple(map(sum, zip(*weyl.fundamental_coweights(s))))
+    rho = tuple(map(sum, zip(*fundamental_coweights(s))))
     assert dominant_representative(s, vneg(rho)) == rho
     _, chain, _ = cartan.dominant_chain(s.cartan, [-1] * s.rank, weyl._w0_length(s))
     assert len(chain) == weyl._w0_length(s) == len(weyl._w0(s).chain)
@@ -505,7 +509,7 @@ def test_span_action_equals_matrix_action(letter, rank):
     rng = random.Random(7 + rank)
     vectors = [random_span_vector(s, rng) for _ in range(2)] + [s.simple_roots[-1]]
     combos = [weyl._pairings(s, integer_row(v)[0]) for v in vectors]
-    coweights = weyl.fundamental_coweights(s)
+    coweights = fundamental_coweights(s)
     scales = [None] * len(vectors)
 
     def check(w, moved):
@@ -564,7 +568,7 @@ def test_singular_internal_inverse_is_internal_inconsistency(monkeypatch):
     with pytest.raises(InternalInconsistency, match="Gram matrix of the simple roots of A3 is singular"):
         next(islice(enumerate_weyl(s), 1, None)).matrix
     with pytest.raises(InternalInconsistency, match="Gram matrix .* of A3 is singular"):
-        weyl.fundamental_coweights(s)
+        fundamental_coweights(s)
 
 
 # ---------------------------------------------------------------------------
@@ -724,3 +728,53 @@ def test_dominant_chain_matches_fraction_oracle(system):
         assert chain == word
         assert final == [dot(expected, a) / h for a, h in zip(system.simple_roots, half)]
         assert dominant_representative(system, v) == expected
+
+
+@pytest.mark.parametrize("system", _supported(6) + [A2G2, B2A1], ids=lambda s: s.label)
+def test_is_antipodal_matches_the_two_chain_oracle(system):
+    # random vectors of the root span; their -w0-fixed parts v + (-w0)v,
+    # antipodal, moved by random simple reflections; the same plus a
+    # complement vector, and random ambient vectors, off the span where
+    # the span is not the whole space
+    rng = random.Random(len(weyl._roots(system)))
+    m = minus_w0(system)
+    complement = kernel_basis(system.simple_roots)
+    vectors = []
+    for _ in range(6):
+        v = random_span_vector(system, rng)
+        fixed = vadd(v, mat_vec(m, v))
+        for _ in range(rng.randint(0, 2 * system.rank)):
+            fixed = reflect(fixed, rng.choice(system.simple_roots))
+        vectors += [v, fixed, tuple(rng.randint(-3, 3) for _ in range(system.ambient_dim))]
+        vectors += [vadd(fixed, vector(c)) for c in complement]
+    answers = [is_antipodal(system, v) for v in vectors]
+    assert answers == [two_chain_antipodal(system, v) for v in vectors]
+    # every vector of the span is antipodal where -w0 = 1 there, and no
+    # other is
+    assert True in answers and (False in answers) == (m != identity_matrix(system.ambient_dim))
+
+
+def test_is_antipodal_runs_one_dominant_chain_and_builds_no_fraction(monkeypatch):
+    # the two-chain formula ran a chain on v and one on -v, and built two
+    # Fraction vectors
+    chains, fractions = [], []
+    real_chain, real_fractions = cartan.dominant_chain, weyl.as_fractions
+
+    def counted_chain(*args):
+        chains.append(args[2])
+        return real_chain(*args)
+
+    def counted_fractions(*args):
+        fractions.append(args)
+        return real_fractions(*args)
+
+    monkeypatch.setattr(cartan, "dominant_chain", counted_chain)
+    monkeypatch.setattr(weyl, "as_fractions", counted_fractions)
+    rng = random.Random(43)
+    for system in (build_root_system("A", 3), build_root_system("E", 6), A2G2):
+        for v in [random_span_vector(system, rng) for _ in range(5)] + [
+                tuple(rng.randint(-3, 3) for _ in range(system.ambient_dim))]:
+            chains.clear()
+            is_antipodal(system, v)
+            assert chains == [weyl._w0_length(system)]
+    assert fractions == []
