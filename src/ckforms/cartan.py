@@ -1,7 +1,8 @@
 """Integer Cartan-matrix core: the closed-form Cartan matrices, root counts
-and Weyl group orders, the roots and the simple reflections on them in one
-pass, the dominant chain in Dynkin labels, the longest element w0 of a Weyl
-group, the involution -w0 on the simple roots and the a-hyperbolic rank,
+and Weyl group orders, the walk of a Weyl group as the orbit of rho in
+Dynkin labels, the action of a word and the dominant chain on Dynkin
+labels, the longest element w0 of a Weyl group, the involution -w0 on the
+simple roots and the a-hyperbolic rank,
 computed in Dynkin-label and simple-root coordinates (Humphreys,
 *Reflection Groups and Coxeter Groups*, sections 1-2) without any explicit
 root realization.
@@ -102,42 +103,69 @@ def dynkin_labels(cartan: CartanMatrix, coords) -> list:
     return labels
 
 
-def roots_of(cartan: CartanMatrix, count: int):
-    """The roots of the reduced system of a Cartan matrix in simple-root
-    coordinates, and the simple reflections on them, in one pass:
-    `(roots, images)` with images[i][k] the index of s_i(roots[k]).  The
-    order is breadth-first from the simple roots, so root i is alpha_i for
-    i below the rank; no result depends on the rest of it.
+def walk(cartan: CartanMatrix, label: str, order: int, covectors=()):
+    """The Weyl group of a Cartan matrix in canonical order, breadth-first by
+    length, ties in order of first reach: for each element w, mu, the Dynkin
+    labels of w^-1 rho (rho = (1, ..., 1), so mu identifies w), and the
+    covectors phi o w of the given ones, as integer lists.
 
-    Every root is W-conjugate to a simple root (Humphreys, Cor. 1.5), so
-    the roots are the orbit of the simple roots under the simple
-    reflections; s_i changes only coordinate i, by minus label i of b.
-    Raises InternalInconsistency when a root has coefficients of both signs
-    or when the orbit does not have exactly `count` roots (the search stops
-    as soon as it has more), so a returned table is closed.
+    w s_i is a child iff mu_i = <rho, w(alpha_i)^v> > 0, that is iff
+    l(w s_i) > l(w) (Humphreys, sections 1.6-1.8).  s_i moves mu by row i
+    (mu_k -= mu_i a[i][k]) and each covector by column i (phi_j -= phi_i
+    a[j][i]).  A layer is keyed by sum_k mu_k B^k, B = max(4n, 60), which
+    tells elements apart: |mu_k| is the height of the coroot w(alpha_k)^v,
+    below the Coxeter number h, and B > 2h - 2 for every supported type
+    (h <= 2n for the classical ones, h <= 30 for the exceptional ones).
+    s_i moves the key by mu_i times row i's key, one step for a child
+    reached before.  Raises InternalInconsistency, naming the group
+    `label`, unless the walk meets exactly `order` elements (it stops after
+    the first layer past the order).
     """
     n = len(cartan)
-    roots = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    index = {b: k for k, b in enumerate(roots)}
-    images: list[list[int]] = [[] for _ in range(n)]
-    for k, b in enumerate(roots):   # the list grows while it is read: a breadth-first queue
-        if min(b) < 0 < max(b):
-            raise InternalInconsistency(f"root {b} of Cartan matrix {cartan} "
-                                        f"has coefficients of both signs")
-        for i, c in enumerate(dynkin_labels(cartan, b)):
-            if c:
-                r = b[:i] + (b[i] - c,) + b[i + 1:]
-                if (j := index.setdefault(r, len(roots))) == len(roots):
-                    roots.append(r)
-            images[i].append(j if c else k)   # s_i fixes b when c is 0
-        if len(roots) > count:
-            break
-    if len(roots) != count:
-        more = "+" if len(roots) > count else ""
-        raise InternalInconsistency(
-            f"Cartan matrix {cartan} has {len(roots)}{more} roots, expected {count}"
-        )
-    return roots, images
+    columns = [[(j, x) for j, row in enumerate(cartan) for k, x in row if k == i] for i in range(n)]
+    base = max(4 * n, 60)
+    keys = [sum(x * base**k for k, x in row) for row in cartan]
+    steps = tuple(zip(range(n), cartan, columns, keys))
+    first = ((1,) * n, [list(phi) for phi in covectors])
+    layer = {sum(base**k for k in range(n)): first}
+    count = 1
+    yield first
+    while layer and count <= order:
+        nxt = {}   # the next layer, key -> (mu, covectors), in insertion order
+        for key, (mu, pulled) in layer.items():
+            for i, row, column, step in steps:
+                if (c := mu[i]) > 0 and (child := key - c * step) not in nxt:
+                    labels = list(mu)
+                    for k, x in row:
+                        labels[k] -= c * x
+                    moved = pulled and []   # no list per element when none is carried
+                    for phi in pulled:
+                        if d := phi[i]:
+                            phi = phi[:]
+                            for j, x in column:
+                                phi[j] -= d * x
+                        moved.append(phi)
+                    nxt[child] = element = (tuple(labels), moved)
+                    count += 1
+                    yield element
+        layer = nxt
+    if count != order:
+        raise InternalInconsistency(f"enumerated {count} elements of {label}, expected {order}")
+
+
+def act(cartan: CartanMatrix, labels, word):
+    """Reflect Dynkin labels in s_word[0], then s_word[1], ...: the labels
+    of w(v) for w = s_word[-1] ... s_word[0].  Returns the final labels and,
+    for each i, the multiple of alpha_i subtracted in total, as
+    `dominant_chain` does, so w(v) = v - sum shift_i alpha_i."""
+    labels = list(labels)
+    shift = [0] * len(labels)
+    for i in word:
+        c = labels[i]
+        for k, x in cartan[i]:
+            labels[k] -= c * x
+        shift[i] += c
+    return labels, shift
 
 
 class W0(namedtuple("W0", "chain minus_w0 ahyp")):
@@ -175,10 +203,11 @@ def dominant_chain(cartan: CartanMatrix, labels, limit: int):
     `weyl` derives an element's word from; `w0_of` needs no such order.
     """
     labels = list(labels)
-    shift = [0] * len(labels)
+    n = len(labels)
+    shift = [0] * n
     word: list[int] = []
     i = 0
-    while i < len(labels):
+    while i < n:
         if (c := labels[i]) >= 0:
             i += 1
             continue
@@ -191,7 +220,10 @@ def dominant_chain(cartan: CartanMatrix, labels, limit: int):
             labels[k] -= c * x
         shift[i] += c
         word.append(i)
-        i = next((k for k, _ in cartan[i] if k < i and labels[k] < 0), i)
+        for k, _ in cartan[i]:   # ascending: the least k < i whose label turned negative
+            if k < i and labels[k] < 0:
+                i = k
+                break
     return labels, tuple(word), shift
 
 

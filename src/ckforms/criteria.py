@@ -18,8 +18,7 @@ from operator import mul
 from .errors import DimensionMismatch, InternalInconsistency, NotInSpan, ParseError
 from .linalg import Vector, _eliminate, as_fractions, kernel_basis, primitive, reduced_basis
 from .rootspace import RootSystem, require_in_span
-from .weyl import (DEFAULT_CAP, _combine, _pairings, dominant_representative, enumerate_weyl,
-                   is_antipodal, to_ambient)
+from .weyl import DEFAULT_CAP, _dominant, _pairings, _sum_rows, enumerate_weyl, to_ambient
 
 
 class Subspace(namedtuple("Subspace", "system spanning_vectors")):
@@ -113,13 +112,13 @@ def check_proper_embedded(
     The group is streamed (`enumerate_weyl`): a NotProper scan stops
     generating at the offending element, a Proper scan holds two length
     layers of it.  The scan runs in integer simple-root coordinates,
-    injective on the root span.  a_h becomes integer equations once, the
+    injective on the root span.  a_h becomes integer equations e once, the
     kernel of its rows' coordinates (one zero row when a_h is the whole
-    span), and w.(a_l) meets a_h iff those equations on the images of
-    a_l's rows have a nonzero kernel.  Its first vector y has the first free
-    column of the stacked [a_h | w.(a_l)], so sum_j y_j w.(b_j), mapped back
-    by `to_ambient`, lies on the stacked witness's line.  No `apply` or
-    matrix runs here.
+    span), which ride through the walk as covectors e o w (`pullbacks`):
+    w.(a_l) meets a_h iff [(e o w) . b_j] over a_l's rows b_j has a nonzero
+    kernel.  Its first vector y has the first free column of the stacked
+    [a_h | w.(a_l)], so w(sum_j y_j b_j), built along w's word and mapped
+    back by `to_ambient`, lies on the stacked witness's line.
     """
     for sub, name in ((a_h, "a_h"), (a_l, "a_l")):
         if sub.system != system_g:
@@ -131,12 +130,11 @@ def check_proper_embedded(
     equations = kernel_basis([_pairings(system_g, row) for row in a_h._rows])
     equations = equations or [(0,) * system_g.rank]
     coords = [_pairings(system_g, row) for row in a_l._rows]
-    for idx, w in enumerate(elements):
-        images = w._images()
-        moved = [_combine(system_g, images, c) for c in coords]
-        kernel = kernel_basis([[sum(map(mul, e, u)) for u in moved] for e in equations])
+    for idx, (w, pulled) in enumerate(elements.pullbacks(equations)):
+        kernel = kernel_basis([[sum(map(mul, e, c)) for c in coords] for e in pulled])
         if kernel:
-            witness = to_ambient(system_g, _combine(system_g, moved, kernel[0]))
+            witness = to_ambient(system_g, w._image(_sum_rows(zip(kernel[0], coords),
+                                                              system_g.rank)))
             if not any(witness):
                 raise InternalInconsistency(f"zero witness at element {idx}")
             return ProperCheck(proper=False, w_index=idx, element=w, witness=primitive(witness))
@@ -148,11 +146,9 @@ AntipodalReport = namedtuple("AntipodalReport", "antipodal dominant_rep")
 
 def antipodal_orbit_check(system_g: RootSystem, x: Vector) -> AntipodalReport:
     """Whether the orbit of x is antipodal in the ambient system, plus the
-    dominant representative naming the orbit."""
-    return AntipodalReport(
-        antipodal=is_antipodal(system_g, x),
-        dominant_rep=dominant_representative(system_g, x),
-    )
+    dominant representative naming the orbit, from one dominant chain."""
+    rep, den, antipodal = _dominant(system_g, x)
+    return AntipodalReport(antipodal=antipodal, dominant_rep=as_fractions(rep, den))
 
 
 def __getattr__(name: str):

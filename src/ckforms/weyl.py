@@ -2,25 +2,23 @@
 representatives, the longest element, the involution -w0 and its fixed
 cone, the a-hyperbolic dimension, and the antipodal orbit test.
 
-The layer runs in simple-root coordinates.  An element is a permutation of
-the root list, composed from the simple reflections; only this layer builds
-that list, with the first element, from the Cartan core's one pass that
-returns the roots and the reflections on them (`_perm_data`).  It acts in
+The layer runs in simple-root coordinates, and no root list is built.  An
+element w is mu, the Dynkin labels of w^-1 rho, and the group is the
+Cartan core's walk of the orbit of rho (`cartan.walk`).  It acts in
 integers, each simple-root vector a dense row of ints: `_pairings`, the one
-pairing with the fundamental coweights, gives a vector's coordinates, and
-`_combine` sums c_i w(a_i) over the images of the simple roots.  The
-embedded scan in `criteria` stays in these coordinates; `_apply` and
-`dominant_representative` map them back (`to_ambient`).  Enumeration is
-breadth-first by length, ties broken lexicographically by word so indices
-are reproducible, and a stream: a scan that stops early generates only the
-elements it read, and a full pass holds two length layers.  Dominant
-representatives, w0's word, -w0 and ahyp read only the Cartan core.
+pairing with the fundamental coweights, gives a vector's coordinates, the
+core's action of a word (`cartan.act`) moves them, and `to_ambient` maps
+them back.  Enumeration is breadth-first by length, ties broken
+lexicographically by word so indices are reproducible, and a stream: a scan
+that stops early generates only the elements it read, and a full pass holds
+two length layers.  Dominant representatives, w0's word, -w0 and ahyp read
+only the Cartan core.
 """
 
 from collections import namedtuple
 from collections.abc import Iterator
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from . import cartan
 from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
@@ -42,41 +40,6 @@ def weyl_order(system: RootSystem) -> int:
 def _w0_length(system: RootSystem) -> int:
     """Length of w0, summed over the irreducible blocks."""
     return sum(cartan.w0_length(letter, rank) for letter, rank in system.blocks)
-
-
-def _perm_data(system: RootSystem):
-    """The core's root list on the whole Cartan matrix (root i is a_i below
-    the rank), its identity, its simple-reflection permutations and 2 rho,
-    the sum of the positive roots, in simple-root coordinates.  BC_n's roots
-    2e_i are not built: they reflect as e_i, so W(BC_n) = W(B_n)."""
-    c = system._cache
-    if "perms" not in c:
-        roots, images = cartan.roots_of(system.cartan, 2 * _w0_length(system))
-        n = len(roots)
-        rho2 = tuple(map(sum, zip(*(b for b in roots if max(b) > 0))))
-        c["perms"] = (tuple(roots), _make_perm(n, range(n)),
-                      tuple(_make_perm(n, row) for row in images), rho2)
-    return c["perms"]
-
-
-def _roots(system: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """The root list in simple-root coordinates (`_perm_data`)."""
-    return _perm_data(system)[0]
-
-
-def _make_perm(n: int, images):
-    if n <= 256:
-        # bytes.translate, which composes these, needs a 256-entry table;
-        # pad with the identity so composed tails stay canonical
-        return bytes(images) + bytes(range(n, 256))
-    return tuple(images)
-
-
-def _compose(outer, inner):
-    """Permutation of the composite map outer o inner."""
-    if isinstance(outer, bytes):
-        return inner.translate(outer)
-    return tuple(outer[i] for i in inner)
 
 
 def _coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -128,18 +91,17 @@ def _sum_rows(pairs, width: int) -> list:
     return acc
 
 
-def _combine(system: RootSystem, images, coords) -> list[int]:
-    """sum c_i w(a_i) in simple-root coordinates, for the coordinates c and
-    the images w(a_i) of the simple roots."""
-    return _sum_rows(zip(coords, images), system.rank)
+def _shift(system: RootSystem, word, coords) -> list[int]:
+    """b - w(b) for simple-root coordinates b, w = s_word[-1] ... s_word[0]."""
+    return cartan.act(system.cartan, cartan.dynkin_labels(system.cartan, coords), word)[1]
 
 
-def _apply(system: RootSystem, images, v: Vector) -> Vector:
-    """w.v = v + sum_i (omega_i, v) (w(a_i) - a_i), from the images w(a_i)
-    of the simple roots; the complement of the root span stays fixed."""
+def _act(system: RootSystem, word, v: Vector) -> Vector:
+    """w.v for w = s_word[-1] ... s_word[0], the complement of the root span
+    fixed."""
     den, ints, coords = _coordinates(system, v)
-    moved = [x - c for x, c in zip(_combine(system, images, coords), coords)]
-    return as_fractions([x + y for x, y in zip(ints, to_ambient(system, moved))], den)
+    shift = to_ambient(system, _shift(system, word, coords))
+    return as_fractions([x - y for x, y in zip(ints, shift)], den)
 
 
 def to_ambient(system: RootSystem, coords) -> list:
@@ -153,94 +115,84 @@ class WeylElement:
     """Group element, acting as an exact orthogonal transformation of the
     ambient coordinates.
 
-    An element is its induced root permutation (padded by `_make_perm`) and
-    nothing else: `apply`, `matrix` and `word` read the images of the simple
-    roots from it.
+    An element w is `_mu`, the Dynkin labels of w^-1 rho, and nothing else.
+    The core's dominant chain from mu is the least reduced word of w^-1
+    (`_chain`), along which `apply`, `matrix` and `word` act.
     """
 
-    __slots__ = ("system", "_perm")
+    __slots__ = ("system", "_mu")
 
-    def __init__(self, system: RootSystem, perm):
+    def __init__(self, system: RootSystem, mu: tuple[int, ...]):
         self.system = system
-        self._perm = perm
+        self._mu = mu
 
-    def _images(self) -> list[tuple[int, ...]]:
-        """w(a_i) for the simple roots a_i, in simple-root coordinates."""
-        roots = _roots(self.system)
-        return [roots[j] for j in self._perm[: self.system.rank]]
+    def _chain(self) -> tuple[int, ...]:
+        """The least reduced word of w^-1, so w = s_chain[-1] ... s_chain[0]."""
+        return cartan.dominant_chain(self.system.cartan, self._mu, _w0_length(self.system))[1]
+
+    def _image(self, coords) -> list[int]:
+        """w(b) for simple-root coordinates b."""
+        return [b - x for b, x in zip(coords, _shift(self.system, self._chain(), coords))]
 
     @property
     def word(self) -> tuple[int, ...]:
         """The least reduced word, w = s_word[0] ... s_word[-1]: the core's
-        dominant chain from w(2 rho), 2 rho regular dominant, reflects in
-        the least i with w^-1(a_i) < 0 (Humphreys 1.6-1.8) at each step."""
+        dominant chain from w(rho), rho = (1, ..., 1) regular dominant,
+        reflects in the least i with w^-1(a_i) < 0 (Humphreys 1.6-1.8) at
+        each step."""
         system = self.system
-        moved = _combine(system, self._images(), _perm_data(system)[3])
-        labels = cartan.dynkin_labels(system.cartan, moved)
+        labels = cartan.act(system.cartan, (1,) * system.rank, self._chain())[0]
         return cartan.dominant_chain(system.cartan, labels, _w0_length(system))[1]
 
     @property
     def matrix(self) -> Matrix:
         """The exact matrix, column by column the images of the unit vectors."""
-        return tuple(zip(*map(self.apply, identity_matrix(self.system.ambient_dim))))
+        chain, system = self._chain(), self.system
+        return tuple(zip(*(_act(system, chain, e) for e in identity_matrix(system.ambient_dim))))
 
     def apply(self, v: Vector) -> Vector:
-        """w.v, the complement of the root span fixed (`_apply`)."""
-        return _apply(self.system, self._images(), v)
+        """w.v, the complement of the root span fixed."""
+        return _act(self.system, self._chain(), v)
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.system == other.system and self._perm == other._perm
+        return self.system == other.system and self._mu == other._mu
 
     def __hash__(self):
-        return hash(self._perm)
+        # doubled: CPython hashes -1 as -2, and mu has both
+        return hash(tuple(2 * x for x in self._mu))
 
     def __repr__(self):
         return f"WeylElement(word={self.word})"
 
 
 class WeylEnumeration:
-    """The group in canonical order, generated afresh by each pass.
-
-    `len()` is the closed-form order; `generated` counts the elements the
-    latest pass has yielded.  A pass is breadth-first by length and keeps
-    only the current layer and the next: each element w of the layer, in
-    order, is composed with s_0, s_1, ... in turn, skipping s_i when
-    w(a_i) < 0, since then l(w s_i) < l(w) (Humphreys 1.6-1.7).  A layer
-    holds bare permutations in the order first reached, which within a
-    length is that of their least reduced words (`WeylElement.word`); an
-    exhausted pass checks its count against the order.
-    """
+    """The group in canonical order, generated afresh by each pass of the
+    Cartan core's walk (`cartan.walk`), which within a length is the order
+    of the least reduced words (`WeylElement.word`).  `len()` is the
+    closed-form order; `generated` counts the elements the latest pass has
+    yielded."""
 
     def __init__(self, system: RootSystem, order: int):
         self.system = system
         self._order = order
-        roots, self._ident, gens, _ = _perm_data(system)
-        self._steps = tuple(enumerate(gens))
-        self._positive = [max(b) > 0 for b in roots]
         self.generated = 0
 
     def __len__(self) -> int:
         return self._order
 
     def __iter__(self) -> Iterator[WeylElement]:
-        system, steps, positive = self.system, self._steps, self._positive
-        layer = [self._ident]
-        self.generated = count = 1
-        yield WeylElement(system, self._ident)
-        while layer:
-            nxt = {}   # the next layer, its permutations in insertion order
-            for perm in layer:
-                for i, gen in steps:
-                    if positive[perm[i]] and (q := _compose(perm, gen)) not in nxt:
-                        nxt[q] = None
-                        self.generated = count = count + 1
-                        yield WeylElement(system, q)
-            layer = nxt
-        if count != self._order:
-            raise InternalInconsistency(
-                f"enumerated {count} elements of {system.label}, expected {self._order}")
+        return map(itemgetter(0), self.pullbacks(()))
+
+    def pullbacks(self, covectors) -> Iterator[tuple[WeylElement, list[list[int]]]]:
+        """Each element w with the covectors e o w of the given integer
+        covectors e on simple-root coordinates, so (e o w) . b = e . w(b)."""
+        system = self.system
+        self.generated = 0
+        for mu, pulled in cartan.walk(system.cartan, system.label, self._order, covectors):
+            self.generated += 1
+            yield WeylElement(system, mu), pulled
 
     def __repr__(self):
         return f"WeylEnumeration({self.system.label}, {self.generated} of {self._order})"
@@ -265,16 +217,27 @@ def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> WeylEnumeratio
 # ---------------------------------------------------------------------------
 # dominant representatives and the longest element
 
-def dominant_representative(system: RootSystem, v: Vector) -> Vector:
-    """The unique dominant vector in the orbit of v, always a tuple of
-    Fractions: the Cartan core's dominant chain, reflecting in the first
-    simple root pairing negatively, on the labels 2(v, a_k)/(a_k, a_k), which
-    are sum_i (omega_i, v) a[i][k] up to the positive denominator."""
+def _dominant(system: RootSystem, v: Vector) -> tuple[list[int], int, bool]:
+    """The dominant representative of v as integers over a denominator, and
+    whether the orbit of v contains -v, from one dominant chain: the Cartan
+    core's, on the labels 2(v, a_k)/(a_k, a_k), which are sum_i (omega_i, v)
+    a[i][k] up to the positive denominator.  v is antipodal iff it lies in
+    the root span (W fixes its complement, which -v negates) and -w0, which
+    maps the dominant representative of v to that of -v, fixes its labels."""
     den, ints, coords = _coordinates(system, v)
     labels = cartan.dynkin_labels(system.cartan, coords)
     # a dominant chain is a reduced word, at most as long as w0
-    _, _, shift = cartan.dominant_chain(system.cartan, labels, _w0_length(system))
-    return as_fractions([x - y for x, y in zip(ints, to_ambient(system, shift))], den)
+    labels, _, shift = cartan.dominant_chain(system.cartan, labels, _w0_length(system))
+    antipodal = (to_ambient(system, coords) == ints
+                 and all(labels[j] == labels[k] for k, j in enumerate(_w0(system).minus_w0)))
+    return [x - y for x, y in zip(ints, to_ambient(system, shift))], den, antipodal
+
+
+def dominant_representative(system: RootSystem, v: Vector) -> Vector:
+    """The unique dominant vector in the orbit of v, always a tuple of
+    Fractions (`_dominant`)."""
+    rep, den, _ = _dominant(system, v)
+    return as_fractions(rep, den)
 
 
 def _w0(system: RootSystem) -> cartan.W0:
@@ -285,16 +248,14 @@ def _w0(system: RootSystem) -> cartan.W0:
 def longest_element(system: RootSystem) -> WeylElement:
     """The element mapping the dominant chamber onto its negative.
 
-    Computed without enumeration: the product of the simple reflections
-    along the integer Cartan core's word of w0.  Raises
-    InternalInconsistency unless the least word derived from the product
+    Computed without enumeration: mu, the labels of w0^-1 rho, is rho
+    reflected along the integer Cartan core's word of w0.  Raises
+    InternalInconsistency unless the least word derived from mu
     (`WeylElement.word`) has the length of w0, which no other element has,
-    so this ties the permutations to the core.
+    so this ties the element to the core's word.
     """
-    _, perm, gens, _ = _perm_data(system)
-    for i in _w0(system).chain:
-        perm = _compose(perm, gens[i])
-    w0 = WeylElement(system, perm)
+    mu = cartan.act(system.cartan, (1,) * system.rank, _w0(system).chain)[0]
+    w0 = WeylElement(system, tuple(mu))
     if (k := len(w0.word)) != _w0_length(system):
         raise InternalInconsistency(f"w0 of {system.label} composes to an element of length "
                                     f"{k}, not {_w0_length(system)}")
@@ -302,13 +263,10 @@ def longest_element(system: RootSystem) -> WeylElement:
 
 
 def minus_w0(system: RootSystem) -> Matrix:
-    """The involution -w0 as an exact matrix; it preserves the dominant
-    chamber and permutes the simple roots.  Read from the Cartan core's -w0
-    on the simple roots, w0(a_i) = -a_sigma(i), with no root list; -w0
-    negates the complement of the root span."""
-    images = [tuple(-int(k == j) for k in range(system.rank)) for j in _w0(system).minus_w0]
-    columns = (_apply(system, images, e) for e in identity_matrix(system.ambient_dim))
-    return tuple(tuple(-x for x in row) for row in zip(*columns))
+    """The involution -w0 as an exact matrix, the negated matrix of the
+    longest element; it preserves the dominant chamber and permutes the
+    simple roots, and negates the complement of the root span."""
+    return tuple(tuple(-x for x in row) for row in longest_element(system).matrix)
 
 
 def ahyp_dimension(system: RootSystem) -> int:
@@ -343,12 +301,6 @@ def fixed_cone(system: RootSystem) -> FixedCone:
 
 
 def is_antipodal(system: RootSystem, v: Vector) -> bool:
-    """Whether the orbit of v contains -v, from one dominant chain: v lies
-    in the root span (W fixes its complement, which -v negates) and -w0,
-    which maps the dominant representative of v to that of -v, fixes the
-    Dynkin labels of the first."""
-    _, ints, coords = _coordinates(system, v)
-    labels = cartan.dynkin_labels(system.cartan, coords)
-    labels = cartan.dominant_chain(system.cartan, labels, _w0_length(system))[0]
-    return (to_ambient(system, coords) == ints
-            and all(labels[j] == labels[k] for k, j in enumerate(_w0(system).minus_w0)))
+    """Whether the orbit of v contains -v, from one dominant chain
+    (`_dominant`)."""
+    return _dominant(system, v)[2]

@@ -6,10 +6,13 @@ they check, the ambient root lists, the block-by-block root list, the Fraction
 constructions of the simple roots and the coweights, the fundamental
 coweights as Fractions, the split Cartan subspaces of the standard
 subgroups of sl(n,R), the orbit walk of a subspace under the simple
-reflections, the cycles of a permutation, the permutation of the root list
-a Weyl element induces, the subspace file reader with Fraction entries, the
-closed-form rule for proper SL(2,R)-actions on sl(n,R), and the two-chain
-antipodal test and the argparse parser that faster code replaced."""
+reflections, the cycles of a permutation, the root list and the Weyl group
+search over root permutations that the walk of rho replaced, the
+permutation of the root list a word spells, the embedded scan over
+the images of the simple roots, the subspace file reader with Fraction
+entries, the closed-form rule for proper SL(2,R)-actions on sl(n,R), and
+the two-chain antipodal test and the argparse parser that faster code
+replaced."""
 
 from __future__ import annotations
 
@@ -20,18 +23,19 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from pathlib import Path
 
 from ckforms import catalog, rootspace
-from ckforms.cartan import cartan_matrix, roots_of, w0_length
+from ckforms.cartan import cartan_matrix, dynkin_labels, w0_length
 from ckforms.catalog import SimpleRealForm
 from ckforms.cli import cmd_check_proper, cmd_info, cmd_standard_form, cmd_table1
 from ckforms.criteria import Subspace
-from ckforms.errors import DEFAULT_CAP, DimensionMismatch, NotInSpan, ParseError
-from ckforms.linalg import Matrix, Vector, integer_row, invert, solve
+from ckforms.errors import DEFAULT_CAP, DimensionMismatch, InternalInconsistency, NotInSpan, ParseError
+from ckforms.linalg import Matrix, Vector, integer_row, invert, kernel_basis, primitive, solve
 from ckforms.rootspace import RootSystem, is_dominant, require_in_span
-from ckforms.weyl import _coweight_rows, _roots, dominant_representative, enumerate_weyl
+from ckforms.weyl import (_coweight_rows, _pairings, dominant_representative, enumerate_weyl,
+                          to_ambient)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -189,27 +193,152 @@ def random_span_vector(system: RootSystem, rng: random.Random) -> Vector:
     return v
 
 
+def roots_of(cartan, count: int):
+    """The roots of the reduced system of a Cartan matrix in simple-root
+    coordinates, and the simple reflections on them, in one pass:
+    `(roots, images)` with images[i][k] the index of s_i(roots[k]).  The
+    order is breadth-first from the simple roots, so root i is alpha_i for
+    i below the rank.
+
+    Every root is W-conjugate to a simple root (Humphreys, Cor. 1.5), so
+    the roots are the orbit of the simple roots under the simple
+    reflections; s_i changes only coordinate i, by minus label i of b.
+    Raises InternalInconsistency when a root has coefficients of both signs
+    or when the orbit does not have exactly `count` roots (the search stops
+    as soon as it has more), so a returned table is closed.  The Cartan
+    core built the root list this way before it walked the orbit of rho.
+    """
+    n = len(cartan)
+    roots = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    index = {b: k for k, b in enumerate(roots)}
+    images: list[list[int]] = [[] for _ in range(n)]
+    for k, b in enumerate(roots):   # the list grows while it is read: a breadth-first queue
+        if min(b) < 0 < max(b):
+            raise InternalInconsistency(f"root {b} of Cartan matrix {cartan} "
+                                        f"has coefficients of both signs")
+        for i, c in enumerate(dynkin_labels(cartan, b)):
+            if c:
+                r = b[:i] + (b[i] - c,) + b[i + 1:]
+                if (j := index.setdefault(r, len(roots))) == len(roots):
+                    roots.append(r)
+            images[i].append(j if c else k)   # s_i fixes b when c is 0
+        if len(roots) > count:
+            break
+    if len(roots) != count:
+        more = "+" if len(roots) > count else ""
+        raise InternalInconsistency(
+            f"Cartan matrix {cartan} has {len(roots)}{more} roots, expected {count}"
+        )
+    return roots, images
+
+
+@lru_cache(maxsize=None)
+def root_data(system: RootSystem):
+    """`roots_of` on the whole Cartan matrix of a system (root i is a_i
+    below the rank): the root list and the simple reflections on it.
+    BC_n's roots 2e_i are not built: they reflect as e_i."""
+    count = 2 * sum(w0_length(letter, rank) for letter, rank in system.blocks)
+    roots, images = roots_of(system.cartan, count)
+    return tuple(roots), tuple(map(tuple, images))
+
+
+def root_list(system: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """The root list in simple-root coordinates (`root_data`)."""
+    return root_data(system)[0]
+
+
 @lru_cache(maxsize=None)
 def ambient_roots(system: RootSystem) -> tuple[Vector, ...]:
-    """The roots in the ambient realization, aligned with the Weyl layer's
-    root list (`weyl._roots`): each sum_j b_j a_j over the simple roots a_j,
-    in Fractions, apart from the integer recombination `weyl.to_ambient`
-    that tests check with it."""
+    """The roots in the ambient realization, aligned with the root list
+    (`root_list`): each sum_j b_j a_j over the simple roots a_j, in
+    Fractions, apart from the integer recombination `weyl.to_ambient` that
+    tests check with it."""
     return tuple(
         tuple(sum((c * a[k] for c, a in zip(b, system.simple_roots)), Fraction(0))
               for k in range(system.ambient_dim))
-        for b in _roots(system))
+        for b in root_list(system))
 
 
 @lru_cache(maxsize=None)
 def positive_ambient_roots(system: RootSystem) -> tuple[Vector, ...]:
     """The ambient roots whose simple-root coordinates have a positive entry."""
-    return tuple(r for r, b in zip(ambient_roots(system), _roots(system)) if max(b) > 0)
+    return tuple(r for r, b in zip(ambient_roots(system), root_list(system)) if max(b) > 0)
+
+
+def reflect_labels(system: RootSystem, labels, word) -> tuple[int, ...]:
+    """Dynkin labels reflected in s_word[0], then s_word[1], ..., by the
+    dense Cartan matrix: s_i lowers label k by labels[i] a[i][k]."""
+    a = dense(system.cartan)
+    labels = list(labels)
+    for i in word:
+        c = labels[i]
+        labels = [x - c * y for x, y in zip(labels, a[i])]
+    return tuple(labels)
+
+
+def permutation_bfs(system: RootSystem):
+    """(word, root permutation, mu) of every Weyl group element in the
+    canonical order, by the search the Weyl layer ran on the root list
+    (`root_data`) before it walked the orbit of rho: breadth-first by
+    length, each element w of a layer, in order, composed with s_0, s_1,
+    ... in turn where w(a_i) > 0, keeping the first word that reaches a new
+    permutation.  mu, the labels of w^-1 rho, is rho reflected along that
+    word, s_word[0] first, one letter per step."""
+    roots, images = root_data(system)
+    gens = [itemgetter(*row) for row in images]   # perm o s_i
+    positive = [max(b) > 0 for b in roots]
+    a = dense(system.cartan)
+    ident = tuple(range(len(roots)))
+    layer = {ident: ((), (1,) * system.rank)}
+    yield (), ident, (1,) * system.rank
+    while layer:
+        nxt = {}
+        for perm, (word, mu) in layer.items():
+            for i, gen in enumerate(gens):
+                if positive[perm[i]] and (q := gen(perm)) not in nxt:
+                    nxt[q] = child = word + (i,), tuple(x - mu[i] * y for x, y in zip(mu, a[i]))
+                    yield child[0], q, child[1]
+        layer = nxt
+
+
+def spelled(system: RootSystem, word) -> tuple[int, ...]:
+    """The root permutation of s_word[0] ... s_word[-1], composed from the
+    simple reflections on the root list (`root_data`)."""
+    perm = tuple(range(len(root_list(system))))
+    for i in word:
+        perm = itemgetter(*root_data(system)[1][i])(perm)
+    return perm
+
+
+def images_scan(system: RootSystem, a_h: Subspace, a_l: Subspace):
+    """The embedded scan the covectors carried through the walk replaced:
+    for each element of the permutation search (`permutation_bfs`), in
+    order, the images w(a_i) of the simple roots read off its root
+    permutation, a_l's coordinates recombined over them, and a_h's
+    equations applied to each image.  (w_index, word, witness) of the first
+    offending element, or None when the pair is Proper."""
+    if a_h.dim == 0 or a_l.dim == 0:
+        return None
+    roots = root_list(system)
+    rank = system.rank
+    equations = kernel_basis([_pairings(system, row) for row in a_h._rows]) or [(0,) * rank]
+    coords = [_pairings(system, row) for row in a_l._rows]
+
+    def combine(rows, cs):
+        return [sum(c * row[k] for c, row in zip(cs, rows)) for k in range(rank)]
+
+    for idx, (word, perm, _) in enumerate(permutation_bfs(system)):
+        images = [roots[j] for j in perm[:rank]]
+        moved = [combine(images, c) for c in coords]
+        kernel = kernel_basis([[sum(map(mul, e, u)) for u in moved] for e in equations])
+        if kernel:
+            return idx, word, primitive(to_ambient(system, combine(moved, kernel[0])))
+    return None
 
 
 def block_root_coords(system: RootSystem) -> list[tuple[int, ...]]:
-    """The root list as it was built block by block before the Weyl layer
-    built it on the whole Cartan matrix: `roots_of` on each block's own
+    """The root list as it was built block by block before it was built on
+    the whole Cartan matrix (`root_data`): `roots_of` on each block's own
     matrix (B_n's roots for BC_n, which has its matrix), padded with zeros
     into the system's simple-root coordinates."""
     out = []
@@ -435,12 +564,6 @@ def cycles(perm) -> list[tuple[int, ...]]:
         if cycle:
             out.append(tuple(cycle))
     return out
-
-
-def root_permutation(w) -> tuple[int, ...]:
-    """The permutation of the root list (`weyl._roots`) a Weyl element
-    induces, without the identity padding `weyl._make_perm` adds."""
-    return tuple(w._perm[: len(_roots(w.system))])
 
 
 def orbit_meets(orbit, rows) -> bool:

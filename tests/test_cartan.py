@@ -26,14 +26,14 @@ from hypothesis import strategies as st
 
 import ckforms
 from ckforms import catalog, obstruction
-from ckforms.cartan import cartan_matrix, dominant_chain, orbits, roots_of, w0_length, w0_of
+from ckforms.cartan import cartan_matrix, dominant_chain, orbits, w0_length, w0_of, walk
 from ckforms.errors import InternalInconsistency
 from ckforms.linalg import identity_matrix, rank_of
 from ckforms.rootspace import build_root_system, direct_sum
 from ckforms.weyl import ahyp_dimension, fixed_cone, longest_element
 
 from helpers import (cycles, dense, dense_cartan_matrix, dot, integer_rank, mat_add, reflect,
-                     sparse, strictly_dominant_seed, supported_types, vneg)
+                     roots_of, sparse, strictly_dominant_seed, supported_types, vneg)
 
 
 def _system(blocks):
@@ -340,23 +340,37 @@ def test_core_rejects_inconsistent_input(matrix, length):
     (((2, 1), (1, 2)), 6),     # s_0 sends alpha_1 to alpha_1 - alpha_0
 ])
 def test_root_orbit_rejects_inconsistent_input(matrix, count):
+    # the root-list oracle's own checks
     with pytest.raises(InternalInconsistency):
         roots_of(sparse(matrix), count)
 
 
+@pytest.mark.parametrize("matrix,order,count", [
+    (((2, -2), (-2, 2)), 10, 11),  # affine A1: stops after the layer past the order
+    (((2, -1), (-1, 2)), 8, 6),    # A2 with a wrong expected order
+    (((2, -1), (-1, 2)), 4, 5),    # stops after the layer past the order
+    (((2, -1), (-2, 2)), 6, 7),    # A2 with a corrupted column: B2's group, cut short
+    (((2, 1), (1, 2)), 6, 3),      # a positive entry: s_0 sends rho to a zero label
+])
+def test_walk_rejects_inconsistent_input(matrix, order, count):
+    with pytest.raises(InternalInconsistency,
+                       match=f"^enumerated {count} elements of X, expected {order}$"):
+        list(walk(sparse(matrix), "X", order))
+
+
 def test_core_checks_survive_optimize():
-    # w0_of's chain bound, and both checks of the root orbit: coefficients of
-    # both signs and the wrong count
+    # w0_of's chain bound, and the walk's count check on a corrupted column
+    # and on an infinite group
     code = (
         "import sys\n"
-        "from ckforms.cartan import roots_of, w0_of\n"
+        "from ckforms.cartan import w0_of, walk\n"
         "from ckforms.errors import InternalInconsistency\n"
         "print('optimize', sys.flags.optimize)\n"
         "for check, args in ((w0_of, ((((0, 2), (1, -2)), ((0, -2), (1, 2))), 3)),\n"
-        "                    (roots_of, ((((0, 2), (1, 1)), ((0, 1), (1, 2))), 6)),\n"
-        "                    (roots_of, ((((0, 2), (1, -1)), ((0, -1), (1, 2))), 8))):\n"
+        "                    (walk, ((((0, 2), (1, -1)), ((0, -2), (1, 2))), 'A2', 6)),\n"
+        "                    (walk, ((((0, 2), (1, -2)), ((0, -2), (1, 2))), 'A~1', 10))):\n"
         "    try:\n"
-        "        check(*args)\n"
+        "        list(check(*args)) if check is walk else check(*args)\n"
         "    except InternalInconsistency as e:\n"
         "        print('raised', e)\n"
     )
@@ -368,7 +382,8 @@ def test_core_checks_survive_optimize():
     lines = result.stdout.splitlines()
     assert lines[0] == "optimize 1" and len(lines) == 4
     assert all(line.startswith("raised") for line in lines[1:])
-    assert "both signs" in lines[2] and "has 6 roots, expected 8" in lines[3]
+    assert lines[2:] == ["raised enumerated 7 elements of A2, expected 6",
+                         "raised enumerated 11 elements of A~1, expected 10"]
 
 
 def test_corrupted_chain_is_caught_under_optimize():

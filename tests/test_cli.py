@@ -303,16 +303,16 @@ def test_default_cap_refuses_a9(capsys, tmp_path):
     assert "3628800" in capsys.readouterr().err
 
 
-def _unbuilt_roots(matrix, count):
-    raise AssertionError(f"a root list of {count} roots was built")
+def _unwalked(cartan, label, order, covectors=()):
+    raise AssertionError(f"the group {label} of order {order} was walked")
 
 
-def test_paths_that_never_enumerate_build_no_roots(capsys, monkeypatch, tmp_path):
-    # the core's root orbit gets a body that raises, on the function object
-    # itself, so every name bound to it raises: a wrong-length file, the cap
-    # pre-flight, dominant representatives, the antipodal test and -w0 answer
-    # on A128 without it
-    monkeypatch.setattr(cartan.roots_of, "__code__", _unbuilt_roots.__code__)
+def test_paths_that_never_enumerate_walk_no_group(capsys, monkeypatch, tmp_path):
+    # the core's walk gets a body that raises, on the function object itself,
+    # so every name bound to it raises: a wrong-length file, the cap
+    # pre-flight, dominant representatives, the antipodal test and -w0
+    # answer on A128 without it
+    monkeypatch.setattr(cartan.walk, "__code__", _unwalked.__code__)
     short, line = tmp_path / "short.vec", tmp_path / "line.vec"
     short.write_text("1 -1 0\n")
     line.write_text(" ".join(["1", "-1"] + ["0"] * 127) + "\n")

@@ -16,7 +16,7 @@ from ckforms.cartan import cartan_matrix
 from ckforms.errors import DimensionMismatch, InternalInconsistency, NotInSpan, UnsupportedSystem
 from ckforms.linalg import kernel_basis, rank_of, solve
 from ckforms.rootspace import build_root_system, direct_sum, is_dominant
-from ckforms.weyl import _roots, enumerate_weyl, to_ambient
+from ckforms.weyl import enumerate_weyl, to_ambient
 
 from helpers import (
     ambient_roots,
@@ -26,6 +26,7 @@ from helpers import (
     in_root_span,
     integer_rows,
     positive_ambient_roots,
+    root_list,
     random_span_vector,
     reflect,
     rref,
@@ -48,7 +49,7 @@ ALL_SMALL = [
 
 def test_a2_basic():
     s = build_root_system("A", 2)
-    assert len(_roots(s)) == 6
+    assert len(root_list(s)) == 6
     assert s.ambient_dim == 3
     assert s.rank == 2
 
@@ -73,10 +74,10 @@ def test_root_counts_match_formulas():
     for letter, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3), ("BC", 1)):
         for n in range(lo, 9):
             s = build_root_system(letter, n)
-            assert len(_roots(s)) == counts[letter](n)
+            assert len(root_list(s)) == counts[letter](n)
     for letter, rank, expected in (("G", 2, 12), ("F", 4, 48),
                                    ("E", 6, 72), ("E", 7, 126), ("E", 8, 240)):
-        assert len(_roots(build_root_system(letter, rank))) == expected
+        assert len(root_list(build_root_system(letter, rank))) == expected
 
 
 @pytest.mark.parametrize("letter,rank", ALL_SMALL)
@@ -105,7 +106,7 @@ def test_closed_under_reflection(letter, rank):
     2(v, a)/(a, a) of a reflection divides exactly."""
     s = build_root_system(letter, rank)
     rows = [tuple(sum(c * a[k] for c, a in zip(b, s.simple_rows)) for k in range(s.ambient_dim))
-            for b in _roots(s)]
+            for b in root_list(s)]
     roots = set(rows)
     for a in rows:
         aa = sum(map(mul, a, a))
@@ -168,7 +169,7 @@ def test_direct_sum_layout():
     s = direct_sum(a1, a1)
     assert s.ambient_dim == 4
     assert s.rank == 2
-    assert len(_roots(s)) == 4
+    assert len(root_list(s)) == 4
     assert s.label == "A1+A1"
     assert s.blocks == (("A", 1), ("A", 1))
     assert in_root_span(s, vector([1, -1, 0, 0]))
@@ -345,7 +346,7 @@ def test_generated_roots_match_per_type_enumeration(blocks):
     # the root order is the core's, not the oracle's: compare sorted lists
     s = direct_sum(*(build_root_system(t, n) for t, n in blocks))
     roots, simples, positives = _embedded([_oracle_system(t, n) for t, n in blocks])
-    assert all(min(b) >= 0 or max(b) <= 0 for b in _roots(s))
+    assert all(min(b) >= 0 or max(b) <= 0 for b in root_list(s))
     assert sorted(ambient_roots(s)) == sorted(roots)
     assert list(s.simple_roots) == simples
     assert sorted(positive_ambient_roots(s)) == sorted(positives)
@@ -370,8 +371,8 @@ def test_cartan_matrix_matches_the_simple_roots(blocks):
 def test_root_coords_recombine_to_the_roots(blocks):
     # the integer recombination of the Weyl layer against the Fraction one
     s = direct_sum(*(build_root_system(t, n) for t, n in blocks))
-    assert all(len(b) == s.rank and all(type(x) is int for x in b) for b in _roots(s))
-    recombined = [tuple(Fraction(x, s.den) for x in to_ambient(s, b)) for b in _roots(s)]
+    assert all(len(b) == s.rank and all(type(x) is int for x in b) for b in root_list(s))
+    recombined = [tuple(Fraction(x, s.den) for x in to_ambient(s, b)) for b in root_list(s)]
     assert recombined == list(ambient_roots(s))
 
 

@@ -38,10 +38,14 @@ from helpers import (
     fundamental_coweights,
     mat_mul,
     mat_vec,
+    permutation_bfs,
     positive_ambient_roots,
     random_span_vector,
     reflect,
-    root_permutation,
+    reflect_labels,
+    root_data,
+    root_list,
+    spelled,
     supported_types,
     two_chain_antipodal,
     vadd,
@@ -83,7 +87,7 @@ def test_enumeration_orders(letter, rank, order):
     els = enumerate_weyl(s, cap=2000)
     assert len(els) == order == weyl_order(s)
     first = next(iter(els))
-    assert root_permutation(first) == tuple(range(len(weyl._roots(s))))
+    assert first._mu == (1,) * s.rank
     assert first.word == ()
 
 
@@ -103,8 +107,8 @@ def test_enumeration_cap_below_one_is_refused(cap):
 
 def test_enumeration_is_canonical():
     s = build_root_system("B", 3)
-    first = [(w.word, root_permutation(w)) for w in enumerate_weyl(s)]
-    second = [(w.word, root_permutation(w)) for w in enumerate_weyl(s)]
+    first = [(w.word, w._mu) for w in enumerate_weyl(s)]
+    second = [(w.word, w._mu) for w in enumerate_weyl(s)]
     assert first == second
     lengths = [len(w) for w, _ in first]
     assert lengths == sorted(lengths)
@@ -313,14 +317,12 @@ def _system(label):
                                    "BC2+A1"])
 def test_dominant_chain_from_minus_rho_takes_exactly_w0_length(label):
     # -rho is strictly antidominant: its chain is a reduced word of w0, as
-    # long as the bound the dominant representative allows, and no root
-    # list is built on the way (a fresh copy starts with an empty cache)
+    # long as the bound the dominant representative allows
     s = RootSystem(*_system(label))
     rho = tuple(map(sum, zip(*fundamental_coweights(s))))
     assert dominant_representative(s, vneg(rho)) == rho
     _, chain, _ = cartan.dominant_chain(s.cartan, [-1] * s.rank, weyl._w0_length(s))
     assert len(chain) == weyl._w0_length(s) == len(weyl._w0(s).chain)
-    assert "perms" not in s._cache
 
 
 def test_w0_sends_dominant_to_antidominant():
@@ -359,31 +361,7 @@ def test_enumeration_orders_formula_sweep():
 
 
 # ---------------------------------------------------------------------------
-# the lazy enumeration against the list-building breadth-first search
-
-def _bfs_oracle(system):
-    """(word, root permutation) of every element, by the list-building
-    search: frontier by frontier, each element composed with s_0, s_1, ...
-    in turn, keeping the first word that reaches a new permutation."""
-    index = {r: i for i, r in enumerate(ambient_roots(system))}
-    gens = [itemgetter(*[index[reflect(r, a)] for r in ambient_roots(system)])
-            for a in system.simple_roots]
-    ident = tuple(range(len(weyl._roots(system))))
-    seen = {ident}
-    out = [((), ident)]
-    frontier = out
-    while frontier:
-        nxt = []
-        for word, perm in frontier:
-            for i, g in enumerate(gens):
-                q = g(perm)   # perm o s_i
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append((word + (i,), q))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
+# the walk of rho against the search over root permutations
 
 _STREAMED = [("A", n) for n in range(1, 8)] + [(t, n) for t in "BC" for n in range(2, 7)] \
     + [("BC", n) for n in range(1, 7)] + [("D", n) for n in range(3, 7)] + [("G", 2), ("F", 4)]
@@ -393,22 +371,23 @@ def test_streamed_order_matches_list_building_search():
     systems = [build_root_system(t, n) for t, n in _STREAMED]
     systems.append(direct_sum(build_root_system("A", 2), build_root_system("G", 2)))
     systems.append(direct_sum(build_root_system("BC", 2), build_root_system("A", 1)))
+    systems.append(direct_sum(build_root_system("B", 2), build_root_system("A", 1)))
     for s in systems:
         assert weyl_order(s) <= 5 * 10**4
-        expected = _bfs_oracle(s)
-        streamed = [(w.word, root_permutation(w)) for w in enumerate_weyl(s)]
+        expected = [(word, mu) for word, _, mu in permutation_bfs(s)]
+        streamed = [(w.word, w._mu) for w in enumerate_weyl(s)]
         assert streamed == expected, s.label
 
 
 def test_each_pass_generates_the_same_elements_again():
     view = enumerate_weyl(build_root_system("B", 3))
     assert view.generated == 0 and len(view) == 48
-    first = [(w.word, root_permutation(w)) for w in view]
+    first = [(w.word, w._mu) for w in view]
     assert len(first) == 48 == view.generated
-    head = [(w.word, root_permutation(w)) for w in islice(view, 10)]
+    head = [(w.word, w._mu) for w in islice(view, 10)]
     assert head == first[:10] and view.generated == 10
-    assert list(view) == list(view)   # WeylElement equality: same permutations
-    assert [(w.word, root_permutation(w)) for w in view] == first
+    assert list(view) == list(view)   # WeylElement equality: the same mu
+    assert [(w.word, w._mu) for w in view] == first
     assert view.generated == 48
 
 
@@ -441,31 +420,25 @@ def test_full_pass_holds_two_layers_not_the_group():
 def test_count_check_runs_when_generation_completes():
     s = build_root_system("A", 2)
     wrong = WeylEnumeration(s, 7)
-    assert [w.word for w in islice(wrong, 6)] == [w for w, _ in _bfs_oracle(s)]
+    assert [w.word for w in islice(wrong, 6)] == [word for word, _, _ in permutation_bfs(s)]
     with pytest.raises(InternalInconsistency, match="enumerated 6 elements of A2, expected 7"):
         list(wrong)
 
 
-def _spelled(s, word):
-    """The permutation s_word[0] ... s_word[-1]."""
-    _, perm, gens, _ = weyl._perm_data(s)
-    for i in word:
-        perm = weyl._compose(perm, gens[i])
-    return perm
-
-
 def _word_round_trip(s, w):
-    """The derived word spells w, and its length is the number of positive
-    roots w sends to negative roots."""
-    roots = weyl._roots(s)
-    assert _spelled(s, w.word) == w._perm
-    inversions = sum(1 for b, k in zip(roots, w._perm) if max(b) > 0 > min(roots[k]))
+    """The derived word spells w: rho reflected along it, s_word[0] first,
+    is mu, the labels of w^-1 rho.  Its length is the number of positive
+    roots the root permutation it spells sends to negative roots, so it is
+    reduced."""
+    assert reflect_labels(s, (1,) * s.rank, w.word) == w._mu
+    roots = root_list(s)
+    perm = spelled(s, w.word)
+    inversions = sum(1 for b, k in zip(roots, perm) if max(b) > 0 > min(roots[k]))
     assert len(w.word) == inversions
 
 
 @pytest.mark.parametrize("label,size", [("E7", 2000), ("E8", 2000), ("A10", 2000), ("A16", 1000)])
 def test_derived_words_spell_a_stream_prefix_in_order(label, size):
-    # A16 has 272 roots, so its permutations are tuples, not bytes
     s = _system(label)
     prefix = list(islice(enumerate_weyl(s, cap=10**20), size))
     for w in prefix:
@@ -487,24 +460,26 @@ def _is_least_word_of_w0(s, w0):
     own word of w0 spells the same element."""
     least = cartan.dominant_chain(s.cartan, [-1] * s.rank, weyl._w0_length(s))[1]
     assert w0.word == least
-    assert _spelled(s, weyl._w0(s).chain) == _spelled(s, least) == w0._perm
+    assert spelled(s, weyl._w0(s).chain) == spelled(s, least)
+    assert w0._mu == (-1,) * s.rank
 
 
 @pytest.mark.parametrize("n", [16, 20])
 def test_longest_element_past_256_roots(n):
-    # A16 (272 roots) and A20 compose tuple permutations; w0 reverses the
-    # coordinates e_1, ..., e_{n+1}
+    # A16 (272 roots) and A20: w0 reverses the coordinates e_1, ..., e_{n+1}
     s = build_root_system("A", n)
     w0 = longest_element(s)
-    assert len(weyl._roots(s)) > 256 and isinstance(w0._perm, tuple)
+    assert len(root_list(s)) > 256
     _is_least_word_of_w0(s, w0)
     assert w0.matrix == tuple(reversed(identity_matrix(n + 1)))
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 4), ("B", 3), ("G", 2), ("F", 4)])
 def test_span_action_equals_matrix_action(letter, rank):
-    # the embedded scan's action on the root span: `_combine` on the
-    # coweight pairings (`_pairings`) of a vector scaled to integers
+    # the embedded scan's action on the root span, on the coweight pairings
+    # (`_pairings`) of a vector scaled to integers: the unit covectors
+    # carried through the walk, e_k o w, give coordinate k of each image,
+    # and `_image` rebuilds it along the word of w
     s = build_root_system(letter, rank)
     rng = random.Random(7 + rank)
     vectors = [random_span_vector(s, rng) for _ in range(2)] + [s.simple_roots[-1]]
@@ -512,12 +487,13 @@ def test_span_action_equals_matrix_action(letter, rank):
     coweights = fundamental_coweights(s)
     scales = [None] * len(vectors)
 
-    def check(w, moved):
+    def check(w, moved, pulled=None):
         # each image is t times the simple-root coordinates (omega_i, w.v),
         # in integers, t > 0 and the same for every w
-        images = w._images()
         for j, (terms, x) in enumerate(zip(combos, moved)):
-            u = weyl._combine(s, images, terms)
+            u = w._image(terms)
+            if pulled is not None:
+                assert u == [sum(a * b for a, b in zip(phi, terms)) for phi in pulled]
             assert len(u) == s.rank and all(type(y) is int for y in u)
             coords = [dot(omega, x) for omega in coweights]
             k = next(k for k, y in enumerate(coords) if y)
@@ -526,22 +502,25 @@ def test_span_action_equals_matrix_action(letter, rank):
             assert tuple(u) == tuple(t * y for y in coords)
             scales[j] = t
 
-    for w in enumerate_weyl(s):
-        check(w, [mat_vec(w.matrix, v) for v in vectors])
-    w0 = longest_element(s)   # composed from its chain, no enumeration
+    units = identity_matrix(s.rank)
+    for w, pulled in enumerate_weyl(s).pullbacks([[int(x) for x in e] for e in units]):
+        check(w, [mat_vec(w.matrix, v) for v in vectors], pulled)
+    w0 = longest_element(s)   # reflected along its chain, no enumeration
     check(w0, [w0.apply(v) for v in vectors])
 
 
 def test_w0_check_survives_optimize():
-    # a w0 whose chain composes to the identity must fail the check of its
-    # derived word's length against that of w0, also under python -O
+    # an action of words that drops each word's last letter makes w0's mu
+    # that of an element of length 5, whose derived word loses one more:
+    # the check of its length against that of w0 fails, also under python -O
     code = (
         "import sys\n"
-        "from ckforms import weyl\n"
+        "from ckforms import cartan, weyl\n"
         "from ckforms.errors import InternalInconsistency\n"
         "from ckforms.rootspace import build_root_system\n"
         "print('optimize', sys.flags.optimize)\n"
-        "weyl._compose = lambda outer, inner: outer\n"
+        "act = cartan.act\n"
+        "cartan.act = lambda matrix, labels, word: act(matrix, labels, word[:-1])\n"
         "try:\n"
         "    weyl.longest_element(build_root_system('A', 3))\n"
         "except InternalInconsistency as e:\n"
@@ -553,7 +532,7 @@ def test_w0_check_survives_optimize():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n")[:2] == ["optimize 1",
-                                            "w0 of A3 composes to an element of length 0, not 6"]
+                                            "w0 of A3 composes to an element of length 4, not 6"]
 
 
 def test_singular_internal_inverse_is_internal_inconsistency(monkeypatch):
@@ -598,7 +577,7 @@ def _oracle_matrices(system):
     simple = [index[a] for a in system.simple_roots]
 
     def matrix(w):
-        perm = root_permutation(w)
+        perm = spelled(system, w.word)
         images = [ambient_roots(system)[perm[i]] for i in simple]
         return mat_mul(_columns_matrix(images + complement), inv)
 
@@ -629,33 +608,41 @@ def _oracle_reflections(system):
 
 @pytest.mark.parametrize("system", _supported(10) + [A2G2, B2A1], ids=lambda s: s.label)
 def test_reflections_on_root_coords_match_ambient_oracle(system):
-    # the core's reflection table, read straight into permutations: simple
-    # root i at index i, and each simple reflection an involution
-    roots, ident, gens, _ = weyl._perm_data(system)
-    n = len(roots)
-    assert tuple(ident[:n]) == tuple(range(n))
+    # the reflection table of the root-list oracle (`helpers.roots_of`):
+    # simple root i at index i, and each simple reflection an involution
+    roots, images = root_data(system)
+    ident = tuple(range(len(roots)))
     simple, oracle = _oracle_reflections(system)
     assert simple == tuple(range(system.rank))
-    assert [tuple(g[:n]) for g in gens] == oracle
-    assert all(weyl._compose(g, g) == ident for g in gens)
+    assert list(images) == oracle
+    assert all(itemgetter(*g)(g) == ident for g in images)
 
 
 @pytest.mark.parametrize("system", _supported(8) + [direct_sum(
     build_root_system("A", 2), build_root_system("G", 2), build_root_system("D", 5))],
     ids=lambda s: s.label)
 def test_minus_w0_matches_the_longest_element(system):
-    # -w0 from the core's permutation of the simple roots, against the
-    # negated matrix of the longest element built from the root permutations;
-    # _supported(8) holds E6, E7 and E8
-    assert minus_w0(system) == tuple(map(vneg, longest_element(system).matrix))
+    # -w0, the negated matrix of the longest element, against the matrix
+    # that sends a_j to a_sigma(j) for the core's permutation sigma of the
+    # simple roots (`cartan.w0_of`) and negates the complement of the root
+    # span; _supported(8) holds E6, E7 and E8
+    simples = list(system.simple_roots)
+    complement = list(kernel_basis(simples))
+    images = [simples[j] for j in weyl._w0(system).minus_w0] + [vneg(c) for c in complement]
+    expected = mat_mul(_columns_matrix(images), invert(_columns_matrix(simples + complement)))
+    assert minus_w0(system) == expected == tuple(map(vneg, longest_element(system).matrix))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bc_shares_the_root_list_and_reflections_of_b(n):
-    # W(BC_n) = W(B_n): the doubled roots 2e_i reflect as e_i, so the Weyl
-    # layer builds B_n's roots and permutations for BC_n (A_1's for BC_1)
+    # W(BC_n) = W(B_n): the doubled roots 2e_i reflect as e_i, so BC_n has
+    # B_n's Cartan matrix (A_1's for BC_1), hence its roots and reflections
+    # (the root-list oracle), and the walk meets the same elements in order
     reduced = build_root_system("B", n) if n > 1 else build_root_system("A", 1)
-    assert weyl._perm_data(build_root_system("BC", n)) == weyl._perm_data(reduced)
+    bc = build_root_system("BC", n)
+    assert bc.cartan == reduced.cartan and root_data(bc) == root_data(reduced)
+    assert [(w.word, w._mu) for w in enumerate_weyl(bc)] == [
+        (w.word, w._mu) for w in enumerate_weyl(reduced)]
 
 
 @pytest.mark.parametrize("system", _supported(12) + [A2G2, B2A1], ids=lambda s: s.label)
@@ -673,8 +660,8 @@ def test_root_list_matches_block_by_block_construction(label):
     # orbit embedded block-diagonally
     s = _system(label)
     expected = block_root_coords(s)
-    assert len(weyl._roots(s)) == len(expected)
-    assert set(weyl._roots(s)) == set(expected)
+    assert len(root_list(s)) == len(expected)
+    assert set(root_list(s)) == set(expected)
 
 
 @pytest.mark.parametrize("system", [build_root_system("A", 4), build_root_system("B", 3),
@@ -715,7 +702,7 @@ def _oracle_dominant_chain(system, v):
 @pytest.mark.parametrize("system", _supported(10) + [A2G2, B2A1],
                          ids=lambda s: s.label)
 def test_dominant_chain_matches_fraction_oracle(system):
-    rng = random.Random(len(weyl._roots(system)))
+    rng = random.Random(len(root_list(system)))
     vectors = [random_span_vector(system, rng) for _ in range(4)]
     vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                       for _ in range(system.ambient_dim)) for _ in range(4)]
@@ -736,7 +723,7 @@ def test_is_antipodal_matches_the_two_chain_oracle(system):
     # antipodal, moved by random simple reflections; the same plus a
     # complement vector, and random ambient vectors, off the span where
     # the span is not the whole space
-    rng = random.Random(len(weyl._roots(system)))
+    rng = random.Random(len(root_list(system)))
     m = minus_w0(system)
     complement = kernel_basis(system.simple_roots)
     vectors = []
@@ -756,7 +743,8 @@ def test_is_antipodal_matches_the_two_chain_oracle(system):
 
 def test_is_antipodal_runs_one_dominant_chain_and_builds_no_fraction(monkeypatch):
     # the two-chain formula ran a chain on v and one on -v, and built two
-    # Fraction vectors
+    # Fraction vectors; `antipodal_orbit_check` ran one chain for the test
+    # and another for the dominant representative
     chains, fractions = [], []
     real_chain, real_fractions = cartan.dominant_chain, weyl.as_fractions
 
@@ -776,5 +764,8 @@ def test_is_antipodal_runs_one_dominant_chain_and_builds_no_fraction(monkeypatch
                 tuple(rng.randint(-3, 3) for _ in range(system.ambient_dim))]:
             chains.clear()
             is_antipodal(system, v)
+            assert chains == [weyl._w0_length(system)]
+            chains.clear()
+            antipodal_orbit_check(system, v)
             assert chains == [weyl._w0_length(system)]
     assert fractions == []
