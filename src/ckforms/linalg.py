@@ -22,10 +22,6 @@ def as_fractions(ints, den: int) -> Vector:
     return tuple(Fraction(x, den) for x in ints)
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(as_fractions([int(i == j) for j in range(n)], 1) for i in range(n))
-
-
 def integer_row(row) -> tuple[list[int], int]:
     """The row times the common denominator d of its entries, and d (ints
     pass through: they too have `.numerator` and `.denominator`)."""

@@ -15,7 +15,7 @@ docs/cli.md for the bit-exact statement):
 
 A system keeps them as integer rows over one common denominator, as they
 are written, with the core's integer Cartan matrix (`cartan`), checked
-against them, and no other root: `weyl` builds the root list.  The span
+against them, and no other root: no layer builds a root list.  The span
 and dominance tests pair a vector, scaled to integers, with integer rows
 of the span's complement and of the simple roots.  The Fraction simple
 roots are built only when `simple_roots` is read, at the API edge.
@@ -39,8 +39,8 @@ class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank simple_
     `label` (str), `blocks` (the (type letter, rank) of each irreducible
     block), `ambient_dim`, `rank` and `den` (int), `simple_rows` (the simple
     roots times their least common denominator `den`, as int tuples) and
-    `cartan` (the sparse CartanMatrix).  `_cache` holds derived data (`weyl`'s
-    root list, the Fraction `simple_roots`) outside the tuple: == and hash ignore it."""
+    `cartan` (the sparse CartanMatrix).  `_cache`, which == and hash ignore,
+    holds `coweights` (`weyl`), `complement` and the Fraction `simple_roots`."""
 
     @cached_property
     def _cache(self) -> dict:

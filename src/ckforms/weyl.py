@@ -3,16 +3,16 @@ representatives, the longest element, the involution -w0 and its fixed
 cone, the a-hyperbolic dimension, and the antipodal orbit test.
 
 The layer runs in simple-root coordinates, and no root list is built.  An
-element w is mu, the Dynkin labels of w^-1 rho, and the group is the
-Cartan core's walk of the orbit of rho (`cartan.walk`).  It acts in
-integers, each simple-root vector a dense row of ints: `_pairings`, the one
-pairing with the fundamental coweights, gives a vector's coordinates, the
-core's action of a word (`cartan.act`) moves them, and `to_ambient` maps
-them back.  Enumeration is breadth-first by length, ties broken
-lexicographically by word so indices are reproducible, and a stream: a scan
-that stops early generates only the elements it read, and a full pass holds
-two length layers.  Dominant representatives, w0's word, -w0 and ahyp read
-only the Cartan core.
+element w is mu, the Dynkin labels of w^-1 rho, and the group is the Cartan
+core's walk of the orbit of rho (`cartan.walk`).  It acts in integers and
+meets the ambient coordinates in one map, `_act`: the pairing with the
+coweights (`_pairings`) gives a vector's coordinates, a map moves them (an
+element's, along its word by `cartan.act`, or -w0's, a signed permutation),
+and `to_ambient` maps them back, the complement of the root span kept.
+Enumeration is breadth-first by length, ties broken lexicographically by word
+so indices are reproducible, and a stream: a scan that stops early generates
+only the elements it read, and a full pass holds two length layers.  Dominant
+representatives, w0's word, -w0 and ahyp read only the Cartan core.
 """
 
 from collections import namedtuple
@@ -22,7 +22,7 @@ from operator import itemgetter, mul
 
 from . import cartan
 from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
-from .linalg import Matrix, Vector, _eliminate, as_fractions, identity_matrix, integer_row
+from .linalg import Matrix, Vector, _eliminate, as_fractions, integer_row
 from .rootspace import RootSystem, check_dimension
 
 def weyl_order(system: RootSystem) -> int:
@@ -91,17 +91,17 @@ def _sum_rows(pairs, width: int) -> list:
     return acc
 
 
-def _shift(system: RootSystem, word, coords) -> list[int]:
-    """b - w(b) for simple-root coordinates b, w = s_word[-1] ... s_word[0]."""
-    return cartan.act(system.cartan, cartan.dynkin_labels(system.cartan, coords), word)[1]
-
-
-def _act(system: RootSystem, word, v: Vector) -> Vector:
-    """w.v for w = s_word[-1] ... s_word[0], the complement of the root span
-    fixed."""
+def _act(system: RootSystem, image, v: Vector) -> Vector:
+    """v with its simple-root coordinates b sent to image(b), its complement part kept."""
     den, ints, coords = _coordinates(system, v)
-    shift = to_ambient(system, _shift(system, word, coords))
+    shift = to_ambient(system, [b - x for b, x in zip(coords, image(coords))])
     return as_fractions([x - y for x, y in zip(ints, shift)], den)
+
+
+def _matrix(system: RootSystem, image) -> Matrix:
+    """The exact matrix of `_act` with this image: the images of the integer unit vectors."""
+    n = system.ambient_dim
+    return tuple(zip(*(_act(system, image, [int(i == j) for j in range(n)]) for i in range(n))))
 
 
 def to_ambient(system: RootSystem, coords) -> list:
@@ -130,9 +130,11 @@ class WeylElement:
         """The least reduced word of w^-1, so w = s_chain[-1] ... s_chain[0]."""
         return cartan.dominant_chain(self.system.cartan, self._mu, _w0_length(self.system))[1]
 
-    def _image(self, coords) -> list[int]:
-        """w(b) for simple-root coordinates b."""
-        return [b - x for b, x in zip(coords, _shift(self.system, self._chain(), coords))]
+    def _image(self, coords, chain=None) -> list[int]:
+        """w(b) for simple-root coordinates b, along w's chain unless given one."""
+        a, chain = self.system.cartan, self._chain() if chain is None else chain
+        shift = cartan.act(a, cartan.dynkin_labels(a, coords), chain)[1]
+        return [b - x for b, x in zip(coords, shift)]
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -146,13 +148,13 @@ class WeylElement:
 
     @property
     def matrix(self) -> Matrix:
-        """The exact matrix, column by column the images of the unit vectors."""
-        chain, system = self._chain(), self.system
-        return tuple(zip(*(_act(system, chain, e) for e in identity_matrix(system.ambient_dim))))
+        """The exact matrix (`_matrix`), along one chain for every column."""
+        chain = self._chain()
+        return _matrix(self.system, lambda b: self._image(b, chain))
 
     def apply(self, v: Vector) -> Vector:
         """w.v, the complement of the root span fixed."""
-        return _act(self.system, self._chain(), v)
+        return _act(self.system, self._image, v)
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
@@ -263,10 +265,11 @@ def longest_element(system: RootSystem) -> WeylElement:
 
 
 def minus_w0(system: RootSystem) -> Matrix:
-    """The involution -w0 as an exact matrix, the negated matrix of the
-    longest element; it preserves the dominant chamber and permutes the
-    simple roots, and negates the complement of the root span."""
-    return tuple(tuple(-x for x in row) for row in longest_element(system).matrix)
+    """The involution -w0, the negated matrix (`_matrix`) of w0, read off
+    the core's sigma (`cartan.w0_of`) with no word: w0 sends simple-root
+    coordinates b to -b o sigma and fixes the complement of the root span."""
+    sigma = _w0(system).minus_w0
+    return tuple(tuple(-x for x in r) for r in _matrix(system, lambda b: [-b[j] for j in sigma]))
 
 
 def ahyp_dimension(system: RootSystem) -> int:

@@ -1,18 +1,18 @@
-"""Shared test utilities: seeded random rational vectors, brute-force
-orbit oracles, exact vectors, their negation, sum and dot product, the
-dense closed-form Cartan matrices and their sparse rows, the matrix,
-reflection and elimination formulas that stay independent of the code paths
-they check, the ambient root lists, the block-by-block root list, the Fraction
-constructions of the simple roots and the coweights, the fundamental
-coweights as Fractions, the split Cartan subspaces of the standard
-subgroups of sl(n,R), the orbit walk of a subspace under the simple
-reflections, the cycles of a permutation, the root list and the Weyl group
-search over root permutations that the walk of rho replaced, the
-permutation of the root list a word spells, the embedded scan over
-the images of the simple roots, the subspace file reader with Fraction
-entries, the closed-form rule for proper SL(2,R)-actions on sl(n,R), and
-the two-chain antipodal test and the argparse parser that faster code
-replaced."""
+"""Shared test utilities: seeded random rational vectors, brute-force orbit
+oracles, exact vectors, their negation, sum and dot product, the exact
+identity matrix, the dense closed-form Cartan matrices and their sparse
+rows, the matrix, reflection and elimination formulas that stay
+independent of the code paths they check, the ambient root lists, the
+block-by-block root list, the Fraction constructions of the simple roots
+and the coweights, the fundamental coweights as Fractions, the split
+Cartan subspaces of the standard subgroups of sl(n,R), the orbit walk of a
+subspace under the simple reflections, the cycles of a permutation, the
+root list and the Weyl group search over root permutations that the walk
+of rho replaced, the permutation of the root list a word spells, the
+embedded scan over the images of the simple roots, the subspace file
+reader with Fraction entries, the closed-form rule for proper
+SL(2,R)-actions on sl(n,R), and the two-chain antipodal test and the
+argparse parser that faster code replaced."""
 
 from __future__ import annotations
 
@@ -63,6 +63,10 @@ def form_order_key(form: SimpleRealForm) -> tuple:
 
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
+
+
+def identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def vneg(u: Vector) -> Vector:

@@ -30,7 +30,6 @@ from ckforms.criteria import (
     check_proper_embedded,
     subspace_from_text,
 )
-from ckforms.linalg import identity_matrix
 from ckforms.obstruction import (
     INCONCLUSIVE,
     NO_STANDARD_FORM,
@@ -50,6 +49,7 @@ from ckforms.weyl import (
 
 from helpers import (
     FIXTURES,
+    identity_matrix,
     mat_mul,
     mat_vec,
     rand_fraction,

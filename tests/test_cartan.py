@@ -28,12 +28,12 @@ import ckforms
 from ckforms import catalog, obstruction
 from ckforms.cartan import cartan_matrix, dominant_chain, orbits, w0_length, w0_of, walk
 from ckforms.errors import InternalInconsistency
-from ckforms.linalg import identity_matrix, rank_of
+from ckforms.linalg import rank_of
 from ckforms.rootspace import build_root_system, direct_sum
 from ckforms.weyl import ahyp_dimension, fixed_cone, longest_element
 
-from helpers import (cycles, dense, dense_cartan_matrix, dot, integer_rank, mat_add, reflect,
-                     roots_of, sparse, strictly_dominant_seed, supported_types, vneg)
+from helpers import (cycles, dense, dense_cartan_matrix, dot, identity_matrix, integer_rank,
+                     mat_add, reflect, roots_of, sparse, strictly_dominant_seed, supported_types, vneg)
 
 
 def _system(blocks):

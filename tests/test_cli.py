@@ -124,6 +124,21 @@ def test_check_proper_cap_exit_3(capsys):
     assert code == 3
 
 
+def test_check_proper_cap_equal_to_the_order_runs(capsys, monkeypatch):
+    # exit 3 iff |W| > cap: --cap 120 on A4 (|W| = 120) gives the golden
+    # report, its cap apart, and --cap 119 and --cap 1 exit 3
+    monkeypatch.chdir(ROOT)
+    argv = ["check-proper", "--system", "A,4", "--ah", "tests/fixtures/a4_ah.vec",
+            "--al", "tests/fixtures/a4_al_meets.vec"]
+    code, report = run_json(capsys, *argv, "--cap", "120")
+    expected = json.loads((ROOT / "tests" / "golden" / "check-proper-embedded.json").read_text())
+    expected["inputs"]["cap"] = 120
+    assert code == 0 and report == expected
+    for cap in ("119", "1"):
+        assert main(argv + ["--cap", cap]) == 3
+        assert f"Weyl group has 120 elements, exceeding the cap {cap}\n" in capsys.readouterr().err
+
+
 def test_check_proper_usage_errors(capsys):
     assert main(["check-proper", "sl(3,R)"]) == 2
     assert main(["check-proper", "--system", "A,4"]) == 2

@@ -110,7 +110,7 @@ def test_every_public_name_is_used(module):
 
 # `cat src/ckforms/*.py | wc -l` after the latest change that shrank the
 # package; a change that shrinks it further lowers this bound
-PACKAGE_LINES = 2358
+PACKAGE_LINES = 2357
 
 
 def test_package_does_not_grow():
@@ -184,6 +184,18 @@ def test_only_the_weyl_layer_pairs_with_the_coweights():
     itself (`weyl._pairings` does)."""
     naming = sorted(name for name, tree in TREES.items() if "_coweight_rows" in _names(tree))
     assert naming == ["weyl"]
+
+
+def test_weyl_meets_the_ambient_space_in_one_map():
+    """`weyl` reaches the ambient coordinates through one map, `_act`, which
+    takes a map on simple-root coordinates rather than a word, and no module
+    builds a Fraction identity matrix (`matrix` and `minus_w0` act on
+    integer unit vectors)."""
+    defined = [d for node in TREES["weyl"].body for d in _defined(node)]
+    assert defined.count("_act") == 1 and "_shift" not in defined
+    act = next(n for n in TREES["weyl"].body if getattr(n, "name", None) == "_act")
+    assert [a.arg for a in act.args.args] == ["system", "image", "v"]
+    assert sorted(name for name, tree in TREES.items() if "identity_matrix" in _names(tree)) == []
 
 
 def test_cli_builds_no_check_dict_by_hand():

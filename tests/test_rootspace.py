@@ -60,8 +60,8 @@ def test_bc1_roots():
     assert set(ambient_roots(s)) == {vector([1]), vector([-1])}
 
 
-@pytest.mark.parametrize("letter,rank", [("D", 2), ("E", 5), ("B", 1), ("C", 0),
-                                         ("G", 3), ("F", 5), ("A", 0), ("H", 3)])
+@pytest.mark.parametrize("letter,rank", [("D", 2), ("E", 5), ("B", 1), ("C", 0), ("C", 1),
+                                         ("BC", 0), ("G", 3), ("F", 5), ("A", 0), ("H", 3)])
 def test_unsupported(letter, rank):
     with pytest.raises(UnsupportedSystem):
         build_root_system(letter, rank)

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import ckforms
-from ckforms import cartan, weyl
+from ckforms import cartan, linalg, weyl
 from ckforms.criteria import antipodal_orbit_check
 from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency
-from ckforms.linalg import _eliminate, identity_matrix, integer_row, invert, kernel_basis
+from ckforms.linalg import _eliminate, integer_row, invert, kernel_basis
 from ckforms.rootspace import RootSystem, build_root_system, direct_sum, is_dominant
 from ckforms.weyl import (
     WeylEnumeration,
@@ -36,6 +36,7 @@ from helpers import (
     dot,
     fraction_coweight_rows,
     fundamental_coweights,
+    identity_matrix,
     mat_mul,
     mat_vec,
     permutation_bfs,
@@ -97,6 +98,18 @@ def test_enumeration_cap():
         enumerate_weyl(s, cap=1000)
     assert exc.value.order == 1152
     assert len(enumerate_weyl(build_root_system("B", 3), cap=100)) == 48
+
+
+def test_enumeration_cap_is_exceeded_only_above_the_order():
+    # CapExceeded iff |W| > cap: a cap equal to the order streams the whole
+    # group, one below it is exceeded with the exact order, and a cap of 1
+    # is exceeded (every supported group has order >= 2), not refused
+    a4 = build_root_system("A", 4)
+    assert len({w for w in enumerate_weyl(a4, cap=120)}) == 120
+    for system, cap, order in ((a4, 119, 120), (build_root_system("A", 1), 1, 2)):
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_weyl(system, cap=cap)
+        assert (exc.value.order, exc.value.cap) == (order, cap)
 
 
 @pytest.mark.parametrize("cap", [0, -1])
@@ -769,3 +782,46 @@ def test_is_antipodal_runs_one_dominant_chain_and_builds_no_fraction(monkeypatch
             antipodal_orbit_check(system, v)
             assert chains == [weyl._w0_length(system)]
     assert fractions == []
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so each call appends its arguments to the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+_COUNTED = [build_root_system("A", 7), build_root_system("E", 6), A2G2]
+
+
+@pytest.mark.parametrize("system", _COUNTED, ids=lambda s: s.label)
+def test_minus_w0_walks_no_word_and_runs_no_chain(system, monkeypatch):
+    # -w0 is read off the core's permutation sigma, whose sweep is the
+    # core's own; the word-walking -w0 ran w0's chain through `cartan.act`
+    # once per column, and a dominant chain for w0's word
+    expected = tuple(map(vneg, longest_element(system).matrix))
+    acts = _counting(monkeypatch, cartan, "act")
+    chains = _counting(monkeypatch, cartan, "dominant_chain")
+    assert minus_w0(system) == expected
+    assert (acts, chains) == ([], [])
+
+
+@pytest.mark.parametrize("system", _COUNTED, ids=lambda s: s.label)
+def test_matrix_runs_one_chain_on_integer_unit_vectors(system, monkeypatch):
+    # an element's matrix derives its chain once and builds Fractions only
+    # for its columns, each the image of an integer unit vector (the
+    # identity matrix of Fractions doubled the Fraction rows)
+    chains = _counting(monkeypatch, cartan, "dominant_chain")
+    fractions = _counting(monkeypatch, weyl, "as_fractions")
+    unit_fractions = _counting(monkeypatch, linalg, "as_fractions")
+    for w in islice(enumerate_weyl(system), 1, None, 97):
+        chains.clear()
+        fractions.clear()
+        w.matrix
+        assert [args[2] for args in chains] == [weyl._w0_length(system)]
+        assert len(fractions) == system.ambient_dim and unit_fractions == []
