@@ -119,24 +119,26 @@ def test_check_proper_embedded(capsys):
 
 
 def test_check_proper_cap_exit_3(capsys):
-    code = main(["check-proper", "--system", "F,4", "--cap", "100",
-                 "--ah", str(FIXTURES / "f4_h.vec"), "--al", str(FIXTURES / "f4_l.vec")])
-    assert code == 3
+    # exit 3 iff |W| > cap, so one below |W| and a cap of 1 are exceeded
+    for system, h, l, cap, order in (("F,4", "f4_h.vec", "f4_l.vec", "100", 1152),
+                                     ("A,4", "a4_ah.vec", "a4_al_meets.vec", "119", 120),
+                                     ("A,4", "a4_ah.vec", "a4_al_meets.vec", "1", 120)):
+        code = main(["check-proper", "--system", system, "--cap", cap,
+                     "--ah", str(FIXTURES / h), "--al", str(FIXTURES / l)])
+        assert code == 3
+        assert (f"Weyl group has {order} elements, exceeding the cap {cap}\n"
+                in capsys.readouterr().err)
 
 
 def test_check_proper_cap_equal_to_the_order_runs(capsys, monkeypatch):
-    # exit 3 iff |W| > cap: --cap 120 on A4 (|W| = 120) gives the golden
-    # report, its cap apart, and --cap 119 and --cap 1 exit 3
+    # --cap 120 on A4 (|W| = 120) gives the golden report, its cap apart
     monkeypatch.chdir(ROOT)
-    argv = ["check-proper", "--system", "A,4", "--ah", "tests/fixtures/a4_ah.vec",
-            "--al", "tests/fixtures/a4_al_meets.vec"]
-    code, report = run_json(capsys, *argv, "--cap", "120")
+    code, report = run_json(capsys, "check-proper", "--system", "A,4", "--cap", "120",
+                            "--ah", "tests/fixtures/a4_ah.vec",
+                            "--al", "tests/fixtures/a4_al_meets.vec")
     expected = json.loads((ROOT / "tests" / "golden" / "check-proper-embedded.json").read_text())
     expected["inputs"]["cap"] = 120
     assert code == 0 and report == expected
-    for cap in ("119", "1"):
-        assert main(argv + ["--cap", cap]) == 3
-        assert f"Weyl group has 120 elements, exceeding the cap {cap}\n" in capsys.readouterr().err
 
 
 def test_check_proper_usage_errors(capsys):

@@ -98,9 +98,6 @@ def test_enumeration_cap():
         enumerate_weyl(s, cap=1000)
     assert exc.value.order == 1152
     assert len(enumerate_weyl(build_root_system("B", 3), cap=100)) == 48
-
-
-def test_enumeration_cap_is_exceeded_only_above_the_order():
     # CapExceeded iff |W| > cap: a cap equal to the order streams the whole
     # group, one below it is exceeded with the exact order, and a cap of 1
     # is exceeded (every supported group has order >= 2), not refused

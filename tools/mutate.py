@@ -11,12 +11,16 @@ For every module named, the script lists the mutation sites of its source
 
 Each mutant is spliced into the source text by the operator's or
 constant's own position, so every other byte, comment and line count is
-kept, and written into a temporary copy of `src/`; the checkout is never
-written.  The module's tests (`tests/test_<module>.py`) run against the
-copy with `-x`; a mutant they pass is then run against the whole suite
-(tier-1).  A mutant is killed when a run fails or times out, and survives
-when both runs pass.  Survivors judged equivalent (no input tells them
-apart) are listed in `EQUIVALENT` with a reason, keyed by the mutant's id.
+kept, and written into a temporary copy of the repository (`.git` and
+caches left out); the checkout is never written.  Tests run from the copy,
+so every test that reads the package through the repository root, such
+as the CLI's subprocess tests, reads the mutant.  The module's tests
+(`tests/test_<module>.py`) run with `-x`; a mutant they pass is then run
+against the whole suite (tier-1).  A mutant is killed when a run fails or
+times out, and survives when both runs pass.  Survivors judged equivalent
+(no input tells them apart) are listed in `EQUIVALENT` with a reason,
+keyed by the module, the enclosing function and the mutated line's text,
+so the judgement holds when lines above it move.
 
 The summary is written as Markdown to `tools/mutants.md`.  Runs
 are bounded in time and address space, so a mutant that loops or grows
@@ -24,9 +28,8 @@ without end is stopped rather than left to take the machine.
 
 Usage, from the repository root:
 
-    python tools/mutate.py                       # weyl and cartan, 20 each
-    python tools/mutate.py --modules linalg --per-module 10 --seed 3
-    python tools/mutate.py --list                # the sampled mutants only
+    python tools/mutate.py                       # weyl and cartan
+    python tools/mutate.py --modules linalg --seed 3
 """
 
 import argparse
@@ -51,29 +54,35 @@ FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE
          ast.NotIn: ("not in", "in"), ast.Is: ("is", "is not"), ast.IsNot: ("is not", "is")}
 SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+")}
 SMALL = 10
+PER_MODULE = 20  # mutants sampled from each module
 TIMEOUT = 300    # seconds for a module's tests, four times this for the whole suite
 MEM_MB = 2048    # address-space limit of each test run
 SUMMARY = ROOT / "tools" / "mutants.md"
 
-# survivors judged equivalent: mutant id (module:line:byte column:old->new)
-# -> why no input tells it apart
+# survivors judged equivalent: mutant key (module.function: line => mutated
+# line) -> why no input tells it apart
 EQUIVALENT = {
-    "weyl:166:26:2->3": "the hash's factor only has to keep -1, which CPython hashes as -2, "
-                        "out of the hashed tuple; 3 does that as 2 does, and equal elements "
-                        "still hash equal",
-    "cartan:137:54:-->+": "each key becomes 2 f(rho) - f(mu), f(mu) = sum mu_k B^k the true "
-                          "key, an injective image of it, so the walk finds and dedupes the "
-                          "same children in the same order",
+    "weyl.WeylElement.__hash__: return hash(tuple(2 * x for x in self._mu)) => "
+    "return hash(tuple(3 * x for x in self._mu))":
+        "the hash's factor only has to keep -1, which CPython hashes as -2, out of the "
+        "hashed tuple; 3 does that as 2 does, and equal elements still hash equal",
+    "cartan.walk: if (c := mu[i]) > 0 and (child := key - c * step) not in nxt: => "
+    "if (c := mu[i]) > 0 and (child := key + c * step) not in nxt:":
+        "each key becomes 2 f(rho) - f(mu), f(mu) = sum mu_k B^k the true key, an "
+        "injective image of it, so the walk finds and dedupes the same children in the "
+        "same order",
 }
 
 
 class Mutant:
     """One textual replacement: bytes [start, end) of the module's source,
-    `old` at column `col` of line `line`, become `new`."""
+    `old` at column `col` of line `line`, become `new`.  `key` names it by
+    where it sits and what it reads, not by position."""
 
-    def __init__(self, module, line, col, start, end, old, new, kind):
+    def __init__(self, module, line, col, start, end, old, new, kind, key):
         self.module, self.line, self.col = module, line, col
         self.start, self.end, self.old, self.new, self.kind = start, end, old, new, kind
+        self.key = key
 
     @property
     def id(self) -> str:
@@ -118,11 +127,29 @@ def _operator_between(source: bytes, start: int, end: int, text: str) -> tuple[i
     return None
 
 
+def _scopes(tree) -> list[tuple[int, int, str]]:
+    """(first line, last line, qualified name) of every function and class,
+    each after the ones that enclose it."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.append((child.lineno, child.end_lineno, prefix + child.name))
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
 def sites(module: str) -> list[Mutant]:
     """Every mutant of the module, in source order."""
     source = (PACKAGE / f"{module}.py").read_bytes()
     tree = ast.parse(source)
     lines = _offsets(source)
+    scopes = _scopes(tree)
 
     def begin(node):
         return lines[node.lineno] + node.col_offset
@@ -130,11 +157,19 @@ def sites(module: str) -> list[Mutant]:
     def end(node):
         return lines[node.end_lineno] + node.end_col_offset
 
-    out = []
+    out, seen = [], {}
 
     def add(span, old, new, kind):
-        line = max(k for k in range(1, len(lines)) if lines[k] <= span[0])
-        out.append(Mutant(module, line, span[0] - lines[line], *span, old, new, kind))
+        line = max(k for k in range(1, len(lines) - 1) if lines[k] <= span[0])
+        scope = [name for first, last, name in scopes if first <= line <= last]
+        text = source[lines[line]:lines[line + 1]]
+        after = text[:span[0] - lines[line]] + new.encode() + text[span[1] - lines[line]:]
+        key = (f"{module}.{scope[-1] if scope else '<module>'}: "
+               f"{text.decode().strip()} => {after.decode().strip()}")
+        seen[key] = seen.get(key, 0) + 1
+        if seen[key] > 1:   # the same edit of the same line text, again in one function
+            key += f" #{seen[key]}"
+        out.append(Mutant(module, line, span[0] - lines[line], *span, old, new, kind, key))
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
@@ -167,14 +202,14 @@ def _limit():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def _pytest(src: Path, args: list[str], timeout: int) -> tuple[str, str]:
-    """Run pytest on the copy at `src`: ("pass" | "fail" | "timeout", the
-    first failing test id or the tail of the output)."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+def _pytest(copy: Path, args: list[str], timeout: int) -> tuple[str, str]:
+    """Run pytest in the repository copy at `copy`: ("pass" | "fail" |
+    "timeout", the first failing test id or the tail of the output)."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-x",
            "--continue-on-collection-errors", *args]
     try:
-        result = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
+        result = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
                                 timeout=timeout, preexec_fn=_limit)
     except subprocess.TimeoutExpired:
         return "timeout", f"no result within {timeout} s"
@@ -187,26 +222,27 @@ def _pytest(src: Path, args: list[str], timeout: int) -> tuple[str, str]:
 
 def run(mutants: list[Mutant]) -> list[tuple]:
     """(mutant, verdict, reason, seconds) for each mutant, run in a
-    temporary copy of `src/`."""
+    temporary copy of the repository."""
     rows = []
     work = Path(tempfile.mkdtemp(prefix="ckforms-mutants-"))
     try:
-        src = work / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        copy = work / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"))
         for n, m in enumerate(mutants, 1):
-            target = src / "ckforms" / f"{m.module}.py"
+            target = copy / "src" / "ckforms" / f"{m.module}.py"
             original = (PACKAGE / f"{m.module}.py").read_bytes()
             target.write_bytes(m.apply(original))
             t0 = time.monotonic()
-            status, why = _pytest(src, [f"tests/test_{m.module}.py"], TIMEOUT)
+            status, why = _pytest(copy, [f"tests/test_{m.module}.py"], TIMEOUT)
             scope = f"test_{m.module}"
             if status == "pass":
-                status, why = _pytest(src, [], 4 * TIMEOUT)   # tier-1: the whole suite
+                status, why = _pytest(copy, [], 4 * TIMEOUT)   # tier-1: the whole suite
                 scope = "tier-1"
             target.write_bytes(original)
             if status == "pass":
-                verdict = "equivalent" if m.id in EQUIVALENT else "survived"
-                why = EQUIVALENT.get(m.id, f"passes {scope}")
+                verdict = "equivalent" if m.key in EQUIVALENT else "survived"
+                why = EQUIVALENT.get(m.key, f"passes {scope}")
             else:
                 verdict = "killed"
                 why = f"{scope}: {why}"
@@ -223,8 +259,8 @@ def summary(rows, args) -> str:
     out = [
         "# Mutation audit",
         "",
-        f"`python tools/mutate.py --modules {' '.join(args.modules)} --per-module "
-        f"{args.per_module} --seed {args.seed}`: {len(rows)} mutants, "
+        f"`python tools/mutate.py --modules {' '.join(args.modules)} --seed {args.seed}`"
+        f" ({PER_MODULE} per module): {len(rows)} mutants, "
         f"{counts['killed']} killed, {counts['survived']} survived, "
         f"{counts['equivalent']} equivalent.",
         "",
@@ -243,20 +279,14 @@ def summary(rows, args) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--modules", nargs="+", default=["weyl", "cartan"])
-    parser.add_argument("--per-module", type=int, default=20)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--list", action="store_true", help="print the sample and stop")
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     mutants = []
     for module in args.modules:
         every = sites(module)
-        mutants += sorted(rng.sample(every, min(args.per_module, len(every))),
+        mutants += sorted(rng.sample(every, min(PER_MODULE, len(every))),
                           key=lambda m: (m.start, m.new))
-    if args.list:
-        for m in mutants:
-            print(m.id, m.kind)
-        return 0
     rows = run(mutants)
     SUMMARY.write_text(summary(rows, args))
     return 0 if all(r[1] != "survived" for r in rows) else 1
