@@ -15,10 +15,10 @@ import re
 from collections import namedtuple
 from operator import mul
 
-from .errors import DimensionMismatch, InternalInconsistency, NotInSpan, ParseError
+from .errors import DEFAULT_CAP, DimensionMismatch, InternalInconsistency, NotInSpan, ParseError
 from .linalg import Vector, _eliminate, as_fractions, kernel_basis, primitive, reduced_basis
-from .rootspace import RootSystem, require_in_span
-from .weyl import DEFAULT_CAP, _dominant, _pairings, _sum_rows, enumerate_weyl, to_ambient
+from .rootspace import RootSystem, _pairings, _sum_rows, require_in_span, to_ambient
+from .weyl import _dominant, enumerate_weyl
 
 
 class Subspace(namedtuple("Subspace", "system spanning_vectors")):

@@ -15,10 +15,13 @@ docs/cli.md for the bit-exact statement):
 
 A system keeps them as integer rows over one common denominator, as they
 are written, with the core's integer Cartan matrix (`cartan`), checked
-against them, and no other root: no layer builds a root list.  The span
-and dominance tests pair a vector, scaled to integers, with integer rows
-of the span's complement and of the simple roots.  The Fraction simple
-roots are built only when `simple_roots` is read, at the API edge.
+against them, and no other root: no layer builds a root list.  This
+module is the boundary with the simple-root coordinates the other layers
+run in: a vector's coordinates are its pairings with the integer
+fundamental coweights (`_pairings`), and `to_ambient` maps coordinates
+back.  That round trip is the one span test, and dominance pairs a vector,
+scaled to integers, with the simple rows.  The Fraction simple roots are
+built only when `simple_roots` is read, at the API edge.
 
 Every constructed system is immutable, so values can be shared freely
 across threads.
@@ -26,12 +29,12 @@ across threads.
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .cartan import cartan_matrix
 from .errors import DimensionMismatch, InternalInconsistency, NotInSpan
-from .linalg import Vector, as_fractions, integer_row, kernel_basis
+from .linalg import Vector, _eliminate, as_fractions, integer_row
 
 
 class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank simple_rows den cartan")):
@@ -40,7 +43,8 @@ class RootSystem(namedtuple("RootSystem", "label blocks ambient_dim rank simple_
     block), `ambient_dim`, `rank` and `den` (int), `simple_rows` (the simple
     roots times their least common denominator `den`, as int tuples) and
     `cartan` (the sparse CartanMatrix).  `_cache`, which == and hash ignore,
-    holds `coweights` (`weyl`), `complement` and the Fraction `simple_roots`."""
+    holds `coweights` and the Fraction `simple_roots`; only this module
+    writes them."""
 
     @cached_property
     def _cache(self) -> dict:
@@ -147,25 +151,73 @@ def direct_sum(*systems: RootSystem) -> RootSystem:
     )
 
 
-def check_dimension(system: RootSystem, v: Vector) -> None:
+def _coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The fundamental coweights omega_i ((omega_i, a_j) = delta_ij,
+    omega_i in the root span) as integer rows over one denominator E, the
+    least one: den G^-1 S, S the integer simple roots den a_j and G their
+    Gram matrix, from one fraction-free elimination of [G | S] to
+    [e I | e G^-1 S].  A singular G is a fault in the package, not the input."""
+    c = system._cache
+    if "coweights" not in c:
+        simples, den = system.simple_rows, system.den
+        n = system.rank
+        m, pivots, e = _eliminate([[sum(map(mul, a, b)) for b in simples] + list(a)
+                                   for a in simples])
+        if pivots != list(range(n)):
+            raise InternalInconsistency(f"Gram matrix of the simple roots of {system.label} "
+                                        f"is singular")
+        rows = [[den * x for x in row[n:]] for row in m]
+        common = gcd(e, *(x for row in rows for x in row))
+        c["coweights"] = tuple(tuple(x // common for x in row) for row in rows), e // common
+    return c["coweights"]
+
+
+def _coordinates(system: RootSystem, v: Vector) -> tuple[int, list[int], list[int]]:
+    """v as integers over a denominator D, and its simple-root coordinates
+    c (`_pairings`), scaled so that `to_ambient` of c, divided by D, is the
+    projection of v onto the root span: c_i / D = (omega_i, v) / den, with
+    den the denominator of the integer simple roots.  Raises
+    DimensionMismatch unless v has the ambient dimension."""
     if len(v) != system.ambient_dim:
         raise DimensionMismatch(
             f"vector has {len(v)} entries, system {system.label} is realized "
             f"in dimension {system.ambient_dim}"
         )
+    ints, d = integer_row(v)
+    scale = _coweight_rows(system)[1] * system.den
+    return d * scale, [x * scale for x in ints], _pairings(system, ints)
+
+
+def _pairings(system: RootSystem, ints) -> list[int]:
+    """An integer vector's simple-root coordinates, scaled to integers: its
+    pairings with the integer coweight rows."""
+    return [sum(map(mul, row, ints)) for row in _coweight_rows(system)[0]]
+
+
+def _sum_rows(pairs, width: int) -> list:
+    """sum c * row over the pairs (c, row), in `width` entries."""
+    acc = [0] * width
+    for c, row in pairs:
+        if c:
+            for k, x in enumerate(row):
+                if x:
+                    acc[k] += c * x
+    return acc
+
+
+def to_ambient(system: RootSystem, coords) -> list:
+    """sum_j b_j (den a_j) for simple-root coordinates b, over the integer
+    simple roots den a_j (`RootSystem.simple_rows`): den times the ambient
+    vector sum_j b_j a_j."""
+    return _sum_rows(zip(coords, system.simple_rows), system.ambient_dim)
 
 
 def require_in_span(system: RootSystem, v: Vector) -> list[int]:
     """v scaled to integers (a positive multiple, so every sign and zero of
-    its pairings is kept); raises NotInSpan when it pairs nonzero with an
-    integer row of the complement of the root span (computed once per
-    system)."""
-    check_dimension(system, v)
-    ints = integer_row(v)[0]
-    c = system._cache
-    if "complement" not in c:
-        c["complement"] = kernel_basis(system.simple_rows)
-    if any(sum(map(mul, u, ints)) for u in c["complement"]):
+    its pairings is kept); raises NotInSpan unless v is its projection onto
+    the root span: `to_ambient` of its coordinates (`_coordinates`)."""
+    _, ints, coords = _coordinates(system, v)
+    if to_ambient(system, coords) != ints:
         raise NotInSpan(
             f"vector {tuple(str(x) for x in v)} is not in the root span of "
             f"{system.label} (type-A blocks require coordinates summing to zero)"

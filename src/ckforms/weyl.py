@@ -5,8 +5,8 @@ cone, the a-hyperbolic dimension, and the antipodal orbit test.
 The layer runs in simple-root coordinates, and no root list is built.  An
 element w is mu, the Dynkin labels of w^-1 rho, and the group is the Cartan
 core's walk of the orbit of rho (`cartan.walk`).  It acts in integers and
-meets the ambient coordinates in one map, `_act`: the pairing with the
-coweights (`_pairings`) gives a vector's coordinates, a map moves them (an
+meets the ambient coordinates in one map, `_act`, through the boundary
+`rootspace` keeps: `_coordinates` gives a vector's, a map moves them (an
 element's, along its word by `cartan.act`, or -w0's, a signed permutation),
 and `to_ambient` maps them back, the complement of the root span kept.
 Enumeration is breadth-first by length, ties broken lexicographically by word
@@ -17,13 +17,13 @@ representatives, w0's word, -w0 and ahyp read only the Cartan core.
 
 from collections import namedtuple
 from collections.abc import Iterator
-from math import gcd
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from . import cartan
 from .errors import DEFAULT_CAP, CapExceeded, InternalInconsistency
-from .linalg import Matrix, Vector, _eliminate, as_fractions, integer_row
-from .rootspace import RootSystem, check_dimension
+from .linalg import Matrix, Vector, as_fractions
+from .rootspace import RootSystem, _coordinates, _coweight_rows, to_ambient
+
 
 def weyl_order(system: RootSystem) -> int:
     """Exact group order: the core's closed-form order of each block,
@@ -34,61 +34,9 @@ def weyl_order(system: RootSystem) -> int:
     return order
 
 
-# ---------------------------------------------------------------------------
-# cached per-system data (each piece built only when first needed)
-
 def _w0_length(system: RootSystem) -> int:
     """Length of w0, summed over the irreducible blocks."""
     return sum(cartan.w0_length(letter, rank) for letter, rank in system.blocks)
-
-
-def _coweight_rows(system: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The fundamental coweights omega_i ((omega_i, a_j) = delta_ij,
-    omega_i in the root span) as integer rows over one denominator E, the
-    least one: den G^-1 S, S the integer simple roots den a_j and G their
-    Gram matrix, from one fraction-free elimination of [G | S] to
-    [e I | e G^-1 S].  A singular G is a fault in the package, not the input."""
-    c = system._cache
-    if "coweights" not in c:
-        simples, den = system.simple_rows, system.den
-        n = system.rank
-        m, pivots, e = _eliminate([[sum(map(mul, a, b)) for b in simples] + list(a)
-                                   for a in simples])
-        if pivots != list(range(n)):
-            raise InternalInconsistency(f"Gram matrix of the simple roots of {system.label} "
-                                        f"is singular")
-        rows = [[den * x for x in row[n:]] for row in m]
-        common = gcd(e, *(x for row in rows for x in row))
-        c["coweights"] = tuple(tuple(x // common for x in row) for row in rows), e // common
-    return c["coweights"]
-
-
-def _coordinates(system: RootSystem, v: Vector) -> tuple[int, list[int], list[int]]:
-    """v as integers over a denominator D, and its simple-root coordinates
-    c (`_pairings`), scaled so that `to_ambient` of c, divided by D, is the
-    projection of v onto the root span: c_i / D = (omega_i, v) / den, with
-    den the denominator of the integer simple roots."""
-    check_dimension(system, v)
-    ints, d = integer_row(v)
-    scale = _coweight_rows(system)[1] * system.den
-    return d * scale, [x * scale for x in ints], _pairings(system, ints)
-
-
-def _pairings(system: RootSystem, ints) -> list[int]:
-    """An integer vector's simple-root coordinates, scaled to integers: its
-    pairings with the integer coweight rows."""
-    return [sum(map(mul, row, ints)) for row in _coweight_rows(system)[0]]
-
-
-def _sum_rows(pairs, width: int) -> list:
-    """sum c * row over the pairs (c, row), in `width` entries."""
-    acc = [0] * width
-    for c, row in pairs:
-        if c:
-            for k, x in enumerate(row):
-                if x:
-                    acc[k] += c * x
-    return acc
 
 
 def _act(system: RootSystem, image, v: Vector) -> Vector:
@@ -102,13 +50,6 @@ def _matrix(system: RootSystem, image) -> Matrix:
     """The exact matrix of `_act` with this image: the images of the integer unit vectors."""
     n = system.ambient_dim
     return tuple(zip(*(_act(system, image, [int(i == j) for j in range(n)]) for i in range(n))))
-
-
-def to_ambient(system: RootSystem, coords) -> list:
-    """sum_j b_j (den a_j) for simple-root coordinates b, over the integer
-    simple roots den a_j (`RootSystem.simple_rows`): den times the ambient
-    vector sum_j b_j a_j."""
-    return _sum_rows(zip(coords, system.simple_rows), system.ambient_dim)
 
 
 class WeylElement:

@@ -1,18 +1,19 @@
-"""Shared test utilities: seeded random rational vectors, brute-force orbit
-oracles, exact vectors, their negation, sum and dot product, the exact
-identity matrix, the dense closed-form Cartan matrices and their sparse
-rows, the matrix, reflection and elimination formulas that stay
-independent of the code paths they check, the ambient root lists, the
-block-by-block root list, the Fraction constructions of the simple roots
-and the coweights, the fundamental coweights as Fractions, the split
-Cartan subspaces of the standard subgroups of sl(n,R), the orbit walk of a
-subspace under the simple reflections, the cycles of a permutation, the
-root list and the Weyl group search over root permutations that the walk
-of rho replaced, the permutation of the root list a word spells, the
-embedded scan over the images of the simple roots, the subspace file
-reader with Fraction entries, the closed-form rule for proper
-SL(2,R)-actions on sl(n,R), and the two-chain antipodal test and the
-argparse parser that faster code replaced."""
+"""Shared test utilities: seeded random rational vectors, brute-force
+orbit oracles, exact vectors, their negation, sum and dot product, the
+exact identity matrix, the span test against the complement of the root
+span that the coweight round trip replaced, the dense closed-form Cartan
+matrices and their sparse rows, the matrix, reflection and elimination
+formulas that stay independent of the code paths they check, the ambient
+root lists, the block-by-block root list, the Fraction constructions of
+the simple roots and the coweights, the fundamental coweights as
+Fractions, the split Cartan subspaces of the standard subgroups of
+sl(n,R), the orbit walk of a subspace under the simple reflections, the
+cycles of a permutation, the root list and the Weyl group search over root
+permutations that the walk of rho replaced, the permutation of the root
+list a word spells, the embedded scan over the images of the simple roots,
+the subspace file reader with Fraction entries, the closed-form rule for
+proper SL(2,R)-actions on sl(n,R), and the two-chain antipodal test and
+the argparse parser that faster code replaced."""
 
 from __future__ import annotations
 
@@ -33,9 +34,9 @@ from ckforms.cli import cmd_check_proper, cmd_info, cmd_standard_form, cmd_table
 from ckforms.criteria import Subspace
 from ckforms.errors import DEFAULT_CAP, DimensionMismatch, InternalInconsistency, NotInSpan, ParseError
 from ckforms.linalg import Matrix, Vector, integer_row, invert, kernel_basis, primitive, solve
-from ckforms.rootspace import RootSystem, is_dominant, require_in_span
-from ckforms.weyl import (_coweight_rows, _pairings, dominant_representative, enumerate_weyl,
-                          to_ambient)
+from ckforms.rootspace import (RootSystem, _coweight_rows, _pairings, is_dominant,
+                               require_in_span, to_ambient)
+from ckforms.weyl import dominant_representative, enumerate_weyl
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -88,6 +89,19 @@ def in_root_span(system: RootSystem, v: Vector) -> bool:
     except NotInSpan:
         return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _complement(system: RootSystem) -> tuple[tuple[int, ...], ...]:
+    return kernel_basis(system.simple_rows)
+
+
+def complement_in_span(system: RootSystem, v: Vector) -> bool:
+    """The span test the coweight round trip of `require_in_span` replaced:
+    v, scaled to integers, pairs to zero with every integer row of the
+    complement of the root span (computed once per system)."""
+    ints = integer_row(v)[0]
+    return not any(sum(map(mul, u, ints)) for u in _complement(system))
 
 
 def vector(entries) -> Vector:
@@ -255,12 +269,12 @@ def root_list(system: RootSystem) -> tuple[tuple[int, ...], ...]:
 def ambient_roots(system: RootSystem) -> tuple[Vector, ...]:
     """The roots in the ambient realization, aligned with the root list
     (`root_list`): each sum_j b_j a_j over the simple roots a_j, in
-    Fractions, apart from the integer recombination `weyl.to_ambient` that
-    tests check with it."""
-    return tuple(
-        tuple(sum((c * a[k] for c, a in zip(b, system.simple_roots)), Fraction(0))
-              for k in range(system.ambient_dim))
-        for b in root_list(system))
+    Fractions, apart from the integer recombination `rootspace.to_ambient`
+    that tests check with it.  Entry k sums only the nonzero terms b_j a_j[k]."""
+    columns = [[(j, a[k]) for j, a in enumerate(system.simple_roots) if a[k]]
+               for k in range(system.ambient_dim)]
+    return tuple(tuple(sum((b[j] * x for j, x in col if b[j]), Fraction(0)) for col in columns)
+                 for b in root_list(system))
 
 
 @lru_cache(maxsize=None)
@@ -434,8 +448,8 @@ def fraction_simple_roots(blocks) -> tuple[Vector, ...]:
 
 def fundamental_coweights(system: RootSystem) -> tuple[Vector, ...]:
     """The vectors of the root span pairing as Kronecker delta with the
-    simple roots, as Fractions: the integer coweight rows of the Weyl layer
-    (`weyl._coweight_rows`) over their denominator."""
+    simple roots, as Fractions: the integer coweight rows
+    (`rootspace._coweight_rows`) over their denominator."""
     rows, e = _coweight_rows(system)
     return tuple(tuple(Fraction(x, e) for x in row) for row in rows)
 

@@ -26,11 +26,12 @@ from hypothesis import strategies as st
 
 import ckforms
 from ckforms import catalog, obstruction
-from ckforms.cartan import cartan_matrix, dominant_chain, orbits, w0_length, w0_of, walk
-from ckforms.errors import InternalInconsistency
+from ckforms.cartan import (_sizes, cartan_matrix, dominant_chain, orbits, w0_length, w0_of,
+                            walk)
+from ckforms.errors import InternalInconsistency, UnsupportedSystem
 from ckforms.linalg import rank_of
 from ckforms.rootspace import build_root_system, direct_sum
-from ckforms.weyl import ahyp_dimension, fixed_cone, longest_element
+from ckforms.weyl import WeylElement, ahyp_dimension, fixed_cone, longest_element
 
 from helpers import (cycles, dense, dense_cartan_matrix, dot, identity_matrix, integer_rank,
                      mat_add, reflect, roots_of, sparse, strictly_dominant_seed, supported_types, vneg)
@@ -356,6 +357,42 @@ def test_walk_rejects_inconsistent_input(matrix, order, count):
     with pytest.raises(InternalInconsistency,
                        match=f"^enumerated {count} elements of X, expected {order}$"):
         list(walk(sparse(matrix), "X", order))
+
+
+# every supported type whose group the walk covers in about a second
+SMALL_GROUPS = [(t, n) for t, n in supported_types(8) if _sizes(t, n)[1] <= 5 * 10**4]
+
+
+@pytest.mark.parametrize("letter,n", SMALL_GROUPS)
+def test_walk_meets_the_closed_form_order(letter, n):
+    # the walk raises unless it meets exactly the order it is given
+    order = _sizes(letter, n)[1]
+    assert sum(1 for _ in walk(cartan_matrix(letter, n), f"{letter}{n}", order)) == order
+
+
+@pytest.mark.parametrize("letter", ["B", "C"])
+def test_cartan_matrix_refuses_rank_one_b_and_c(letter):
+    with pytest.raises(UnsupportedSystem):
+        cartan_matrix(letter, 1)
+
+
+@pytest.mark.parametrize("letter,n", [("B", 3), ("G", 2)])
+def test_walk_pulls_covectors_back_through_each_element(letter, n):
+    # (e o w) . b = e . w(b) on the unit coordinate vectors b, with w(b)
+    # built along the element's own chain (`WeylElement._image`)
+    s = build_root_system(letter, n)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    covectors = units + [list(range(1, n + 1)), [3, -1, 2][:n]]
+    for mu, pulled in walk(s.cartan, s.label, _sizes(letter, n)[1], covectors):
+        images = [WeylElement(s, mu)._image(b) for b in units]
+        assert pulled == [[sum(x * y for x, y in zip(e, image)) for image in images]
+                          for e in covectors]
+
+
+@pytest.mark.parametrize("letter,n", supported_types(8))
+def test_walk_starts_at_rho(letter, n):
+    mu, pulled = next(walk(cartan_matrix(letter, n), f"{letter}{n}", 1, [(2,) * n]))
+    assert mu == (1,) * n and pulled == [[2] * n]
 
 
 def test_core_checks_survive_optimize():

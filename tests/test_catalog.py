@@ -520,5 +520,12 @@ def test_restricted_rank_limit(monkeypatch):
 def test_rank_maxcompact_spot_values():
     cases = {"sl(11,R)": 5, "so(4,7)": 5, "f4(-20)": 4, "e6(-26)": 4,
              "su*(6)": 3, "sl(3,C)": 2, "sp(2,R)": 2, "so(5,5)": 4}
+    # every exceptional form, by its maximal compact subalgebra K: g2(2) su(2)+su(2),
+    # f4(4) sp(3)+su(2), e6(6) sp(4), e6(2) su(6)+su(2), e6(-14) so(10)+u(1),
+    # e7(7) su(8), e7(-5) so(12)+su(2), e7(-25) e6+u(1), e8(8) so(16),
+    # e8(-24) e7+su(2); a complex form's K is its compact real form
+    cases |= {"g2(2)": 2, "f4(4)": 4, "e6(6)": 4, "e6(2)": 6, "e6(-14)": 6, "e7(7)": 7,
+              "e7(-5)": 7, "e7(-25)": 7, "e8(8)": 8, "e8(-24)": 8, "g2(C)": 2, "f4(C)": 4,
+              "e6(C)": 6, "e7(C)": 7, "e8(C)": 8}
     for text, rank in cases.items():
         assert parse_simple(text).rank_maxcompact == rank, text

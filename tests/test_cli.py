@@ -362,7 +362,7 @@ def test_singular_internal_inverse_exit_4(capsys, monkeypatch):
         m, pivots, d = _eliminate(rows)
         return m, pivots[:-1], d
 
-    monkeypatch.setattr(weyl, "_eliminate", singular)
+    monkeypatch.setattr(rootspace, "_eliminate", singular)
     monkeypatch.delitem(build_root_system("A", 4)._cache, "coweights", raising=False)
     # the NotProper report builds the offending element's matrix
     assert main(["check-proper", "--system", "A,4", "--ah", str(FIXTURES / "a4_ah.vec"),

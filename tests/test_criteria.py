@@ -207,6 +207,9 @@ def test_zero_subspace_is_proper():
     full = _load("a4_ah.vec", A4)
     assert check_proper_embedded(A4, empty, full).proper
     assert check_proper_embedded(A4, full, empty).proper
+    # decided before the group is sized, so a cap below |W| is no error
+    assert check_proper_embedded(A4, empty, full, cap=1).proper
+    assert check_proper_embedded(A4, full, empty, cap=1).proper
 
 
 def test_cap_propagates():

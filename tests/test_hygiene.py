@@ -110,7 +110,7 @@ def test_every_public_name_is_used(module):
 
 # `cat src/ckforms/*.py | wc -l` after the latest change that shrank the
 # package; a change that shrinks it further lowers this bound
-PACKAGE_LINES = 2357
+PACKAGE_LINES = 2350
 
 
 def test_package_does_not_grow():
@@ -178,12 +178,40 @@ def test_no_module_builds_a_root_list():
     assert named == set()
 
 
-def test_only_the_weyl_layer_pairs_with_the_coweights():
-    """A simple-root vector is one dense integer row, and only `weyl` makes
-    it: no other module names the coweight rows, so none pairs with them
-    itself (`weyl._pairings` does)."""
+def test_only_rootspace_pairs_with_the_coweights():
+    """A simple-root vector is one dense integer row, and only `rootspace`
+    makes it (`_pairings`): no other module pairs with the coweight rows.
+    `weyl` names them only to sum them for `fixed_cone`."""
     naming = sorted(name for name, tree in TREES.items() if "_coweight_rows" in _names(tree))
-    assert naming == ["weyl"]
+    assert naming == ["rootspace", "weyl"]
+    assert [node.name for node in TREES["weyl"].body if isinstance(node, ast.FunctionDef)
+            and "_coweight_rows" in _names(node)] == ["fixed_cone"]
+
+
+# the map between ambient and simple-root coordinates that `rootspace` keeps
+BOUNDARY = {"_coweight_rows", "_coordinates", "_pairings", "_sum_rows", "to_ambient"}
+
+
+def test_rootspace_owns_the_realization_boundary():
+    """The root span is tested one way, by the coweight round trip: no
+    basis of its complement is built, `rootspace` alone writes the
+    per-system cache, and `weyl` runs no elimination of its own."""
+    from ckforms import rootspace, weyl
+    from ckforms.criteria import Subspace, check_proper_embedded
+
+    assert "kernel_basis" not in _imported(TREES["rootspace"])
+    assert sorted(name for name, tree in TREES.items() if "_cache" in _names(tree)) == [
+        "rootspace"]
+    assert BOUNDARY & {d for node in TREES["weyl"].body for d in _defined(node)} == set()
+    assert "_eliminate" not in _names(TREES["weyl"])
+    # every reader of the cache, on a system no other test has touched
+    s = rootspace.build_root_system.__wrapped__("A", 3)
+    line = Subspace(s, ((1, 0, 0, -1),))
+    check_proper_embedded(s, line, line)
+    rootspace.is_dominant(s, s.simple_roots[0])
+    weyl.fixed_cone(s)
+    weyl.minus_w0(s)
+    assert set(s._cache) == {"coweights", "simple_roots"}
 
 
 def test_weyl_meets_the_ambient_space_in_one_map():

@@ -80,6 +80,7 @@ def test_results_match_the_fraction_rref_oracle(rows, data):
         assert all(type(x) is int for x in k)
         t = next(x for x in k if x) / next(x for x in o if x)
         assert t > 0 and k == tuple(t * x for x in o)
+        assert t == abs(linalg._eliminate(rows)[2])   # the free entry is |d|
 
     x = vector(data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)))
     consistent = mat_vec(rows, x)

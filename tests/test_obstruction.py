@@ -71,6 +71,31 @@ def test_multi_part_combinations_when_budget_allows():
     assert all(sum(ahyp_of(p) for p in c.derived_parts) <= 3 for c in combos)
 
 
+# sl(3,R)/so(3) has combinations that use the whole rank budget, and
+# sl(6,R)/so(3) has sl(3,R)+g2(C), within every budget but dim g: 36 > 35
+@pytest.mark.parametrize("g,h", [("sl(3,R)", "so(3)"), ("sl(6,R)", "so(3)")])
+def test_combinations_match_level_search(g, h):
+    # every multiset of candidate parts within the five budgets, grown one
+    # part at a time (each part only adds to every budget), then sorted
+    # into the order of the depth-first search
+    g, h = parse_simple(g), parse_descriptor(h)
+    lim = obstruction._budget_limits(g, h)
+    parts = candidate_simple_parts(g, h)
+    fields = {"ahyp": "ahyp", "rank": "restricted_rank", "maxcompact": "rank_maxcompact",
+              "dim": "dim_p", "dim_g": "dim_g"}
+
+    def fits(c):
+        return all(sum(getattr(parts[i], f) for i in c) <= lim[b] for b, f in fields.items())
+
+    level, found = [()], []
+    while level:
+        found += level
+        level = [c + (i,) for c in level for i in range(c[-1] if c else 0, len(parts))
+                 if fits(c + (i,))]
+    assert [c.derived_parts for c in candidate_combinations(g, h)] == [
+        tuple(parts[i] for i in c) for c in sorted(found)]
+
+
 def test_verdict_examples():
     v = standard_form_verdict(G11, H47)
     assert v.verdict == NO_STANDARD_FORM

@@ -15,11 +15,12 @@ from ckforms import linalg, rootspace
 from ckforms.cartan import cartan_matrix
 from ckforms.errors import DimensionMismatch, InternalInconsistency, NotInSpan, UnsupportedSystem
 from ckforms.linalg import kernel_basis, rank_of, solve
-from ckforms.rootspace import build_root_system, direct_sum, is_dominant
-from ckforms.weyl import enumerate_weyl, to_ambient
+from ckforms.rootspace import build_root_system, direct_sum, is_dominant, to_ambient
+from ckforms.weyl import enumerate_weyl
 
 from helpers import (
     ambient_roots,
+    complement_in_span,
     dense,
     dot,
     fraction_simple_roots,
@@ -183,7 +184,8 @@ def test_type_a_span_requires_zero_sum():
 
 
 # ---------------------------------------------------------------------------
-# the complement span test against the elimination it replaced
+# the coweight round trip against the complement test and the elimination
+# it replaced
 
 def _oracle_in_span(simples):
     """Membership by the old test: v minus its elimination against the RREF
@@ -195,13 +197,13 @@ def _oracle_in_span(simples):
         for row, pc in zip(red, pivots):
             c = x[pc]
             if c:
-                x = [a - c * b for a, b in zip(x, row)]
+                x = [a - c * b if b else a for a, b in zip(x, row)]
         return not any(x)
 
     return member
 
 
-SPAN_CASES = ALL_SMALL + [("E", 7), ("E", 8)]
+SPAN_CASES = ALL_SMALL + [("E", 7), ("E", 8), ("A", 40), ("B", 40), ("C", 40), ("D", 40)]
 
 
 @pytest.mark.parametrize("letter,rank", SPAN_CASES)
@@ -213,18 +215,20 @@ def test_in_root_span_matches_elimination_oracle(letter, rank):
     vectors += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                       for _ in range(s.ambient_dim)) for _ in range(10)]
     for v in vectors:
-        assert in_root_span(s, v) == member(v)
+        assert in_root_span(s, v) == member(v) == complement_in_span(s, v)
 
 
 def test_in_root_span_matches_oracle_on_direct_sums():
-    a2g2 = direct_sum(build_root_system("A", 2), build_root_system("G", 2))
-    member = _oracle_in_span(a2g2.simple_roots)
-    rng = random.Random(3)
-    vectors = [random_span_vector(a2g2, rng) for _ in range(10)]
-    vectors += [tuple(Fraction(rng.randint(-2, 2)) for _ in range(6)) for _ in range(50)]
-    assert {member(v) for v in vectors} == {True, False}
-    for v in vectors:
-        assert in_root_span(a2g2, v) == member(v)
+    a2, g2 = build_root_system("A", 2), build_root_system("G", 2)
+    for s in (direct_sum(a2, g2), direct_sum(a2, g2, build_root_system("D", 5))):
+        member = _oracle_in_span(s.simple_roots)
+        rng = random.Random(3)
+        vectors = [random_span_vector(s, rng) for _ in range(10)]
+        vectors += [tuple(Fraction(rng.randint(-2, 2)) for _ in range(s.ambient_dim))
+                    for _ in range(50)]
+        assert {member(v) for v in vectors} == {True, False}
+        for v in vectors:
+            assert in_root_span(s, v) == member(v) == complement_in_span(s, v)
 
 
 @pytest.mark.parametrize("rank", [6, 7])
@@ -236,14 +240,16 @@ def test_e6_e7_roots_match_elimination_filter(rank):
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 4), ("E", 6)])
-def test_is_dominant_eliminates_nothing_once_the_complement_is_cached(monkeypatch, letter, rank):
+def test_is_dominant_eliminates_nothing_once_the_coweights_are_cached(monkeypatch, letter, rank):
     s = build_root_system(letter, rank)
     calls = []
     eliminate = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda rows: calls.append(rows) or eliminate(rows))
-    monkeypatch.delitem(s._cache, "complement", raising=False)
+    for module in (linalg, rootspace):   # `rootspace` calls it by its own name
+        monkeypatch.setattr(module, "_eliminate",
+                            lambda rows: calls.append(rows) or eliminate(rows))
+    monkeypatch.delitem(s._cache, "coweights", raising=False)
     in_root_span(s, s.simple_roots[0])
-    assert len(calls) == 1   # the complement, once
+    assert len(calls) == 1   # the coweights, once
     rng = random.Random(rank)
     vectors = [random_span_vector(s, rng) for _ in range(10)]
     for i in range(1000):

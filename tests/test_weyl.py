@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ckforms
-from ckforms import cartan, linalg, weyl
+from ckforms import cartan, linalg, rootspace, weyl
 from ckforms.criteria import antipodal_orbit_check
 from ckforms.errors import CapExceeded, DimensionMismatch, InternalInconsistency
 from ckforms.linalg import _eliminate, integer_row, invert, kernel_basis
@@ -493,7 +493,7 @@ def test_span_action_equals_matrix_action(letter, rank):
     s = build_root_system(letter, rank)
     rng = random.Random(7 + rank)
     vectors = [random_span_vector(s, rng) for _ in range(2)] + [s.simple_roots[-1]]
-    combos = [weyl._pairings(s, integer_row(v)[0]) for v in vectors]
+    combos = [rootspace._pairings(s, integer_row(v)[0]) for v in vectors]
     coweights = fundamental_coweights(s)
     scales = [None] * len(vectors)
 
@@ -551,7 +551,7 @@ def test_singular_internal_inverse_is_internal_inconsistency(monkeypatch):
         m, pivots, d = _eliminate(rows)
         return m, pivots[:-1], d
 
-    monkeypatch.setattr(weyl, "_eliminate", singular)
+    monkeypatch.setattr(rootspace, "_eliminate", singular)
     s = build_root_system("A", 3)
     monkeypatch.delitem(s._cache, "coweights", raising=False)   # computed by earlier tests
     with pytest.raises(InternalInconsistency, match="Gram matrix of the simple roots of A3 is singular"):
@@ -660,7 +660,7 @@ def test_coweight_rows_match_fraction_oracle(system):
     # fresh systems: rows cached by an earlier test would not be recomputed
     fresh = system._replace()
     assert "coweights" not in fresh._cache
-    assert weyl._coweight_rows(fresh) == fraction_coweight_rows(fresh)
+    assert rootspace._coweight_rows(fresh) == fraction_coweight_rows(fresh)
 
 
 @pytest.mark.parametrize("label", ["BC1", "BC3", "BC1+A1", "A2+BC3", "A1+BC2+BC1", "B3+BC3",

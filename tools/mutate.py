@@ -71,6 +71,22 @@ EQUIVALENT = {
         "each key becomes 2 f(rho) - f(mu), f(mu) = sum mu_k B^k the true key, an "
         "injective image of it, so the walk finds and dedupes the same children in the "
         "same order",
+    "criteria._entry: return int(num) if den is None else as_fractions((int(num),), "
+    "int(den))[0] => return int(num) if den is None else as_fractions((int(num),), "
+    "int(den))[-1]":
+        "as_fractions of a one-entry row returns one Fraction, which [-1] reads as [0] does",
+    "linalg._eliminate: ncols = len(m[0]) if m else 0 => ncols = len(m[-1]) if m else 0":
+        "the rows of a matrix all have one length, so the last row's is the first row's",
+    "linalg.kernel_basis: s = 1 if d > 0 else -1 => s = 1 if d > -1 else -1":
+        "d is the last pivot of the elimination, or 1 when there is none, so it is never 0",
+    "linalg.solve: ncols = len(rows[0]) => ncols = len(rows[-1])":
+        "the rows of a matrix all have one length, so the last row's is the first row's",
+    "linalg.primitive: if next(a for a in ints if a) < 0: => "
+    "if next(a for a in ints if a) < 1:":
+        "the leading entry is a nonzero int, which is below 1 exactly when it is below 0",
+    "catalog._walk: def _walk(build, fits, start=1): => def _walk(build, fits, start=0):":
+        "every one-parameter builder rejects 0 as zero-dimensional or abelian, so the walk "
+        "skips it; the two-parameter walks pass their own start",
 }
 
 
